@@ -10,7 +10,8 @@ weights are nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +69,17 @@ class BalanceProblem:
     def mode(self) -> str:
         return "linear" if self.cate_map is not None else "kernel"
 
+    @cached_property
+    def _program(self) -> _SiteProgram:
+        return _site_program(self)
+
+    def with_lam(self, lam: float) -> BalanceProblem:
+        """This problem at another lambda, sharing (and building, if need be)
+        its lambda-free program; ``dataclasses.replace`` builds a fresh one."""
+        copy = replace(self, lam=lam)
+        copy.__dict__["_program"] = self._program
+        return copy
+
 
 @dataclass(frozen=True)
 class WeightSolution:
@@ -104,39 +116,89 @@ class SweepRow:
     n_failed: int
 
 
-def _coefficients(site: SiteDataset):
-    """Per-unit multipliers for the effect-side and prognostic-side terms."""
-    z = site.treatment
-    pi = site.propensity
-    n = site.n
+@dataclass(frozen=True)
+class _SiteProgram:
+    """The lambda-free part of one site's balancing program. Linear mode
+    fills the mapped features, the target feature mean ``t`` and the factor
+    of the quadratic term; kernel mode the site Grams, the target kernel-mean
+    vector and Gram mean, and ``P0``, the quadratic term without its ridge."""
+
+    a_cate: np.ndarray
+    a_prog: np.ndarray
+    reg: np.ndarray
+    q: np.ndarray
+    constraints: tuple[sp.csr_matrix, np.ndarray, np.ndarray]
+    phi_cate: np.ndarray | None = None
+    phi_prog: np.ndarray | None = None
+    t: np.ndarray | None = None
+    p_factor: np.ndarray | None = None
+    K_cate: np.ndarray | None = None
+    K_prog: np.ndarray | None = None
+    kernel_mean: np.ndarray | None = None
+    target_block: float = 0.0
+    P0: np.ndarray | None = None
+
+    def qp(self, lam: float) -> QuadraticProgram:
+        A, l, u = self.constraints
+        ridge = 2.0 * lam * self.reg
+        if self.P0 is None:
+            return QuadraticProgram(q=self.q, A=A, l=l, u=u, p_factor=self.p_factor, p_diag=ridge)
+        P = self.P0.copy()
+        P[np.diag_indices_from(P)] += ridge
+        return QuadraticProgram(P=sp.csr_matrix(P), q=self.q, A=A, l=l, u=u)
+
+
+def _site_program(prob: BalanceProblem) -> _SiteProgram:
+    site = prob.site
+    X, z, pi, n = site.covariates, site.treatment, site.propensity, site.n
+    # per-unit multipliers of the effect-side and prognostic-side terms
     a_cate = z / (n * pi)
     a_prog = (z - pi) / (n * pi * (1.0 - pi))
     reg = z / pi + (1.0 - z) / (1.0 - pi)
-    return a_cate, a_prog, reg
-
-
-def _constraints(site: SiteDataset):
-    n = site.n
-    z = site.treatment
-    A = sp.vstack(
-        [sp.csr_matrix(z), sp.csr_matrix(1.0 - z), sp.eye(n, format="csr")],
-        format="csr",
-    )
-    l = np.concatenate([[site.n1, site.n0], np.zeros(n)])
-    u = np.concatenate([[site.n1, site.n0], np.full(n, np.inf)])
-    return A, l, u
-
-
-def _target_feature_mean(prob: BalanceProblem) -> np.ndarray:
-    cmap = prob.cate_map
-    if prob.target.is_sample:
-        return apply_feature_map(cmap, prob.target.sample).mean(axis=0)
-    t = prob.target.moments
-    if t.size != cmap.output_dim:
-        raise DimensionMismatchError(
-            f"target moments have length {t.size}, feature map produces {cmap.output_dim}"
+    A = sp.vstack([sp.csr_matrix(z), sp.csr_matrix(1.0 - z), sp.eye(n, format="csr")], format="csr")
+    lower = np.concatenate([[site.n1, site.n0], np.zeros(n)])
+    constraints = A, lower, np.concatenate([[site.n1, site.n0], np.full(n, np.inf)])
+    if prob.mode == "linear":
+        cmap = prob.cate_map
+        if not (cmap.fitted and prob.prognostic_map.fitted):
+            raise UnfittedMapError("feature maps must be fitted before assembly")
+        phi_cate = apply_feature_map(cmap, X)
+        phi_prog = apply_feature_map(prob.prognostic_map, X)
+        if prob.target.is_sample:
+            t = apply_feature_map(cmap, prob.target.sample).mean(axis=0)
+        else:
+            t = prob.target.moments
+            if t.size != cmap.output_dim:
+                raise DimensionMismatchError(
+                    f"target moments have length {t.size}, feature map produces {cmap.output_dim}"
+                )
+        B_cate = a_cate[:, None] * phi_cate  # row i: a_cate_i * phi(X_i)
+        B_prog = a_prog[:, None] * phi_prog
+        return _SiteProgram(
+            a_cate, a_prog, reg, -2.0 * (B_cate @ t), constraints,
+            phi_cate=phi_cate, phi_prog=phi_prog, t=t,
+            p_factor=np.sqrt(2.0) * np.vstack([B_cate.T, B_prog.T]),
         )
-    return t
+
+    target = prob.target.sample
+    pooled = np.vstack([X, target])
+    k_cate = resolve_kernel(prob.cate_kernel, pooled)
+    k_prog = resolve_kernel(prob.prognostic_kernel, pooled)
+    K_cate = kernel_matrix(k_cate, X)
+    K_prog = kernel_matrix(k_prog, X)
+    P = 2.0 * (
+        (a_cate[:, None] * K_cate) * a_cate[None, :]
+        + (a_prog[:, None] * K_prog) * a_prog[None, :]
+    )
+    kernel_mean = kernel_matrix(k_cate, X, target).mean(axis=1)  # of the n x m cross Gram
+    m = target.shape[0]
+    return _SiteProgram(
+        a_cate, a_prog, reg, -2.0 * a_cate * kernel_mean, constraints,
+        K_cate=K_cate, K_prog=K_prog, kernel_mean=kernel_mean,
+        # only the mean of the m x m target Gram is kept
+        target_block=float(kernel_matrix(k_cate, target).sum()) / (m * m),
+        P0=0.5 * (P + P.T),
+    )
 
 
 def build_linear_qp(prob: BalanceProblem) -> QuadraticProgram:
@@ -149,24 +211,7 @@ def build_linear_qp(prob: BalanceProblem) -> QuadraticProgram:
     """
     if prob.mode != "linear":
         raise ModeMismatchError("build_linear_qp requires a linear-mode problem")
-    if not (prob.cate_map.fitted and prob.prognostic_map.fitted):
-        raise UnfittedMapError("feature maps must be fitted before assembly")
-
-    site = prob.site
-    X = site.covariates
-    a_cate, a_prog, reg = _coefficients(site)
-
-    phi_cate = apply_feature_map(prob.cate_map, X)
-    phi_prog = apply_feature_map(prob.prognostic_map, X)
-    B_cate = a_cate[:, None] * phi_cate  # row i: a_cate_i * phi(X_i)
-    B_prog = a_prog[:, None] * phi_prog
-    t = _target_feature_mean(prob)
-
-    factor = np.sqrt(2.0) * np.vstack([B_cate.T, B_prog.T])
-    p_diag = 2.0 * prob.lam * reg
-    q = -2.0 * (B_cate @ t)
-    A, l, u = _constraints(site)
-    return QuadraticProgram(q=q, A=A, l=l, u=u, p_factor=factor, p_diag=p_diag)
+    return prob._program.qp(prob.lam)
 
 
 def build_kernel_qp(prob: BalanceProblem) -> QuadraticProgram:
@@ -178,27 +223,7 @@ def build_kernel_qp(prob: BalanceProblem) -> QuadraticProgram:
     """
     if prob.mode != "kernel":
         raise ModeMismatchError("build_kernel_qp requires a kernel-mode problem")
-    site = prob.site
-    X = site.covariates
-    target = prob.target.sample
-    pooled = np.vstack([X, target])
-    k_cate = resolve_kernel(prob.cate_kernel, pooled)
-    k_prog = resolve_kernel(prob.prognostic_kernel, pooled)
-
-    a_cate, a_prog, reg = _coefficients(site)
-    K_cate = kernel_matrix(k_cate, X)
-    K_prog = kernel_matrix(k_prog, X)
-    P = 2.0 * (
-        (a_cate[:, None] * K_cate) * a_cate[None, :]
-        + (a_prog[:, None] * K_prog) * a_prog[None, :]
-    )
-    P[np.diag_indices_from(P)] += 2.0 * prob.lam * reg
-    P = 0.5 * (P + P.T)
-
-    K_cross = kernel_matrix(k_cate, X, target)  # n x m
-    q = -2.0 * a_cate * K_cross.mean(axis=1)
-    A, l, u = _constraints(site)
-    return QuadraticProgram(P=sp.csr_matrix(P), q=q, A=A, l=l, u=u)
+    return prob._program.qp(prob.lam)
 
 
 def kish_ess(gamma: np.ndarray | Sequence[float]) -> float:
@@ -214,13 +239,10 @@ def imbalance_report(site: SiteDataset, gamma: np.ndarray, prob: BalanceProblem)
     """Signed per-feature imbalances and their norms (linear mode only)."""
     if prob.mode != "linear":
         raise ModeMismatchError("per-feature imbalance requires linear mode")
+    program = (prob if site is prob.site else replace(prob, site=site))._program
     gamma = np.asarray(gamma, dtype=float)
-    a_cate, a_prog, _ = _coefficients(site)
-    phi_cate = apply_feature_map(prob.cate_map, site.covariates)
-    phi_prog = apply_feature_map(prob.prognostic_map, site.covariates)
-    t = _target_feature_mean(prob)
-    cate_vec = phi_cate.T @ (a_cate * gamma) - t
-    prog_vec = phi_prog.T @ (a_prog * gamma)
+    cate_vec = program.phi_cate.T @ (program.a_cate * gamma) - program.t
+    prog_vec = program.phi_prog.T @ (program.a_prog * gamma)
     return ImbalanceReport(
         cate_imbalance=float(np.linalg.norm(cate_vec)),
         prognostic_imbalance=float(np.linalg.norm(prog_vec)),
@@ -231,23 +253,12 @@ def imbalance_report(site: SiteDataset, gamma: np.ndarray, prob: BalanceProblem)
 
 def _kernel_imbalances(prob: BalanceProblem, gamma: np.ndarray) -> tuple[float, float]:
     """Square roots of the two kernel objective blocks (RKHS imbalance norms)."""
-    site = prob.site
-    X = site.covariates
-    target = prob.target.sample
-    pooled = np.vstack([X, target])
-    k_cate = resolve_kernel(prob.cate_kernel, pooled)
-    k_prog = resolve_kernel(prob.prognostic_kernel, pooled)
-    a_cate, a_prog, _ = _coefficients(site)
-
-    g_cate = a_cate * gamma
-    g_prog = a_prog * gamma
-    K_cate = kernel_matrix(k_cate, X)
-    K_prog = kernel_matrix(k_prog, X)
-    K_cross = kernel_matrix(k_cate, X, target)
-    m = target.shape[0]
-    target_block = float(kernel_matrix(k_cate, target).sum()) / (m * m)
-    cate_sq = float(g_cate @ K_cate @ g_cate) - 2.0 * float(g_cate @ K_cross.mean(axis=1)) + target_block
-    prog_sq = float(g_prog @ K_prog @ g_prog)
+    program = prob._program
+    g_cate = program.a_cate * gamma
+    g_prog = program.a_prog * gamma
+    cate_sq = float(g_cate @ program.K_cate @ g_cate) - 2.0 * float(g_cate @ program.kernel_mean)
+    cate_sq += program.target_block
+    prog_sq = float(g_prog @ program.K_prog @ g_prog)
     return float(np.sqrt(max(cate_sq, 0.0))), float(np.sqrt(max(prog_sq, 0.0)))
 
 
@@ -305,6 +316,26 @@ def solve_weights(
     )
 
 
+def solve_along_grid(
+    prob: BalanceProblem,
+    lambdas: Sequence[float],
+    settings: QpSettings | None = None,
+    catch: type[Exception] = SolverFailedError,
+) -> Iterator[tuple[float, WeightSolution | None]]:
+    """Solve ``prob`` at each lambda of a descending grid, warm-starting each
+    solve from the last success. Yields ``(lam, solution)``, with ``solution``
+    None when the solve raised ``catch``; other errors propagate."""
+    warm = None
+    for lam in lambdas:
+        try:
+            ws = solve_weights(prob.with_lam(lam), settings=settings, warm_start=warm)
+        except catch:
+            ws = None
+        else:
+            warm = (ws.solver.x, ws.solver.y)
+        yield lam, ws
+
+
 def lambda_sweep(
     sites: Sequence[SiteDataset],
     target: TargetSpec,
@@ -331,7 +362,7 @@ def lambda_sweep(
     cells: dict[float, list[WeightSolution]] = {lam: [] for lam in order}
     failures: dict[float, int] = {lam: 0 for lam in order}
     for site in sites:
-        template = BalanceProblem(
+        prob = BalanceProblem(
             site=site,
             target=target,
             lam=order[0],
@@ -340,38 +371,22 @@ def lambda_sweep(
             cate_kernel=cate_kernel,
             prognostic_kernel=prognostic_kernel,
         )
-        warm = None
-        for lam in order:
-            prob = replace(template, lam=lam)
-            try:
-                ws = solve_weights(prob, settings=settings, warm_start=warm)
-            except SolverFailedError:
+        for lam, ws in solve_along_grid(prob, order, settings):
+            if ws is None:
                 failures[lam] += 1
-                continue
-            warm = (ws.solver.x, ws.solver.y)
-            cells[lam].append(ws)
+            else:
+                cells[lam].append(ws)
 
-    rows = []
-    for lam in sorted(order):
-        sols = cells[lam]
-        if sols:
-            rows.append(
-                SweepRow(
-                    lam=lam,
-                    cate_imbalance=float(np.mean([s.cate_imbalance for s in sols])),
-                    prognostic_imbalance=float(np.mean([s.prognostic_imbalance for s in sols])),
-                    ess=float(np.mean([s.ess for s in sols])),
-                    n_failed=failures[lam],
-                )
-            )
-        else:
-            rows.append(
-                SweepRow(
-                    lam=lam,
-                    cate_imbalance=float("nan"),
-                    prognostic_imbalance=float("nan"),
-                    ess=float("nan"),
-                    n_failed=failures[lam],
-                )
-            )
-    return rows
+    def mean_of(sols: list[WeightSolution], attr: str) -> float:
+        return float(np.mean([getattr(s, attr) for s in sols])) if sols else float("nan")
+
+    return [
+        SweepRow(
+            lam=lam,
+            cate_imbalance=mean_of(cells[lam], "cate_imbalance"),
+            prognostic_imbalance=mean_of(cells[lam], "prognostic_imbalance"),
+            ess=mean_of(cells[lam], "ess"),
+            n_failed=failures[lam],
+        )
+        for lam in sorted(order)
+    ]

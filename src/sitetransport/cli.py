@@ -38,8 +38,8 @@ DEFAULT_LAMBDA_GRID = tuple(sorted(set(np.logspace(-4, 2, 25).tolist() + [DEFAUL
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -250,7 +250,7 @@ def _cmd_weights(args) -> int:
         site = next(s for s in sites if s.site_id == res.site_id)
         positions = site.row_indices or tuple(range(site.n))
         for pos, g in zip(positions, res.weights.gamma):
-            rows.append([res.site_id, pos, float(g)])
+            rows.append([res.site_id, pos, g])
         ws = res.weights
         print(f"site {res.site_id}: lambda={ws.lam:g} ess={ws.ess:.2f}")
         print(f"  treated-vs-target imbalance:  {ws.cate_imbalance:.6g}")

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import (
     DegenerateSiteError,
-    DimensionMismatchError,
     MixedArityError,
     NonBinaryTreatmentError,
 )
@@ -236,8 +235,3 @@ def validate_dataset(
         )
     return sites
 
-
-def check_length(a: np.ndarray, b: np.ndarray, what: str = "vectors") -> None:
-    """Raise :class:`DimensionMismatchError` unless the two arrays align."""
-    if a.shape[-1] != b.shape[-1]:
-        raise DimensionMismatchError(f"{what} have lengths {a.shape[-1]} and {b.shape[-1]}")

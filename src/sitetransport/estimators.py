@@ -14,7 +14,7 @@ import numpy as np
 
 from .balance import kish_ess
 from .data import SiteDataset, TargetSpec
-from .errors import ConstraintViolationError, InsufficientArmError
+from .errors import ConstraintViolationError, InsufficientArmError, SiteTransportError
 from .features import FeatureMap, apply_feature_map
 from .regression import RegressionFit, fit_least_squares, fit_logistic
 
@@ -336,10 +336,12 @@ def doubly_robust_estimate(
     )
 
     se = 0.0
+    notes = ()
     if n_boot > 0:
         rng = np.random.default_rng(seed)
         reps = np.empty(n_boot)
         y = site.outcomes
+        n_refit_failed = 0
         for b in range(n_boot):
             b1, b0 = _bootstrap_arm_indices(site, rng)
             rows = np.concatenate([b1, b0])
@@ -351,8 +353,9 @@ def doubly_robust_estimate(
             try:
                 ratio_b = density_ratio_fit(site.covariates[rows], target.sample, feature_map)
                 rb = ratio_b(site.covariates[rows])
-            except Exception:
+            except SiteTransportError:
                 rb = r[rows]  # keep the replicate usable under resampled separation
+                n_refit_failed += 1
             pi = site.propensity
             aug1 = float(np.mean(rb * zb * (yb - f1.linear_predictor(designb)) / pi))
             aug0 = float(np.mean(rb * (1 - zb) * (yb - f0.linear_predictor(designb)) / (1 - pi)))
@@ -363,6 +366,8 @@ def doubly_robust_estimate(
                 - float(np.mean(f0.linear_predictor(target_design)))
             )
         se = float(np.std(reps, ddof=1))
+        if n_refit_failed:
+            notes = (f"density-ratio refit failed in {n_refit_failed} of {n_boot} bootstrap replicates",)
 
     z = site.treatment
     r1 = r[z == 1]
@@ -374,4 +379,5 @@ def doubly_robust_estimate(
         ess_control=kish_ess(r0) if np.any(r0 > 0) else 0.0,
         method=DOUBLY_ROBUST,
         site_id=site.site_id,
+        notes=notes,
     )

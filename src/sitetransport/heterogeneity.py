@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammaincinv
 
 from .errors import ZeroBaselineError
 
@@ -131,28 +131,9 @@ def pseudo_r2(theta_sd_untransported: float, theta_sd_transported: float) -> flo
 
 
 def chi_square_quantile(df: int, p: float) -> float:
-    """Inverse chi-square CDF via the regularized incomplete gamma and bisection."""
+    """Inverse chi-square CDF through the inverse regularized incomplete gamma."""
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    half = 0.5 * df
-
-    def cdf(x: float) -> float:
-        return float(gammainc(half, 0.5 * x))
-
-    lo = 0.0
-    hi = float(df)
-    while cdf(hi) <= p:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("chi-square quantile bracket grew unreasonably large")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return 2.0 * float(gammaincinv(0.5 * df, p))

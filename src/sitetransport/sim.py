@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balance import BalanceProblem, solve_weights
+from .balance import BalanceProblem, solve_along_grid
 from .data import SiteDataset, TargetSpec, UnitRecord
 from .errors import SiteTransportError
 from .estimators import (
@@ -265,7 +265,6 @@ def _rep_errors(config: SimConfig, populations, rep: int) -> dict[tuple, np.ndar
             cell(NAIVE)[j] = naive_estimate(site).estimate - truth
 
         if WEIGHTING in config.estimators:
-            warm = None
             prob = BalanceProblem(
                 site=site,
                 target=repl.target,
@@ -273,14 +272,13 @@ def _rep_errors(config: SimConfig, populations, rep: int) -> dict[tuple, np.ndar
                 cate_map=fmap,
                 prognostic_map=fmap,
             )
-            for lam in grid:
-                try:
-                    ws = solve_weights(replace(prob, lam=lam), settings=config.solver, warm_start=warm)
-                    warm = (ws.solver.x, ws.solver.y)
-                    est = weighting_estimate(site, ws.gamma).estimate
-                    cell(WEIGHTING, lam)[j] = est - truth
-                except SiteTransportError:
-                    cell(WEIGHTING, lam)[j] = np.nan
+            for lam, ws in solve_along_grid(prob, grid, config.solver, catch=SiteTransportError):
+                errors = cell(WEIGHTING, lam)  # stays NaN unless the estimate succeeds
+                if ws is not None:
+                    try:
+                        errors[j] = weighting_estimate(site, ws.gamma).estimate - truth
+                    except SiteTransportError:
+                        pass
 
         ratio = None
         if IPW in config.estimators or DOUBLY_ROBUST in config.estimators:

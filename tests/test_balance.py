@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -351,3 +353,123 @@ class TestLambdaSweep:
         ess = [r.ess for r in rows]
         assert all(imb[i] <= imb[i + 1] + 1e-5 for i in range(len(imb) - 1))
         assert all(ess[i] <= ess[i + 1] + 1e-5 for i in range(len(ess) - 1))
+
+
+def _kernel_problem(site, target, lam):
+    return BalanceProblem(
+        site=site, target=target, lam=lam,
+        cate_kernel=KernelSpec("linear"), prognostic_kernel=KernelSpec("rbf"),
+    )
+
+
+class TestProgramReuse:
+    """The lambda-free part of a site's program is built once per site."""
+
+    @pytest.fixture
+    def sweep_inputs(self, rng):
+        sites = [random_site(rng, n=30, d=2, site_id=f"s{i}") for i in range(3)]
+        target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(40, 2)))
+        fmap = fit_feature_map(
+            FeatureMap(standardize=True),
+            np.vstack([s.covariates for s in sites] + [target.sample]),
+        )
+        return sites, target, fmap
+
+    @staticmethod
+    def _counting(monkeypatch, module, name, log):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            log.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_kernel_sweep_resolves_and_builds_grams_once_per_site(self, sweep_inputs, monkeypatch, k):
+        from sitetransport import balance, features
+
+        sites, target, _ = sweep_inputs
+        bandwidths, grams = [], []
+        self._counting(monkeypatch, features, "resolve_bandwidth", bandwidths)
+        self._counting(monkeypatch, balance, "kernel_matrix", grams)
+        rows = lambda_sweep(
+            sites, target, np.logspace(-2, 1, k),
+            cate_kernel=KernelSpec("linear"), prognostic_kernel=KernelSpec("rbf"),
+        )
+        assert sum(r.n_failed for r in rows) == 0
+        target_grams = [a for a in grams if len(a) == 2 and a[1] is target.sample]
+        assert len(bandwidths) == len(sites)
+        assert len(target_grams) == len(sites)
+        assert len(grams) == 4 * len(sites)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_linear_sweep_maps_features_a_fixed_number_of_times(self, sweep_inputs, monkeypatch, k):
+        from sitetransport import balance
+
+        sites, target, fmap = sweep_inputs
+        mapped = []
+        self._counting(monkeypatch, balance, "apply_feature_map", mapped)
+        lambda_sweep(sites, target, np.logspace(-3, 1, k), cate_map=fmap, prognostic_map=fmap)
+        # effect side and prognostic side on the site, effect side on the target
+        assert len(mapped) == 3 * len(sites)
+
+    @pytest.mark.parametrize("mode", ["linear", "kernel"])
+    def test_lambda_copies_match_fresh_problems(self, sweep_inputs, mode):
+        sites, target, fmap = sweep_inputs
+        if mode == "linear":
+            def fresh(lam):
+                return BalanceProblem(site=sites[0], target=target, lam=lam, cate_map=fmap, prognostic_map=fmap)
+        else:
+            def fresh(lam):
+                return _kernel_problem(sites[0], target, lam)
+        grid = [10.0, 1.0, 0.1, 1e-3]
+        base = fresh(grid[0])
+
+        def chain(make):
+            warm, out = None, []
+            for lam in grid:
+                ws = solve_weights(make(lam), warm_start=warm)
+                warm = (ws.solver.x, ws.solver.y)
+                out.append(ws)
+            return out
+
+        for copied, new in zip(chain(base.with_lam), chain(fresh)):
+            assert copied.lam == new.lam
+            assert np.max(np.abs(copied.gamma - new.gamma)) <= 1e-12
+            assert copied.cate_imbalance == pytest.approx(new.cate_imbalance, abs=1e-12)
+            assert copied.prognostic_imbalance == pytest.approx(new.prognostic_imbalance, abs=1e-12)
+
+    def test_lambda_copy_changes_only_the_ridge(self, sweep_inputs):
+        sites, target, fmap = sweep_inputs
+        prob = BalanceProblem(site=sites[0], target=target, lam=0.5, cate_map=fmap, prognostic_map=fmap)
+        a, b = build_linear_qp(prob), build_linear_qp(prob.with_lam(2.0))
+        assert np.shares_memory(b.p_factor, a.p_factor) and np.shares_memory(b.q, a.q)
+        np.testing.assert_array_equal(b.p_diag, 4.0 * a.p_diag)
+
+        kprob = _kernel_problem(sites[0], target, 0.5)
+        ka, kb = build_kernel_qp(kprob), build_kernel_qp(kprob.with_lam(2.0))
+        diff = (kb.P - ka.P).toarray()
+        np.testing.assert_allclose(np.diag(diff), 1.5 * 2.0 * _ridge(sites[0]), rtol=1e-12)
+        np.testing.assert_array_equal(diff - np.diag(np.diag(diff)), 0.0)
+
+    @pytest.mark.parametrize("field", ["site", "target"])
+    def test_replace_builds_a_fresh_program(self, sweep_inputs, rng, field):
+        sites, target, fmap = sweep_inputs
+        other = {"site": sites[1], "target": TargetSpec.from_sample(rng.normal(-1.0, 1.0, size=(25, 2)))}[field]
+        for make, build in (
+            (lambda **kw: BalanceProblem(lam=0.1, cate_map=fmap, prognostic_map=fmap, **kw), build_linear_qp),
+            (lambda **kw: _kernel_problem(lam=0.1, **kw), build_kernel_qp),
+        ):
+            prob = make(site=sites[0], target=target)
+            stale = build(prob)
+            moved = build(replace(prob, **{field: other}))
+            expected = build(make(**{"site": sites[0], "target": target, field: other}))
+            np.testing.assert_array_equal(moved.q, expected.q)
+            assert not np.array_equal(moved.q, stale.q)
+            np.testing.assert_array_equal(moved.p_dense(), expected.p_dense())
+
+
+def _ridge(site):
+    z, pi = site.treatment, site.propensity
+    return z / pi + (1.0 - z) / (1.0 - pi)

@@ -300,3 +300,15 @@ class TestGoldenFile:
         )
         assert rc == 0
         assert out.read_bytes() == expected.read_bytes()
+
+
+class TestCsvFloatFormat:
+    def test_numpy_floats_read_back(self, tmp_path):
+        from sitetransport.cli import _parse_float, _read_rows, _write_csv
+
+        path = str(tmp_path / "values.csv")
+        values = [np.float64(1.5), np.float32(0.25), 0.1, np.float64(-3e-300)]
+        _write_csv(path, ["a", "b", "c", "d"], [values])
+        fields, rows = _read_rows(path)
+        assert fields == ["a", "b", "c", "d"]
+        assert [_parse_float(rows[0], c, path) for c in fields] == [float(v) for v in values]

@@ -288,3 +288,47 @@ class TestLogisticRegression:
         fit = fit_logistic(np.column_stack([np.ones(n), x]), y)
         assert fit.converged
         np.testing.assert_allclose(fit.coefficients, [-0.3, 0.8], atol=0.15)
+
+
+class TestDoublyRobustBootstrapRefit:
+    def _setup(self, rng):
+        site = random_site(rng, n=40, d=2)
+        target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(30, 2)))
+        fmap = identity_map(2)
+        return site, target, fmap, density_ratio_fit(site.covariates, target.sample, fmap)
+
+    def test_failed_refits_reuse_full_ratio_and_are_counted(self, rng, monkeypatch):
+        from sitetransport import estimators
+
+        site, target, fmap, ratio = self._setup(rng)
+        real = estimators.density_ratio_fit
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) % 3 == 0:
+                raise SeparableDataError("resampled arms separate")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "density_ratio_fit", flaky)
+        est = doubly_robust_estimate(site, target, fmap, ratio=ratio, n_boot=10, seed=0)
+        assert len(calls) == 10
+        assert est.notes == ("density-ratio refit failed in 3 of 10 bootstrap replicates",)
+        assert np.isfinite(est.std_error) and est.std_error > 0
+
+    def test_no_note_when_every_refit_succeeds(self, rng):
+        site, target, fmap, ratio = self._setup(rng)
+        est = doubly_robust_estimate(site, target, fmap, ratio=ratio, n_boot=5, seed=0)
+        assert est.notes == ()
+
+    def test_other_errors_propagate(self, rng, monkeypatch):
+        from sitetransport import estimators
+
+        site, target, fmap, ratio = self._setup(rng)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a data problem")
+
+        monkeypatch.setattr(estimators, "density_ratio_fit", broken)
+        with pytest.raises(RuntimeError, match="not a data problem"):
+            doubly_robust_estimate(site, target, fmap, ratio=ratio, n_boot=3, seed=0)

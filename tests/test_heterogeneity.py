@@ -117,10 +117,17 @@ class TestChiSquareQuantile:
 
     def test_matches_scipy_across_inputs(self):
         for df in (1, 2, 5, 20, 57):
-            for p in (0.01, 0.2, 0.5, 0.9, 0.975, 0.999):
+            for p in (1e-12, 1e-6, 0.01, 0.2, 0.5, 0.9, 0.975, 0.999):
                 ours = chi_square_quantile(df, p)
                 ref = scipy_chi2.ppf(p, df)
                 assert ours == pytest.approx(ref, rel=1e-8)
+
+    def test_small_p_has_full_relative_accuracy(self):
+        # approx's default absolute tolerance (1e-12) would hide errors here
+        for df in (1, 2, 5):
+            for p in (1e-12, 1e-6):
+                ref = scipy_chi2.ppf(p, df)
+                assert chi_square_quantile(df, p) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
