@@ -19,7 +19,7 @@ from .balance import (
     lambda_sweep,
     solve_weights,
 )
-from .data import PotentialOutcomeOracle, SiteDataset, TargetSpec, UnitRecord, validate_dataset
+from .data import PotentialOutcomeOracle, SiteDataset, TargetSpec, UnitRecord, UnitTable, validate_dataset
 from .estimators import (
     DensityRatio,
     TransportEstimate,
@@ -85,6 +85,7 @@ __all__ = [
     "TransportEstimate",
     "TransportReport",
     "UnitRecord",
+    "UnitTable",
     "WeightSolution",
     "apply_feature_map",
     "assemble_sparse",

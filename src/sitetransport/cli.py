@@ -16,13 +16,14 @@ import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import yaml
 
 from .balance import lambda_sweep
-from .data import TargetSpec, UnitRecord, validate_dataset
+from .data import TargetSpec, UnitRecord, UnitTable, validate_dataset
 from .errors import ConfigError, NonBinaryTreatmentError, SchemaError, SiteTransportError
 from .estimators import NAIVE
 from .features import KernelSpec
@@ -49,6 +50,14 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _read_header(path: str) -> list[str]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        fields = next(csv.reader(fh), None)
+    if fields is None:
+        raise SchemaError(f"{path}: empty file")
+    return fields
 
 
 def _read_rows(path: str) -> tuple[list[str], list[dict]]:
@@ -85,17 +94,44 @@ def _parse_float(row: dict, col: str, path: str) -> float:
         raise SchemaError(f"{path}: non-numeric value {raw!r} in column {col!r}") from exc
 
 
-def read_unit_table(path: str):
+def _load_columns(path: str, fields: list[str], names: list[str], text: str | None = None):
+    """Float matrix of columns ``names`` and strings of column ``text`` in one
+    ``np.loadtxt`` pass, or None if loadtxt cannot parse some cell. loadtxt
+    splits and unquotes like ``csv.reader`` and parses floats with the C
+    routine behind ``float``; like ``csv.DictReader`` it skips blank lines,
+    ignores extra cells and takes the last of repeated column names."""
+    index = {name: i for i, name in enumerate(fields)}
+    usecols = [index[c] for c in ([text] if text else []) + names]
+    dtype = ([("s", object)] if text else []) + [("v", float, (len(names),))]
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's warning on a file without data rows
+        next(csv.reader(fh))
+        try:
+            table = np.loadtxt(
+                fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', usecols=usecols, ndmin=1
+            )
+        except ValueError:
+            return None
+    if table.size == 0:
+        raise SchemaError(f"{path}: no data rows")
+    return table["v"], table["s"].tolist() if text else None
+
+
+def read_unit_table(path: str) -> UnitTable:
     """Read a unit-level table with columns site_id, z, y, x1..xd."""
-    fields, rows = _read_rows(path)
+    fields = _read_header(path)
     for required in ("site_id", "z", "y"):
         if required not in fields:
             raise SchemaError(f"{path}: missing required column {required!r}")
     xcols = _covariate_columns(fields, path)
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
+    loaded = _load_columns(path, fields, ["z", "y", *xcols], text="site_id")
+    if loaded is not None:
+        values, site_ids = loaded
+        if np.isin(values[:, 0], (0.0, 1.0)).all() and np.isfinite(values).all():
+            return UnitTable(site_ids, values[:, 2:], treatment=values[:, 0], outcomes=values[:, 1])
+    # row by row, to raise at the first bad cell in file order
     records = []
-    for row in rows:
+    for row in _read_rows(path)[1]:
         z = _parse_float(row, "z", path)
         if z not in (0.0, 1.0):
             raise NonBinaryTreatmentError(f"{path}: treatment value {row['z']!r} is not 0/1")
@@ -107,17 +143,18 @@ def read_unit_table(path: str):
                 site_id=row["site_id"],
             )
         )
-    return records
+    return UnitTable.from_records(records)
 
 
 def read_target_sample(path: str) -> TargetSpec:
     """Target units: any table carrying covariate columns x1..xd."""
-    fields, rows = _read_rows(path)
+    fields = _read_header(path)
     xcols = _covariate_columns(fields, path)
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    sample = np.array([[_parse_float(r, c, path) for c in xcols] for r in rows])
-    return TargetSpec.from_sample(sample)
+    loaded = _load_columns(path, fields, xcols)
+    if loaded is not None:
+        return TargetSpec.from_sample(loaded[0])
+    rows = _read_rows(path)[1]  # row by row, to raise at the first bad cell in file order
+    return TargetSpec.from_sample(np.array([[_parse_float(r, c, path) for c in xcols] for r in rows]))
 
 
 def read_target_moments(path: str) -> TargetSpec:
@@ -222,8 +259,7 @@ def _resolve_target(args, sites):
 def _cmd_weights(args) -> int:
     cfg = _load_yaml(args.config)
     config = _transport_config(cfg, args)
-    records = read_unit_table(args.data)
-    sites = validate_dataset(records)
+    sites = validate_dataset(read_unit_table(args.data))
     if args.site is not None:
         sites = [s for s in sites if s.site_id == args.site]
         if not sites:
@@ -268,8 +304,7 @@ def _cmd_weights(args) -> int:
 def _cmd_transport(args) -> int:
     cfg = _load_yaml(args.config)
     config = _transport_config(cfg, args)
-    records = read_unit_table(args.data)
-    sites = validate_dataset(records)
+    sites = validate_dataset(read_unit_table(args.data))
     target = _resolve_target(args, sites)
     report = transport_all(sites, target, config=config, threads=_threads())
 
@@ -445,8 +480,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_yaml(args.config)
     config = _transport_config(cfg, args)
-    records = read_unit_table(args.data)
-    sites = validate_dataset(records)
+    sites = validate_dataset(read_unit_table(args.data))
     target = _resolve_target(args, sites)
 
     if args.lambdas:

@@ -1,9 +1,10 @@
-"""Core domain types: experimental units, site datasets, target specifications."""
+"""Core domain types: experimental units, unit tables, site datasets, target specifications."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -42,66 +43,107 @@ class UnitRecord:
             )
 
 
-@dataclass(frozen=True)
-class SiteDataset:
-    """All units of one site plus its (constant) propensity score.
+@dataclass(frozen=True, eq=False)
+class UnitTable:
+    """A whole unit-level table as columns, one row per unit in input order
+    (what :func:`validate_dataset` groups into sites)."""
 
-    If ``propensity`` is not supplied it defaults to the within-site treated
-    fraction n1 / (n1 + n0). Arrays derived from the units are cached at
-    construction; the dataset is immutable afterwards.
+    site_ids: list
+    covariates: np.ndarray
+    treatment: np.ndarray
+    outcomes: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[UnitRecord]) -> "UnitTable":
+        records = list(records)
+        if not records:
+            raise ValueError("at least one record is required")
+        arities = {len(r.covariates) for r in records}
+        if len(arities) != 1:
+            raise MixedArityError(f"covariate lengths differ across rows: {sorted(arities)}")
+        return cls(
+            site_ids=[r.site_id for r in records],
+            covariates=np.array([r.covariates for r in records], dtype=float),
+            treatment=np.array([r.treatment for r in records], dtype=float),
+            outcomes=np.array([r.outcome for r in records], dtype=float),
+        )
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class SiteDataset:
+    """All units of one site as arrays, plus its (constant) propensity score.
+
+    ``covariates`` (n, d), ``treatment`` (0/1) and ``outcomes`` are copied,
+    validated once and read-only. Pass them as keywords with ``site_id``, or
+    pass records as ``units`` (see :meth:`from_records`); ``units`` is derived
+    from the arrays on first use. A bad value raises what :class:`UnitRecord`
+    raises for the first unit holding one. ``propensity`` defaults to the
+    treated fraction n1 / (n1 + n0).
     """
 
-    units: tuple[UnitRecord, ...]
+    site_id: str
+    covariates: np.ndarray = field(repr=False)
+    treatment: np.ndarray = field(repr=False)
+    outcomes: np.ndarray = field(repr=False)
     propensity: float = None  # type: ignore[assignment]
     row_indices: tuple[int, ...] | None = None
 
-    # cached arrays, filled in __post_init__
-    covariates: np.ndarray = field(init=False, repr=False, compare=False)
-    treatment: np.ndarray = field(init=False, repr=False, compare=False)
-    outcomes: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        units = tuple(self.units)
-        object.__setattr__(self, "units", units)
-        if not units:
-            raise DegenerateSiteError("a site must contain at least one unit")
-        site_ids = {u.site_id for u in units}
-        if len(site_ids) != 1:
-            raise ValueError(f"units of one SiteDataset must share a site_id, got {site_ids}")
-        arities = {len(u.covariates) for u in units}
-        if len(arities) != 1:
-            raise MixedArityError(f"covariate lengths differ within site: {sorted(arities)}")
-
-        z = np.array([u.treatment for u in units], dtype=float)
+    def __init__(
+        self,
+        units: Iterable[UnitRecord] | None = None,
+        propensity: float | None = None,
+        row_indices: Sequence[int] | None = None,
+        *,
+        site_id: str | None = None,
+        covariates: np.ndarray | None = None,
+        treatment: np.ndarray | None = None,
+        outcomes: np.ndarray | None = None,
+    ):
+        if units is not None:
+            units = tuple(units)
+            if not units:
+                raise DegenerateSiteError("a site must contain at least one unit")
+            site_ids = {u.site_id for u in units}
+            if len(site_ids) != 1:
+                raise ValueError(f"units of one SiteDataset must share a site_id, got {site_ids}")
+            self.__dict__["units"] = units
+            site_id, table = site_ids.pop(), UnitTable.from_records(units)
+            covariates, treatment, outcomes = table.covariates, table.treatment, table.outcomes
+        X, z, y = (np.array(a, dtype=float) for a in (covariates, treatment, outcomes))
+        if X.ndim != 2 or z.shape != (len(X),) or y.shape != z.shape:
+            raise ValueError("covariates must be (n, d) with one treatment and outcome per row")
+        bad = ~np.isin(z, (0, 1)) | ~np.isfinite(y) | ~np.isfinite(X).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            UnitRecord(tuple(X[i].tolist()), z[i].item(), y[i].item(), site_id)
         n1 = int(z.sum())
-        n0 = len(units) - n1
+        n0 = z.size - n1
         if n1 == 0 or n0 == 0:
-            raise DegenerateSiteError(
-                f"site {units[0].site_id!r} has n1={n1}, n0={n0}; both arms are required"
-            )
-        if self.propensity is None:
-            object.__setattr__(self, "propensity", n1 / (n1 + n0))
-        if not 0.0 < self.propensity < 1.0:
-            raise ValueError(f"propensity must lie in (0, 1), got {self.propensity}")
-        if self.row_indices is not None and len(self.row_indices) != len(units):
+            raise DegenerateSiteError(f"site {site_id!r} has n1={n1}, n0={n0}; both arms are required")
+        if propensity is None:
+            propensity = n1 / (n1 + n0)
+        if not 0.0 < propensity < 1.0:
+            raise ValueError(f"propensity must lie in (0, 1), got {propensity}")
+        if row_indices is not None and len(row_indices) != z.size:
             raise ValueError("row_indices must align with units")
+        for arr in (X, z, y):
+            arr.setflags(write=False)
+        row_indices = None if row_indices is None else tuple(row_indices)
+        for name, value in zip(self.__dataclass_fields__, (site_id, X, z, y, propensity, row_indices)):
+            object.__setattr__(self, name, value)
 
-        X = np.array([u.covariates for u in units], dtype=float)
-        y = np.array([u.outcome for u in units], dtype=float)
-        object.__setattr__(self, "covariates", X)
-        object.__setattr__(self, "treatment", z)
-        object.__setattr__(self, "outcomes", y)
-        self.covariates.setflags(write=False)
-        self.treatment.setflags(write=False)
-        self.outcomes.setflags(write=False)
+    @classmethod
+    def from_records(cls, records: Iterable[UnitRecord], propensity=None, row_indices=None) -> SiteDataset:
+        return cls(units=records, propensity=propensity, row_indices=row_indices)
 
-    @property
-    def site_id(self) -> str:
-        return self.units[0].site_id
+    @cached_property
+    def units(self) -> tuple[UnitRecord, ...]:
+        rows = zip(self.covariates.tolist(), self.treatment.tolist(), self.outcomes.tolist())
+        return tuple(UnitRecord(tuple(x), int(t), y, self.site_id) for x, t, y in rows)
 
     @property
     def n(self) -> int:
-        return len(self.units)
+        return self.outcomes.size
 
     @property
     def n1(self) -> int:
@@ -113,19 +155,22 @@ class SiteDataset:
 
     @property
     def d(self) -> int:
-        return len(self.units[0].covariates)
+        return self.covariates.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, SiteDataset):
             return NotImplemented
-        return (
-            self.units == other.units
-            and self.propensity == other.propensity
-            and self.row_indices == other.row_indices
-        )
+        mine, theirs = self._state(), other._state()
+        return mine[:3] == theirs[:3] and all(np.array_equal(a, b) for a, b in zip(mine[3:], theirs[3:]))
 
     def __hash__(self):
-        return hash((self.units, self.propensity, self.row_indices))
+        # + 0.0 maps -0.0 to 0.0, which compares equal to it
+        state = self._state()
+        return hash(state[:3] + (self.covariates.shape,) + tuple((a + 0.0).tobytes() for a in state[3:]))
+
+    def _state(self) -> tuple:
+        arrays = self.covariates, self.treatment, self.outcomes
+        return (self.site_id, self.propensity, self.row_indices) + arrays
 
 
 @dataclass(frozen=True)
@@ -202,36 +247,32 @@ class PotentialOutcomeOracle:
 
 
 def validate_dataset(
-    records: Iterable[UnitRecord],
+    records: Iterable[UnitRecord] | UnitTable,
     propensities: Mapping[str, float] | None = None,
 ) -> list[SiteDataset]:
-    """Group unit records by site and validate each site.
+    """Group a unit table (or unit records) by site and validate each site.
 
     Sites are returned in order of first appearance. A user-supplied per-site
     propensity overrides the default treated-fraction. Raises
     :class:`MixedArityError` if covariate lengths differ anywhere in the input
     and :class:`DegenerateSiteError` for any site missing an arm.
     """
-    records = list(records)
-    if not records:
+    table = records if isinstance(records, UnitTable) else UnitTable.from_records(records)
+    if not table.site_ids:
         raise ValueError("at least one record is required")
-    arities = {len(r.covariates) for r in records}
-    if len(arities) != 1:
-        raise MixedArityError(f"covariate lengths differ across rows: {sorted(arities)}")
-
     by_site: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        by_site.setdefault(rec.site_id, []).append(i)
+    for i, site_id in enumerate(table.site_ids):
+        by_site.setdefault(site_id, []).append(i)
 
     propensities = propensities or {}
-    sites = []
-    for site_id, idx in by_site.items():
-        sites.append(
-            SiteDataset(
-                units=tuple(records[i] for i in idx),
-                propensity=propensities.get(site_id),
-                row_indices=tuple(idx),
-            )
+    return [
+        SiteDataset(
+            site_id=site_id,
+            covariates=table.covariates[idx],
+            treatment=table.treatment[idx],
+            outcomes=table.outcomes[idx],
+            propensity=propensities.get(site_id),
+            row_indices=idx,
         )
-    return sites
-
+        for site_id, idx in by_site.items()
+    ]

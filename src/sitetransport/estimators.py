@@ -104,20 +104,8 @@ def _design(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(phi.shape[0]), phi])
 
 
-def _arm_fits(site: SiteDataset, feature_map: FeatureMap, idx1, idx0):
-    design = _design(feature_map, site.covariates)
-    y = site.outcomes
-    fit1 = fit_least_squares(design[idx1], y[idx1])
-    fit0 = fit_least_squares(design[idx0], y[idx0])
-    return fit1, fit0
-
-
-def _bootstrap_arm_indices(site: SiteDataset, rng: np.random.Generator):
-    idx1 = np.flatnonzero(site.treatment == 1)
-    idx0 = np.flatnonzero(site.treatment == 0)
-    return rng.choice(idx1, size=idx1.size, replace=True), rng.choice(
-        idx0, size=idx0.size, replace=True
-    )
+def _arm_fits(design: np.ndarray, y: np.ndarray, idx1, idx0):
+    return fit_least_squares(design[idx1], y[idx1]), fit_least_squares(design[idx0], y[idx0])
 
 
 def outcome_model_estimate(
@@ -142,7 +130,8 @@ def outcome_model_estimate(
 
     idx1 = np.flatnonzero(site.treatment == 1)
     idx0 = np.flatnonzero(site.treatment == 0)
-    fit1, fit0 = _arm_fits(site, feature_map, idx1, idx0)
+    site_design = _design(feature_map, site.covariates)
+    fit1, fit0 = _arm_fits(site_design, site.outcomes, idx1, idx0)
     target_design = _design(feature_map, target.sample)
     estimate = float(np.mean(fit1.linear_predictor(target_design) - fit0.linear_predictor(target_design)))
 
@@ -157,8 +146,8 @@ def outcome_model_estimate(
         rng = np.random.default_rng(seed)
         reps = np.empty(n_boot)
         for b in range(n_boot):
-            b1, b0 = _bootstrap_arm_indices(site, rng)
-            f1, f0 = _arm_fits(site, feature_map, b1, b0)
+            b1, b0 = rng.choice(idx1, size=idx1.size), rng.choice(idx0, size=idx0.size)
+            f1, f0 = _arm_fits(site_design, site.outcomes, b1, b0)
             reps[b] = np.mean(
                 f1.linear_predictor(target_design) - f0.linear_predictor(target_design)
             )
@@ -325,7 +314,7 @@ def doubly_robust_estimate(
     idx0 = np.flatnonzero(site.treatment == 0)
     site_design = _design(feature_map, site.covariates)
     target_design = _design(feature_map, target.sample)
-    fit1, fit0 = _arm_fits(site, feature_map, idx1, idx0)
+    fit1, fit0 = _arm_fits(site_design, site.outcomes, idx1, idx0)
     estimate = _dr_point(
         site,
         r,
@@ -343,13 +332,12 @@ def doubly_robust_estimate(
         y = site.outcomes
         n_refit_failed = 0
         for b in range(n_boot):
-            b1, b0 = _bootstrap_arm_indices(site, rng)
+            b1, b0 = rng.choice(idx1, size=idx1.size), rng.choice(idx0, size=idx0.size)
             rows = np.concatenate([b1, b0])
             zb = np.concatenate([np.ones(b1.size), np.zeros(b0.size)])
             yb = y[rows]
             designb = site_design[rows]
-            f1 = fit_least_squares(designb[zb == 1], yb[zb == 1])
-            f0 = fit_least_squares(designb[zb == 0], yb[zb == 0])
+            f1, f0 = _arm_fits(site_design, y, b1, b0)
             try:
                 ratio_b = density_ratio_fit(site.covariates[rows], target.sample, feature_map)
                 rb = ratio_b(site.covariates[rows])

@@ -11,13 +11,15 @@ balancing problems cheap to re-solve across a regularization grid.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .errors import DimensionMismatchError, EmptyProgramError, NonConvexError
 
@@ -40,7 +42,8 @@ class QuadraticProgram:
     Exactly one representation of the quadratic term must be supplied:
     an explicit symmetric PSD matrix ``P``, or the factored pair
     ``p_factor`` (k x n) and ``p_diag`` (length n) with
-    P = p_factor' p_factor + diag(p_diag).
+    P = p_factor' p_factor + diag(p_diag). All data must be finite, except
+    that bounds may be infinite.
     """
 
     q: np.ndarray
@@ -94,6 +97,10 @@ class QuadraticProgram:
             if pd.size != n:
                 raise DimensionMismatchError("p_diag length must match q")
             object.__setattr__(self, "p_diag", pd)
+        quadratic = (self.P.data,) if explicit else (self.p_factor, self.p_diag)
+        finite = all(np.isfinite(a).all() for a in (q, *quadratic))
+        if not finite or np.isnan(l).any() or np.isnan(u).any():
+            raise ValueError("program data must be finite (bounds may be infinite, not NaN)")
 
     @property
     def n(self) -> int:
@@ -163,8 +170,9 @@ def _check_convexity(prob: QuadraticProgram) -> None:
     else:
         try:
             lam_min = float(spla.eigsh(prob.P, k=1, which="SA", return_eigenvectors=False)[0])
-        except Exception:
-            return  # cannot certify cheaply; ADMM will still behave on PSD data
+        except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
+            warnings.warn(f"convexity of P not certified: eigsh failed ({exc})", RuntimeWarning)
+            return
     if lam_min < -tol:
         raise NonConvexError(f"P has eigenvalue {lam_min:.3e} below -{tol:.3e}")
 
@@ -264,13 +272,14 @@ class _LowRankKkt:
         Cd = C / diag
         S = Cd @ C.T
         S[np.diag_indices_from(S)] += 1.0
-        self._chol = cho_factor(S, lower=True)
+        self._chol = cho_factor(S, lower=True)[0]
         self._rho = rho
 
     def solve(self, x, z, y, q):
         rhs = self.sigma * x - q + self.at_matvec(self._rho * z - y)
         t = rhs / self._diag
-        w = cho_solve(self._chol, self._C @ t)
+        # LAPACK directly: the program's data were checked finite on construction
+        w = dpotrs(self._chol, self._C @ t, lower=True)[0]
         x_t = t - (self._C.T @ w) / self._diag
         z_t = self.a_matvec(x_t)
         return x_t, z_t
@@ -336,6 +345,8 @@ def solve_qp(
         y = np.asarray(warm_start[1], dtype=float).copy()
         if x.size != n or y.size != m:
             raise DimensionMismatchError("warm start dimensions do not match the program")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("warm start must be finite")
     else:
         x = np.zeros(n)
         y = np.zeros(m)

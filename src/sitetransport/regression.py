@@ -32,22 +32,24 @@ class RegressionFit:
 
 
 def fit_least_squares(design: np.ndarray, y: np.ndarray) -> RegressionFit:
-    """Rank-revealing least squares via pivoted QR; collinear columns dropped."""
+    """Rank-revealing least squares via one pivoted QR; collinear columns dropped.
+
+    The kept coefficients solve R[:rank, :rank] b = (Q'y)[:rank], with Q'y
+    formed during the factorization (``qr_multiply``).
+    """
     X = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.size:
         raise ValueError(f"design has {X.shape[0]} rows but y has {y.size}")
-
-    q, r, pivots = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(diag > diag[0] * max(X.shape) * np.finfo(float).eps))
-    kept = pivots[:rank]
     beta = np.zeros(X.shape[1])
+    if X.size == 0:
+        return RegressionFit(beta, "least_squares", converged=True, dropped=tuple(range(X.shape[1])))
+
+    qty, r, pivots = scipy.linalg.qr_multiply(X, y, mode="right", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = 0 if diag[0] == 0.0 else int(np.sum(diag > diag[0] * max(X.shape) * np.finfo(float).eps))
     if rank > 0:
-        beta[kept] = scipy.linalg.lstsq(X[:, kept], y, lapack_driver="gelsd")[0]
+        beta[pivots[:rank]] = scipy.linalg.solve_triangular(r[:rank, :rank], qty[:rank])
     dropped = tuple(sorted(int(c) for c in pivots[rank:]))
     return RegressionFit(coefficients=beta, kind="least_squares", converged=True, dropped=dropped)
 

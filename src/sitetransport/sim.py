@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balance import BalanceProblem, solve_along_grid
-from .data import SiteDataset, TargetSpec, UnitRecord
+from .data import SiteDataset, TargetSpec
 from .errors import SiteTransportError
 from .estimators import (
     DOUBLY_ROBUST,
@@ -172,7 +172,6 @@ def generate_rep(
 
     sites = []
     target_rows = []
-    site_X = {}
     for pop in pops:
         idx = rng.integers(0, pop.n, size=pop.n)
         X = pop.covariates[idx]
@@ -186,17 +185,9 @@ def generate_rep(
         )
         y = np.where(z == 1.0, y1, y0)
 
-        units = tuple(
-            UnitRecord(
-                covariates=tuple(row),
-                treatment=int(zi),
-                outcome=float(yi),
-                site_id=pop.site_id,
-            )
-            for row, zi, yi in zip(X, z, y)
+        sites.append(
+            SiteDataset(site_id=pop.site_id, covariates=X, treatment=z, outcomes=y, propensity=pop.propensity)
         )
-        sites.append(SiteDataset(units=units, propensity=pop.propensity))
-        site_X[pop.site_id] = X
         if pop.experiment == config.target_experiment:
             target_rows.append(X)
 

@@ -332,3 +332,26 @@ class TestDoublyRobustBootstrapRefit:
         monkeypatch.setattr(estimators, "density_ratio_fit", broken)
         with pytest.raises(RuntimeError, match="not a data problem"):
             doubly_robust_estimate(site, target, fmap, ratio=ratio, n_boot=3, seed=0)
+
+
+class TestLeastSquares:
+    def test_duplicated_column_is_dropped_with_the_same_coefficients(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 30))
+        X = np.column_stack([np.ones(30), a, b, 2 * a])
+        y = 1 + a - b + rng.normal(0, 0.1, 30)
+        fit = fit_least_squares(X, y)
+        # the pivoted QR keeps the larger-norm copy 2a and drops column 1
+        assert fit.dropped == (1,)
+        expected = [0.9810560590449159, 0.0, -1.0073292666648874, 0.5056320620389444]
+        np.testing.assert_allclose(fit.coefficients, expected, rtol=0, atol=1e-12)
+        kept = [0, 2, 3]
+        np.testing.assert_allclose(fit.coefficients[kept], np.linalg.lstsq(X[:, kept], y, rcond=None)[0], atol=1e-12)
+
+    def test_full_rank_fit_matches_lstsq(self):
+        rng = np.random.default_rng(6)
+        X = np.column_stack([np.ones(200), rng.normal(size=(200, 8))])
+        y = rng.normal(size=200)
+        fit = fit_least_squares(X, y)
+        assert fit.dropped == ()
+        np.testing.assert_allclose(fit.coefficients, np.linalg.lstsq(X, y, rcond=None)[0], atol=1e-12)

@@ -182,3 +182,80 @@ class TestAssembleSparse:
     def test_coupling_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             assemble_sparse([np.eye(2), np.eye(3)], [np.eye(2), np.ones((2, 2))])
+
+
+def lowrank_program(rng, n=40, k=6):
+    A = sp.vstack([sp.csr_matrix(np.ones((1, n))), sp.eye(n)], format="csr")
+    return dict(
+        p_factor=rng.normal(size=(k, n)),
+        p_diag=np.full(n, 0.1),
+        q=rng.normal(size=n),
+        A=A,
+        l=np.concatenate([[n], np.zeros(n)]),
+        u=np.concatenate([[n], np.full(n, np.inf)]),
+    )
+
+
+class TestFiniteData:
+    @pytest.mark.parametrize("field", ["q", "p_factor", "p_diag"])
+    def test_nan_data_raises_value_error(self, rng, field):
+        data = lowrank_program(rng)
+        data[field] = data[field].copy()
+        data[field].flat[3] = np.nan
+        with pytest.raises(ValueError):
+            solve_qp(QuadraticProgram(**data))
+
+    def test_nan_in_explicit_p_raises_value_error(self):
+        P = np.eye(3)
+        P[1, 1] = np.nan
+        with pytest.raises(ValueError):
+            solve_qp(simplex_program(P, np.zeros(3)))
+
+    def test_nan_warm_start_raises_value_error(self, rng):
+        prob = QuadraticProgram(**lowrank_program(rng))
+        x0 = np.ones(prob.n)
+        x0[0] = np.nan
+        with pytest.raises(ValueError):
+            solve_qp(prob, warm_start=(x0, np.zeros(prob.m)))
+
+    def test_lapack_solve_gives_the_cho_solve_iterates(self, rng, monkeypatch):
+        from scipy.linalg import cho_solve
+
+        from sitetransport import qp
+
+        prob = QuadraticProgram(**lowrank_program(rng))
+        settings = QpSettings(linsys="lowrank")
+        fast = solve_qp(prob, settings)
+        monkeypatch.setattr(qp, "dpotrs", lambda c, b, lower: (cho_solve((c, lower), b), 0))
+        reference = solve_qp(prob, settings)
+        assert fast.iterations == reference.iterations
+        assert fast.x.tobytes() == reference.x.tobytes()
+        assert fast.y.tobytes() == reference.y.tobytes()
+
+
+class TestConvexityCheck:
+    def test_arpack_failure_warns_that_convexity_is_not_certified(self, monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        from sitetransport import qp
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+        n = 601
+        prob = simplex_program(np.eye(n), np.zeros(n), total=float(n))
+        monkeypatch.setattr(qp.spla, "eigsh", no_convergence)
+        with pytest.warns(RuntimeWarning, match="not certified"):
+            qp._check_convexity(prob)
+
+    def test_other_eigsh_errors_propagate(self, monkeypatch):
+        from sitetransport import qp
+
+        def broken(*args, **kwargs):
+            raise TypeError("not an ARPACK failure")
+
+        n = 601
+        prob = simplex_program(np.eye(n), np.zeros(n), total=float(n))
+        monkeypatch.setattr(qp.spla, "eigsh", broken)
+        with pytest.raises(TypeError):
+            qp._check_convexity(prob)
