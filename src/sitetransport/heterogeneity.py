@@ -76,6 +76,9 @@ def _profile_solve(effects: SiteEffectSet, level: float) -> float:
     """
     if q_statistic(effects, 0.0) <= level:
         return 0.0
+    # imported here: scipy.optimize adds about 0.2 s to the package import
+    from scipy.optimize import brentq
+
     lo = 0.0
     hi = float(np.max(effects.std_errors**2))
     grow = 0
@@ -85,13 +88,9 @@ def _profile_solve(effects: SiteEffectSet, level: float) -> float:
         grow += 1
         if grow > _PROFILE_MAX_GROW:
             raise RuntimeError("Q-profile failed to drop below the target level")
-    while hi - lo > _PROFILE_XTOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if q_statistic(effects, mid) > level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(
+        lambda theta: q_statistic(effects, theta) - level, lo, hi, xtol=_PROFILE_XTOL, rtol=_PROFILE_XTOL
+    )
 
 
 def estimate_theta(effects: SiteEffectSet, alpha: float = 0.05) -> HeterogeneityReport:

@@ -1,12 +1,25 @@
 """Convex QP solver: minimize 1/2 x'Px + q'x subject to l <= Ax <= u.
 
-The solver runs an operator-splitting (ADMM) iteration with over-relaxation,
-residual-balancing step-size adaptation, and divergence certificates for
-primal/dual infeasibility. The quadratic term may be given either as an
-explicit sparse matrix or in factored form P = F'F + diag(p_diag); the
-factored form lets the inner linear system be solved through a
-diagonal-plus-low-rank (Woodbury) factorization, which is what makes large
-balancing problems cheap to re-solve across a regularization grid.
+``solve_qp`` takes one of two paths, chosen from the program alone.
+
+* **Dual Newton.** A program with a factored quadratic term
+  P = F'F + diag(D), every D > 0, equality rows Ex = b and one
+  ``0 <= x_i < inf`` row per column (the linear balancing program at
+  lambda > 0) is solved on its exact dual in theta = (nu, mu), one entry per
+  row of F and of E. With s = q + F'nu - E'mu and x = max(0, -s)/D, the dual
+  minimizes h = 1/2 |nu|^2 + 1/2 sum D x^2 - b'mu, a convex piecewise
+  quadratic; a semismooth Newton step with an Armijo backtrack takes a few
+  steps, each one factorization of a (k + rows) square matrix. The duality
+  gap objective(x) + h certifies the result.
+* **ADMM** for every other program (an explicit P, a zero in D, inequality
+  rows): an operator-splitting iteration with over-relaxation,
+  residual-balancing step-size adaptation, and divergence certificates for
+  primal/dual infeasibility. With a factored P of low rank the inner linear
+  system is solved through a diagonal-plus-low-rank (Woodbury) factorization.
+
+Both paths return multipliers in one sign convention (P x + q + A'y = 0 at
+the optimum) and stop on the same eps_abs/eps_rel residual test, so either
+can warm-start the other.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionMismatchError, EmptyProgramError, NonConvexError
 
@@ -33,6 +46,8 @@ _NONCONVEX_TOL = 1e-8
 _EQ_TOL = 1e-12
 _RHO_EQ_SCALE = 1e3
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
@@ -131,6 +146,12 @@ class QuadraticProgram:
 
 @dataclass(frozen=True)
 class QpSettings:
+    """Stopping and step settings.
+
+    The dual Newton path reads only ``eps_abs``, ``eps_rel``, ``max_iter``
+    (its Newton steps) and ``eps_infeas``; the rest are ADMM's.
+    """
+
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
     rho: float = 0.1
@@ -140,7 +161,6 @@ class QpSettings:
     adapt_interval: int = 25  # residual-balancing rho updates
     adaptive_rho: bool = True
     eps_infeas: float = 1e-4
-    linsys: str = "auto"  # "auto" | "direct" | "lowrank"
     # residuals are evaluated on every early iteration (cheap warm-started
     # re-solves stop immediately), then on this cadence
     check_interval: int = 5
@@ -149,6 +169,17 @@ class QpSettings:
 
 @dataclass(frozen=True)
 class QpSolution:
+    """Solver output; ``y`` satisfies P x + q + A'y = 0 at the optimum.
+
+    ``duality_gap`` is objective(x) + h(nu, mu) on the dual Newton path,
+    which equals 1/2 |F x - nu|^2 + mu'(E x - b). By weak duality it bounds
+    objective(x) minus the optimum from above, and it is at least
+    -|mu|_1 * primal_residual. x meets E x = b only to primal_residual, so
+    the gap certifies near-optimality only together with a small
+    primal_residual; a tiny or negative gap alone does not.
+    ADMM does not compute a gap and reports NaN.
+    """
+
     x: np.ndarray
     y: np.ndarray
     status: str
@@ -156,14 +187,16 @@ class QpSolution:
     dual_residual: float
     iterations: int
     objective: float
+    duality_gap: float = float("nan")
 
 
 def _check_convexity(prob: QuadraticProgram) -> None:
-    tol = _NONCONVEX_TOL * max(prob.p_trace(), 1.0)
     if prob.P is None:
-        if prob.p_diag.min(initial=0.0) < -tol:
+        d_min = prob.p_diag.min(initial=0.0)
+        if d_min < 0.0 and d_min < -_NONCONVEX_TOL * max(prob.p_trace(), 1.0):
             raise NonConvexError("p_diag contains a significantly negative entry")
         return
+    tol = _NONCONVEX_TOL * max(prob.p_trace(), 1.0)
     n = prob.n
     if n <= 600:
         lam_min = float(np.linalg.eigvalsh(prob.P.toarray())[0])
@@ -293,11 +326,11 @@ def _build_rho(prob: QuadraticProgram, rho_scalar: float) -> np.ndarray:
     return rho
 
 
-def _primal_infeasible(prob, kkt, dy, eps):
+def _primal_infeasible(prob, at_matvec, dy, eps):
     scale = float(np.abs(dy).max(initial=0.0))
     if scale <= 0:
         return False
-    if float(np.abs(kkt.at_matvec(dy)).max(initial=0.0)) > eps * scale:
+    if float(np.abs(at_matvec(dy)).max(initial=0.0)) > eps * scale:
         return False
     pos = dy > 0
     neg = dy < 0
@@ -324,6 +357,135 @@ def _dual_infeasible(prob, kkt, dx, eps):
     return True
 
 
+def _dual_rows(prob: QuadraticProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The dual Newton path's row split of ``prob``, or None when the program
+    is not of its shape: ``(eq, bound, cols)`` with ``bound[j]`` the
+    ``0 <= x < inf`` row of column ``cols[j]`` and ``eq`` the rows l == u."""
+    if prob.P is not None or not np.all(prob.p_diag > 0):
+        return None
+    A, l, u = prob.A, prob.l, prob.u
+    single = np.flatnonzero(np.diff(A.indptr) == 1)
+    first = A.indptr[single]
+    bound = single[(A.data[first] == 1.0) & (l[single] == 0.0) & (u[single] == np.inf)]
+    cols = A.indices[A.indptr[bound]]
+    if bound.size != prob.n or np.bincount(cols, minlength=prob.n).max(initial=0) != 1:
+        return None
+    general = np.ones(prob.m, dtype=bool)
+    general[bound] = False
+    eq = np.flatnonzero(general)
+    if not (np.all(l[eq] == u[eq]) and np.isfinite(l[eq]).all()):
+        return None
+    return eq, bound, cols
+
+
+def _solve_dual(prob, rows, s: QpSettings, warm_start) -> QpSolution:
+    """Semismooth Newton on the dual h(theta), theta = (nu, mu); see the
+    module docstring. With M = [F; -E], the gradient is
+    (nu, 0) - M x - (0, b) and the generalized Hessian is
+    diag(1_k, 0) + M_a diag(1/D_a) M_a' over the active columns (x > 0)."""
+    eq, bound, cols = rows
+    F, D, q = prob.p_factor, prob.p_diag, prob.q
+    k = F.shape[0]
+    E = prob.A[eq].toarray()
+    b = prob.l[eq]
+    Mt = np.hstack([F.T, -E.T])  # M', one row per column of the program
+    unit = np.concatenate([np.ones(k), np.zeros(eq.size)])
+    c = np.concatenate([np.zeros(k), b])
+    inv_d = 1.0 / D
+    root_inv_d = np.sqrt(inv_d)
+
+    if warm_start is None:
+        # the least-norm point of Ex = b, with its least-squares multipliers
+        x0 = np.linalg.lstsq(E, b, rcond=None)[0]
+        mu = np.linalg.lstsq(E.T, prob.p_matvec(x0) + q, rcond=None)[0]
+    else:
+        x0, mu = warm_start[0], -warm_start[1][eq]
+    theta = np.concatenate([F @ x0, mu])
+    # s is carried along the steps (s += t M'step) instead of recomputed from
+    # theta, and the line search measures the change in h directly: at small
+    # D, x = max(0, -s)/D magnifies the rounding of q + M'theta beyond the
+    # stopping tolerance, and h itself loses the digits Armijo compares
+    sv = q + Mt @ theta
+    a = np.maximum(-sv, 0.0)  # D x
+    x = a * inv_d
+
+    q_norm = float(np.abs(q).max(initial=0.0))
+    b_norm = float(np.abs(b).max(initial=0.0))
+    status = MAX_ITERATIONS
+    y_prev = None
+    iteration = 0
+    while True:
+        g = unit * theta - Mt.T @ x - c
+        bound_y = np.maximum(sv, 0.0)
+        y = np.empty(prob.m)
+        y[eq] = -theta[k:]
+        y[bound] = -bound_y[cols]
+        # P x + q + A'y = F'(F x - nu) = -F'g_nu
+        r_prim = float(np.abs(g[k:]).max(initial=0.0))
+        r_dual = float(np.abs(Mt[:, :k] @ g[:k]).max(initial=0.0))
+        scale_p = max(float(np.abs(g[k:] + b).max(initial=0.0)), b_norm, float(x.max(initial=0.0)))
+        scale_d = max(
+            float(np.abs(prob.p_matvec(x)).max(initial=0.0)),
+            float(np.abs(Mt[:, k:] @ theta[k:] - bound_y).max(initial=0.0)),
+            q_norm,
+        )
+        if r_prim <= s.eps_abs + s.eps_rel * scale_p and r_dual <= s.eps_abs + s.eps_rel * scale_d:
+            status = SOLVED
+            break
+        if y_prev is not None and _primal_infeasible(prob, lambda v: prob.A.T @ v, y - y_prev, s.eps_infeas):
+            status = PRIMAL_INFEASIBLE
+            break
+        if iteration == s.max_iter:
+            break
+        y_prev = y
+
+        active = x > 0.0
+        W = Mt[active] * root_inv_d[active, None]
+        H = W.T @ W
+        H[np.diag_indices_from(H)] += unit
+        chol, info = dpotrf(H, lower=1)
+        if info:  # a row of E without active columns: regularize its direction
+            H[np.diag_indices_from(H)] += 1e-12 * max(float(H.max()), 1.0)
+            chol, info = dpotrf(H, lower=1)
+        step = dpotrs(chol, -g, lower=1)[0]
+        slope = float(g @ step)
+        m_step = Mt @ step
+        linear = float(theta[:k] @ step[:k] - c @ step)
+        quadratic = 0.5 * float(step[:k] @ step[:k])
+        t = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            s_t = sv + t * m_step
+            a_t = np.maximum(-s_t, 0.0)
+            # h(theta + t step) - h(theta), with a_t^2 - a^2 factored
+            dh = t * (linear + t * quadratic) + 0.5 * float(((a_t - a) * (a_t + a)) @ inv_d)
+            if dh <= _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no decrease left at working precision
+        theta = theta + t * step
+        sv, a = s_t, a_t
+        x = a * inv_d
+        iteration += 1
+
+    if status == PRIMAL_INFEASIBLE:
+        obj, gap = np.inf, float("nan")
+    else:
+        obj = prob.objective(x)
+        # objective(x) + h(theta), without the cancellation of adding them
+        gap = 0.5 * float(g[:k] @ g[:k]) + float(theta[k:] @ g[k:])
+    return QpSolution(
+        x=x,
+        y=y,
+        status=status,
+        primal_residual=r_prim,
+        dual_residual=r_dual,
+        iterations=iteration,
+        objective=obj,
+        duality_gap=gap,
+    )
+
+
 def solve_qp(
     prob: QuadraticProgram,
     settings: QpSettings | None = None,
@@ -331,10 +493,12 @@ def solve_qp(
 ) -> QpSolution:
     """Solve the QP; deterministic given the inputs and settings.
 
-    ``warm_start`` is an (x0, y0) pair, typically a previous solution for a
-    nearby problem. On ``solved`` the returned residuals satisfy the
-    eps_abs/eps_rel termination bounds; on ``max_iterations`` the iterate with
-    the smallest combined normalized residual is returned.
+    The path (dual Newton or ADMM, see the module docstring) follows from the
+    program's shape. ``warm_start`` is an (x0, y0) pair, typically a previous
+    solution for a nearby problem, from either path. On ``solved`` the
+    returned residuals satisfy the eps_abs/eps_rel termination bounds; on
+    ``max_iterations`` ADMM returns the iterate with the smallest combined
+    normalized residual and Newton its last (lowest-h) iterate.
     """
     s = settings or QpSettings()
     _check_convexity(prob)
@@ -347,16 +511,19 @@ def solve_qp(
             raise DimensionMismatchError("warm start dimensions do not match the program")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("warm start must be finite")
-    else:
+    rows = _dual_rows(prob)
+    if rows is not None:
+        return _solve_dual(prob, rows, s, None if warm_start is None else (x, y))
+    if warm_start is None:
         x = np.zeros(n)
         y = np.zeros(m)
         Ax = np.zeros(m)
         z = np.clip(np.zeros(m), prob.l, prob.u)
 
     kkt = None
-    if prob.P is None and s.linsys != "direct":
+    if prob.P is None:
         lowrank = _LowRankKkt(prob, s.sigma)
-        if s.linsys == "lowrank" or lowrank.rank <= max(8, n // 2):
+        if lowrank.rank <= max(8, n // 2):
             kkt = lowrank
     if kkt is None:
         kkt = _DirectKkt(prob, s.sigma)
@@ -416,7 +583,7 @@ def solve_qp(
         dy = y - y_prev_check
         x_prev_check = x.copy()
         y_prev_check = y.copy()
-        if _primal_infeasible(prob, kkt, dy, s.eps_infeas):
+        if _primal_infeasible(prob, kkt.at_matvec, dy, s.eps_infeas):
             status = PRIMAL_INFEASIBLE
             break
         if _dual_infeasible(prob, kkt, dx, s.eps_infeas):

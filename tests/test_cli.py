@@ -109,6 +109,35 @@ class TestWeightsCommand:
         assert np.all(gammas >= 0.0)
         assert len(gammas) == 80
 
+    def test_solver_line_reports_the_duality_gap(self, toy, capsys):
+        tmp, data, target = toy
+        for lam, dual in (("0.1", True), ("0", False)):
+            rc = main(
+                ["weights", "--data", str(data), "--target", str(target),
+                 "--lambda", lam, "--out", str(tmp / "w.csv")]
+            )
+            assert rc == 0
+            lines = [ln for ln in capsys.readouterr().out.splitlines() if "solver:" in ln]
+            assert len(lines) == 2
+            for line in lines:
+                gap = line.rsplit("duality gap ", 1)[1]
+                if dual:
+                    assert abs(float(gap)) < 1e-9
+                else:
+                    assert gap == "n/a (ADMM)"
+
+    def test_removed_linsys_setting_is_rejected(self, toy, capsys):
+        tmp, data, target = toy
+        cfg = tmp / "cfg.yaml"
+        cfg.write_text("solver: {linsys: lowrank}\n", encoding="utf-8")
+        rc = main(
+            ["weights", "--data", str(data), "--target", str(target),
+             "--config", str(cfg), "--out", str(tmp / "w.csv")]
+        )
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "unknown solver setting" in record["message"]
+
     def test_single_site_selection(self, toy):
         tmp, data, target = toy
         out = tmp / "w.csv"

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sitetransport import QpSettings, QuadraticProgram, assemble_sparse, solve_qp
+from sitetransport import (
+    BalanceProblem,
+    QpSettings,
+    QuadraticProgram,
+    TargetSpec,
+    assemble_sparse,
+    build_linear_qp,
+    identity_map,
+    solve_qp,
+)
 from sitetransport.errors import (
     DimensionMismatchError,
     EmptyProgramError,
@@ -10,6 +19,7 @@ from sitetransport.errors import (
 )
 from sitetransport.qp import DUAL_INFEASIBLE, MAX_ITERATIONS, PRIMAL_INFEASIBLE, SOLVED
 
+from conftest import build_site
 from oracles import active_set_enumeration, projected_gradient_box
 
 
@@ -223,11 +233,13 @@ class TestFiniteData:
 
         from sitetransport import qp
 
-        prob = QuadraticProgram(**lowrank_program(rng))
-        settings = QpSettings(linsys="lowrank")
-        fast = solve_qp(prob, settings)
+        data = lowrank_program(rng)
+        data["p_diag"][0] = 0.0  # keeps the program on ADMM's low-rank KKT path
+        prob = QuadraticProgram(**data)
+        fast = solve_qp(prob)
+        assert np.isnan(fast.duality_gap)  # ADMM reports no gap
         monkeypatch.setattr(qp, "dpotrs", lambda c, b, lower: (cho_solve((c, lower), b), 0))
-        reference = solve_qp(prob, settings)
+        reference = solve_qp(prob)
         assert fast.iterations == reference.iterations
         assert fast.x.tobytes() == reference.x.tobytes()
         assert fast.y.tobytes() == reference.y.tobytes()
@@ -259,3 +271,139 @@ class TestConvexityCheck:
         monkeypatch.setattr(qp.spla, "eigsh", broken)
         with pytest.raises(TypeError):
             qp._check_convexity(prob)
+
+
+DUAL_LAMBDAS = [1e-8, 1e-4, 1.0, 1e6, 1e8]
+
+
+def balancing_program(rng, lam, n=30, k=4, n1=None):
+    """A linear balancing program: factored P with ridge 2 lam reg, the two
+    arm-sum rows and one x >= 0 row per unit."""
+    z = np.zeros(n)
+    z[rng.permutation(n)[: n1 or n // 2]] = 1.0
+    A = sp.vstack([sp.csr_matrix(z), sp.csr_matrix(1.0 - z), sp.eye(n, format="csr")], format="csr")
+    arms = [z.sum(), n - z.sum()]
+    return dict(
+        p_factor=rng.normal(size=(k, n)) / n,
+        p_diag=2.0 * lam * rng.uniform(1.5, 3.0, n),
+        q=-z * rng.normal(size=n) / n,
+        A=A,
+        l=np.concatenate([arms, np.zeros(n)]),
+        u=np.concatenate([arms, np.full(n, np.inf)]),
+    )
+
+
+def explicit(data):
+    """The same program with P given explicitly, which runs ADMM."""
+    F, D = data["p_factor"], data["p_diag"]
+    rest = {key: data[key] for key in ("q", "A", "l", "u")}
+    return QuadraticProgram(P=sp.csr_matrix(F.T @ F + np.diag(D)), **rest)
+
+
+def one_dim_program(lam):
+    # exactly balanceable: weights (1, 1) on the treated x = 0, 2 hit target mean 1
+    site = build_site(np.array([[0.0], [2.0], [1.0], [3.0]]), [1, 1, 0, 0], [1.0, 2.0, 0.5, 1.5])
+    fmap = identity_map(1)
+    prob = BalanceProblem(site=site, target=TargetSpec.from_moments([1.0]), lam=lam, cate_map=fmap, prognostic_map=fmap)
+    qp = build_linear_qp(prob)
+    return dict(p_factor=qp.p_factor, p_diag=qp.p_diag, q=qp.q, A=qp.A, l=qp.l, u=qp.u)
+
+
+def dual_cases():
+    rng = np.random.default_rng(44)
+    for lam in DUAL_LAMBDAS:
+        yield pytest.param(balancing_program(rng, lam), id=f"random-{lam:g}")
+        yield pytest.param(balancing_program(rng, lam, n=12, n1=1), id=f"single-treated-{lam:g}")
+        yield pytest.param(one_dim_program(lam), id=f"one-dim-{lam:g}")
+
+
+class TestDualPath:
+    @pytest.mark.parametrize("data", list(dual_cases()))
+    def test_certified_optimum(self, data):
+        prob = QuadraticProgram(**data)
+        sol = solve_qp(prob)
+        assert sol.status == SOLVED
+        x = sol.x
+        assert x.min() >= 0.0
+        arms = prob.A[:2] @ x
+        np.testing.assert_allclose(arms, prob.l[:2], rtol=1e-9, atol=0.0)
+        reference = solve_qp(explicit(data), QpSettings(eps_abs=1e-10, eps_rel=1e-10))
+        assert reference.status == SOLVED
+        scale = max(abs(reference.objective), float(x @ prob.p_matvec(x)), 1.0)
+        assert sol.objective <= reference.objective + 1e-9 * scale
+        # objective(x) + h(nu, mu) = |F x - nu|^2 / 2 + mu'(E x - b): the
+        # second term is bounded by the primal residual, the rest is >= 0
+        mu = -sol.y[:2]
+        assert -np.abs(mu).sum() * sol.primal_residual - 1e-15 * scale <= sol.duality_gap
+        assert sol.duality_gap <= 1e-9 * scale
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3])
+    def test_gap_bounds_the_distance_to_the_optimum(self, steps):
+        # weak duality: -h(nu, mu) <= optimum for every (nu, mu), so
+        # objective(x) - optimum <= gap also before convergence; x is not
+        # yet feasible there, and the gap is negative at steps 1 and 2
+        prob = QuadraticProgram(**balancing_program(np.random.default_rng(50), 1e-4))
+        optimum = solve_qp(prob, QpSettings(eps_abs=1e-12, eps_rel=0.0)).objective
+        early = solve_qp(prob, QpSettings(max_iter=steps))
+        assert early.status == MAX_ITERATIONS and early.iterations == steps
+        scale = max(abs(optimum), 1.0)
+        assert early.objective - optimum <= early.duality_gap + 1e-12 * scale
+        mu = -early.y[:2]
+        assert -np.abs(mu).sum() * early.primal_residual <= early.duality_gap
+
+    def test_tight_tolerance_at_tiny_lambda(self):
+        # x = max(0, -s)/D magnifies any rounding in s by 1/D = 1e8 here
+        prob = QuadraticProgram(**one_dim_program(1e-8))
+        sol = solve_qp(prob, QpSettings(eps_abs=1e-10, eps_rel=0.0, max_iter=50))
+        assert sol.status == SOLVED
+        assert np.abs(prob.A[:2] @ sol.x - prob.l[:2]).max() <= 1e-10
+
+    def test_admm_solution_warm_starts_newton(self):
+        data = balancing_program(np.random.default_rng(45), 1e-2)
+        admm = solve_qp(explicit(data), QpSettings(eps_abs=1e-10, eps_rel=0.0))
+        cold = solve_qp(QuadraticProgram(**data))
+        warm = solve_qp(QuadraticProgram(**data), warm_start=(admm.x, admm.y))
+        assert warm.status == SOLVED
+        assert warm.iterations <= 1 <= cold.iterations
+        np.testing.assert_allclose(warm.x, cold.x, atol=1e-7)
+
+    def test_newton_solution_warm_starts_admm(self):
+        data = balancing_program(np.random.default_rng(46), 1e-2)
+        newton = solve_qp(QuadraticProgram(**data))
+        again = solve_qp(explicit(data), warm_start=(newton.x, newton.y))
+        # ADMM restarted at its own fixed point stops at the first check
+        assert again.status == SOLVED and again.iterations == 1
+        admm = solve_qp(explicit(data), QpSettings(eps_abs=1e-10, eps_rel=1e-10))
+        np.testing.assert_allclose(newton.y, admm.y, atol=1e-6 * np.abs(admm.y).max())
+        # lambda = 0 runs ADMM; starting from the lambda > 0 solution of
+        # either path gives the same iterates
+        flat = QuadraticProgram(**dict(data, p_diag=np.zeros_like(data["p_diag"])))
+        from_newton = solve_qp(flat, warm_start=(newton.x, newton.y))
+        from_admm = solve_qp(flat, warm_start=(admm.x, admm.y))
+        assert np.isnan(from_newton.duality_gap)
+        assert from_newton.status == SOLVED
+        assert from_newton.iterations == from_admm.iterations
+        np.testing.assert_allclose(from_newton.x, from_admm.x, atol=1e-6)
+
+    def test_start_with_an_empty_arm_recovers(self):
+        # from x = 0 no control unit is active, so the Hessian is singular
+        # in that arm's multiplier until the first step activates one
+        data = balancing_program(np.random.default_rng(49), 1e-2)
+        prob = QuadraticProgram(**data)
+        sol = solve_qp(prob, warm_start=(np.zeros(prob.n), np.zeros(prob.m)))
+        assert sol.status == SOLVED
+        np.testing.assert_allclose(sol.x, solve_qp(prob).x, atol=1e-7)
+
+    def test_zero_in_p_diag_runs_admm(self):
+        data = balancing_program(np.random.default_rng(47), 1.0)
+        data["p_diag"][3] = 0.0
+        sol = solve_qp(QuadraticProgram(**data))
+        assert sol.status == SOLVED
+        assert np.isnan(sol.duality_gap)
+        reference = solve_qp(explicit(data), QpSettings(eps_abs=1e-10, eps_rel=0.0))
+        np.testing.assert_allclose(sol.objective, reference.objective, rtol=1e-5)
+
+    def test_infeasible_arm_sums_are_primal_infeasible(self):
+        data = balancing_program(np.random.default_rng(48), 1.0)
+        data["l"][0] = data["u"][0] = -1.0  # nonnegative weights cannot sum to -1
+        assert solve_qp(QuadraticProgram(**data)).status == PRIMAL_INFEASIBLE
