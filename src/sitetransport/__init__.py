@@ -57,7 +57,7 @@ from .multisite import (
     display_estimate,
     transport_all,
 )
-from .qp import QpSettings, QpSolution, QuadraticProgram, assemble_sparse, solve_qp
+from .qp import QpSettings, QpSolution, QuadraticProgram, solve_qp
 from .sim import SimConfig, SimResult, build_populations, generate_rep, run_simulation
 
 __version__ = "0.1.0"
@@ -88,7 +88,6 @@ __all__ = [
     "UnitTable",
     "WeightSolution",
     "apply_feature_map",
-    "assemble_sparse",
     "build_kernel_qp",
     "build_linear_qp",
     "build_populations",

@@ -145,7 +145,7 @@ class _SiteProgram:
             return QuadraticProgram(q=self.q, A=A, l=l, u=u, p_factor=self.p_factor, p_diag=ridge)
         P = self.P0.copy()
         P[np.diag_indices_from(P)] += ridge
-        return QuadraticProgram(P=sp.csr_matrix(P), q=self.q, A=A, l=l, u=u)
+        return QuadraticProgram(P=P, q=self.q, A=A, l=l, u=u)
 
 
 def _site_program(prob: BalanceProblem) -> _SiteProgram:

@@ -43,10 +43,6 @@ class NonConvexError(SiteTransportError):
     """The quadratic objective matrix has a significantly negative eigenvalue."""
 
 
-class EmptyProgramError(SiteTransportError):
-    """Program assembly received no blocks."""
-
-
 # --- balancing ---
 
 class ModeMismatchError(SiteTransportError):

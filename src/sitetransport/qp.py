@@ -14,8 +14,11 @@
 * **ADMM** for every other program (an explicit P, a zero in D, inequality
   rows): an operator-splitting iteration with over-relaxation,
   residual-balancing step-size adaptation, and divergence certificates for
-  primal/dual infeasibility. With a factored P of low rank the inner linear
-  system is solved through a diagonal-plus-low-rank (Woodbury) factorization.
+  primal/dual infeasibility. Each iteration solves the reduced KKT system
+  (P + sigma I + A' diag(rho) A) x = sigma x - q + A'(rho z - y) of OSQP
+  (Stellato et al. 2020): through a diagonal-plus-low-rank (Woodbury)
+  factorization when P is factored and of low rank, otherwise through a
+  dense Cholesky factorization.
 
 Both paths return multipliers in one sign convention (P x + q + A'y = 0 at
 the optimum) and stop on the same eps_abs/eps_rel residual test, so either
@@ -26,15 +29,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, eigvalsh
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import DimensionMismatchError, EmptyProgramError, NonConvexError
+from .errors import DimensionMismatchError, NonConvexError
 
 SOLVED = "solved"
 MAX_ITERATIONS = "max_iterations"
@@ -55,17 +57,17 @@ class QuadraticProgram:
     """Problem data. Equalities are encoded as l == u rows of A.
 
     Exactly one representation of the quadratic term must be supplied:
-    an explicit symmetric PSD matrix ``P``, or the factored pair
-    ``p_factor`` (k x n) and ``p_diag`` (length n) with
-    P = p_factor' p_factor + diag(p_diag). All data must be finite, except
-    that bounds may be infinite.
+    an explicit symmetric PSD matrix ``P`` (kept as a dense array; a sparse
+    one is densified), or the factored pair ``p_factor`` (k x n) and
+    ``p_diag`` (length n) with P = p_factor' p_factor + diag(p_diag). All
+    data must be finite, except that bounds may be infinite.
     """
 
     q: np.ndarray
     A: sp.spmatrix
     l: np.ndarray
     u: np.ndarray
-    P: sp.spmatrix | None = None
+    P: np.ndarray | None = None
     p_factor: np.ndarray | None = field(default=None, compare=False)
     p_diag: np.ndarray | None = field(default=None, compare=False)
 
@@ -91,11 +93,10 @@ class QuadraticProgram:
         if explicit == factored:
             raise ValueError("supply either P or (p_factor, p_diag), not both")
         if explicit:
-            P = sp.csr_matrix(self.P, dtype=float)
+            P = np.asarray(self.P.toarray() if sp.issparse(self.P) else self.P, dtype=float)
             if P.shape != (n, n):
                 raise DimensionMismatchError(f"P has shape {P.shape}, expected ({n}, {n})")
-            asym = abs(P - P.T)
-            if asym.nnz and asym.max() > _SYMMETRY_TOL:
+            if np.abs(P - P.T).max(initial=0.0) > _SYMMETRY_TOL:
                 raise ValueError("P is not symmetric")
             object.__setattr__(self, "P", P)
         else:
@@ -112,7 +113,7 @@ class QuadraticProgram:
             if pd.size != n:
                 raise DimensionMismatchError("p_diag length must match q")
             object.__setattr__(self, "p_diag", pd)
-        quadratic = (self.P.data,) if explicit else (self.p_factor, self.p_diag)
+        quadratic = (self.P,) if explicit else (self.p_factor, self.p_diag)
         finite = all(np.isfinite(a).all() for a in (q, *quadratic))
         if not finite or np.isnan(l).any() or np.isnan(u).any():
             raise ValueError("program data must be finite (bounds may be infinite, not NaN)")
@@ -132,12 +133,12 @@ class QuadraticProgram:
 
     def p_trace(self) -> float:
         if self.P is not None:
-            return float(self.P.diagonal().sum())
+            return float(np.trace(self.P))
         return float(np.sum(self.p_factor**2) + self.p_diag.sum())
 
     def p_dense(self) -> np.ndarray:
         if self.P is not None:
-            return self.P.toarray()
+            return self.P
         return self.p_factor.T @ self.p_factor + np.diag(self.p_diag)
 
     def objective(self, x: np.ndarray) -> float:
@@ -199,7 +200,7 @@ def _check_convexity(prob: QuadraticProgram) -> None:
     tol = _NONCONVEX_TOL * max(prob.p_trace(), 1.0)
     n = prob.n
     if n <= 600:
-        lam_min = float(np.linalg.eigvalsh(prob.P.toarray())[0])
+        lam_min = float(eigvalsh(prob.P, subset_by_index=[0, 0])[0])
     else:
         try:
             lam_min = float(spla.eigsh(prob.P, k=1, which="SA", return_eigenvectors=False)[0])
@@ -210,60 +211,18 @@ def _check_convexity(prob: QuadraticProgram) -> None:
         raise NonConvexError(f"P has eigenvalue {lam_min:.3e} below -{tol:.3e}")
 
 
-class _DirectKkt:
-    """Sparse LU of the full KKT system [[P + sigma I, A'], [A, -diag(1/rho)]]."""
+class _ReducedKkt:
+    """The row split of A shared by both ADMM linear systems, which solve
+    M x = sigma x - q + A'(rho z - y) with M = P + sigma I + A' diag(rho) A.
 
-    def __init__(self, prob: QuadraticProgram, sigma: float):
-        self.prob = prob
-        self.sigma = sigma
-        n = prob.n
-        P = prob.P if prob.P is not None else sp.csr_matrix(prob.p_dense())
-        self._upper_left = (P + sigma * sp.eye(n)).tocsc()
-        self._A = prob.A.tocsr()
-        self._AT = self._A.T.tocsr()
-        self._lu = None
-
-    def a_matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._A @ x
-
-    def at_matvec(self, y: np.ndarray) -> np.ndarray:
-        return self._AT @ y
-
-    def factor(self, rho: np.ndarray) -> None:
-        kkt = sp.bmat(
-            [
-                [self._upper_left, self._AT],
-                [self._A, -sp.diags(1.0 / rho)],
-            ],
-            format="csc",
-        )
-        self._lu = spla.splu(kkt)
-        self._rho = rho
-
-    def solve(self, x, z, y, q):
-        n = self.prob.n
-        rhs = np.concatenate([self.sigma * x - q, z - y / self._rho])
-        sol = self._lu.solve(rhs)
-        x_t = sol[:n]
-        nu = sol[n:]
-        z_t = z + (nu - y) / self._rho
-        return x_t, z_t
-
-
-class _LowRankKkt:
-    """Woodbury solve of M = diag(d) + C'C with C stacking the P factor and
-    the non-singleton constraint rows scaled by sqrt(rho).
-
-    The constraint matvecs exploit the same row split: singleton rows become
-    a gather (A x) or a weighted bincount (A' y); the few general rows use a
-    dense block. This keeps the per-iteration cost at O(n * rank) with plain
-    numpy calls.
+    Singleton rows (one entry) become a gather (A x), a weighted bincount
+    (A' y) and a diagonal term of M; the few general rows use a dense block.
     """
 
     def __init__(self, prob: QuadraticProgram, sigma: float):
         self.prob = prob
         self.sigma = sigma
-        A = prob.A.tocsr()
+        A = prob.A
         nnz_per_row = np.diff(A.indptr)
         self.singleton_rows = np.flatnonzero(nnz_per_row == 1)
         self.general_rows = np.flatnonzero(nnz_per_row != 1)
@@ -271,7 +230,6 @@ class _LowRankKkt:
         self.singleton_vals = A.data[A.indptr[self.singleton_rows]]
         self.A_general = A[self.general_rows].toarray()
         self.AT_general = self.A_general.T.copy()
-        self.rank = prob.p_factor.shape[0] + self.general_rows.size
 
     def a_matvec(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(self.prob.m)
@@ -281,26 +239,62 @@ class _LowRankKkt:
         return out
 
     def at_matvec(self, y: np.ndarray) -> np.ndarray:
+        # float even without singleton rows, where bincount returns integers
         res = np.bincount(
             self.singleton_cols,
             weights=self.singleton_vals * y[self.singleton_rows],
             minlength=self.prob.n,
-        )
+        ).astype(float, copy=False)
         if self.general_rows.size:
             res += self.AT_general @ y[self.general_rows]
         return res
 
-    def factor(self, rho: np.ndarray) -> None:
-        prob = self.prob
-        diag = prob.p_diag + self.sigma + np.bincount(
+    def _diag(self, rho: np.ndarray) -> np.ndarray:
+        """sigma plus the singleton rows' part of A' diag(rho) A."""
+        return self.sigma + np.bincount(
             self.singleton_cols,
             weights=rho[self.singleton_rows] * self.singleton_vals**2,
-            minlength=prob.n,
+            minlength=self.prob.n,
         )
+
+    def solve(self, x, z, y, q):
+        """(x~, z~) of one ADMM step, with z~ = A x~."""
+        x_t = self._solve(self.sigma * x - q + self.at_matvec(self._rho * z - y))
+        return x_t, self.a_matvec(x_t)
+
+
+class _DirectKkt(_ReducedKkt):
+    """Dense Cholesky factorization of M."""
+
+    def __init__(self, prob: QuadraticProgram, sigma: float):
+        super().__init__(prob, sigma)
+        self._P = prob.p_dense()
+
+    def factor(self, rho: np.ndarray) -> None:
+        M = self._P + (self.AT_general * rho[self.general_rows]) @ self.A_general
+        M[np.diag_indices_from(M)] += self._diag(rho)
+        self._chol, info = dpotrf(M, lower=1)
+        if info:
+            raise NonConvexError(
+                f"P + sigma I + A' diag(rho) A is not positive definite (pivot {info})"
+            )
+        self._rho = rho
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return dpotrs(self._chol, rhs, lower=1)[0]
+
+
+class _LowRankKkt(_ReducedKkt):
+    """Woodbury solve of M = diag(d) + C'C with C stacking the P factor and
+    the general rows scaled by sqrt(rho), at O(n * rank) per iteration."""
+
+    def factor(self, rho: np.ndarray) -> None:
+        prob = self.prob
+        diag = prob.p_diag + self._diag(rho)
         C = np.vstack(
             [prob.p_factor, np.sqrt(rho[self.general_rows])[:, None] * self.A_general]
         )
-        self._diag = diag
+        self._d = diag
         self._C = C
         Cd = C / diag
         S = Cd @ C.T
@@ -308,14 +302,11 @@ class _LowRankKkt:
         self._chol = cho_factor(S, lower=True)[0]
         self._rho = rho
 
-    def solve(self, x, z, y, q):
-        rhs = self.sigma * x - q + self.at_matvec(self._rho * z - y)
-        t = rhs / self._diag
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        t = rhs / self._d
         # LAPACK directly: the program's data were checked finite on construction
         w = dpotrs(self._chol, self._C @ t, lower=True)[0]
-        x_t = t - (self._C.T @ w) / self._diag
-        z_t = self.a_matvec(x_t)
-        return x_t, z_t
+        return t - (self._C.T @ w) / self._d
 
 
 def _build_rho(prob: QuadraticProgram, rho_scalar: float) -> np.ndarray:
@@ -520,13 +511,11 @@ def solve_qp(
         Ax = np.zeros(m)
         z = np.clip(np.zeros(m), prob.l, prob.u)
 
-    kkt = None
-    if prob.P is None:
-        lowrank = _LowRankKkt(prob, s.sigma)
-        if lowrank.rank <= max(8, n // 2):
-            kkt = lowrank
-    if kkt is None:
-        kkt = _DirectKkt(prob, s.sigma)
+    # Woodbury while the factor and the general rows have rank <= max(8, n // 2)
+    lowrank = prob.P is None and (
+        prob.p_factor.shape[0] + np.count_nonzero(np.diff(prob.A.indptr) != 1) <= max(8, n // 2)
+    )
+    kkt = (_LowRankKkt if lowrank else _DirectKkt)(prob, s.sigma)
     if warm_start is not None:
         Ax = kkt.a_matvec(x)
         z = np.clip(Ax, prob.l, prob.u)
@@ -615,57 +604,3 @@ def solve_qp(
         iterations=iteration,
         objective=obj,
     )
-
-
-def assemble_sparse(
-    p_blocks: Sequence[np.ndarray | sp.spmatrix],
-    a_blocks: Sequence[np.ndarray | sp.spmatrix],
-    q_blocks: Sequence[np.ndarray] | None = None,
-    l_blocks: Sequence[np.ndarray] | None = None,
-    u_blocks: Sequence[np.ndarray] | None = None,
-) -> QuadraticProgram:
-    """Assemble a block-diagonal program without densifying the zero blocks.
-
-    ``p_blocks[i]`` is the square quadratic block of group i and
-    ``a_blocks[i]`` its constraint block (column count must match). Linear
-    terms default to zero and constraint bounds to equality at zero.
-    """
-    p_blocks = list(p_blocks)
-    a_blocks = list(a_blocks)
-    if not p_blocks or not a_blocks:
-        raise EmptyProgramError("assembly requires at least one P block and one A block")
-    if len(p_blocks) != len(a_blocks):
-        raise DimensionMismatchError(
-            f"{len(p_blocks)} P blocks vs {len(a_blocks)} A blocks"
-        )
-    for i, (Pb, Ab) in enumerate(zip(p_blocks, a_blocks)):
-        Pb = np.asarray(Pb) if not sp.issparse(Pb) else Pb
-        if Pb.shape[0] != Pb.shape[1]:
-            raise DimensionMismatchError(f"P block {i} is not square: {Pb.shape}")
-        if Ab.shape[1] != Pb.shape[0]:
-            raise DimensionMismatchError(
-                f"A block {i} has {Ab.shape[1]} columns but P block has {Pb.shape[0]}"
-            )
-
-    P = sp.block_diag([sp.csr_matrix(b) for b in p_blocks], format="csr")
-    A = sp.block_diag([sp.csr_matrix(b) for b in a_blocks], format="csr")
-    sizes = [b.shape[0] for b in p_blocks]
-    rows = [b.shape[0] for b in a_blocks]
-    q = (
-        np.concatenate([np.asarray(qb, dtype=float).ravel() for qb in q_blocks])
-        if q_blocks is not None
-        else np.zeros(sum(sizes))
-    )
-    l = (
-        np.concatenate([np.asarray(lb, dtype=float).ravel() for lb in l_blocks])
-        if l_blocks is not None
-        else np.zeros(sum(rows))
-    )
-    u = (
-        np.concatenate([np.asarray(ub, dtype=float).ravel() for ub in u_blocks])
-        if u_blocks is not None
-        else np.zeros(sum(rows))
-    )
-    if q.size != sum(sizes) or l.size != sum(rows) or u.size != sum(rows):
-        raise DimensionMismatchError("q/l/u blocks do not match the assembled dimensions")
-    return QuadraticProgram(P=P, q=q, A=A, l=l, u=u)

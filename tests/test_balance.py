@@ -189,7 +189,7 @@ class TestBuildKernelQp:
                 prognostic_kernel=KernelSpec("rbf", 0.7),
             )
         )
-        eigs = np.linalg.eigvalsh(qp.P.toarray())
+        eigs = np.linalg.eigvalsh(qp.P)
         assert eigs[0] >= -1e-8 * eigs.sum()
 
 
@@ -449,7 +449,7 @@ class TestProgramReuse:
 
         kprob = _kernel_problem(sites[0], target, 0.5)
         ka, kb = build_kernel_qp(kprob), build_kernel_qp(kprob.with_lam(2.0))
-        diff = (kb.P - ka.P).toarray()
+        diff = kb.P - ka.P
         np.testing.assert_allclose(np.diag(diff), 1.5 * 2.0 * _ridge(sites[0]), rtol=1e-12)
         np.testing.assert_array_equal(diff - np.diag(np.diag(diff)), 0.0)
 

@@ -4,22 +4,19 @@ import scipy.sparse as sp
 
 from sitetransport import (
     BalanceProblem,
+    KernelSpec,
     QpSettings,
     QuadraticProgram,
     TargetSpec,
-    assemble_sparse,
+    build_kernel_qp,
     build_linear_qp,
     identity_map,
     solve_qp,
 )
-from sitetransport.errors import (
-    DimensionMismatchError,
-    EmptyProgramError,
-    NonConvexError,
-)
+from sitetransport.errors import NonConvexError
 from sitetransport.qp import DUAL_INFEASIBLE, MAX_ITERATIONS, PRIMAL_INFEASIBLE, SOLVED
 
-from conftest import build_site
+from conftest import build_site, random_site
 from oracles import active_set_enumeration, projected_gradient_box
 
 
@@ -178,22 +175,6 @@ class TestSolveQp:
             assert abs(sol.objective - ref_obj) <= 1e-5
 
 
-class TestAssembleSparse:
-    def test_block_diagonal_identity(self):
-        prog = assemble_sparse([np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)])
-        assert prog.P.shape == (4, 4)
-        assert prog.P.nnz == 4
-        assert prog.A.shape == (4, 4)
-
-    def test_empty_block_list(self):
-        with pytest.raises(EmptyProgramError):
-            assemble_sparse([], [])
-
-    def test_coupling_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            assemble_sparse([np.eye(2), np.eye(3)], [np.eye(2), np.ones((2, 2))])
-
-
 def lowrank_program(rng, n=40, k=6):
     A = sp.vstack([sp.csr_matrix(np.ones((1, n))), sp.eye(n)], format="csr")
     return dict(
@@ -243,6 +224,74 @@ class TestFiniteData:
         assert fast.iterations == reference.iterations
         assert fast.x.tobytes() == reference.x.tobytes()
         assert fast.y.tobytes() == reference.y.tobytes()
+
+
+def full_kkt_step(prob, sigma, rho, x, z, y):
+    """One ADMM step's (x~, z~) from a dense solve of the full KKT system
+    [[P + sigma I, A'], [A, -diag(1/rho)]] [x~; nu] = [sigma x - q; z - y/rho],
+    with z~ = z + (nu - y)/rho."""
+    n = prob.n
+    A = prob.A.toarray()
+    kkt = np.block([[prob.p_dense() + sigma * np.eye(n), A.T], [A, -np.diag(1.0 / rho)]])
+    sol = np.linalg.solve(kkt, np.concatenate([sigma * x - prob.q, z - y / rho]))
+    return sol[:n], z + (sol[n:] - y) / rho
+
+
+def general_rows_program(rng, n=8):
+    M = rng.normal(size=(n + 2, n))
+    A = sp.vstack([sp.csr_matrix(rng.normal(size=(3, n))), sp.eye(n)], format="csr")
+    return QuadraticProgram(
+        P=M.T @ M + 0.5 * np.eye(n), q=rng.normal(size=n), A=A,
+        l=np.full(n + 3, -1.0), u=np.full(n + 3, 1.0),
+    )
+
+
+def kernel_balancing_program(rng):
+    site = random_site(rng, n=20, d=2)
+    target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(15, 2)))
+    kernels = dict(cate_kernel=KernelSpec("linear"), prognostic_kernel=KernelSpec("rbf"))
+    return build_kernel_qp(BalanceProblem(site=site, target=target, lam=0.1, **kernels))
+
+
+class TestReducedKkt:
+    @pytest.mark.parametrize("make", [general_rows_program, kernel_balancing_program])
+    def test_direct_solve_matches_the_full_kkt_system(self, rng, make):
+        from sitetransport import qp
+
+        prob = make(rng)
+        sigma = 1e-6
+        rho = rng.uniform(0.05, 5.0, prob.m)
+        x, z, y = rng.normal(size=prob.n), rng.normal(size=prob.m), rng.normal(size=prob.m)
+        kkt = qp._DirectKkt(prob, sigma)
+        kkt.factor(rho)
+        x_t, z_t = kkt.solve(x, z, y, prob.q)
+        ref_x, ref_z = full_kkt_step(prob, sigma, rho, x, z, y)
+        np.testing.assert_allclose(x_t, ref_x, rtol=0.0, atol=1e-10 * np.abs(ref_x).max())
+        np.testing.assert_allclose(z_t, ref_z, rtol=0.0, atol=1e-10 * np.abs(ref_z).max())
+
+    def test_factored_program_without_singleton_rows(self, rng):
+        # two dense rows and no singleton row: A'y is a bincount over no rows
+        F = rng.normal(size=(2, 6))
+        A = rng.normal(size=(2, 6))
+        q = rng.normal(size=6)
+        l, u = np.full(2, -1.0), np.full(2, 1.0)
+        prob = QuadraticProgram(
+            q=q, A=sp.csr_matrix(A), l=l, u=u, p_factor=F, p_diag=np.full(6, 0.5)
+        )
+        sol = solve_qp(prob, QpSettings(eps_abs=1e-8, eps_rel=0.0))
+        assert sol.status == SOLVED
+        _, ref_obj = active_set_enumeration(prob.p_dense(), q, A, l, u)
+        assert abs(sol.objective - ref_obj) <= 1e-6
+
+    def test_indefinite_kkt_matrix_raises_nonconvex(self):
+        # the eigenvalue -5e-5 passes the convexity tolerance 1e-8 * trace,
+        # but M = P + sigma I + A' diag(rho) A keeps it: x2 has no row of A
+        prob = QuadraticProgram(
+            P=np.diag([1e4, -5e-5]), q=np.array([0.0, 1e-3]),
+            A=sp.csr_matrix(np.array([[1.0, 0.0]])), l=np.zeros(1), u=np.ones(1),
+        )
+        with pytest.raises(NonConvexError, match="not positive definite"):
+            solve_qp(prob)
 
 
 class TestConvexityCheck:
