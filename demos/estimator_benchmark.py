@@ -8,7 +8,6 @@ outcome-modeling, IPW, and doubly robust comparison estimators.
 Run:  python demos/estimator_benchmark.py
 """
 
-import os
 import time
 
 from sitetransport import SimConfig, run_simulation
@@ -24,7 +23,7 @@ config = SimConfig(
 )
 
 start = time.time()
-result = run_simulation(config, threads=int(os.environ.get("SITETRANSPORT_THREADS", "4")))
+result = run_simulation(config)
 print(f"{config.reps} repetitions x {config.n_sites} sites in {time.time() - start:.0f}s\n")
 
 print(f"{'estimator':>16} {'lambda':>10} {'RMSE':>8} {'|bias|':>8} {'failed':>7}")

@@ -3,9 +3,7 @@
 Subcommands: ``weights``, ``transport``, ``heterogeneity``, ``simulate``,
 ``sweep``. Inputs and outputs are UTF-8 CSV files with headers; float values
 are written with full round-trip precision. Failures produce a nonzero exit
-code and a JSON error record on stderr. The ``SITETRANSPORT_THREADS``
-environment variable sets the worker count for site- and repetition-level
-parallelism.
+code and a JSON error record on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 import warnings
@@ -207,10 +204,7 @@ def _solver_from_config(cfg: dict) -> QpSettings:
     coerced = {}
     for key, value in solver.items():
         default = getattr(defaults, key)
-        if isinstance(default, bool) or isinstance(value, type(default)):
-            coerced[key] = value
-        else:
-            coerced[key] = type(default)(value)
+        coerced[key] = value if isinstance(value, type(default)) else type(default)(value)
     return QpSettings(**coerced)
 
 
@@ -235,14 +229,6 @@ def _transport_config(cfg: dict, args) -> TransportConfig:
         seed=int(seed),
         ipw_hajek=bool(cfg.get("ipw_hajek", False)),
     )
-
-
-def _threads() -> int:
-    raw = os.environ.get("SITETRANSPORT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _resolve_target(args, sites):
@@ -272,9 +258,7 @@ def _cmd_weights(args) -> int:
             "supports linear mode"
         )
 
-    report = transport_all(
-        sites, target, config=replace(config, estimators=("weighting",)), threads=_threads()
-    )
+    report = transport_all(sites, target, config=replace(config, estimators=("weighting",)))
     rows = []
     for res in report.results:
         if res.weights is None:
@@ -308,7 +292,7 @@ def _cmd_transport(args) -> int:
     config = _transport_config(cfg, args)
     sites = validate_dataset(read_unit_table(args.data))
     target = _resolve_target(args, sites)
-    report = transport_all(sites, target, config=config, threads=_threads())
+    report = transport_all(sites, target, config=config)
 
     methods = [m for m in (NAIVE,) + tuple(KNOWN_ESTIMATORS) if m in config.estimators]
     methods = list(dict.fromkeys(methods))  # naive first, stable order
@@ -451,7 +435,7 @@ def _sim_config(cfg: dict, args) -> SimConfig:
 def _cmd_simulate(args) -> int:
     cfg = _load_yaml(args.config)
     config = _sim_config(cfg, args)
-    result = run_simulation(config, threads=_threads())
+    result = run_simulation(config)
     header = ["estimator", "lambda", "rmse", "mean_abs_bias", "n_failed"]
     rows = [
         [r.estimator, "" if r.lam is None else r.lam, r.rmse, r.mean_abs_bias, r.n_failed]

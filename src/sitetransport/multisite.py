@@ -3,7 +3,6 @@ estimation-error decomposition used to test the weighting estimator."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,7 +162,6 @@ def transport_all(
     sites: list[SiteDataset],
     target: TargetSpec | None = None,
     config: TransportConfig | None = None,
-    threads: int = 1,
 ) -> TransportReport:
     """Run every enabled estimator on every site against one common target.
 
@@ -195,14 +193,7 @@ def transport_all(
         cate_map = fit_feature_map(spec, np.vstack(pooled))
         prognostic_map = cate_map
 
-    def run(site: SiteDataset) -> SiteResult:
-        return _transport_site(site, target, config, cate_map, prognostic_map)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, sites))
-    else:
-        results = [run(s) for s in sites]
+    results = [_transport_site(s, target, config, cate_map, prognostic_map) for s in sites]
 
     if all(not r.estimates for r in results):
         raise AllSitesFailedError("no estimator succeeded on any site")

@@ -27,13 +27,11 @@ can warm-start the other.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, eigvalsh
+from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionMismatchError, NonConvexError
@@ -50,6 +48,12 @@ _RHO_EQ_SCALE = 1e3
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
+# ADMM residual-balancing rho updates every _ADAPT_INTERVAL iterations;
+# residuals are evaluated on every one of the first _EARLY_CHECKS iterations
+# (cheap warm-started re-solves stop immediately), then every _CHECK_INTERVAL
+_ADAPT_INTERVAL = 25
+_EARLY_CHECKS = 8
+_CHECK_INTERVAL = 5
 
 
 @dataclass(frozen=True)
@@ -149,8 +153,12 @@ class QuadraticProgram:
 class QpSettings:
     """Stopping and step settings.
 
-    The dual Newton path reads only ``eps_abs``, ``eps_rel``, ``max_iter``
-    (its Newton steps) and ``eps_infeas``; the rest are ADMM's.
+    Both paths stop when the primal and dual residuals fall below
+    ``eps_abs + eps_rel * scale``, give up after ``max_iter`` iterations
+    (Newton steps on the dual path) and report infeasibility on
+    ``eps_infeas``. ``rho`` (the initial ADMM step size, adapted by residual
+    balancing), ``sigma`` (the proximal term) and ``alpha`` (over-relaxation)
+    are ADMM's alone.
     """
 
     eps_abs: float = 1e-6
@@ -159,13 +167,7 @@ class QpSettings:
     sigma: float = 1e-6
     alpha: float = 1.6
     max_iter: int = 20000
-    adapt_interval: int = 25  # residual-balancing rho updates
-    adaptive_rho: bool = True
     eps_infeas: float = 1e-4
-    # residuals are evaluated on every early iteration (cheap warm-started
-    # re-solves stop immediately), then on this cadence
-    check_interval: int = 5
-    early_checks: int = 8
 
 
 @dataclass(frozen=True)
@@ -192,23 +194,28 @@ class QpSolution:
 
 
 def _check_convexity(prob: QuadraticProgram) -> None:
+    """Raise NonConvexError when P has an eigenvalue below -tol, with
+    tol = 1e-8 * max(trace P, 1).
+
+    A factored P can only fail through ``p_diag``. An explicit P is certified
+    by one Cholesky factorization of P + tol I, which exists exactly when
+    that matrix is positive definite (Golub & Van Loan, Matrix Computations,
+    section 4.2).
+    """
     if prob.P is None:
         d_min = prob.p_diag.min(initial=0.0)
         if d_min < 0.0 and d_min < -_NONCONVEX_TOL * max(prob.p_trace(), 1.0):
             raise NonConvexError("p_diag contains a significantly negative entry")
         return
     tol = _NONCONVEX_TOL * max(prob.p_trace(), 1.0)
-    n = prob.n
-    if n <= 600:
-        lam_min = float(eigvalsh(prob.P, subset_by_index=[0, 0])[0])
-    else:
-        try:
-            lam_min = float(spla.eigsh(prob.P, k=1, which="SA", return_eigenvectors=False)[0])
-        except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
-            warnings.warn(f"convexity of P not certified: eigsh failed ({exc})", RuntimeWarning)
-            return
-    if lam_min < -tol:
-        raise NonConvexError(f"P has eigenvalue {lam_min:.3e} below -{tol:.3e}")
+    shifted = np.array(prob.P, order="F")  # factored in place
+    shifted[np.diag_indices_from(shifted)] += tol
+    info = dpotrf(shifted, lower=1, overwrite_a=1)[1]
+    if info:
+        raise NonConvexError(
+            f"P has an eigenvalue below -{tol:.3e}: the Cholesky factorization "
+            f"of P + tol I fails at pivot {info}"
+        )
 
 
 class _ReducedKkt:
@@ -544,8 +551,8 @@ def solve_qp(
         x, z, y = x_new, z_new, y_new
 
         check = (
-            iteration <= s.early_checks
-            or iteration % s.check_interval == 0
+            iteration <= _EARLY_CHECKS
+            or iteration % _CHECK_INTERVAL == 0
             or iteration == s.max_iter
         )
         if not check:
@@ -579,7 +586,7 @@ def solve_qp(
             status = DUAL_INFEASIBLE
             break
 
-        if s.adaptive_rho and iteration % s.adapt_interval == 0 and norm_d > 0:
+        if iteration % _ADAPT_INTERVAL == 0 and norm_d > 0:
             candidate = float(np.clip(rho_scalar * np.sqrt(norm_p / norm_d), _RHO_MIN, _RHO_MAX))
             if candidate > 5.0 * rho_scalar or candidate < rho_scalar / 5.0:
                 rho_scalar = candidate

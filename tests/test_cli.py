@@ -126,10 +126,15 @@ class TestWeightsCommand:
                 else:
                     assert gap == "n/a (ADMM)"
 
-    def test_removed_linsys_setting_is_rejected(self, toy, capsys):
+    @pytest.mark.parametrize(
+        "setting",
+        ["linsys: lowrank", "adaptive_rho: false", "adapt_interval: 25", "check_interval: 5", "early_checks: 8"],
+        ids=lambda setting: setting.split(":")[0],
+    )
+    def test_removed_linsys_setting_is_rejected(self, toy, capsys, setting):
         tmp, data, target = toy
         cfg = tmp / "cfg.yaml"
-        cfg.write_text("solver: {linsys: lowrank}\n", encoding="utf-8")
+        cfg.write_text(f"solver: {{{setting}}}\n", encoding="utf-8")
         rc = main(
             ["weights", "--data", str(data), "--target", str(target),
              "--config", str(cfg), "--out", str(tmp / "w.csv")]

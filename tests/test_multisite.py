@@ -106,14 +106,6 @@ class TestTransportAll:
         with pytest.raises(ConfigError):
             TransportConfig(estimators=("naive", "magic"))
 
-    def test_threaded_matches_serial(self, rng):
-        sites = [random_site(rng, n=25, d=2, site_id=f"s{i}") for i in range(4)]
-        config = TransportConfig(estimators=("naive", "weighting"), lam=0.1)
-        serial = transport_all(sites, None, config, threads=1)
-        threaded = transport_all(sites, None, config, threads=4)
-        for a, b in zip(serial.results, threaded.results):
-            assert a.estimates["weighting"].estimate == b.estimates["weighting"].estimate
-
 
 class TestDecomposeError:
     def test_noiseless_outcomes_have_zero_noise_term(self, rng):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -67,7 +69,7 @@ class TestSolveQp:
 
     def test_max_iterations_flag(self):
         prob = simplex_program(np.diag([2.0, 2.0]), np.array([-2.0, -4.0]))
-        sol = solve_qp(prob, QpSettings(max_iter=2, adaptive_rho=False))
+        sol = solve_qp(prob, QpSettings(max_iter=2))
         assert sol.status == MAX_ITERATIONS
 
     def test_nonconvex_rejected(self):
@@ -295,31 +297,30 @@ class TestReducedKkt:
 
 
 class TestConvexityCheck:
-    def test_arpack_failure_warns_that_convexity_is_not_certified(self, monkeypatch):
-        from scipy.sparse.linalg import ArpackNoConvergence
-
+    @pytest.mark.parametrize("n", [5, 700])
+    def test_cholesky_certificate_at_the_tolerance(self, rng, n):
         from sitetransport import qp
 
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
-
-        n = 601
-        prob = simplex_program(np.eye(n), np.zeros(n), total=float(n))
-        monkeypatch.setattr(qp.spla, "eigsh", no_convergence)
-        with pytest.warns(RuntimeWarning, match="not certified"):
-            qp._check_convexity(prob)
-
-    def test_other_eigsh_errors_propagate(self, monkeypatch):
-        from sitetransport import qp
-
-        def broken(*args, **kwargs):
-            raise TypeError("not an ARPACK failure")
-
-        n = 601
-        prob = simplex_program(np.eye(n), np.zeros(n), total=float(n))
-        monkeypatch.setattr(qp.spla, "eigsh", broken)
-        with pytest.raises(TypeError):
-            qp._check_convexity(prob)
+        # P = Q diag(eigs) Q' with half its eigenvalues zero, and one at
+        # -c * tol in the second and third programs
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        positive = rng.uniform(1.0, 2.0, n // 2)
+        # tol = 1e-8 * trace P and trace P = sum(positive) - c * tol
+        for c, convex in [(0.0, True), (0.5, True), (2.0, False)]:
+            tol = qp._NONCONVEX_TOL * positive.sum() / (1.0 + c * qp._NONCONVEX_TOL)
+            eigs = np.zeros(n)
+            eigs[: positive.size] = positive
+            eigs[-1] = -c * tol
+            P = (Q * eigs) @ Q.T
+            prob = simplex_program((P + P.T) / 2.0, np.zeros(n), total=float(n))
+            assert qp._NONCONVEX_TOL * prob.p_trace() == pytest.approx(tol, rel=1e-9)
+            if convex:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    qp._check_convexity(prob)
+            else:
+                with pytest.raises(NonConvexError, match="eigenvalue below"):
+                    qp._check_convexity(prob)
 
 
 DUAL_LAMBDAS = [1e-8, 1e-4, 1.0, 1e6, 1e8]
