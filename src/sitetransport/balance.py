@@ -118,34 +118,25 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class _SiteProgram:
-    """The lambda-free part of one site's balancing program. Linear mode
-    fills the mapped features, the target feature mean ``t`` and the factor
-    of the quadratic term; kernel mode the site Grams, the target kernel-mean
-    vector and Gram mean, and ``P0``, the quadratic term without its ridge."""
+    """The lambda-free part of one site's balancing program: ``base``, the QP
+    without its ridge 2 lambda reg (P factored in linear mode, explicit in
+    kernel mode); linear mode adds the mapped features and target mean ``t``,
+    kernel mode the site Grams, target kernel-mean vector and Gram mean."""
 
     a_cate: np.ndarray
     a_prog: np.ndarray
     reg: np.ndarray
-    q: np.ndarray
-    constraints: tuple[sp.csr_matrix, np.ndarray, np.ndarray]
+    base: QuadraticProgram
     phi_cate: np.ndarray | None = None
     phi_prog: np.ndarray | None = None
     t: np.ndarray | None = None
-    p_factor: np.ndarray | None = None
     K_cate: np.ndarray | None = None
     K_prog: np.ndarray | None = None
     kernel_mean: np.ndarray | None = None
     target_block: float = 0.0
-    P0: np.ndarray | None = None
 
     def qp(self, lam: float) -> QuadraticProgram:
-        A, l, u = self.constraints
-        ridge = 2.0 * lam * self.reg
-        if self.P0 is None:
-            return QuadraticProgram(q=self.q, A=A, l=l, u=u, p_factor=self.p_factor, p_diag=ridge)
-        P = self.P0.copy()
-        P[np.diag_indices_from(P)] += ridge
-        return QuadraticProgram(P=P, q=self.q, A=A, l=l, u=u)
+        return self.base.with_p_diag(2.0 * lam * self.reg)
 
 
 def _site_program(prob: BalanceProblem) -> _SiteProgram:
@@ -156,8 +147,8 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
     a_prog = (z - pi) / (n * pi * (1.0 - pi))
     reg = z / pi + (1.0 - z) / (1.0 - pi)
     A = sp.vstack([sp.csr_matrix(z), sp.csr_matrix(1.0 - z), sp.eye(n, format="csr")], format="csr")
-    lower = np.concatenate([[site.n1, site.n0], np.zeros(n)])
-    constraints = A, lower, np.concatenate([[site.n1, site.n0], np.full(n, np.inf)])
+    upper = np.concatenate([[site.n1, site.n0], np.full(n, np.inf)])
+    constraints = dict(A=A, l=np.concatenate([[site.n1, site.n0], np.zeros(n)]), u=upper)
     if prob.mode == "linear":
         cmap = prob.cate_map
         if not (cmap.fitted and prob.prognostic_map.fitted):
@@ -174,11 +165,9 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
                 )
         B_cate = a_cate[:, None] * phi_cate  # row i: a_cate_i * phi(X_i)
         B_prog = a_prog[:, None] * phi_prog
-        return _SiteProgram(
-            a_cate, a_prog, reg, -2.0 * (B_cate @ t), constraints,
-            phi_cate=phi_cate, phi_prog=phi_prog, t=t,
-            p_factor=np.sqrt(2.0) * np.vstack([B_cate.T, B_prog.T]),
-        )
+        p_factor = np.sqrt(2.0) * np.vstack([B_cate.T, B_prog.T])
+        base = QuadraticProgram(q=-2.0 * (B_cate @ t), p_factor=p_factor, **constraints)
+        return _SiteProgram(a_cate, a_prog, reg, base, phi_cate=phi_cate, phi_prog=phi_prog, t=t)
 
     target = prob.target.sample
     pooled = np.vstack([X, target])
@@ -192,12 +181,11 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
     )
     kernel_mean = kernel_matrix(k_cate, X, target).mean(axis=1)  # of the n x m cross Gram
     m = target.shape[0]
+    base = QuadraticProgram(P=0.5 * (P + P.T), q=-2.0 * a_cate * kernel_mean, **constraints)
     return _SiteProgram(
-        a_cate, a_prog, reg, -2.0 * a_cate * kernel_mean, constraints,
-        K_cate=K_cate, K_prog=K_prog, kernel_mean=kernel_mean,
+        a_cate, a_prog, reg, base, K_cate=K_cate, K_prog=K_prog, kernel_mean=kernel_mean,
         # only the mean of the m x m target Gram is kept
         target_block=float(kernel_matrix(k_cate, target).sum()) / (m * m),
-        P0=0.5 * (P + P.T),
     )
 
 

@@ -180,6 +180,13 @@ def _load_yaml(path: str | None) -> dict:
     return cfg
 
 
+def _mapping(cfg: dict, key: str) -> dict:
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must be a mapping")
+    return value
+
+
 def _kernel_from_config(value) -> KernelSpec:
     if value is None or value == "linear":
         return KernelSpec("linear")
@@ -193,9 +200,7 @@ def _kernel_from_config(value) -> KernelSpec:
 
 
 def _solver_from_config(cfg: dict) -> QpSettings:
-    solver = cfg.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError("config key 'solver' must be a mapping")
+    solver = _mapping(cfg, "solver")
     defaults = QpSettings()
     allowed = {f for f in QpSettings.__dataclass_fields__}
     unknown = set(solver) - allowed
@@ -209,26 +214,29 @@ def _solver_from_config(cfg: dict) -> QpSettings:
 
 
 def _transport_config(cfg: dict, args) -> TransportConfig:
-    features = cfg.get("features", {})
-    interactions = tuple(tuple(p) for p in features.get("interactions", ()))
+    features, kernels = _mapping(cfg, "features"), _mapping(cfg, "kernels")
     estimators = cfg.get("estimators", [NAIVE, "weighting"])
-    kernels = cfg.get("kernels", {})
+    if not isinstance(estimators, list):
+        raise ConfigError("config key 'estimators' must be a list")
     lam = args.lam if getattr(args, "lam", None) is not None else cfg.get("lambda", DEFAULT_LAMBDA)
     mode = getattr(args, "mode", None) or cfg.get("mode", "linear")
     seed = args.seed if getattr(args, "seed", None) is not None else cfg.get("seed", 0)
-    return TransportConfig(
-        estimators=tuple(estimators),
-        lam=float(lam),
-        mode=mode,
-        interactions=interactions,
-        standardize=bool(features.get("standardize", True)),
-        cate_kernel=_kernel_from_config(kernels.get("cate")),
-        prognostic_kernel=_kernel_from_config(kernels.get("prognostic")),
-        solver=_solver_from_config(cfg),
-        n_boot=int(cfg.get("n_boot", 200)),
-        seed=int(seed),
-        ipw_hajek=bool(cfg.get("ipw_hajek", False)),
-    )
+    try:
+        return TransportConfig(
+            estimators=tuple(estimators),
+            lam=float(lam),
+            mode=mode,
+            interactions=tuple(tuple(p) for p in features.get("interactions", ())),
+            standardize=bool(features.get("standardize", True)),
+            cate_kernel=_kernel_from_config(kernels.get("cate")),
+            prognostic_kernel=_kernel_from_config(kernels.get("prognostic")),
+            solver=_solver_from_config(cfg),
+            n_boot=int(cfg.get("n_boot", 200)),
+            seed=int(seed),
+            ipw_hajek=bool(cfg.get("ipw_hajek", False)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid transport config: {exc}") from exc
 
 
 def _resolve_target(args, sites):
@@ -402,9 +410,7 @@ def _cmd_heterogeneity(args) -> int:
 
 
 def _sim_config(cfg: dict, args) -> SimConfig:
-    sim = cfg.get("sim", {})
-    if not isinstance(sim, dict):
-        raise ConfigError("config key 'sim' must be a mapping")
+    sim = _mapping(cfg, "sim")
     allowed = set(SimConfig.__dataclass_fields__) - {"solver"}
     unknown = set(sim) - allowed
     if unknown:
@@ -420,6 +426,8 @@ def _sim_config(cfg: dict, args) -> SimConfig:
     }
     for key, cast in casts.items():
         if key in kwargs and kwargs[key] is not None:
+            if not isinstance(kwargs[key], list):
+                raise ConfigError(f"sim setting {key!r} must be a list")
             kwargs[key] = tuple(cast(v) for v in kwargs[key])
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed

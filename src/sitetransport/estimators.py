@@ -108,6 +108,12 @@ def _arm_fits(design: np.ndarray, y: np.ndarray, idx1, idx0):
     return fit_least_squares(design[idx1], y[idx1]), fit_least_squares(design[idx0], y[idx0])
 
 
+def _check_bootstrap_size(n_boot: int) -> None:
+    """A bootstrap standard error needs at least two replicates; 0 skips it."""
+    if n_boot < 0 or n_boot == 1:
+        raise ValueError(f"n_boot must be 0 (no bootstrap) or at least 2, got {n_boot}")
+
+
 def outcome_model_estimate(
     site: SiteDataset,
     target: TargetSpec,
@@ -122,6 +128,7 @@ def outcome_model_estimate(
     """
     if not target.is_sample:
         raise ValueError("outcome-model estimation requires a unit-level target sample")
+    _check_bootstrap_size(n_boot)
     k = feature_map.output_dim
     if site.n1 < k + 1 or site.n0 < k + 1:
         raise InsufficientArmError(
@@ -300,6 +307,7 @@ def doubly_robust_estimate(
     """
     if not target.is_sample:
         raise ValueError("doubly robust estimation requires a unit-level target sample")
+    _check_bootstrap_size(n_boot)
     k = feature_map.output_dim
     if site.n1 < k + 1 or site.n0 < k + 1:
         raise InsufficientArmError(

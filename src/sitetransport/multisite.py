@@ -60,6 +60,8 @@ class TransportConfig:
             raise ConfigError(f"mode must be 'linear' or 'kernel', got {self.mode!r}")
         if self.lam < 0:
             raise ConfigError("lambda must be nonnegative")
+        if self.n_boot < 0 or self.n_boot == 1:
+            raise ConfigError(f"n_boot must be 0 (no bootstrap) or at least 2, got {self.n_boot}")
 
 
 @dataclass(frozen=True)

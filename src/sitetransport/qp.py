@@ -23,11 +23,16 @@
 Both paths return multipliers in one sign convention (P x + q + A'y = 0 at
 the optimum) and stop on the same eps_abs/eps_rel residual test, so either
 can warm-start the other.
+
+P is an explicit or factored base plus diag(p_diag). As in OSQP's vector
+updates, what the solver derives from the rest (see ``_Structure``) is
+computed once per program and shared by its ``with_p_diag`` copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,15 +61,88 @@ _EARLY_CHECKS = 8
 _CHECK_INTERVAL = 5
 
 
+def _diagonal(d, n: int) -> np.ndarray:
+    d = np.zeros(n) if d is None else np.asarray(d, dtype=float).ravel()
+    if d.size != n:
+        raise DimensionMismatchError("p_diag length must match q")
+    if not np.isfinite(d).all():
+        raise ValueError("program data must be finite (bounds may be infinite, not NaN)")
+    return d
+
+
+class _Structure:
+    """What the solver derives from a program's constraints and base (``P``,
+    or the factor ``F`` of F'F), each piece once, on first use; a program
+    shares it with every ``with_p_diag`` copy."""
+
+    def __init__(self, prob: QuadraticProgram):
+        self.A, self.l, self.u, self.P, self.F = prob.A, prob.l, prob.u, prob.P, prob.p_factor
+
+    @cached_property
+    def dense_base(self) -> np.ndarray:
+        return self.P if self.P is not None else self.F.T @ self.F
+
+    @cached_property
+    def certificate(self) -> None:
+        """Raise NonConvexError when an explicit base has an eigenvalue below
+        -tol_b, tol_b = 1e-8 * max(trace base, 1): base + tol_b I then has no
+        Cholesky factorization (Golub & Van Loan, section 4.2). F'F is PSD."""
+        if self.P is None:
+            return
+        tol = _NONCONVEX_TOL * max(float(np.trace(self.P)), 1.0)
+        shifted = np.array(self.P, order="F")  # factored in place
+        shifted[np.diag_indices_from(shifted)] += tol
+        info = dpotrf(shifted, lower=1, overwrite_a=1)[1]
+        if info:
+            raise NonConvexError(
+                f"P has an eigenvalue below -{tol:.3e}: the Cholesky factorization "
+                f"of P + tol I fails at pivot {info}"
+            )
+
+    @cached_property
+    def row_split(self) -> tuple[np.ndarray, ...]:
+        """Singleton rows of A (one entry) with their columns and values,
+        then the general rows with their dense block and its transpose."""
+        A = self.A
+        nnz_per_row = np.diff(A.indptr)
+        single, general = np.flatnonzero(nnz_per_row == 1), np.flatnonzero(nnz_per_row != 1)
+        first = A.indptr[single]
+        A_general = A[general].toarray()
+        return single, A.indices[first], A.data[first], general, A_general, A_general.T.copy()
+
+    @cached_property
+    def dual(self) -> tuple[np.ndarray, ...] | None:
+        """The dual Newton path's ``(eq, bound, cols, E, Mt)``, or None when
+        the program is not of its shape: ``bound[j]`` is the ``0 <= x < inf``
+        row of column ``cols[j]``, ``eq`` the rows l == u, E = A[eq] and
+        Mt = [F', -E'], one row per column of the program."""
+        if self.P is not None:
+            return None
+        l, u, n = self.l, self.u, self.F.shape[1]
+        single, single_cols, single_vals = self.row_split[:3]
+        keep = (single_vals == 1.0) & (l[single] == 0.0) & (u[single] == np.inf)
+        bound, cols = single[keep], single_cols[keep]
+        if bound.size != n or np.bincount(cols, minlength=n).max(initial=0) != 1:
+            return None
+        eq = np.setdiff1d(np.arange(l.size), bound)
+        if not (np.all(l[eq] == u[eq]) and np.isfinite(l[eq]).all()):
+            return None
+        E = self.A[eq].toarray()
+        return eq, bound, cols, E, np.hstack([self.F.T, -E.T])
+
+
 @dataclass(frozen=True)
 class QuadraticProgram:
     """Problem data. Equalities are encoded as l == u rows of A.
 
-    Exactly one representation of the quadratic term must be supplied:
-    an explicit symmetric PSD matrix ``P`` (kept as a dense array; a sparse
-    one is densified), or the factored pair ``p_factor`` (k x n) and
-    ``p_diag`` (length n) with P = p_factor' p_factor + diag(p_diag). All
-    data must be finite, except that bounds may be infinite.
+    The quadratic term is P = base + diag(p_diag). The base is an explicit
+    symmetric PSD matrix ``P`` (kept as a dense array; a sparse one is
+    densified) or p_factor' p_factor for a k x n ``p_factor``, not both;
+    ``p_diag`` (length n) defaults to zeros. All data must be finite, except
+    that bounds may be infinite.
+
+    What does not depend on ``p_diag`` (see ``_Structure``) is derived once
+    and shared by every copy that ``with_p_diag`` makes.
     """
 
     q: np.ndarray
@@ -74,6 +152,7 @@ class QuadraticProgram:
     P: np.ndarray | None = None
     p_factor: np.ndarray | None = field(default=None, compare=False)
     p_diag: np.ndarray | None = field(default=None, compare=False)
+    _structure: _Structure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float).ravel()
@@ -92,11 +171,9 @@ class QuadraticProgram:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "u", u)
 
-        explicit = self.P is not None
-        factored = self.p_factor is not None or self.p_diag is not None
-        if explicit == factored:
-            raise ValueError("supply either P or (p_factor, p_diag), not both")
-        if explicit:
+        if self.P is not None:
+            if self.p_factor is not None:
+                raise ValueError("supply either P or p_factor, not both")
             P = np.asarray(self.P.toarray() if sp.issparse(self.P) else self.P, dtype=float)
             if P.shape != (n, n):
                 raise DimensionMismatchError(f"P has shape {P.shape}, expected ({n}, {n})")
@@ -104,23 +181,24 @@ class QuadraticProgram:
                 raise ValueError("P is not symmetric")
             object.__setattr__(self, "P", P)
         else:
-            F = self.p_factor
-            if F is not None:
-                F = np.atleast_2d(np.asarray(F, dtype=float))
-                if F.shape[1] != n:
-                    raise DimensionMismatchError(f"p_factor has {F.shape[1]} columns, expected {n}")
-            else:
-                F = np.empty((0, n))
+            F = np.empty((0, n)) if self.p_factor is None else self.p_factor
+            F = np.atleast_2d(np.asarray(F, dtype=float))
+            if F.shape[1] != n:
+                raise DimensionMismatchError(f"p_factor has {F.shape[1]} columns, expected {n}")
             object.__setattr__(self, "p_factor", F)
-            pd = self.p_diag
-            pd = np.zeros(n) if pd is None else np.asarray(pd, dtype=float).ravel()
-            if pd.size != n:
-                raise DimensionMismatchError("p_diag length must match q")
-            object.__setattr__(self, "p_diag", pd)
-        quadratic = (self.P,) if explicit else (self.p_factor, self.p_diag)
-        finite = all(np.isfinite(a).all() for a in (q, *quadratic))
+        object.__setattr__(self, "p_diag", _diagonal(self.p_diag, n))
+        base = self.P if self.P is not None else self.p_factor
+        finite = np.isfinite(q).all() and np.isfinite(base).all()
         if not finite or np.isnan(l).any() or np.isnan(u).any():
             raise ValueError("program data must be finite (bounds may be infinite, not NaN)")
+        object.__setattr__(self, "_structure", _Structure(self))
+
+    def with_p_diag(self, p_diag: np.ndarray) -> QuadraticProgram:
+        """This program with ``p_diag`` in place of its own: only ``p_diag``
+        is checked, and the rest, with its derived structure, is shared."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, p_diag=_diagonal(p_diag, self.n))
+        return copy
 
     @property
     def n(self) -> int:
@@ -131,19 +209,15 @@ class QuadraticProgram:
         return self.A.shape[0]
 
     def p_matvec(self, x: np.ndarray) -> np.ndarray:
-        if self.P is not None:
-            return self.P @ x
-        return self.p_factor.T @ (self.p_factor @ x) + self.p_diag * x
+        base = self.P @ x if self.P is not None else self.p_factor.T @ (self.p_factor @ x)
+        return base + self.p_diag * x
 
     def p_trace(self) -> float:
-        if self.P is not None:
-            return float(np.trace(self.P))
-        return float(np.sum(self.p_factor**2) + self.p_diag.sum())
+        base = np.trace(self.P) if self.P is not None else np.sum(self.p_factor**2)
+        return float(base + self.p_diag.sum())
 
     def p_dense(self) -> np.ndarray:
-        if self.P is not None:
-            return self.P
-        return self.p_factor.T @ self.p_factor + np.diag(self.p_diag)
+        return self._structure.dense_base + np.diag(self.p_diag)
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.p_matvec(x) + self.q @ x)
@@ -194,28 +268,14 @@ class QpSolution:
 
 
 def _check_convexity(prob: QuadraticProgram) -> None:
-    """Raise NonConvexError when P has an eigenvalue below -tol, with
-    tol = 1e-8 * max(trace P, 1).
-
-    A factored P can only fail through ``p_diag``. An explicit P is certified
-    by one Cholesky factorization of P + tol I, which exists exactly when
-    that matrix is positive definite (Golub & Van Loan, Matrix Computations,
-    section 4.2).
-    """
-    if prob.P is None:
-        d_min = prob.p_diag.min(initial=0.0)
-        if d_min < 0.0 and d_min < -_NONCONVEX_TOL * max(prob.p_trace(), 1.0):
-            raise NonConvexError("p_diag contains a significantly negative entry")
-        return
-    tol = _NONCONVEX_TOL * max(prob.p_trace(), 1.0)
-    shifted = np.array(prob.P, order="F")  # factored in place
-    shifted[np.diag_indices_from(shifted)] += tol
-    info = dpotrf(shifted, lower=1, overwrite_a=1)[1]
-    if info:
-        raise NonConvexError(
-            f"P has an eigenvalue below -{tol:.3e}: the Cholesky factorization "
-            f"of P + tol I fails at pivot {info}"
-        )
+    """Raise NonConvexError unless P = base + diag(p_diag) is convex to
+    tolerance: the base by its certificate, derived once per ``_Structure``,
+    and no entry of ``p_diag`` below -tol, tol = 1e-8 * max(trace P, 1).
+    With a nonnegative ``p_diag``, tol_b <= tol, so P is certified to tol."""
+    prob._structure.certificate  # raises on an indefinite base
+    d_min = prob.p_diag.min(initial=0.0)
+    if d_min < 0.0 and d_min < -_NONCONVEX_TOL * max(prob.p_trace(), 1.0):
+        raise NonConvexError("p_diag contains a significantly negative entry")
 
 
 class _ReducedKkt:
@@ -229,14 +289,8 @@ class _ReducedKkt:
     def __init__(self, prob: QuadraticProgram, sigma: float):
         self.prob = prob
         self.sigma = sigma
-        A = prob.A
-        nnz_per_row = np.diff(A.indptr)
-        self.singleton_rows = np.flatnonzero(nnz_per_row == 1)
-        self.general_rows = np.flatnonzero(nnz_per_row != 1)
-        self.singleton_cols = A.indices[A.indptr[self.singleton_rows]]
-        self.singleton_vals = A.data[A.indptr[self.singleton_rows]]
-        self.A_general = A[self.general_rows].toarray()
-        self.AT_general = self.A_general.T.copy()
+        (self.singleton_rows, self.singleton_cols, self.singleton_vals,
+         self.general_rows, self.A_general, self.AT_general) = prob._structure.row_split
 
     def a_matvec(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(self.prob.m)
@@ -257,12 +311,13 @@ class _ReducedKkt:
         return res
 
     def _diag(self, rho: np.ndarray) -> np.ndarray:
-        """sigma plus the singleton rows' part of A' diag(rho) A."""
-        return self.sigma + np.bincount(
+        """The diagonal of M beyond the base and the general rows: p_diag,
+        sigma and the singleton rows' part of A' diag(rho) A."""
+        return self.prob.p_diag + (self.sigma + np.bincount(
             self.singleton_cols,
             weights=rho[self.singleton_rows] * self.singleton_vals**2,
             minlength=self.prob.n,
-        )
+        ))
 
     def solve(self, x, z, y, q):
         """(x~, z~) of one ADMM step, with z~ = A x~."""
@@ -273,12 +328,9 @@ class _ReducedKkt:
 class _DirectKkt(_ReducedKkt):
     """Dense Cholesky factorization of M."""
 
-    def __init__(self, prob: QuadraticProgram, sigma: float):
-        super().__init__(prob, sigma)
-        self._P = prob.p_dense()
-
     def factor(self, rho: np.ndarray) -> None:
-        M = self._P + (self.AT_general * rho[self.general_rows]) @ self.A_general
+        general = (self.AT_general * rho[self.general_rows]) @ self.A_general
+        M = self.prob._structure.dense_base + general
         M[np.diag_indices_from(M)] += self._diag(rho)
         self._chol, info = dpotrf(M, lower=1)
         if info:
@@ -296,10 +348,9 @@ class _LowRankKkt(_ReducedKkt):
     the general rows scaled by sqrt(rho), at O(n * rank) per iteration."""
 
     def factor(self, rho: np.ndarray) -> None:
-        prob = self.prob
-        diag = prob.p_diag + self._diag(rho)
+        diag = self._diag(rho)
         C = np.vstack(
-            [prob.p_factor, np.sqrt(rho[self.general_rows])[:, None] * self.A_general]
+            [self.prob.p_factor, np.sqrt(rho[self.general_rows])[:, None] * self.A_general]
         )
         self._d = diag
         self._C = C
@@ -355,38 +406,15 @@ def _dual_infeasible(prob, kkt, dx, eps):
     return True
 
 
-def _dual_rows(prob: QuadraticProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The dual Newton path's row split of ``prob``, or None when the program
-    is not of its shape: ``(eq, bound, cols)`` with ``bound[j]`` the
-    ``0 <= x < inf`` row of column ``cols[j]`` and ``eq`` the rows l == u."""
-    if prob.P is not None or not np.all(prob.p_diag > 0):
-        return None
-    A, l, u = prob.A, prob.l, prob.u
-    single = np.flatnonzero(np.diff(A.indptr) == 1)
-    first = A.indptr[single]
-    bound = single[(A.data[first] == 1.0) & (l[single] == 0.0) & (u[single] == np.inf)]
-    cols = A.indices[A.indptr[bound]]
-    if bound.size != prob.n or np.bincount(cols, minlength=prob.n).max(initial=0) != 1:
-        return None
-    general = np.ones(prob.m, dtype=bool)
-    general[bound] = False
-    eq = np.flatnonzero(general)
-    if not (np.all(l[eq] == u[eq]) and np.isfinite(l[eq]).all()):
-        return None
-    return eq, bound, cols
-
-
-def _solve_dual(prob, rows, s: QpSettings, warm_start) -> QpSolution:
+def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     """Semismooth Newton on the dual h(theta), theta = (nu, mu); see the
     module docstring. With M = [F; -E], the gradient is
     (nu, 0) - M x - (0, b) and the generalized Hessian is
     diag(1_k, 0) + M_a diag(1/D_a) M_a' over the active columns (x > 0)."""
-    eq, bound, cols = rows
+    eq, bound, cols, E, Mt = prob._structure.dual
     F, D, q = prob.p_factor, prob.p_diag, prob.q
     k = F.shape[0]
-    E = prob.A[eq].toarray()
     b = prob.l[eq]
-    Mt = np.hstack([F.T, -E.T])  # M', one row per column of the program
     unit = np.concatenate([np.ones(k), np.zeros(eq.size)])
     c = np.concatenate([np.zeros(k), b])
     inv_d = 1.0 / D
@@ -509,9 +537,8 @@ def solve_qp(
             raise DimensionMismatchError("warm start dimensions do not match the program")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("warm start must be finite")
-    rows = _dual_rows(prob)
-    if rows is not None:
-        return _solve_dual(prob, rows, s, None if warm_start is None else (x, y))
+    if np.all(prob.p_diag > 0) and prob._structure.dual is not None:
+        return _solve_dual(prob, s, None if warm_start is None else (x, y))
     if warm_start is None:
         x = np.zeros(n)
         y = np.zeros(m)
@@ -520,7 +547,7 @@ def solve_qp(
 
     # Woodbury while the factor and the general rows have rank <= max(8, n // 2)
     lowrank = prob.P is None and (
-        prob.p_factor.shape[0] + np.count_nonzero(np.diff(prob.A.indptr) != 1) <= max(8, n // 2)
+        prob.p_factor.shape[0] + prob._structure.row_split[3].size <= max(8, n // 2)
     )
     kkt = (_LowRankKkt if lowrank else _DirectKkt)(prob, s.sigma)
     if warm_start is not None:

@@ -5,7 +5,6 @@ complete. The simulation-shape criterion runs the full default benchmark
 configuration and dominates the runtime.
 """
 
-import os
 import time
 
 import numpy as np
@@ -43,9 +42,6 @@ from sitetransport.qp import SOLVED
 
 from conftest import build_site
 from oracles import active_set_enumeration, projected_gradient_box
-
-THREADS = max(2, int(os.environ.get("SITETRANSPORT_THREADS", "2")))
-
 
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -215,7 +211,7 @@ def test_criterion_4_kernel_linear_agreement():
 def test_criterion_5_simulation_shape():
     start = time.time()
     config = SimConfig()  # J=12, reps=120, default grid and estimators
-    result = run_simulation(config, threads=THREADS)
+    result = run_simulation(config)
     elapsed = time.time() - start
 
     naive = result.row("naive")

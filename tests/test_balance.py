@@ -414,6 +414,42 @@ class TestProgramReuse:
         # effect side and prognostic side on the site, effect side on the target
         assert len(mapped) == 3 * len(sites)
 
+    @staticmethod
+    def _counting_structure(monkeypatch, name):
+        """The programs whose shared structure derived ``name``, one entry per
+        derivation."""
+        from sitetransport import qp
+
+        prop = qp._Structure.__dict__[name]
+        log = []
+
+        def counted(structure, real=prop.func):
+            log.append(structure)
+            return real(structure)
+
+        monkeypatch.setattr(prop, "func", counted)
+        return log
+
+    def test_kernel_sweep_certifies_convexity_once_per_site(self, sweep_inputs, monkeypatch):
+        sites, target, _ = sweep_inputs
+        certified = self._counting_structure(monkeypatch, "certificate")
+        rows = lambda_sweep(
+            sites, target, np.logspace(-2, 1, 4),
+            cate_kernel=KernelSpec("linear"), prognostic_kernel=KernelSpec("rbf"),
+        )
+        assert sum(r.n_failed for r in rows) == 0
+        assert len(certified) == len(sites)
+        assert all(s.P is not None for s in certified)
+
+    def test_linear_sweep_splits_rows_and_builds_dual_matrices_once_per_site(self, sweep_inputs, monkeypatch):
+        sites, target, fmap = sweep_inputs
+        splits = self._counting_structure(monkeypatch, "row_split")
+        duals = self._counting_structure(monkeypatch, "dual")
+        rows = lambda_sweep(sites, target, np.logspace(-3, 1, 4), cate_map=fmap, prognostic_map=fmap)
+        assert sum(r.n_failed for r in rows) == 0
+        assert len(splits) == len(duals) == len(sites)
+        assert all(s.dual is not None for s in duals)  # every solve took the dual path
+
     @pytest.mark.parametrize("mode", ["linear", "kernel"])
     def test_lambda_copies_match_fresh_problems(self, sweep_inputs, mode):
         sites, target, fmap = sweep_inputs
@@ -449,9 +485,8 @@ class TestProgramReuse:
 
         kprob = _kernel_problem(sites[0], target, 0.5)
         ka, kb = build_kernel_qp(kprob), build_kernel_qp(kprob.with_lam(2.0))
-        diff = kb.P - ka.P
-        np.testing.assert_allclose(np.diag(diff), 1.5 * 2.0 * _ridge(sites[0]), rtol=1e-12)
-        np.testing.assert_array_equal(diff - np.diag(np.diag(diff)), 0.0)
+        assert kb.P is ka.P and np.shares_memory(kb.q, ka.q)
+        np.testing.assert_allclose(kb.p_diag - ka.p_diag, 1.5 * 2.0 * _ridge(sites[0]), rtol=1e-12)
 
     @pytest.mark.parametrize("field", ["site", "target"])
     def test_replace_builds_a_fresh_program(self, sweep_inputs, rng, field):

@@ -180,6 +180,32 @@ class TestTransportCommand:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "nonsense" in record["message"]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("features: [1, 2]\n", "'features' must be a mapping"),
+            ("kernels: rbf\n", "'kernels' must be a mapping"),
+            ("estimators: naive\n", "'estimators' must be a list"),
+            ("n_boot: 1\n", "n_boot must be 0"),
+            ("n_boot: -3\n", "n_boot must be 0"),
+            ("features: {interactions: 3}\n", "invalid transport config"),
+            ("lambda: [1]\n", "invalid transport config"),
+        ],
+    )
+    def test_config_shape_errors_are_json(self, toy, tmp_path, capsys, text, message):
+        tmp, data, target = toy
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main(
+            ["transport", "--data", str(data), "--target", str(target),
+             "--config", str(cfg), "--out", str(tmp / "est.csv")]
+        )
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert message in record["message"]
+        assert not (tmp / "est.csv").exists()
+
     def test_effects_round_trip_into_heterogeneity(self, toy, capsys):
         tmp, data, target = toy
         out = tmp / "est.csv"
@@ -286,6 +312,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(t1), "--seed", "1"]) == 0
         assert main(["simulate", "--config", str(cfg), "--out", str(t2), "--seed", "1"]) == 0
         assert t1.read_bytes() == t2.read_bytes()
+
+    def test_scalar_where_a_list_belongs_is_a_json_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("sim:\n  estimators: naive\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ConfigError", "message": "sim setting 'estimators' must be a list"}
 
 
 class TestSweepCommand:

@@ -147,6 +147,16 @@ class TestOutcomeModel:
         b = outcome_model_estimate(site, target, identity_map(2), n_boot=50, seed=9)
         assert a.std_error == b.std_error > 0
 
+    @pytest.mark.parametrize("n_boot", [1, -1])
+    def test_bootstrap_size_without_a_standard_error_raises(self, rng, n_boot):
+        site = random_site(rng, n=26, d=2)
+        target = TargetSpec.from_sample(rng.normal(size=(12, 2)))
+        with pytest.raises(ValueError, match="n_boot"):
+            outcome_model_estimate(site, target, identity_map(2), n_boot=n_boot)
+        ratio = lambda X: np.ones(len(X))  # noqa: E731
+        with pytest.raises(ValueError, match="n_boot"):
+            doubly_robust_estimate(site, target, identity_map(2), ratio=ratio, n_boot=n_boot)
+
 
 class TestDensityRatio:
     def test_identical_samples_give_unit_ratio(self, rng):

@@ -106,6 +106,11 @@ class TestTransportAll:
         with pytest.raises(ConfigError):
             TransportConfig(estimators=("naive", "magic"))
 
+    @pytest.mark.parametrize("n_boot", [1, -1])
+    def test_bootstrap_size_without_a_standard_error_rejected(self, n_boot):
+        with pytest.raises(ConfigError, match="n_boot"):
+            TransportConfig(n_boot=n_boot)
+
 
 class TestDecomposeError:
     def test_noiseless_outcomes_have_zero_noise_term(self, rng):

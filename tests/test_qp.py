@@ -15,7 +15,7 @@ from sitetransport import (
     identity_map,
     solve_qp,
 )
-from sitetransport.errors import NonConvexError
+from sitetransport.errors import DimensionMismatchError, NonConvexError
 from sitetransport.qp import DUAL_INFEASIBLE, MAX_ITERATIONS, PRIMAL_INFEASIBLE, SOLVED
 
 from conftest import build_site, random_site
@@ -321,6 +321,62 @@ class TestConvexityCheck:
             else:
                 with pytest.raises(NonConvexError, match="eigenvalue below"):
                     qp._check_convexity(prob)
+
+
+class TestDiagonalTerm:
+    """P = base + diag(p_diag) for an explicit base as for a factored one."""
+
+    def test_explicit_base_with_p_diag_solves_like_their_sum(self, rng):
+        n = 8
+        M = rng.normal(size=(n - 3, n))
+        B, d, q = M.T @ M, rng.uniform(0.1, 1.0, n), rng.normal(size=n)
+        summed = simplex_program(B + np.diag(d), q)
+        split = QuadraticProgram(P=B, p_diag=d, q=q, A=summed.A, l=summed.l, u=summed.u)
+        settings = QpSettings(eps_abs=1e-9, eps_rel=1e-9)
+        a, b = solve_qp(split, settings), solve_qp(summed, settings)
+        assert a.status == b.status == SOLVED
+        np.testing.assert_allclose(a.x, b.x, rtol=0.0, atol=1e-7)
+        assert a.objective == pytest.approx(b.objective, rel=1e-8)
+
+    def test_with_p_diag_shares_all_but_the_diagonal(self, rng):
+        prob = QuadraticProgram(**lowrank_program(rng))
+        copy = prob.with_p_diag(np.full(prob.n, 2.0))
+        assert copy._structure is prob._structure
+        assert copy.p_factor is prob.p_factor and copy.q is prob.q and copy.A is prob.A
+        np.testing.assert_array_equal(prob.p_diag, 0.1)
+        np.testing.assert_array_equal(copy.p_diag, 2.0)
+        with pytest.raises(DimensionMismatchError):
+            prob.with_p_diag(np.ones(prob.n + 1))
+        bad = np.ones(prob.n)
+        bad[2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            prob.with_p_diag(bad)
+
+    def test_p_with_p_factor_rejected(self, rng):
+        data = lowrank_program(rng)
+        with pytest.raises(ValueError, match="not both"):
+            QuadraticProgram(P=np.eye(data["q"].size), **data)
+
+    def test_base_indefinite_beyond_its_tolerance_raises(self):
+        from sitetransport import qp
+
+        # tol_b = 1e-8 * trace base, about 2e-8; a positive p_diag does not
+        # excuse an indefinite base
+        for c, convex in [(0.5, True), (2.0, False)]:
+            base = np.diag([1.0, 1.0, -c * 2e-8])
+            prob = simplex_program(base, np.zeros(3)).with_p_diag(np.ones(3))
+            if convex:
+                qp._check_convexity(prob)
+            else:
+                with pytest.raises(NonConvexError, match="eigenvalue below"):
+                    qp._check_convexity(prob)
+
+    def test_significantly_negative_p_diag_raises(self, rng):
+        for prob in (simplex_program(np.eye(3), np.zeros(3)), QuadraticProgram(**lowrank_program(rng))):
+            d = np.ones(prob.n)
+            d[1] = -0.5
+            with pytest.raises(NonConvexError, match="p_diag"):
+                solve_qp(prob.with_p_diag(d))
 
 
 DUAL_LAMBDAS = [1e-8, 1e-4, 1.0, 1e6, 1e8]
