@@ -15,11 +15,18 @@ import numpy as np
 from .balance import kish_ess
 from .data import SiteDataset, TargetSpec
 from .errors import ConstraintViolationError, InsufficientArmError, SiteTransportError
-from .features import FeatureMap, apply_feature_map
+from .features import FeatureMap, apply_feature_map, identity_map
 from .regression import RegressionFit, fit_least_squares, fit_logistic
 
 RATIO_CLIP = (1e-6, 1e6)
 DEFAULT_BOOTSTRAP = 200
+# The normal equations square the condition number of a bootstrap fit; below
+# this squared Cholesky pivot of the unit-diagonal Gram matrix (a column with
+# 1 - R^2 < 1e-6 on the columns before it) the replicate is fitted by QR.
+_GRAM_PIVOT_TOL = 1e-6
+# Bounds one block of gathered bootstrap designs to 8 MB (or one replicate,
+# if that alone is larger), whatever n_boot is.
+_BLOCK_DOUBLES = 1 << 20
 
 WEIGHTING = "weighting"
 NAIVE = "naive"
@@ -108,6 +115,82 @@ def _arm_fits(design: np.ndarray, y: np.ndarray, idx1, idx0):
     return fit_least_squares(design[idx1], y[idx1]), fit_least_squares(design[idx0], y[idx0])
 
 
+def _well_conditioned(gram: np.ndarray) -> np.ndarray:
+    """For a stack of unit-diagonal Gram matrices, whether each has a
+    Cholesky factor whose squared pivots are all at least _GRAM_PIVOT_TOL.
+
+    A squared pivot is 1 - R^2 of that column on the columns before it."""
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:  # one failure fails the stack: test each alone
+        if len(gram) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_well_conditioned(g[None]) for g in gram])
+    return np.all(pivots**2 >= _GRAM_PIVOT_TOL, axis=1)
+
+
+def _replicate_fits(design: np.ndarray, y: np.ndarray, rows: np.ndarray, batched: bool):
+    """Least-squares coefficients on each resample ``rows[b]`` of one arm
+    (B x p), and whether each replicate's fit dropped collinear columns.
+
+    When ``batched``, every replicate's normal equations Xb'Xb beta = Xb'yb
+    are formed and solved at once, scaled to a unit-diagonal Gram matrix. A
+    replicate whose scaled Gram matrix is not certified by _well_conditioned,
+    and every replicate when not ``batched``, is fitted by the pivoted QR of
+    fit_least_squares instead.
+    """
+    beta = np.zeros((rows.shape[0], design.shape[1]))
+    dropped = np.zeros(rows.shape[0], dtype=bool)
+    qr = np.ones(rows.shape[0], dtype=bool)
+    if batched:
+        Xb = design[rows]
+        Xt = Xb.transpose(0, 2, 1)
+        gram, rhs = Xt @ Xb, (Xt @ y[rows][..., None])[..., 0]
+        scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+        ok = np.all(scale > 0.0, axis=1)  # a resample with an all-zero column goes to QR
+        gram, rhs, scale = gram[ok], rhs[ok], scale[ok]
+        gram /= scale[:, :, None] * scale[:, None, :]
+        good = _well_conditioned(gram)
+        ok[ok] = good
+        beta[ok] = np.linalg.solve(gram[good], (rhs[good] / scale[good])[..., None])[..., 0] / scale[good]
+        qr = ~ok
+    for b in np.flatnonzero(qr):
+        fit = fit_least_squares(design[rows[b]], y[rows[b]])
+        beta[b], dropped[b] = fit.coefficients, bool(fit.dropped)
+    return beta, dropped
+
+
+def _bootstrap_arm_fits(design, y, idx1, idx0, point_fits, n_boot: int, seed):
+    """The within-site, arm-stratified bootstrap of both arm fits, a block
+    of replicates at a time.
+
+    Each replicate draws its treated rows and then its control rows from
+    ``default_rng(seed)``, as a replicate-by-replicate loop would. Yields the
+    block's resampled rows per arm (B x n1, B x n0), each replicate's
+    coefficients per arm (B x p) and whether either arm's fit dropped
+    collinear columns. An arm whose point fit dropped columns is refit by
+    the pivoted QR in every replicate; otherwise see _replicate_fits.
+    """
+    rng = np.random.default_rng(seed)
+    block = max(1, _BLOCK_DOUBLES // design.size)
+    batched = [not fit.dropped for fit in point_fits]
+    for start in range(0, n_boot, block):
+        draws = [
+            (rng.choice(idx1, size=idx1.size), rng.choice(idx0, size=idx0.size))
+            for _ in range(min(block, n_boot - start))
+        ]
+        b1, b0 = (np.array(arm) for arm in zip(*draws))
+        beta1, dropped1 = _replicate_fits(design, y, b1, batched[0])
+        beta0, dropped0 = _replicate_fits(design, y, b0, batched[1])
+        yield b1, b0, beta1, beta0, dropped1 | dropped0
+
+
+def _replicates_dropped_note(n_dropped: int, n_boot: int) -> tuple[str, ...]:
+    if not n_dropped:
+        return ()
+    return (f"collinear columns dropped in {n_dropped} of {n_boot} bootstrap replicates",)
+
+
 def _check_bootstrap_size(n_boot: int) -> None:
     """A bootstrap standard error needs at least two replicates; 0 skips it."""
     if n_boot < 0 or n_boot == 1:
@@ -124,7 +207,10 @@ def outcome_model_estimate(
     """Per-arm least squares on the mapped features, averaged over the target.
 
     The standard error is an arm-stratified nonparametric bootstrap over the
-    site's units (skipped when ``n_boot`` is 0, leaving std_error at 0).
+    site's units (skipped when ``n_boot`` is 0, leaving std_error at 0). Its
+    replicates solve their normal equations as one batch and fall back to
+    the pivoted QR when ill-conditioned (see _replicate_fits); a note counts
+    the replicates whose QR fit dropped collinear columns.
     """
     if not target.is_sample:
         raise ValueError("outcome-model estimation requires a unit-level target sample")
@@ -150,15 +236,15 @@ def outcome_model_estimate(
 
     se = 0.0
     if n_boot > 0:
-        rng = np.random.default_rng(seed)
-        reps = np.empty(n_boot)
-        for b in range(n_boot):
-            b1, b0 = rng.choice(idx1, size=idx1.size), rng.choice(idx0, size=idx0.size)
-            f1, f0 = _arm_fits(site_design, site.outcomes, b1, b0)
-            reps[b] = np.mean(
-                f1.linear_predictor(target_design) - f0.linear_predictor(target_design)
-            )
-        se = float(np.std(reps, ddof=1))
+        target_mean = target_design.mean(axis=0)
+        reps, n_dropped = [], 0
+        for _, _, beta1, beta0, dropped in _bootstrap_arm_fits(
+            site_design, site.outcomes, idx1, idx0, (fit1, fit0), n_boot, seed
+        ):
+            reps.append((beta1 - beta0) @ target_mean)
+            n_dropped += int(dropped.sum())
+        se = float(np.std(np.concatenate(reps), ddof=1))
+        notes.extend(_replicates_dropped_note(n_dropped, n_boot))
 
     return TransportEstimate(
         estimate=estimate,
@@ -302,8 +388,9 @@ def doubly_robust_estimate(
     outcome models.
 
     When ``ratio`` is None the change of measure is fit from the site against
-    the target sample. The bootstrap refits both the outcome models and the
-    ratio in each replicate (target sample held fixed).
+    the target sample. The bootstrap refits both the outcome models, as the
+    outcome-model bootstrap does, and the ratio in each replicate (target
+    sample held fixed).
     """
     if not target.is_sample:
         raise ValueError("doubly robust estimation requires a unit-level target sample")
@@ -335,35 +422,35 @@ def doubly_robust_estimate(
     se = 0.0
     notes = ()
     if n_boot > 0:
-        rng = np.random.default_rng(seed)
-        reps = np.empty(n_boot)
+        # the ratio is refit on the mapped rows under the identity map, which
+        # gives the same ratios as mapping the raw covariates again
+        target_mean, target_phi, identity = target_design.mean(axis=0), target_design[:, 1:], identity_map(k)
+        reps = []
         y = site.outcomes
-        n_refit_failed = 0
-        for b in range(n_boot):
-            b1, b0 = rng.choice(idx1, size=idx1.size), rng.choice(idx0, size=idx0.size)
-            rows = np.concatenate([b1, b0])
-            zb = np.concatenate([np.ones(b1.size), np.zeros(b0.size)])
-            yb = y[rows]
-            designb = site_design[rows]
-            f1, f0 = _arm_fits(site_design, y, b1, b0)
-            try:
-                ratio_b = density_ratio_fit(site.covariates[rows], target.sample, feature_map)
-                rb = ratio_b(site.covariates[rows])
-            except SiteTransportError:
-                rb = r[rows]  # keep the replicate usable under resampled separation
-                n_refit_failed += 1
-            pi = site.propensity
-            aug1 = float(np.mean(rb * zb * (yb - f1.linear_predictor(designb)) / pi))
-            aug0 = float(np.mean(rb * (1 - zb) * (yb - f0.linear_predictor(designb)) / (1 - pi)))
-            reps[b] = (
-                aug1
-                + float(np.mean(f1.linear_predictor(target_design)))
-                - aug0
-                - float(np.mean(f0.linear_predictor(target_design)))
-            )
+        pi = site.propensity
+        n_refit_failed = n_dropped = 0
+        for b1s, b0s, beta1, beta0, dropped in _bootstrap_arm_fits(
+            site_design, y, idx1, idx0, (fit1, fit0), n_boot, seed
+        ):
+            n_dropped += int(dropped.sum())
+            for b1, b0, beta1_b, beta0_b in zip(b1s, b0s, beta1, beta0):
+                rows = np.concatenate([b1, b0])
+                zb = np.concatenate([np.ones(b1.size), np.zeros(b0.size)])
+                yb = y[rows]
+                designb = site_design[rows]
+                try:
+                    ratio_b = density_ratio_fit(designb[:, 1:], target_phi, identity)
+                    rb = ratio_b(designb[:, 1:])
+                except SiteTransportError:
+                    rb = r[rows]  # keep the replicate usable under resampled separation
+                    n_refit_failed += 1
+                aug1 = float(np.mean(rb * zb * (yb - designb @ beta1_b) / pi))
+                aug0 = float(np.mean(rb * (1 - zb) * (yb - designb @ beta0_b) / (1 - pi)))
+                reps.append(aug1 + float(target_mean @ beta1_b) - aug0 - float(target_mean @ beta0_b))
         se = float(np.std(reps, ddof=1))
+        notes = _replicates_dropped_note(n_dropped, n_boot)
         if n_refit_failed:
-            notes = (f"density-ratio refit failed in {n_refit_failed} of {n_boot} bootstrap replicates",)
+            notes += (f"density-ratio refit failed in {n_refit_failed} of {n_boot} bootstrap replicates",)
 
     z = site.treatment
     r1 = r[z == 1]

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balance import BalanceProblem, WeightSolution, solve_weights
+from .blas import single_threaded_blas
 from .data import PotentialOutcomeOracle, SiteDataset, TargetSpec
 from .errors import AllSitesFailedError, ConfigError, SiteTransportError
 from .estimators import (
@@ -170,7 +171,8 @@ def transport_all(
     ``target=None`` builds the overall-population target as the union of all
     sites' units (each site's own units included). Per-site failures are
     recorded without aborting; if every site fails on every requested
-    estimator, :class:`AllSitesFailedError` is raised.
+    estimator, :class:`AllSitesFailedError` is raised. The sites run under
+    :func:`~sitetransport.blas.single_threaded_blas`.
     """
     if not sites:
         raise ValueError("at least one site is required")
@@ -195,7 +197,8 @@ def transport_all(
         cate_map = fit_feature_map(spec, np.vstack(pooled))
         prognostic_map = cate_map
 
-    results = [_transport_site(s, target, config, cate_map, prognostic_map) for s in sites]
+    with single_threaded_blas():
+        results = [_transport_site(s, target, config, cate_map, prognostic_map) for s in sites]
 
     if all(not r.estimates for r in results):
         raise AllSitesFailedError("no estimator succeeded on any site")

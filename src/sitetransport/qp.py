@@ -255,11 +255,14 @@ class QpSolution:
     the gap certifies near-optimality only together with a small
     primal_residual; a tiny or negative gap alone does not.
     ADMM does not compute a gap and reports NaN.
+    ``method`` names the path that ran: "newton" (the dual Newton path) or
+    "admm".
     """
 
     x: np.ndarray
     y: np.ndarray
     status: str
+    method: str
     primal_residual: float
     dual_residual: float
     iterations: int
@@ -504,6 +507,7 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
         x=x,
         y=y,
         status=status,
+        method="newton",
         primal_residual=r_prim,
         dual_residual=r_dual,
         iterations=iteration,
@@ -633,6 +637,7 @@ def solve_qp(
         x=x,
         y=y,
         status=status,
+        method="admm",
         primal_residual=r_prim,
         dual_residual=r_dual,
         iterations=iteration,

@@ -82,3 +82,49 @@ def balance_objective(site, target_mean, gamma, lam, phi=None):
     control_term = (w * gamma) @ X / n
     ridge = lam * np.sum(gamma**2 * (z / pi + (1.0 - z) / (1.0 - pi)))
     return float(treated_term @ treated_term + control_term @ control_term + ridge)
+
+
+def bootstrap_loop(site, target, feature_map, n_boot, seed, doubly_robust=False):
+    """The arm-stratified bootstrap fitted replicate by replicate, each arm by
+    one pivoted QR, each replicate scored on the whole target design. Returns
+    the bootstrap SE and the number of replicates in which either arm's fit
+    dropped collinear columns. With ``doubly_robust`` the replicate also
+    refits the density ratio on the raw covariates (target held fixed)."""
+    from sitetransport.errors import SiteTransportError
+    from sitetransport.estimators import density_ratio_fit
+    from sitetransport.features import apply_feature_map
+    from sitetransport.regression import fit_least_squares
+
+    def design(X):
+        return np.column_stack([np.ones(len(X)), apply_feature_map(feature_map, X)])
+
+    site_design, target_design = design(site.covariates), design(target.sample)
+    y, pi = site.outcomes, site.propensity
+    idx1 = np.flatnonzero(site.treatment == 1)
+    idx0 = np.flatnonzero(site.treatment == 0)
+    if doubly_robust:
+        r = density_ratio_fit(site.covariates, target.sample, feature_map)(site.covariates)
+    rng = np.random.default_rng(seed)
+    reps, n_dropped = [], 0
+    for _ in range(n_boot):
+        b1, b0 = rng.choice(idx1, size=idx1.size), rng.choice(idx0, size=idx0.size)
+        f1 = fit_least_squares(site_design[b1], y[b1])
+        f0 = fit_least_squares(site_design[b0], y[b0])
+        n_dropped += bool(f1.dropped or f0.dropped)
+        m1 = target_design @ f1.coefficients
+        m0 = target_design @ f0.coefficients
+        if not doubly_robust:
+            reps.append(np.mean(m1 - m0))
+            continue
+        rows = np.concatenate([b1, b0])
+        zb = np.concatenate([np.ones(b1.size), np.zeros(b0.size)])
+        try:
+            rb = density_ratio_fit(site.covariates[rows], target.sample, feature_map)(site.covariates[rows])
+        except SiteTransportError:
+            rb = r[rows]
+        resid1 = y[rows] - site_design[rows] @ f1.coefficients
+        resid0 = y[rows] - site_design[rows] @ f0.coefficients
+        aug1 = np.mean(rb * zb * resid1 / pi) + np.mean(m1)
+        aug0 = np.mean(rb * (1 - zb) * resid0 / (1 - pi)) + np.mean(m0)
+        reps.append(aug1 - aug0)
+    return float(np.std(reps, ddof=1)), n_dropped

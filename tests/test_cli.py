@@ -368,6 +368,39 @@ class TestGoldenFile:
         assert rc == 0
         assert out.read_bytes() == expected.read_bytes()
 
+    def test_bootstrap_estimators_keep_their_values(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            "estimators: [naive, weighting, ipw, outcome_model, doubly_robust]\nn_boot: 20\nseed: 1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "est.csv"
+        rc = main(
+            ["transport", "--data", str(DATA_DIR / "golden_data.csv"), "--target",
+             str(DATA_DIR / "golden_target.csv"), "--config", str(config), "--out", str(out)]
+        )
+        assert rc == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            table = {row["site_id"]: row for row in csv.DictReader(fh)}
+        # the point estimates are the pivoted-QR fits, bit for bit
+        expected_estimates = {
+            ("alpha", "outcome_model"): 0.7531873105672509,
+            ("beta", "outcome_model"): 0.6412434180327565,
+            ("alpha", "doubly_robust"): 0.7047443293013478,
+            ("beta", "doubly_robust"): 0.6412930517317548,
+        }
+        # the bootstrap SEs of the replicate-by-replicate QR loop
+        expected_errors = {
+            ("alpha", "outcome_model"): 0.12038578314016656,
+            ("beta", "outcome_model"): 0.1534894867044599,
+            ("alpha", "doubly_robust"): 0.13413963847283236,
+            ("beta", "doubly_robust"): 0.15568632662704074,
+        }
+        for (site, method), value in expected_estimates.items():
+            assert float(table[site][f"{method}_estimate"]) == value
+        for (site, method), value in expected_errors.items():
+            assert float(table[site][f"{method}_std_error"]) == pytest.approx(value, rel=1e-10, abs=0.0)
+
 
 class TestCsvFloatFormat:
     def test_numpy_floats_read_back(self, tmp_path):

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from sitetransport import (
+    FeatureMap,
     TargetSpec,
     density_ratio_fit,
     doubly_robust_estimate,
+    fit_feature_map,
     identity_map,
     ipw_estimate,
     naive_estimate,
@@ -22,6 +24,7 @@ from sitetransport.estimators import _dr_point
 from sitetransport.regression import fit_least_squares, fit_logistic
 
 from conftest import build_site, random_site
+from oracles import bootstrap_loop
 
 
 class TestWeightingEstimate:
@@ -365,3 +368,123 @@ class TestLeastSquares:
         fit = fit_least_squares(X, y)
         assert fit.dropped == ()
         np.testing.assert_allclose(fit.coefficients, np.linalg.lstsq(X, y, rcond=None)[0], atol=1e-12)
+
+
+def _count_least_squares_calls(monkeypatch):
+    from sitetransport import estimators
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fit_least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "fit_least_squares", counted)
+    return calls
+
+
+class TestBatchedBootstrap:
+    """The bootstrap solves every replicate's normal equations at once and
+    must reproduce the replicate-by-replicate pivoted-QR loop."""
+
+    @staticmethod
+    def _site(rng, n1=17, n0=41, d=3):
+        X = rng.normal(0.2, 1.0, size=(n1 + n0, d))
+        z = np.r_[np.ones(n1), np.zeros(n0)]
+        y = X @ rng.normal(size=d) + z * (0.5 + 0.4 * X[:, 0]) + rng.normal(0, 0.5, n1 + n0)
+        return build_site(X, z, y), TargetSpec.from_sample(rng.normal(0.4, 1.0, size=(50, d)))
+
+    @pytest.mark.parametrize("n_boot", [2, 20])
+    @pytest.mark.parametrize("interactions", [(), ((0, 1), (1, 2))])
+    @pytest.mark.parametrize("estimator", [outcome_model_estimate, doubly_robust_estimate])
+    def test_standard_error_matches_the_qr_loop(self, rng, n_boot, interactions, estimator):
+        site, target = self._site(rng)
+        fmap = fit_feature_map(
+            FeatureMap(interactions=interactions), np.vstack([site.covariates, target.sample])
+        )
+        est = estimator(site, target, fmap, n_boot=n_boot, seed=3)
+        se, n_dropped = bootstrap_loop(
+            site, target, fmap, n_boot, seed=3, doubly_robust=estimator is doubly_robust_estimate
+        )
+        assert n_dropped == 0 and est.notes == ()
+        assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+
+    def test_blocks_of_replicates_draw_and_fit_as_one_batch(self, rng, monkeypatch):
+        from sitetransport import estimators
+
+        site, target = self._site(rng)
+        fmap = identity_map(3)
+        whole = outcome_model_estimate(site, target, fmap, n_boot=20, seed=4)
+        # three replicates per block: seven blocks, the last one of two
+        monkeypatch.setattr(estimators, "_BLOCK_DOUBLES", 3 * site.n * 4)
+        blocked = outcome_model_estimate(site, target, fmap, n_boot=20, seed=4)
+        se, _ = bootstrap_loop(site, target, fmap, 20, seed=4)
+        assert blocked.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+        assert blocked.std_error == pytest.approx(whole.std_error, rel=1e-14, abs=0.0)
+
+    def test_full_rank_replicates_take_no_qr(self, rng, monkeypatch):
+        site, target = self._site(rng)
+        calls = _count_least_squares_calls(monkeypatch)
+        outcome_model_estimate(site, target, identity_map(3), n_boot=20, seed=0)
+        assert len(calls) == 2  # the two point fits
+
+    @pytest.mark.parametrize("estimator", [outcome_model_estimate, doubly_robust_estimate])
+    def test_arm_whose_point_fit_dropped_a_column_is_refit_by_qr(self, rng, monkeypatch, estimator):
+        site, target = self._site(rng, d=2)
+        X = np.column_stack([site.covariates, site.covariates[:, 0]])  # duplicate column
+        site = build_site(X, site.treatment, site.outcomes)
+        target = TargetSpec.from_sample(np.column_stack([target.sample, target.sample[:, 0]]))
+        fmap = identity_map(3)
+        # a unit density ratio, for the estimator and the loop alike
+        unit_ratio = lambda X_: np.ones(len(X_))  # noqa: E731
+        monkeypatch.setattr("sitetransport.estimators.density_ratio_fit", lambda *a: unit_ratio)
+        calls = _count_least_squares_calls(monkeypatch)
+        est = estimator(site, target, fmap, n_boot=6, seed=2)
+        assert len(calls) == 2 + 2 * 6
+        assert "collinear columns dropped in 6 of 6 bootstrap replicates" in est.notes
+        se, n_dropped = bootstrap_loop(
+            site, target, fmap, 6, seed=2, doubly_robust=estimator is doubly_robust_estimate
+        )
+        assert n_dropped == 6
+        assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+
+    def test_ill_conditioned_replicates_are_refit_by_qr_without_a_note(self, rng, monkeypatch):
+        site, target = self._site(rng, d=2)
+        # 1 - R^2 of this column on the intercept is about 1e-10: full rank for
+        # the QR, too ill-conditioned for the normal equations
+        X = np.column_stack([site.covariates, 1.0 + 1e-5 * rng.normal(size=site.n)])
+        site = build_site(X, site.treatment, site.outcomes)
+        target = TargetSpec.from_sample(np.column_stack([target.sample, np.ones(len(target.sample))]))
+        fmap = identity_map(3)
+        calls = _count_least_squares_calls(monkeypatch)
+        est = outcome_model_estimate(site, target, fmap, n_boot=5, seed=1)
+        se, n_dropped = bootstrap_loop(site, target, fmap, 5, seed=1)
+        assert n_dropped == 0 and est.notes == ()
+        assert len(calls) == 2 + 2 * 5
+        # coefficients near 1e5 cancel in the score, so the two ways of
+        # scoring (mean target design, or mean of predictions) part at 1e-11
+        assert est.std_error == pytest.approx(se, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("rare_level", [1.0, 0.0], ids=["zero-column", "intercept-column"])
+    @pytest.mark.parametrize("estimator", [outcome_model_estimate, doubly_robust_estimate])
+    def test_singular_resamples_of_a_rare_binary_covariate_fall_back(
+        self, rng, monkeypatch, estimator, rare_level
+    ):
+        site, target = self._site(rng, n1=30, n0=30, d=2)
+        # two control units hold the rare level: a control resample misses both 1 time in 8,
+        # which leaves the column all zeros or equal to the intercept
+        rare = np.full(site.n, 1.0 - rare_level)
+        rare[[0, 3, 9, 14, 33, 50]] = rare_level
+        X = np.column_stack([site.covariates, rare])
+        site = build_site(X, site.treatment, site.outcomes + rare)
+        target = TargetSpec.from_sample(np.column_stack([target.sample, np.arange(50) % 7 == 0]))
+        fmap = identity_map(3)
+        calls = _count_least_squares_calls(monkeypatch)
+        est = estimator(site, target, fmap, n_boot=40, seed=5)
+        se, n_dropped = bootstrap_loop(
+            site, target, fmap, 40, seed=5, doubly_robust=estimator is doubly_robust_estimate
+        )
+        assert 0 < n_dropped < 40
+        assert len(calls) == 2 + n_dropped  # each singular resample once, by QR
+        assert f"collinear columns dropped in {n_dropped} of 40 bootstrap replicates" in est.notes
+        assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)

@@ -423,6 +423,22 @@ def dual_cases():
         yield pytest.param(one_dim_program(lam), id=f"one-dim-{lam:g}")
 
 
+class TestSolutionMethod:
+    @pytest.mark.parametrize(
+        "make, method",
+        [
+            (lambda rng: QuadraticProgram(**balancing_program(rng, 0.1)), "newton"),
+            (lambda rng: QuadraticProgram(**balancing_program(rng, 0.0)), "admm"),
+            (kernel_balancing_program, "admm"),
+        ],
+        ids=["linear", "linear-lambda-0", "kernel"],
+    )
+    def test_solution_names_the_path_that_ran(self, rng, make, method):
+        sol = solve_qp(make(rng))
+        assert sol.status == SOLVED
+        assert sol.method == method
+
+
 class TestDualPath:
     @pytest.mark.parametrize("data", list(dual_cases()))
     def test_certified_optimum(self, data):
