@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec
 from .errors import (
     AllZeroWeightsError,
@@ -30,6 +31,9 @@ from .qp import SOLVED, QpSettings, QpSolution, QuadraticProgram, solve_qp
 # Weight solutions flag sites whose effective sample size drops below this
 # share of the site size.
 LOW_ESS_SHARE = 0.1
+# The target Gram's mean is summed over row blocks of at most this many
+# entries (8 MB), not over the whole m x m Gram.
+_GRAM_BLOCK_DOUBLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -169,24 +173,33 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
         base = QuadraticProgram(q=-2.0 * (B_cate @ t), p_factor=p_factor, **constraints)
         return _SiteProgram(a_cate, a_prog, reg, base, phi_cate=phi_cate, phi_prog=phi_prog, t=t)
 
-    target = prob.target.sample
-    pooled = np.vstack([X, target])
-    k_cate = resolve_kernel(prob.cate_kernel, pooled)
-    k_prog = resolve_kernel(prob.prognostic_kernel, pooled)
-    K_cate = kernel_matrix(k_cate, X)
-    K_prog = kernel_matrix(k_prog, X)
-    P = 2.0 * (
-        (a_cate[:, None] * K_cate) * a_cate[None, :]
-        + (a_prog[:, None] * K_prog) * a_prog[None, :]
-    )
-    kernel_mean = kernel_matrix(k_cate, X, target).mean(axis=1)  # of the n x m cross Gram
-    m = target.shape[0]
-    base = QuadraticProgram(P=0.5 * (P + P.T), q=-2.0 * a_cate * kernel_mean, **constraints)
-    return _SiteProgram(
-        a_cate, a_prog, reg, base, K_cate=K_cate, K_prog=K_prog, kernel_mean=kernel_mean,
-        # only the mean of the m x m target Gram is kept
-        target_block=float(kernel_matrix(k_cate, target).sum()) / (m * m),
-    )
+    # one BLAS thread, as for the solves of the explicit P built here
+    with single_threaded_blas():
+        target = prob.target.sample
+        pooled = np.vstack([X, target])
+        k_cate = resolve_kernel(prob.cate_kernel, pooled)
+        k_prog = resolve_kernel(prob.prognostic_kernel, pooled)
+        K_cate = kernel_matrix(k_cate, X)
+        K_prog = kernel_matrix(k_prog, X)
+        P = 2.0 * (
+            (a_cate[:, None] * K_cate) * a_cate[None, :]
+            + (a_prog[:, None] * K_prog) * a_prog[None, :]
+        )
+        kernel_mean = kernel_matrix(k_cate, X, target).mean(axis=1)  # of the n x m cross Gram
+        base = QuadraticProgram(P=0.5 * (P + P.T), q=-2.0 * a_cate * kernel_mean, **constraints)
+        return _SiteProgram(
+            a_cate, a_prog, reg, base, K_cate=K_cate, K_prog=K_prog, kernel_mean=kernel_mean,
+            target_block=_gram_mean(k_cate, target),
+        )
+
+
+def _gram_mean(spec: KernelSpec, Y: np.ndarray) -> float:
+    """Mean of the Gram matrix k(Y_i, Y_j), summed in row blocks of at most
+    ``_GRAM_BLOCK_DOUBLES`` entries so the m x m matrix is never held."""
+    m = Y.shape[0]
+    rows = max(1, _GRAM_BLOCK_DOUBLES // m)
+    total = sum(float(kernel_matrix(spec, Y[i : i + rows], Y).sum()) for i in range(0, m, rows))
+    return total / (m * m)
 
 
 def build_linear_qp(prob: BalanceProblem) -> QuadraticProgram:

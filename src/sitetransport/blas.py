@@ -9,6 +9,15 @@ its time varies widely from one run to the next. :func:`single_threaded_blas`
 runs such a loop with both bundled builds capped at one thread, which also
 makes its results independent of the machine's core count. Where neither
 package bundles an OpenBLAS (builds against another BLAS) it does nothing.
+
+Callers:
+
+* ``multisite.transport_all``, around its per-site loop;
+* ``qp.solve_qp``, around every solve of a program with an explicit P;
+* ``balance._site_program``, around the kernel-mode Grams and bandwidths.
+
+The dual Newton path of linear mode stays threaded: its (k + 2)-column
+Hessian products use both cores of a two-core machine.
 """
 
 from __future__ import annotations

@@ -283,8 +283,7 @@ def _cmd_weights(args) -> int:
         print(f"site {res.site_id}: lambda={ws.lam:g} ess={ws.ess:.2f}")
         print(f"  treated-vs-target imbalance:  {ws.cate_imbalance:.6g}")
         print(f"  treated-vs-control imbalance: {ws.prognostic_imbalance:.6g}")
-        gap = ws.solver.duality_gap
-        gap_text = "n/a (ADMM)" if np.isnan(gap) else f"{gap:.3g}"
+        gap_text = "n/a (ADMM)" if ws.solver.method == "admm" else f"{ws.solver.duality_gap:.3g}"
         print(f"  solver: {ws.solver.status} in {ws.solver.iterations} iterations, duality gap {gap_text}")
         for note in ws.notes:
             print(f"  note: {note}")

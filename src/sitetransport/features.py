@@ -215,7 +215,7 @@ def resolve_bandwidth(sample: np.ndarray | Sequence[Sequence[float]]) -> float:
     dists = pdist(X)
     if not np.any(dists > 0):
         raise AllPointsIdenticalError("all points identical; median distance is zero")
-    med = float(np.median(dists))
+    med = float(np.median(dists, overwrite_input=True))  # reorders dists in place
     if med == 0.0:
         med = float(np.median(dists[dists > 0]))
     return med

@@ -1,28 +1,43 @@
 """Convex QP solver: minimize 1/2 x'Px + q'x subject to l <= Ax <= u.
 
-``solve_qp`` takes one of two paths, chosen from the program alone.
+``solve_qp`` takes one of three paths, chosen from the program alone. Two of
+them need the balancing shape: equality rows Ex = b, one ``0 <= x_i < inf``
+row per column, and P = base + diag(D) with every D > 0 (a balancing program
+at lambda > 0).
 
-* **Dual Newton.** A program with a factored quadratic term
-  P = F'F + diag(D), every D > 0, equality rows Ex = b and one
-  ``0 <= x_i < inf`` row per column (the linear balancing program at
-  lambda > 0) is solved on its exact dual in theta = (nu, mu), one entry per
-  row of F and of E. With s = q + F'nu - E'mu and x = max(0, -s)/D, the dual
-  minimizes h = 1/2 |nu|^2 + 1/2 sum D x^2 - b'mu, a convex piecewise
-  quadratic; a semismooth Newton step with an Armijo backtrack takes a few
-  steps, each one factorization of a (k + rows) square matrix. The duality
-  gap objective(x) + h certifies the result.
-* **ADMM** for every other program (an explicit P, a zero in D, inequality
-  rows): an operator-splitting iteration with over-relaxation,
+* **Dual Newton.** When the base is factored, P = F'F + diag(D) (linear
+  mode), the program is solved on its exact dual in theta = (nu, mu), one
+  entry per row of F and of E. With s = q + F'nu - E'mu and
+  x = max(0, -s)/D, the dual minimizes h = 1/2 |nu|^2 + 1/2 sum D x^2 - b'mu,
+  a convex piecewise quadratic; a semismooth Newton step with an Armijo
+  backtrack takes a few steps, each one factorization of a (k + rows) square
+  matrix. The duality gap objective(x) + h certifies the result.
+* **Primal-dual active set.** When the base is an explicit matrix (kernel
+  mode), the program is solved by the primal-dual active-set method, a
+  semismooth Newton method on the KKT conditions (Hintermueller, Ito &
+  Kunisch 2002). Each step fixes x = 0 off a free set F, solves the
+  equality-constrained program on F by one Cholesky factorization of P_FF
+  and a Schur solve for the multipliers mu of E, sets the bound multipliers
+  s = P x + q - E'mu and takes the next free set {x - s > 0}. It stops when
+  the free set repeats, at an exact KKT point, like OSQP's solution polish
+  (Stellato et al. 2020). If the free set keeps changing for
+  ``_ACTIVE_SET_MAX_STEPS`` steps, a factorization fails or the result
+  misses the residual test, the program goes to ADMM.
+* **ADMM** for every other program (a zero in D, inequality rows, general
+  constraints): an operator-splitting iteration with over-relaxation,
   residual-balancing step-size adaptation, and divergence certificates for
   primal/dual infeasibility. Each iteration solves the reduced KKT system
-  (P + sigma I + A' diag(rho) A) x = sigma x - q + A'(rho z - y) of OSQP
-  (Stellato et al. 2020): through a diagonal-plus-low-rank (Woodbury)
-  factorization when P is factored and of low rank, otherwise through a
-  dense Cholesky factorization.
+  (P + sigma I + A' diag(rho) A) x = sigma x - q + A'(rho z - y) of OSQP:
+  through a diagonal-plus-low-rank (Woodbury) factorization when P is
+  factored and of low rank, otherwise through a dense Cholesky
+  factorization.
 
-Both paths return multipliers in one sign convention (P x + q + A'y = 0 at
-the optimum) and stop on the same eps_abs/eps_rel residual test, so either
-can warm-start the other.
+All paths return multipliers in one sign convention (P x + q + A'y = 0 at
+the optimum) and stop on the same eps_abs/eps_rel residual test, so each can
+warm-start the others. A program with an explicit P is solved with the BLAS
+capped at one thread (:func:`~sitetransport.blas.single_threaded_blas`): on
+a two-core machine its dense factorizations and products at n = 500 ran
+faster on one thread than on two.
 
 P is an explicit or factored base plus diag(p_diag). As in OSQP's vector
 updates, what the solver derives from the rest (see ``_Structure``) is
@@ -31,6 +46,7 @@ computed once per program and shared by its ``with_p_diag`` copies.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,6 +55,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from .blas import single_threaded_blas
 from .errors import DimensionMismatchError, NonConvexError
 
 SOLVED = "solved"
@@ -59,6 +76,8 @@ _MAX_BACKTRACKS = 60
 _ADAPT_INTERVAL = 25
 _EARLY_CHECKS = 8
 _CHECK_INTERVAL = 5
+# free-set changes the active-set path may take before handing over to ADMM
+_ACTIVE_SET_MAX_STEPS = 50
 
 
 def _diagonal(d, n: int) -> np.ndarray:
@@ -111,14 +130,17 @@ class _Structure:
         return single, A.indices[first], A.data[first], general, A_general, A_general.T.copy()
 
     @cached_property
-    def dual(self) -> tuple[np.ndarray, ...] | None:
-        """The dual Newton path's ``(eq, bound, cols, E, Mt)``, or None when
-        the program is not of its shape: ``bound[j]`` is the ``0 <= x < inf``
-        row of column ``cols[j]``, ``eq`` the rows l == u, E = A[eq] and
-        Mt = [F', -E'], one row per column of the program."""
-        if self.P is not None:
-            return None
-        l, u, n = self.l, self.u, self.F.shape[1]
+    def AT(self) -> sp.spmatrix:
+        """A' as scipy transposes it (CSC), for the infeasibility test."""
+        return self.A.T
+
+    @cached_property
+    def balancing(self) -> tuple[np.ndarray, ...] | None:
+        """``(eq, bound, cols, E)`` of a program of the balancing shape, or
+        None: ``bound[j]`` is the ``0 <= x < inf`` row of column ``cols[j]``
+        (one per column), ``eq`` the other rows, all l == u and finite, and
+        E = A[eq]."""
+        l, u, n = self.l, self.u, self.A.shape[1]
         single, single_cols, single_vals = self.row_split[:3]
         keep = (single_vals == 1.0) & (l[single] == 0.0) & (u[single] == np.inf)
         bound, cols = single[keep], single_cols[keep]
@@ -127,7 +149,16 @@ class _Structure:
         eq = np.setdiff1d(np.arange(l.size), bound)
         if not (np.all(l[eq] == u[eq]) and np.isfinite(l[eq]).all()):
             return None
-        E = self.A[eq].toarray()
+        return eq, bound, cols, self.A[eq].toarray()
+
+    @cached_property
+    def dual(self) -> tuple[np.ndarray, ...] | None:
+        """The dual Newton path's ``(eq, bound, cols, E, Mt)`` with
+        Mt = [F', -E'], one row per column of the program, or None when the
+        base is explicit or the program is not of the balancing shape."""
+        if self.P is not None or self.balancing is None:
+            return None
+        eq, bound, cols, E = self.balancing
         return eq, bound, cols, E, np.hstack([self.F.T, -E.T])
 
 
@@ -227,10 +258,11 @@ class QuadraticProgram:
 class QpSettings:
     """Stopping and step settings.
 
-    Both paths stop when the primal and dual residuals fall below
-    ``eps_abs + eps_rel * scale``, give up after ``max_iter`` iterations
-    (Newton steps on the dual path) and report infeasibility on
-    ``eps_infeas``. ``rho`` (the initial ADMM step size, adapted by residual
+    Every path stops when the primal and dual residuals fall below
+    ``eps_abs + eps_rel * scale``. ADMM and the dual Newton path give up
+    after ``max_iter`` iterations (Newton steps on the dual path) and report
+    infeasibility on ``eps_infeas``; the active-set path hands over to ADMM
+    instead. ``rho`` (the initial ADMM step size, adapted by residual
     balancing), ``sigma`` (the proximal term) and ``alpha`` (over-relaxation)
     are ADMM's alone.
     """
@@ -254,9 +286,14 @@ class QpSolution:
     -|mu|_1 * primal_residual. x meets E x = b only to primal_residual, so
     the gap certifies near-optimality only together with a small
     primal_residual; a tiny or negative gap alone does not.
+    On the active-set path it is x's+ + mu'(E x - b) with
+    s = P x + q - E'mu: objective(x) minus the Lagrangian dual at
+    (mu, s+), an upper bound on objective(x) minus the optimum whenever
+    s >= 0, i.e. when dual_residual is zero.
     ADMM does not compute a gap and reports NaN.
-    ``method`` names the path that ran: "newton" (the dual Newton path) or
-    "admm".
+    ``method`` names the path that ran: "newton" (the dual Newton path),
+    "active_set" (the primal-dual active-set path) or "admm", also when
+    the active-set path handed the program over to ADMM.
     """
 
     x: np.ndarray
@@ -378,6 +415,16 @@ def _build_rho(prob: QuadraticProgram, rho_scalar: float) -> np.ndarray:
     return rho
 
 
+def _residuals(prob, Ax, z, Px, Aty, q_norm) -> tuple[float, float, float, float]:
+    """Primal and dual residuals |Ax - z|, |Px + q + A'y| (max norms) and
+    their scales, as ADMM and the active-set path test them."""
+    r_prim = float(np.abs(Ax - z).max(initial=0.0))
+    r_dual = float(np.abs(Px + prob.q + Aty).max(initial=0.0))
+    scale_p = max(float(np.abs(Ax).max(initial=0.0)), float(np.abs(z).max(initial=0.0)))
+    scale_d = max(float(np.abs(Px).max(initial=0.0)), float(np.abs(Aty).max(initial=0.0)), q_norm)
+    return r_prim, r_dual, scale_p, scale_d
+
+
 def _primal_infeasible(prob, at_matvec, dy, eps):
     scale = float(np.abs(dy).max(initial=0.0))
     if scale <= 0:
@@ -415,6 +462,7 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     (nu, 0) - M x - (0, b) and the generalized Hessian is
     diag(1_k, 0) + M_a diag(1/D_a) M_a' over the active columns (x > 0)."""
     eq, bound, cols, E, Mt = prob._structure.dual
+    AT = prob._structure.AT
     F, D, q = prob.p_factor, prob.p_diag, prob.q
     k = F.shape[0]
     b = prob.l[eq]
@@ -461,7 +509,7 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
         if r_prim <= s.eps_abs + s.eps_rel * scale_p and r_dual <= s.eps_abs + s.eps_rel * scale_d:
             status = SOLVED
             break
-        if y_prev is not None and _primal_infeasible(prob, lambda v: prob.A.T @ v, y - y_prev, s.eps_infeas):
+        if y_prev is not None and _primal_infeasible(prob, lambda v: AT @ v, y - y_prev, s.eps_infeas):
             status = PRIMAL_INFEASIBLE
             break
         if iteration == s.max_iter:
@@ -516,6 +564,84 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     )
 
 
+def _covers_rows(E: np.ndarray, free: np.ndarray) -> bool:
+    """Whether every row of E has a nonzero entry in a free column, which
+    E_F x_F = b needs for a solution (and the Schur matrix for a factor)."""
+    return bool(free.any() and (E[:, free] != 0.0).any(axis=1).all())
+
+
+def _solve_active_set(prob, s: QpSettings, warm_start) -> QpSolution | None:
+    """The primal-dual active-set path (see the module docstring), or None
+    to hand the program to ADMM. A warm start (x0, y0) gives the first free
+    set {x0 - s0 > 0} with s0 = -y0 on the bound rows, unless that set
+    leaves a row of E without a free column; otherwise every column starts
+    free."""
+    eq, bound, cols, E = prob._structure.balancing
+    if eq.size == 0:  # x >= 0 alone: no multipliers for the Schur step to fix
+        return None
+    P, d, q, b = prob.P, prob.p_diag, prob.q, prob.l[eq]
+    n = prob.n
+    free = np.ones(n, dtype=bool)
+    if warm_start is not None:
+        s0 = np.empty(n)
+        s0[cols] = -warm_start[1][bound]
+        warm_free = warm_start[0] - s0 > 0.0
+        if _covers_rows(E, warm_free):
+            free = warm_free
+    for step in range(1, _ACTIVE_SET_MAX_STEPS + 1):
+        if not _covers_rows(E, free):  # an arm without free units
+            return None
+        idx = np.flatnonzero(free)
+        # P_FF is symmetric, so its transpose is P_FF in Fortran order,
+        # which LAPACK factors in place
+        H = P[np.ix_(idx, idx)].T
+        H[np.diag_indices_from(H)] += d[idx]
+        chol, info = dpotrf(H, lower=1, overwrite_a=1)
+        if info:
+            return None
+        E_f = E[:, idx]
+        # x_F = H^-1 (E_F'mu - q_F), and E_F x_F = b fixes mu
+        solved = dpotrs(chol, np.column_stack([E_f.T, q[idx]]), lower=1)[0]
+        h_e, h_q = solved[:, :-1], solved[:, -1]
+        schur, info = dpotrf(E_f @ h_e, lower=1)
+        if info:  # rows of E_F linearly dependent
+            return None
+        mu = dpotrs(schur, b + E_f @ h_q, lower=1)[0]
+        x = np.zeros(n)
+        x[idx] = h_e @ mu - h_q
+        px = prob.p_matvec(x)
+        sv = px + q - E.T @ mu
+        next_free = x - sv > 0.0
+        if np.array_equal(next_free, free):
+            break
+        free = next_free
+    else:
+        return None
+
+    bound_y = np.maximum(sv, 0.0)
+    y = np.empty(prob.m)
+    y[eq] = -mu
+    y[bound] = -bound_y[cols]
+    Ax = prob.A @ x
+    r_prim, r_dual, scale_p, scale_d = _residuals(
+        prob, Ax, np.clip(Ax, prob.l, prob.u), px, prob._structure.AT @ y,
+        float(np.abs(q).max(initial=0.0)),
+    )
+    if r_prim > s.eps_abs + s.eps_rel * scale_p or r_dual > s.eps_abs + s.eps_rel * scale_d:
+        return None
+    return QpSolution(
+        x=x,
+        y=y,
+        status=SOLVED,
+        method="active_set",
+        primal_residual=r_prim,
+        dual_residual=r_dual,
+        iterations=step,
+        objective=prob.objective(x),
+        duality_gap=float(x @ bound_y) + float(mu @ (E @ x - b)),
+    )
+
+
 def solve_qp(
     prob: QuadraticProgram,
     settings: QpSettings | None = None,
@@ -523,14 +649,20 @@ def solve_qp(
 ) -> QpSolution:
     """Solve the QP; deterministic given the inputs and settings.
 
-    The path (dual Newton or ADMM, see the module docstring) follows from the
-    program's shape. ``warm_start`` is an (x0, y0) pair, typically a previous
-    solution for a nearby problem, from either path. On ``solved`` the
-    returned residuals satisfy the eps_abs/eps_rel termination bounds; on
-    ``max_iterations`` ADMM returns the iterate with the smallest combined
-    normalized residual and Newton its last (lowest-h) iterate.
+    The path (dual Newton, active set or ADMM, see the module docstring)
+    follows from the program's shape. ``warm_start`` is an (x0, y0) pair,
+    typically a previous solution for a nearby problem, from any path. On
+    ``solved`` the returned residuals satisfy the eps_abs/eps_rel
+    termination bounds; on ``max_iterations`` ADMM returns the iterate with
+    the smallest combined normalized residual and Newton its last
+    (lowest-h) iterate. The active-set path ends solved or hands over to
+    ADMM; ``max_iter`` does not bound its steps.
     """
-    s = settings or QpSettings()
+    with single_threaded_blas() if prob.P is not None else nullcontext():
+        return _solve(prob, settings or QpSettings(), warm_start)
+
+
+def _solve(prob: QuadraticProgram, s: QpSettings, warm_start) -> QpSolution:
     _check_convexity(prob)
     n, m = prob.n, prob.m
 
@@ -541,8 +673,14 @@ def solve_qp(
             raise DimensionMismatchError("warm start dimensions do not match the program")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("warm start must be finite")
-    if np.all(prob.p_diag > 0) and prob._structure.dual is not None:
-        return _solve_dual(prob, s, None if warm_start is None else (x, y))
+    if np.all(prob.p_diag > 0):
+        start = None if warm_start is None else (x, y)
+        if prob._structure.dual is not None:
+            return _solve_dual(prob, s, start)
+        if prob.P is not None and prob._structure.balancing is not None:
+            sol = _solve_active_set(prob, s, start)
+            if sol is not None:
+                return sol
     if warm_start is None:
         x = np.zeros(n)
         y = np.zeros(m)
@@ -589,12 +727,9 @@ def solve_qp(
         if not check:
             continue
 
-        Px = prob.p_matvec(x)
-        Aty = kkt.at_matvec(y)
-        r_prim = float(np.abs(Ax - z).max(initial=0.0))
-        r_dual = float(np.abs(Px + prob.q + Aty).max(initial=0.0))
-        scale_p = max(float(np.abs(Ax).max(initial=0.0)), float(np.abs(z).max(initial=0.0)))
-        scale_d = max(float(np.abs(Px).max(initial=0.0)), float(np.abs(Aty).max(initial=0.0)), q_norm)
+        r_prim, r_dual, scale_p, scale_d = _residuals(
+            prob, Ax, z, prob.p_matvec(x), kkt.at_matvec(y), q_norm
+        )
 
         if r_prim <= s.eps_abs + s.eps_rel * scale_p and r_dual <= s.eps_abs + s.eps_rel * scale_d:
             status = SOLVED

@@ -13,6 +13,7 @@ from sitetransport import (
     FeatureMap,
     identity_map,
     imbalance_report,
+    kernel_matrix,
     kish_ess,
     lambda_sweep,
     solve_weights,
@@ -398,7 +399,8 @@ class TestProgramReuse:
             cate_kernel=KernelSpec("linear"), prognostic_kernel=KernelSpec("rbf"),
         )
         assert sum(r.n_failed for r in rows) == 0
-        target_grams = [a for a in grams if len(a) == 2 and a[1] is target.sample]
+        # the target Gram's rows, in one block at this target size
+        target_grams = [a for a in grams if np.shares_memory(a[1], target.sample)]
         assert len(bandwidths) == len(sites)
         assert len(target_grams) == len(sites)
         assert len(grams) == 4 * len(sites)
@@ -487,6 +489,21 @@ class TestProgramReuse:
         ka, kb = build_kernel_qp(kprob), build_kernel_qp(kprob.with_lam(2.0))
         assert kb.P is ka.P and np.shares_memory(kb.q, ka.q)
         np.testing.assert_allclose(kb.p_diag - ka.p_diag, 1.5 * 2.0 * _ridge(sites[0]), rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    @pytest.mark.parametrize("block", [None, 7 * 45])
+    def test_target_gram_mean_summed_in_blocks(self, sweep_inputs, rng, monkeypatch, kind, block):
+        from sitetransport import balance
+
+        sites, _, _ = sweep_inputs
+        target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(1100 if block is None else 45, 2)))
+        if block is not None:  # blocks of 7 rows
+            monkeypatch.setattr(balance, "_GRAM_BLOCK_DOUBLES", block)
+        spec = KernelSpec(kind, None if kind == "linear" else 0.8)
+        kernels = dict(cate_kernel=spec, prognostic_kernel=KernelSpec("linear"))
+        program = BalanceProblem(site=sites[0], target=target, lam=0.1, **kernels)._program
+        full = kernel_matrix(spec, target.sample).mean()
+        assert program.target_block == pytest.approx(full, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("field", ["site", "target"])
     def test_replace_builds_a_fresh_program(self, sweep_inputs, rng, field):

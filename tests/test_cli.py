@@ -111,10 +111,14 @@ class TestWeightsCommand:
 
     def test_solver_line_reports_the_duality_gap(self, toy, capsys):
         tmp, data, target = toy
-        for lam, dual in (("0.1", True), ("0", False)):
+        cfg = tmp / "kernels.yaml"
+        cfg.write_text("kernels:\n  cate: linear\n  prognostic: rbf\n", encoding="utf-8")
+        # linear mode at lambda > 0 runs dual Newton, kernel mode the active
+        # set, and linear mode at lambda = 0 ADMM
+        for lam, mode, dual in (("0.1", "linear", True), ("0.1", "kernel", True), ("0", "linear", False)):
             rc = main(
-                ["weights", "--data", str(data), "--target", str(target),
-                 "--lambda", lam, "--out", str(tmp / "w.csv")]
+                ["weights", "--data", str(data), "--target", str(target), "--mode", mode,
+                 "--config", str(cfg), "--lambda", lam, "--out", str(tmp / "w.csv")]
             )
             assert rc == 0
             lines = [ln for ln in capsys.readouterr().out.splitlines() if "solver:" in ln]

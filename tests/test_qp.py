@@ -327,6 +327,8 @@ class TestDiagonalTerm:
     """P = base + diag(p_diag) for an explicit base as for a factored one."""
 
     def test_explicit_base_with_p_diag_solves_like_their_sum(self, rng):
+        # the split program runs the active-set path and the summed one ADMM;
+        # both are checked against the exact solution of the sum
         n = 8
         M = rng.normal(size=(n - 3, n))
         B, d, q = M.T @ M, rng.uniform(0.1, 1.0, n), rng.normal(size=n)
@@ -335,8 +337,10 @@ class TestDiagonalTerm:
         settings = QpSettings(eps_abs=1e-9, eps_rel=1e-9)
         a, b = solve_qp(split, settings), solve_qp(summed, settings)
         assert a.status == b.status == SOLVED
-        np.testing.assert_allclose(a.x, b.x, rtol=0.0, atol=1e-7)
-        assert a.objective == pytest.approx(b.objective, rel=1e-8)
+        ref_x, ref_obj = active_set_enumeration(B + np.diag(d), q, summed.A.toarray(), summed.l, summed.u)
+        np.testing.assert_allclose(a.x, ref_x, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(b.x, ref_x, rtol=0.0, atol=1e-7)
+        assert a.objective == pytest.approx(ref_obj, rel=1e-12)
 
     def test_with_p_diag_shares_all_but_the_diagonal(self, rng):
         prob = QuadraticProgram(**lowrank_program(rng))
@@ -429,7 +433,7 @@ class TestSolutionMethod:
         [
             (lambda rng: QuadraticProgram(**balancing_program(rng, 0.1)), "newton"),
             (lambda rng: QuadraticProgram(**balancing_program(rng, 0.0)), "admm"),
-            (kernel_balancing_program, "admm"),
+            (kernel_balancing_program, "active_set"),
         ],
         ids=["linear", "linear-lambda-0", "kernel"],
     )
@@ -529,3 +533,102 @@ class TestDualPath:
         data = balancing_program(np.random.default_rng(48), 1.0)
         data["l"][0] = data["u"][0] = -1.0  # nonnegative weights cannot sum to -1
         assert solve_qp(QuadraticProgram(**data)).status == PRIMAL_INFEASIBLE
+
+
+def small_kernel_program(lam, n=6, seed=51):
+    """A kernel balancing program small enough for active_set_enumeration."""
+    rng = np.random.default_rng(seed)
+    site = random_site(rng, n=n, d=2)
+    target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(15, 2)))
+    kernels = dict(cate_kernel=KernelSpec("linear"), prognostic_kernel=KernelSpec("rbf"))
+    return build_kernel_qp(BalanceProblem(site=site, target=target, lam=lam, **kernels))
+
+
+def summed(prob):
+    """The same program with P = base + diag(p_diag) given whole, which runs ADMM."""
+    return QuadraticProgram(P=prob.p_dense(), q=prob.q, A=prob.A, l=prob.l, u=prob.u)
+
+
+class TestActiveSetPath:
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 10.0])
+    def test_kernel_programs_match_enumeration(self, lam):
+        prob = small_kernel_program(lam)
+        sol = solve_qp(prob)
+        assert sol.status == SOLVED and sol.method == "active_set"
+        ref_x, ref_obj = active_set_enumeration(prob.p_dense(), prob.q, prob.A.toarray(), prob.l, prob.u)
+        scale = max(abs(ref_obj), float(ref_x @ prob.p_matvec(ref_x)), 1.0)
+        np.testing.assert_allclose(sol.x, ref_x, rtol=0.0, atol=1e-12 * np.abs(ref_x).max())
+        assert sol.objective == pytest.approx(ref_obj, rel=1e-12, abs=1e-12 * scale)
+        assert np.isfinite(sol.duality_gap) and abs(sol.duality_gap) <= 1e-9 * scale
+        # the multipliers certify the point: P x + q + A'y = 0, bound rows <= 0
+        assert np.abs(prob.p_matvec(sol.x) + prob.q + prob.A.T @ sol.y).max() <= 1e-12 * scale
+        assert sol.y[2:].max() <= 0.0
+
+    def test_admm_solution_warm_starts_the_active_set_path(self):
+        prob = small_kernel_program(1e-3, n=30)
+        admm = solve_qp(summed(prob), QpSettings(eps_abs=1e-10, eps_rel=0.0))
+        assert admm.status == SOLVED and admm.method == "admm"
+        cold = solve_qp(prob)
+        warm = solve_qp(prob, warm_start=(admm.x, admm.y))
+        assert warm.method == cold.method == "active_set"
+        assert warm.iterations == 1 < cold.iterations
+        np.testing.assert_allclose(warm.x, cold.x, rtol=0.0, atol=1e-12 * np.abs(cold.x).max())
+
+    @pytest.mark.parametrize("start", ["zeros", "empty-arm"])
+    def test_warm_start_leaving_an_arm_without_free_units_starts_cold(self, start):
+        prob = small_kernel_program(1e-3, n=30)
+        cold = solve_qp(prob)
+        x0, y0 = np.zeros(prob.n), np.zeros(prob.m)
+        if start == "empty-arm":  # the control arm's units all held at zero
+            treated = prob.A[0].toarray().ravel() > 0
+            x0[treated], y0[2:][~treated] = cold.x[treated], -1.0
+        sol = solve_qp(prob, warm_start=(x0, y0))
+        assert sol.method == "active_set" and sol.iterations == cold.iterations
+        np.testing.assert_array_equal(sol.x, cold.x)
+
+    def test_active_set_solution_warm_starts_admm(self):
+        prob = small_kernel_program(1e-3, n=30)
+        exact = solve_qp(prob)
+        assert exact.method == "active_set"
+        # ADMM restarted at its own fixed point stops at the first check
+        again = solve_qp(summed(prob), warm_start=(exact.x, exact.y))
+        assert again.method == "admm" and again.status == SOLVED and again.iterations == 1
+        np.testing.assert_allclose(again.x, exact.x, atol=1e-6)
+
+    def test_step_bound_hands_the_program_to_admm(self, monkeypatch):
+        from sitetransport import qp
+
+        prob = small_kernel_program(1e-3, n=30)
+        exact = solve_qp(prob)
+        assert exact.iterations > 1  # its free set changes
+        monkeypatch.setattr(qp, "_ACTIVE_SET_MAX_STEPS", 1)
+        sol = solve_qp(prob)
+        assert sol.status == SOLVED and sol.method == "admm"
+        assert np.isnan(sol.duality_gap)
+        np.testing.assert_allclose(sol.x, exact.x, atol=1e-4)
+
+    def test_indefinite_base_raises_nonconvex(self):
+        base = simplex_program(np.diag([1.0, 1.0, -1e-3]), np.zeros(3))
+        prob = base.with_p_diag(np.ones(3))
+        assert prob._structure.balancing is not None
+        with pytest.raises(NonConvexError, match="eigenvalue below"):
+            solve_qp(prob)
+
+    def test_program_without_equality_rows_runs_admm(self, rng):
+        M = rng.normal(size=(6, 5))
+        nonneg = dict(q=rng.normal(size=5), A=sp.eye(5), l=np.zeros(5), u=np.full(5, np.inf))
+        prob = QuadraticProgram(P=M.T @ M, p_diag=np.full(5, 0.1), **nonneg)
+        assert prob._structure.balancing is not None
+        sol = solve_qp(prob, QpSettings(eps_abs=1e-9, eps_rel=0.0))
+        assert sol.status == SOLVED and sol.method == "admm"
+        ref_x, _ = active_set_enumeration(prob.p_dense(), nonneg["q"], np.eye(5), nonneg["l"], nonneg["u"])
+        np.testing.assert_allclose(sol.x, ref_x, atol=1e-6)
+
+    def test_empty_arm_ends_as_admm_primal_infeasible(self):
+        prob = small_kernel_program(1.0, n=12)
+        A = prob.A.toarray()
+        A[0] = 0.0  # no unit in the treated arm, whose row still sums to n1 > 0
+        empty = QuadraticProgram(P=prob.P, p_diag=prob.p_diag, q=prob.q, A=sp.csr_matrix(A), l=prob.l, u=prob.u)
+        assert empty._structure.balancing is not None and prob.l[0] > 0
+        sol = solve_qp(empty)
+        assert sol.method == "admm" and sol.status == PRIMAL_INFEASIBLE
