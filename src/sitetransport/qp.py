@@ -11,7 +11,12 @@ at lambda > 0).
   x = max(0, -s)/D, the dual minimizes h = 1/2 |nu|^2 + 1/2 sum D x^2 - b'mu,
   a convex piecewise quadratic; a semismooth Newton step with an Armijo
   backtrack takes a few steps, each one factorization of a (k + rows) square
-  matrix. The duality gap objective(x) + h certifies the result.
+  Hessian M_a diag(1/D_a) M_a' over the active columns, with M = [F; -E].
+  The copies of a program share the Gram G0 = M diag(1/D0) M' for the
+  first ridge D0 they solve with; at a ridge D = c D0 (a lambda grid) the
+  Hessian is G0/c, corrected by the inactive columns when they are fewer
+  than the active ones. The duality gap objective(x) + h certifies the
+  result.
 * **Primal-dual active set.** When the base is an explicit matrix (kernel
   mode), the program is solved by the primal-dual active-set method, a
   semismooth Newton method on the KKT conditions (Hintermueller, Ito &
@@ -78,6 +83,9 @@ _EARLY_CHECKS = 8
 _CHECK_INTERVAL = 5
 # free-set changes the active-set path may take before handing over to ADMM
 _ACTIVE_SET_MAX_STEPS = 50
+# a ridge counts as c times another when every entry matches to this many
+# ulps; the ridges 2 lam reg of one site's lambda copies match to three
+_RIDGE_ULPS = 8
 
 
 def _diagonal(d, n: int) -> np.ndarray:
@@ -92,10 +100,15 @@ def _diagonal(d, n: int) -> np.ndarray:
 class _Structure:
     """What the solver derives from a program's constraints and base (``P``,
     or the factor ``F`` of F'F), each piece once, on first use; a program
-    shares it with every ``with_p_diag`` copy."""
+    shares it with every ``with_p_diag`` copy. The one piece that depends on
+    ``p_diag``, the dual path's Gram (``dual_gram``), is kept for the first
+    ridge that path solves with and serves every copy whose ridge is a
+    multiple of it."""
 
     def __init__(self, prob: QuadraticProgram):
         self.A, self.l, self.u, self.P, self.F = prob.A, prob.l, prob.u, prob.P, prob.p_factor
+        self._ridge: np.ndarray | None = None
+        self._gram: np.ndarray | None = None
 
     @cached_property
     def dense_base(self) -> np.ndarray:
@@ -160,6 +173,23 @@ class _Structure:
             return None
         eq, bound, cols, E = self.balancing
         return eq, bound, cols, E, np.hstack([self.F.T, -E.T])
+
+    def dual_gram(self, D: np.ndarray) -> tuple[np.ndarray, float] | None:
+        """(G0, c) for a ridge D = c * D0 to a few ulps of each entry, where
+        D0 is the first ridge asked about (a copy is kept) and
+        G0 = Mt' diag(1/D0) Mt over every column, the dual path's Hessian
+        without its unit block when every column is active. None for D0
+        itself, so a program's first solve builds no G0, and for a D that
+        is no such multiple. G0 is built at the first multiple."""
+        if self._ridge is None:
+            self._ridge = D.copy()
+            return None
+        c = float(D[0] / self._ridge[0])
+        if not np.all(np.abs(D - c * self._ridge) <= _RIDGE_ULPS * np.spacing(D)):
+            return None
+        if self._gram is None:
+            self._gram = _dual_hessian(self.dual[-1], np.ones(D.size, dtype=bool), 1.0 / self._ridge)
+        return self._gram, c
 
 
 @dataclass(frozen=True)
@@ -456,20 +486,38 @@ def _dual_infeasible(prob, kkt, dx, eps):
     return True
 
 
+def _dual_hessian(Mt, active, inv_d, gram=None, c=1.0) -> np.ndarray:
+    """Mt_a' diag(inv_d_a) Mt_a over the active rows a. Given
+    ``gram`` = Mt' diag(inv_d0) Mt with inv_d = inv_d0 / c, it is gram/c
+    when every row is active, gram/c minus the sum over the inactive rows
+    when those are fewer, and otherwise the sum over the active rows."""
+    n_active = np.count_nonzero(active)
+    if gram is None or 2 * n_active <= active.size:
+        W = Mt[active] * np.sqrt(inv_d[active])[:, None]
+        return W.T @ W
+    H = gram / c
+    if n_active < active.size:
+        inactive = ~active
+        W = Mt[inactive] * np.sqrt(inv_d[inactive])[:, None]
+        H -= W.T @ W
+    return H
+
+
 def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     """Semismooth Newton on the dual h(theta), theta = (nu, mu); see the
     module docstring. With M = [F; -E], the gradient is
     (nu, 0) - M x - (0, b) and the generalized Hessian is
     diag(1_k, 0) + M_a diag(1/D_a) M_a' over the active columns (x > 0)."""
-    eq, bound, cols, E, Mt = prob._structure.dual
-    AT = prob._structure.AT
+    structure = prob._structure
+    eq, bound, cols, E, Mt = structure.dual
+    AT = structure.AT
     F, D, q = prob.p_factor, prob.p_diag, prob.q
     k = F.shape[0]
     b = prob.l[eq]
     unit = np.concatenate([np.ones(k), np.zeros(eq.size)])
     c = np.concatenate([np.zeros(k), b])
     inv_d = 1.0 / D
-    root_inv_d = np.sqrt(inv_d)
+    gram, ridge_ratio = structure.dual_gram(D) or (None, 1.0)
 
     if warm_start is None:
         # the least-norm point of Ex = b, with its least-squares multipliers
@@ -517,10 +565,13 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
         y_prev = y
 
         active = x > 0.0
-        W = Mt[active] * root_inv_d[active, None]
-        H = W.T @ W
+        H = _dual_hessian(Mt, active, inv_d, gram, ridge_ratio)
         H[np.diag_indices_from(H)] += unit
         chol, info = dpotrf(H, lower=1)
+        if info and gram is not None:  # G0/c minus the inactive rows may cancel
+            H = _dual_hessian(Mt, active, inv_d)
+            H[np.diag_indices_from(H)] += unit
+            chol, info = dpotrf(H, lower=1)
         if info:  # a row of E without active columns: regularize its direction
             H[np.diag_indices_from(H)] += 1e-12 * max(float(H.max()), 1.0)
             chol, info = dpotrf(H, lower=1)
@@ -548,7 +599,9 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     if status == PRIMAL_INFEASIBLE:
         obj, gap = np.inf, float("nan")
     else:
-        obj = prob.objective(x)
+        # F x = nu - g_nu and D x = a, so no n x k product is repeated
+        fx = theta[:k] - g[:k]
+        obj = float(0.5 * (fx @ fx + a @ x) + q @ x)
         # objective(x) + h(theta), without the cancellation of adding them
         gap = 0.5 * float(g[:k] @ g[:k]) + float(theta[k:] @ g[k:])
     return QpSolution(

@@ -452,6 +452,25 @@ class TestProgramReuse:
         assert len(splits) == len(duals) == len(sites)
         assert all(s.dual is not None for s in duals)  # every solve took the dual path
 
+    def test_linear_sweep_builds_the_dual_gram_once_per_site(self, sweep_inputs, monkeypatch):
+        sites, target, fmap = sweep_inputs
+        from sitetransport import qp
+
+        grams, real = {}, qp._Structure.dual_gram
+
+        def logged(structure, D):
+            found = real(structure, D)
+            if found is not None:
+                grams.setdefault(structure, []).append(found[0])
+            return found
+
+        monkeypatch.setattr(qp._Structure, "dual_gram", logged)
+        rows = lambda_sweep(sites, target, np.logspace(-3, 1, 4), cate_map=fmap, prognostic_map=fmap)
+        assert sum(r.n_failed for r in rows) == 0
+        # every site's later lambda copies read one Gram
+        assert len(grams) == len(sites)
+        assert all(all(g is found[0] for g in found) for found in grams.values())
+
     @pytest.mark.parametrize("mode", ["linear", "kernel"])
     def test_lambda_copies_match_fresh_problems(self, sweep_inputs, mode):
         sites, target, fmap = sweep_inputs

@@ -16,7 +16,7 @@ from sitetransport import (
     solve_qp,
 )
 from sitetransport.errors import DimensionMismatchError, NonConvexError
-from sitetransport.qp import DUAL_INFEASIBLE, MAX_ITERATIONS, PRIMAL_INFEASIBLE, SOLVED
+from sitetransport.qp import DUAL_INFEASIBLE, MAX_ITERATIONS, PRIMAL_INFEASIBLE, SOLVED, _dual_hessian
 
 from conftest import build_site, random_site
 from oracles import active_set_enumeration, projected_gradient_box
@@ -516,9 +516,101 @@ class TestDualPath:
         # in that arm's multiplier until the first step activates one
         data = balancing_program(np.random.default_rng(49), 1e-2)
         prob = QuadraticProgram(**data)
-        sol = solve_qp(prob, warm_start=(np.zeros(prob.n), np.zeros(prob.m)))
+        zero = (np.zeros(prob.n), np.zeros(prob.m))
+        sol = solve_qp(prob, warm_start=zero)
         assert sol.status == SOLVED
         np.testing.assert_allclose(sol.x, solve_qp(prob).x, atol=1e-7)
+        # a later copy, which has the Gram, regularizes the same direction
+        doubled = dict(data, p_diag=2.0 * data["p_diag"])
+        copied = solve_qp(prob.with_p_diag(doubled["p_diag"]), warm_start=zero)
+        assert prob._structure._gram is not None and copied.status == SOLVED
+        np.testing.assert_allclose(copied.x, solve_qp(QuadraticProgram(**doubled)).x, atol=1e-7)
+
+    @pytest.mark.parametrize("n_active", [60, 42, 18], ids=["all-active", "more-active", "more-inactive"])
+    def test_hessian_from_the_gram_matches_the_direct_one(self, rng, n_active):
+        prob = QuadraticProgram(**balancing_program(rng, 1.0, n=60))
+        structure = prob._structure
+        assert structure.dual_gram(prob.p_diag) is None  # becomes the program's ridge
+        D = 1e-3 * prob.p_diag
+        gram, c = structure.dual_gram(D)
+        assert c == pytest.approx(1e-3, rel=1e-15)
+        active = np.zeros(prob.n, dtype=bool)
+        active[rng.permutation(prob.n)[:n_active]] = True
+        Mt, inv_d = structure.dual[-1], 1.0 / D
+        cached = _dual_hessian(Mt, active, inv_d, gram, c)
+        direct = _dual_hessian(Mt, active, inv_d)
+        np.testing.assert_allclose(cached, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
+
+    def test_dual_gram_needs_a_multiple_to_a_few_ulps(self, rng):
+        # the ridges 2 lam reg of a site's lambda copies
+        prob = QuadraticProgram(**balancing_program(rng, 1.0))
+        structure, reg = prob._structure, rng.uniform(1.5, 3.0, prob.n)
+        assert structure.dual_gram(2.0 * 0.7 * reg) is None
+        for lam in (1e-4, 0.3, 0.7, 1e2):
+            assert structure.dual_gram(2.0 * lam * reg)[1] == pytest.approx(lam / 0.7, rel=1e-15)
+        off = 2.0 * 0.35 * reg
+        off[7] *= 1.0 + 1e-12
+        assert structure.dual_gram(off) is None
+
+    def test_dual_gram_keeps_its_own_copy_of_the_first_ridge(self, rng):
+        # a caller that scales one buffer in place between solves
+        prob = QuadraticProgram(**balancing_program(rng, 1.0))
+        structure, ridge = prob._structure, prob.p_diag.copy()
+        assert structure.dual_gram(ridge) is None
+        ridge *= 2.0
+        gram, c = structure.dual_gram(ridge)
+        assert c == 2.0
+        ridge *= 2.0
+        assert structure.dual_gram(ridge) == (gram, 4.0)
+
+    def test_copy_with_a_ridge_off_the_multiple_solves_like_a_fresh_program(self):
+        data = balancing_program(np.random.default_rng(52), 1e-3, n=60)
+        prob = QuadraticProgram(**data)
+        solve_qp(prob)  # its ridge becomes the one the Gram is kept for
+        other = dict(data, p_diag=data["p_diag"] * np.random.default_rng(53).uniform(0.5, 2.0, prob.n))
+        copied = solve_qp(prob.with_p_diag(other["p_diag"]))
+        fresh = solve_qp(QuadraticProgram(**other))
+        assert copied.status == fresh.status == SOLVED
+        assert copied.iterations == fresh.iterations > 1
+        np.testing.assert_allclose(copied.x, fresh.x, rtol=0, atol=1e-12)
+
+    def test_warm_started_sweep_matches_cold_solves(self):
+        data = balancing_program(np.random.default_rng(54), 1.0, n=60, k=5)
+        prob = QuadraticProgram(**data)
+        warm = None
+        for lam in [10.0, 1.0, 0.1, 1e-2, 1e-3, 1e-4]:
+            ridge = lam * data["p_diag"]
+            swept = solve_qp(prob.with_p_diag(ridge), warm_start=warm)
+            cold = solve_qp(QuadraticProgram(**dict(data, p_diag=ridge)))
+            assert swept.status == cold.status == SOLVED
+            tol = QpSettings().eps_abs * max(1.0, np.abs(cold.x).max())
+            np.testing.assert_allclose(swept.x, cold.x, rtol=0, atol=tol)
+            warm = (swept.x, swept.y)
+        assert prob._structure._gram is not None
+
+    def test_failed_factor_of_the_corrected_hessian_is_formed_again_directly(self, monkeypatch):
+        from sitetransport import qp
+
+        data = balancing_program(np.random.default_rng(55), 1e-3, n=60)
+        prob = QuadraticProgram(**data)
+        solve_qp(prob)
+        real, corrected = qp._dual_hessian, []
+
+        def cancelled(Mt, active, inv_d, gram=None, c=1.0):
+            H = real(Mt, active, inv_d, gram, c)
+            if gram is not None:  # as if G0/c minus the inactive rows lost definiteness
+                corrected.append(active)
+                H[-1, -1] = -1.0
+            return H
+
+        monkeypatch.setattr(qp, "_dual_hessian", cancelled)
+        doubled = dict(data, p_diag=2.0 * data["p_diag"])
+        again = solve_qp(prob.with_p_diag(doubled["p_diag"]))
+        fresh = solve_qp(QuadraticProgram(**doubled))
+        assert corrected and again.status == SOLVED
+        # every step factored the directly formed Hessian, unregularized
+        assert again.iterations == fresh.iterations
+        np.testing.assert_array_equal(again.x, fresh.x)
 
     def test_zero_in_p_diag_runs_admm(self):
         data = balancing_program(np.random.default_rng(47), 1.0)
