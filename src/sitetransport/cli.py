@@ -23,9 +23,9 @@ from .balance import lambda_sweep
 from .data import TargetSpec, UnitRecord, UnitTable, validate_dataset
 from .errors import ConfigError, NonBinaryTreatmentError, SchemaError, SiteTransportError
 from .estimators import NAIVE
-from .features import KernelSpec
+from .features import FeatureMap, KernelSpec
 from .heterogeneity import SiteEffectSet, estimate_theta, pseudo_r2
-from .multisite import KNOWN_ESTIMATORS, TransportConfig, transport_all
+from .multisite import KNOWN_ESTIMATORS, TransportConfig, pooled_feature_map, transport_all
 from .qp import QpSettings
 from .sim import SimConfig, run_simulation
 
@@ -367,33 +367,24 @@ def _report_lines(label: str, effects: SiteEffectSet, alpha: float) -> tuple[lis
 
 
 def _cmd_heterogeneity(args) -> int:
-    out: list[str] = []
-    rep_untransported = rep_transported = None
-
+    eff_u = eff_t = None
     if args.transported:
         # two-table form: --effects holds the untransported effects
         eff_u = _read_effects(args.effects, args.method)
         eff_t = _read_effects(args.transported, args.method2 or args.method)
-        lines, rep_untransported = _report_lines("untransported", eff_u, args.alpha)
-        out += lines
-        lines, rep_transported = _report_lines("transported", eff_t, args.alpha)
-        out += lines
     elif args.baseline:
         # wide-table form: --baseline names the untransported column prefix
         if not args.method:
             raise ConfigError("--baseline requires --method for the transported columns")
         eff_u = _read_effects(args.effects, args.baseline)
         eff_t = _read_effects(args.effects, args.method)
-        lines, rep_untransported = _report_lines("untransported", eff_u, args.alpha)
-        out += lines
+
+    if eff_t is None:
+        out, _ = _report_lines("effects", _read_effects(args.effects, args.method), args.alpha)
+    else:
+        out, rep_untransported = _report_lines("untransported", eff_u, args.alpha)
         lines, rep_transported = _report_lines("transported", eff_t, args.alpha)
         out += lines
-    else:
-        effects = _read_effects(args.effects, args.method)
-        lines, _ = _report_lines("effects", effects, args.alpha)
-        out += lines
-
-    if rep_transported is not None:
         if rep_untransported.theta_sd > 0:
             r2 = pseudo_r2(rep_untransported.theta_sd, rep_transported.theta_sd)
             out.append(f"pseudo_r2: {r2:.6g}")
@@ -483,17 +474,9 @@ def _cmd_sweep(args) -> int:
     if config.mode == "kernel" and not target.is_sample:
         raise ConfigError("kernel mode requires a unit-level target sample")
 
-    from .features import FeatureMap, fit_feature_map
-
-    kwargs = {}
     if config.mode == "linear":
-        pooled = [s.covariates for s in sites]
-        if target.is_sample:
-            pooled.append(target.sample)
-        fmap = fit_feature_map(
-            FeatureMap(interactions=config.interactions, standardize=config.standardize),
-            np.vstack(pooled),
-        )
+        spec = FeatureMap(interactions=config.interactions, standardize=config.standardize)
+        fmap = pooled_feature_map(spec, sites, target)
         kwargs = {"cate_map": fmap, "prognostic_map": fmap}
     else:
         kwargs = {"cate_kernel": config.cate_kernel, "prognostic_kernel": config.prognostic_kernel}

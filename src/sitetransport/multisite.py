@@ -161,6 +161,15 @@ def _transport_site(
     )
 
 
+def pooled_feature_map(spec: FeatureMap, sites: list[SiteDataset], target: TargetSpec) -> FeatureMap:
+    """``spec`` fitted on every site's covariates plus the target sample, when
+    the target has one."""
+    pooled = [s.covariates for s in sites]
+    if target.is_sample:
+        pooled.append(target.sample)
+    return fit_feature_map(spec, np.vstack(pooled))
+
+
 def transport_all(
     sites: list[SiteDataset],
     target: TargetSpec | None = None,
@@ -188,17 +197,13 @@ def transport_all(
     if config.mode == "kernel" and not target.is_sample:
         raise ConfigError("kernel mode requires a unit-level target sample")
 
-    cate_map = prognostic_map = None
+    fmap = None
     if config.mode == "linear" or sample_needed:
-        pooled = [s.covariates for s in sites]
-        if target.is_sample:
-            pooled.append(target.sample)
         spec = FeatureMap(interactions=config.interactions, standardize=config.standardize)
-        cate_map = fit_feature_map(spec, np.vstack(pooled))
-        prognostic_map = cate_map
+        fmap = pooled_feature_map(spec, sites, target)
 
     with single_threaded_blas():
-        results = [_transport_site(s, target, config, cate_map, prognostic_map) for s in sites]
+        results = [_transport_site(s, target, config, fmap, fmap) for s in sites]
 
     if all(not r.estimates for r in results):
         raise AllSitesFailedError("no estimator succeeded on any site")

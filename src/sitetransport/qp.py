@@ -71,6 +71,12 @@ DUAL_INFEASIBLE = "dual_infeasible"
 _SYMMETRY_TOL = 1e-10
 _NONCONVEX_TOL = 1e-8
 _EQ_TOL = 1e-12
+# ADMM's initial step size, proximal term and over-relaxation, and the
+# divergence tolerance of its (and the dual path's) infeasibility tests
+_RHO = 0.1
+_SIGMA = 1e-6
+_ALPHA = 1.6
+_EPS_INFEAS = 1e-4
 _RHO_EQ_SCALE = 1e3
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
 _ARMIJO = 1e-4
@@ -286,24 +292,17 @@ class QuadraticProgram:
 
 @dataclass(frozen=True)
 class QpSettings:
-    """Stopping and step settings.
+    """Stopping settings.
 
     Every path stops when the primal and dual residuals fall below
     ``eps_abs + eps_rel * scale``. ADMM and the dual Newton path give up
-    after ``max_iter`` iterations (Newton steps on the dual path) and report
-    infeasibility on ``eps_infeas``; the active-set path hands over to ADMM
-    instead. ``rho`` (the initial ADMM step size, adapted by residual
-    balancing), ``sigma`` (the proximal term) and ``alpha`` (over-relaxation)
-    are ADMM's alone.
+    after ``max_iter`` iterations (Newton steps on the dual path); the
+    active-set path hands over to ADMM instead.
     """
 
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
-    rho: float = 0.1
-    sigma: float = 1e-6
-    alpha: float = 1.6
     max_iter: int = 20000
-    eps_infeas: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -557,7 +556,7 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
         if r_prim <= s.eps_abs + s.eps_rel * scale_p and r_dual <= s.eps_abs + s.eps_rel * scale_d:
             status = SOLVED
             break
-        if y_prev is not None and _primal_infeasible(prob, lambda v: AT @ v, y - y_prev, s.eps_infeas):
+        if y_prev is not None and _primal_infeasible(prob, lambda v: AT @ v, y - y_prev, _EPS_INFEAS):
             status = PRIMAL_INFEASIBLE
             break
         if iteration == s.max_iter:
@@ -744,12 +743,12 @@ def _solve(prob: QuadraticProgram, s: QpSettings, warm_start) -> QpSolution:
     lowrank = prob.P is None and (
         prob.p_factor.shape[0] + prob._structure.row_split[3].size <= max(8, n // 2)
     )
-    kkt = (_LowRankKkt if lowrank else _DirectKkt)(prob, s.sigma)
+    kkt = (_LowRankKkt if lowrank else _DirectKkt)(prob, _SIGMA)
     if warm_start is not None:
         Ax = kkt.a_matvec(x)
         z = np.clip(Ax, prob.l, prob.u)
 
-    rho_scalar = s.rho
+    rho_scalar = _RHO
     rho = _build_rho(prob, rho_scalar)
     kkt.factor(rho)
 
@@ -763,13 +762,13 @@ def _solve(prob: QuadraticProgram, s: QpSettings, warm_start) -> QpSolution:
     y_prev_check = y.copy()
     for iteration in range(1, s.max_iter + 1):
         x_t, z_t = kkt.solve(x, z, y, prob.q)
-        x_new = s.alpha * x_t + (1.0 - s.alpha) * x
-        v = s.alpha * z_t + (1.0 - s.alpha) * z + y / rho
+        x_new = _ALPHA * x_t + (1.0 - _ALPHA) * x
+        v = _ALPHA * z_t + (1.0 - _ALPHA) * z + y / rho
         z_new = np.clip(v, prob.l, prob.u)
         y_new = rho * (v - z_new)
 
         # A x_new follows from A x_t without another matvec
-        Ax = s.alpha * z_t + (1.0 - s.alpha) * Ax
+        Ax = _ALPHA * z_t + (1.0 - _ALPHA) * Ax
         x, z, y = x_new, z_new, y_new
 
         check = (
@@ -798,10 +797,10 @@ def _solve(prob: QuadraticProgram, s: QpSettings, warm_start) -> QpSolution:
         dy = y - y_prev_check
         x_prev_check = x.copy()
         y_prev_check = y.copy()
-        if _primal_infeasible(prob, kkt.at_matvec, dy, s.eps_infeas):
+        if _primal_infeasible(prob, kkt.at_matvec, dy, _EPS_INFEAS):
             status = PRIMAL_INFEASIBLE
             break
-        if _dual_infeasible(prob, kkt, dx, s.eps_infeas):
+        if _dual_infeasible(prob, kkt, dx, _EPS_INFEAS):
             status = DUAL_INFEASIBLE
             break
 

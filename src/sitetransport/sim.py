@@ -19,26 +19,15 @@ import numpy as np
 from .balance import BalanceProblem, solve_along_grid
 from .data import SiteDataset, TargetSpec
 from .errors import SiteTransportError
-from .estimators import (
-    DOUBLY_ROBUST,
-    IPW,
-    NAIVE,
-    OUTCOME_MODEL,
-    WEIGHTING,
-    density_ratio_fit,
-    doubly_robust_estimate,
-    ipw_estimate,
-    naive_estimate,
-    outcome_model_estimate,
-    weighting_estimate,
-)
-from .features import FeatureMap, fit_feature_map
+from .estimators import DOUBLY_ROBUST, IPW, NAIVE, OUTCOME_MODEL, WEIGHTING, weighting_estimate
+from .features import FeatureMap
+from .multisite import KNOWN_ESTIMATORS, TransportConfig, _transport_site, pooled_feature_map
 from .qp import QpSettings
 
 # Pseudo-estimator that scores the truth itself; harness self-test hook.
 ORACLE = "oracle"
 
-_KNOWN = (NAIVE, WEIGHTING, OUTCOME_MODEL, IPW, DOUBLY_ROBUST, ORACLE)
+_KNOWN = KNOWN_ESTIMATORS + (ORACLE,)
 
 
 def _default_cate_coefficients(d: int) -> tuple[float, ...]:
@@ -240,20 +229,21 @@ def _rep_errors(config: SimConfig, populations, rep: int) -> dict[tuple, np.ndar
         return out[key]
 
     fmap = None
-    if WEIGHTING in config.estimators or set(config.estimators) & {
-        OUTCOME_MODEL,
-        IPW,
-        DOUBLY_ROBUST,
-    }:
-        pooled = np.vstack([s.covariates for s in sites] + [repl.target.sample])
-        fmap = fit_feature_map(FeatureMap(standardize=True), pooled)
+    if set(config.estimators) - {NAIVE, ORACLE}:
+        fmap = pooled_feature_map(FeatureMap(standardize=True), sites, repl.target)
+    # naive, IPW, outcome model and doubly robust are transport's own per-site path
+    transport = TransportConfig(
+        estimators=tuple(e for e in config.estimators if e not in (WEIGHTING, ORACLE)), n_boot=0
+    )
 
     for j, site in enumerate(sites):
         truth = repl.truth[site.site_id]
         if ORACLE in config.estimators:
             cell(ORACLE)[j] = 0.0
-        if NAIVE in config.estimators:
-            cell(NAIVE)[j] = naive_estimate(site).estimate - truth
+        estimates = _transport_site(site, repl.target, transport, fmap, fmap).estimates
+        for name in transport.estimators:  # a failed estimator leaves its cell NaN
+            est = estimates.get(name)
+            cell(name)[j] = np.nan if est is None else est.estimate - truth
 
         if WEIGHTING in config.estimators:
             prob = BalanceProblem(
@@ -270,34 +260,6 @@ def _rep_errors(config: SimConfig, populations, rep: int) -> dict[tuple, np.ndar
                         errors[j] = weighting_estimate(site, ws.gamma).estimate - truth
                     except SiteTransportError:
                         pass
-
-        ratio = None
-        if IPW in config.estimators or DOUBLY_ROBUST in config.estimators:
-            try:
-                ratio = density_ratio_fit(site.covariates, repl.target.sample, fmap)
-            except SiteTransportError:
-                ratio = None
-        if IPW in config.estimators:
-            try:
-                if ratio is None:
-                    raise SiteTransportError("density ratio unavailable")
-                cell(IPW)[j] = ipw_estimate(site, ratio).estimate - truth
-            except SiteTransportError:
-                cell(IPW)[j] = np.nan
-        if OUTCOME_MODEL in config.estimators:
-            try:
-                est = outcome_model_estimate(site, repl.target, fmap, n_boot=0)
-                cell(OUTCOME_MODEL)[j] = est.estimate - truth
-            except SiteTransportError:
-                cell(OUTCOME_MODEL)[j] = np.nan
-        if DOUBLY_ROBUST in config.estimators:
-            try:
-                if ratio is None:
-                    raise SiteTransportError("density ratio unavailable")
-                est = doubly_robust_estimate(site, repl.target, fmap, ratio=ratio, n_boot=0)
-                cell(DOUBLY_ROBUST)[j] = est.estimate - truth
-            except SiteTransportError:
-                cell(DOUBLY_ROBUST)[j] = np.nan
     return out
 
 

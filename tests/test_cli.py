@@ -132,7 +132,10 @@ class TestWeightsCommand:
 
     @pytest.mark.parametrize(
         "setting",
-        ["linsys: lowrank", "adaptive_rho: false", "adapt_interval: 25", "check_interval: 5", "early_checks: 8"],
+        [
+            "linsys: lowrank", "adaptive_rho: false", "adapt_interval: 25", "check_interval: 5", "early_checks: 8",
+            "rho: 0.1", "sigma: 1.0e-6", "alpha: 1.6", "eps_infeas: 1.0e-4",
+        ],
         ids=lambda setting: setting.split(":")[0],
     )
     def test_removed_linsys_setting_is_rejected(self, toy, capsys, setting):

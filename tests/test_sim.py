@@ -129,16 +129,35 @@ class TestRunSimulation:
 
     def test_failures_counted_not_fatal(self):
         # sites with many covariates and tiny arms push the outcome model
-        # into InsufficientArm territory
+        # into InsufficientArm territory and the density ratio off its fit
         cfg = small_config(
             n_covariates=12,
             site_size_range=(16, 20),
-            estimators=("naive", "outcome_model"),
+            estimators=("naive", "outcome_model", "ipw", "doubly_robust"),
             reps=2,
         )
-        res = run_simulation(cfg)
-        naive = res.row("naive")
-        assert naive.n_failed == 0
+        res = run_simulation(cfg, keep_estimates=True)
+        cells = cfg.reps * cfg.n_sites
+        assert res.row("naive").n_failed == 0
+        assert res.row("outcome_model").n_failed == cells
+        assert res.row("ipw").n_failed >= 1
+        assert res.row("doubly_robust").n_failed >= res.row("ipw").n_failed
+        for row in res.rows:
+            assert row.n_failed == np.isnan(res.cell_errors[(row.estimator, row.lam)]).sum()
+
+    def test_model_based_cells_are_transport_estimates(self):
+        # the simulation scores IPW, outcome model and doubly robust through
+        # transport's per-site path with the bootstrap off
+        from sitetransport import TransportConfig, transport_all
+
+        names = ("ipw", "outcome_model", "doubly_robust")
+        cfg = small_config(estimators=names, reps=1)
+        res = run_simulation(cfg, keep_estimates=True)
+        rep = generate_rep(cfg, 0)
+        report = transport_all(rep.sites, rep.target, TransportConfig(estimators=names, n_boot=0))
+        for name in names:
+            expected = [r.estimates[name].estimate - rep.truth[r.site_id] for r in report.results]
+            assert res.cell_errors[(name, None)][0].tobytes() == np.array(expected).tobytes()
 
     def test_audit_detail_retained_on_request(self):
         cfg = small_config(reps=2)
