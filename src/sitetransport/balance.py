@@ -177,10 +177,12 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
     with single_threaded_blas():
         target = prob.target.sample
         pooled = np.vstack([X, target])
+        # identical kernels share one bandwidth and one site Gram
         k_cate = resolve_kernel(prob.cate_kernel, pooled)
-        k_prog = resolve_kernel(prob.prognostic_kernel, pooled)
+        same = prob.prognostic_kernel == prob.cate_kernel
+        k_prog = k_cate if same else resolve_kernel(prob.prognostic_kernel, pooled)
         K_cate = kernel_matrix(k_cate, X)
-        K_prog = kernel_matrix(k_prog, X)
+        K_prog = K_cate if k_prog == k_cate else kernel_matrix(k_prog, X)
         P = 2.0 * (
             (a_cate[:, None] * K_cate) * a_cate[None, :]
             + (a_prog[:, None] * K_prog) * a_prog[None, :]

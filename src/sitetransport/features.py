@@ -198,26 +198,36 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None) 
     return np.exp(-sq / (2.0 * spec.bandwidth**2))
 
 
+def _median(v: np.ndarray) -> float:
+    """Median by one selection (reorders ``v``), bitwise equal to ``np.median``."""
+    h = v.size // 2
+    v.partition(h)
+    return float(v[h] if v.size % 2 else (v[:h].max() + v[h]) / 2)
+
+
 def resolve_bandwidth(sample: np.ndarray | Sequence[Sequence[float]]) -> float:
     """Median heuristic: median pairwise Euclidean distance of the sample.
 
     Computed on an evenly spaced subsample of at most
-    ``BANDWIDTH_SUBSAMPLE_CAP`` points. If the median distance is zero but
-    distinct points exist, the median of the strictly positive distances is
-    used so the bandwidth stays positive.
+    ``BANDWIDTH_SUBSAMPLE_CAP`` points, by one selection over the pairwise
+    distances. If the median distance is zero but distinct points exist, the
+    median of the strictly positive distances is used so the bandwidth stays
+    positive. A sample with a NaN or infinite entry is rejected.
     """
     X = np.atleast_2d(np.asarray(sample, dtype=float))
     if X.shape[0] < 2:
         raise EmptySampleError("bandwidth resolution needs at least two points")
+    if not np.isfinite(X).all():
+        raise ValueError("bandwidth resolution needs a finite sample")
     if X.shape[0] > BANDWIDTH_SUBSAMPLE_CAP:
         idx = np.linspace(0, X.shape[0] - 1, BANDWIDTH_SUBSAMPLE_CAP).round().astype(int)
         X = X[idx]
     dists = pdist(X)
     if not np.any(dists > 0):
         raise AllPointsIdenticalError("all points identical; median distance is zero")
-    med = float(np.median(dists, overwrite_input=True))  # reorders dists in place
+    med = _median(dists)
     if med == 0.0:
-        med = float(np.median(dists[dists > 0]))
+        med = _median(dists[dists > 0])
     return med
 
 

@@ -544,13 +544,16 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
         y = np.empty(prob.m)
         y[eq] = -theta[k:]
         y[bound] = -bound_y[cols]
-        # P x + q + A'y = F'(F x - nu) = -F'g_nu
+        # P x + q + A'y = F'(F x - nu) = -F'g_nu, and P x = F'nu - F'g_nu + D x
+        # with F'nu = s - q - Mt[:, k:] mu: no n x k product beyond F'g_nu
+        mt_mu = Mt[:, k:] @ theta[k:]
+        f_g = Mt[:, :k] @ g[:k]
         r_prim = float(np.abs(g[k:]).max(initial=0.0))
-        r_dual = float(np.abs(Mt[:, :k] @ g[:k]).max(initial=0.0))
+        r_dual = float(np.abs(f_g).max(initial=0.0))
         scale_p = max(float(np.abs(g[k:] + b).max(initial=0.0)), b_norm, float(x.max(initial=0.0)))
         scale_d = max(
-            float(np.abs(prob.p_matvec(x)).max(initial=0.0)),
-            float(np.abs(Mt[:, k:] @ theta[k:] - bound_y).max(initial=0.0)),
+            float(np.abs(sv - q - mt_mu - f_g + a).max(initial=0.0)),
+            float(np.abs(mt_mu - bound_y).max(initial=0.0)),
             q_norm,
         )
         if r_prim <= s.eps_abs + s.eps_rel * scale_p and r_dual <= s.eps_abs + s.eps_rel * scale_d:

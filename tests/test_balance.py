@@ -405,6 +405,39 @@ class TestProgramReuse:
         assert len(target_grams) == len(sites)
         assert len(grams) == 4 * len(sites)
 
+    def test_identical_rbf_kernels_share_one_bandwidth_and_gram(self, sweep_inputs, monkeypatch):
+        from sitetransport import balance, features
+
+        sites, target, _ = sweep_inputs
+        bandwidths, grams = [], []
+        self._counting(monkeypatch, features, "resolve_bandwidth", bandwidths)
+        self._counting(monkeypatch, balance, "kernel_matrix", grams)
+        rows = lambda_sweep(
+            sites, target, np.logspace(-2, 1, 4),
+            cate_kernel=KernelSpec("rbf"), prognostic_kernel=KernelSpec("rbf"),
+        )
+        assert sum(r.n_failed for r in rows) == 0
+        assert len(bandwidths) == len(sites)
+        # one site Gram, the cross Gram and the target Gram's rows
+        assert len(grams) == 3 * len(sites)
+
+    def test_shared_median_bandwidth_gives_the_weights_of_explicit_bandwidths(self, sweep_inputs):
+        from sitetransport import features
+        from sitetransport.balance import solve_along_grid
+
+        sites, target, _ = sweep_inputs
+        grid = np.logspace(1, -2, 4)
+        for site in sites:
+            bw = features.resolve_bandwidth(np.vstack([site.covariates, target.sample]))
+            median, explicit = (
+                BalanceProblem(site=site, target=target, lam=grid[0], cate_kernel=k, prognostic_kernel=k)
+                for k in (KernelSpec("rbf"), KernelSpec("rbf", bw))
+            )
+            assert median._program.K_prog is median._program.K_cate
+            for (_, a), (_, b) in zip(solve_along_grid(median, grid), solve_along_grid(explicit, grid)):
+                np.testing.assert_array_equal(a.gamma, b.gamma)
+                assert (a.cate_imbalance, a.prognostic_imbalance) == (b.cate_imbalance, b.prognostic_imbalance)
+
     @pytest.mark.parametrize("k", [1, 4])
     def test_linear_sweep_maps_features_a_fixed_number_of_times(self, sweep_inputs, monkeypatch, k):
         from sitetransport import balance

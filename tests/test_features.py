@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from scipy.spatial.distance import pdist
 
 from sitetransport import (
     FeatureMap,
@@ -18,6 +19,7 @@ from sitetransport.errors import (
     EmptySampleError,
     UnfittedMapError,
 )
+from sitetransport.features import BANDWIDTH_SUBSAMPLE_CAP, _median
 
 
 class TestFitFeatureMap:
@@ -146,3 +148,65 @@ class TestResolveBandwidth:
     def test_majority_duplicates_still_positive(self):
         X = np.vstack([np.zeros((10, 1)), np.ones((2, 1))])
         assert resolve_bandwidth(X) > 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected(self, bad):
+        # NaN used to give a nan bandwidth, inf a finite one
+        X = np.random.default_rng(4).normal(size=(50, 3))
+        X[17, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            resolve_bandwidth(X)
+
+
+def _median_by_numpy(sample):
+    """The median heuristic as ``np.median`` computes it, subsample included."""
+    X = np.asarray(sample, dtype=float)
+    if X.shape[0] > BANDWIDTH_SUBSAMPLE_CAP:
+        X = X[np.linspace(0, X.shape[0] - 1, BANDWIDTH_SUBSAMPLE_CAP).round().astype(int)]
+    d = pdist(X)
+    med = np.median(d)
+    return float(med if med > 0.0 else np.median(d[d > 0]))
+
+
+class TestMedianSelection:
+    """One selection gives the bits of ``np.median``."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.random.default_rng(5).normal(size=101),
+            np.random.default_rng(6).normal(size=100),
+            np.random.default_rng(7).integers(0, 3, size=201).astype(float),
+            np.random.default_rng(8).integers(0, 3, size=200).astype(float),
+            np.array([2.5, 2.5]),
+            np.array([3.0]),
+        ],
+        ids=["odd", "even", "ties-odd", "ties-even", "pair", "single"],
+    )
+    def test_equals_numpy_median(self, values):
+        expected = np.median(values)
+        assert _median(values.copy()).hex() == float(expected).hex()
+
+    @pytest.mark.parametrize(
+        "n_points", [3, 4, 5, 6], ids=["3-distances", "6-distances", "10-distances", "15-distances"]
+    )
+    def test_bandwidth_equals_numpy_median(self, n_points):
+        X = np.random.default_rng(n_points).normal(size=(n_points, 2))
+        assert resolve_bandwidth(X).hex() == _median_by_numpy(X).hex()
+
+    @pytest.mark.parametrize(
+        "copies, others, expected",
+        [(6, [1.0, 3.0], 2.0), (11, [1.0, 2.0, 5.0, 11.0], 4.5)],
+        ids=["13-positive", "50-positive"],
+    )
+    def test_zero_median_branch_equals_numpy_median(self, copies, others, expected):
+        # most pairs are copies of the origin; the positive distances have
+        # their middle at 2 (odd count) and between 4 and 5 (even count)
+        X = np.concatenate([np.zeros(copies), others])[:, None]
+        assert np.median(pdist(X)) == 0.0
+        assert resolve_bandwidth(X) == expected
+        assert resolve_bandwidth(X).hex() == _median_by_numpy(X).hex()
+
+    def test_past_subsample_cap_equals_numpy_median(self):
+        X = np.random.default_rng(9).normal(size=(BANDWIDTH_SUBSAMPLE_CAP + 777, 3))
+        assert resolve_bandwidth(X).hex() == _median_by_numpy(X).hex()

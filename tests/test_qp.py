@@ -612,6 +612,27 @@ class TestDualPath:
         assert again.iterations == fresh.iterations
         np.testing.assert_array_equal(again.x, fresh.x)
 
+    def test_residual_checks_form_no_p_product(self, monkeypatch):
+        # P x at each residual check comes from the carried s = q + M'theta;
+        # P is applied only for the cold start's least-squares multipliers
+        calls = []
+        real = QuadraticProgram.p_matvec
+
+        def counted(prob, x):
+            calls.append(x)
+            return real(prob, x)
+
+        monkeypatch.setattr(QuadraticProgram, "p_matvec", counted)
+        data = balancing_program(np.random.default_rng(56), 1e-3, n=60)
+        prob = QuadraticProgram(**data)
+        cold = solve_qp(prob)
+        assert cold.method == "newton" and cold.status == SOLVED and cold.iterations > 1
+        assert len(calls) == 1
+        calls.clear()
+        warm = solve_qp(prob.with_p_diag(0.5 * data["p_diag"]), warm_start=(cold.x, cold.y))
+        assert warm.method == "newton" and warm.status == SOLVED and warm.iterations >= 1
+        assert calls == []
+
     def test_zero_in_p_diag_runs_admm(self):
         data = balancing_program(np.random.default_rng(47), 1.0)
         data["p_diag"][3] = 0.0
