@@ -22,14 +22,11 @@ import yaml
 from .balance import lambda_sweep
 from .data import TargetSpec, UnitRecord, UnitTable, validate_dataset
 from .errors import ConfigError, NonBinaryTreatmentError, SchemaError, SiteTransportError
-from .estimators import NAIVE
 from .features import FeatureMap, KernelSpec
 from .heterogeneity import SiteEffectSet, estimate_theta, pseudo_r2
-from .multisite import KNOWN_ESTIMATORS, TransportConfig, pooled_feature_map, transport_all
+from .multisite import DEFAULT_LAMBDA, KNOWN_ESTIMATORS, TransportConfig, pooled_feature_map, transport_all
 from .qp import QpSettings
 from .sim import SimConfig, run_simulation
-
-DEFAULT_LAMBDA = 0.03
 
 # Logarithmic default grid plus the production default value 0.03.
 DEFAULT_LAMBDA_GRID = tuple(sorted(set(np.logspace(-4, 2, 25).tolist() + [DEFAULT_LAMBDA])))
@@ -214,27 +211,34 @@ def _solver_from_config(cfg: dict) -> QpSettings:
 
 
 def _transport_config(cfg: dict, args) -> TransportConfig:
+    """The settings that the flags or else the YAML give, cast; the rest
+    keep the defaults of TransportConfig."""
     features, kernels = _mapping(cfg, "features"), _mapping(cfg, "kernels")
-    estimators = cfg.get("estimators", [NAIVE, "weighting"])
-    if not isinstance(estimators, list):
+    if not isinstance(cfg.get("estimators", []), list):
         raise ConfigError("config key 'estimators' must be a list")
-    lam = args.lam if getattr(args, "lam", None) is not None else cfg.get("lambda", DEFAULT_LAMBDA)
-    mode = getattr(args, "mode", None) or cfg.get("mode", "linear")
-    seed = args.seed if getattr(args, "seed", None) is not None else cfg.get("seed", 0)
+    flags = {name: getattr(args, name, None) for name in ("lam", "mode", "seed")}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    # (field, where the YAML gives it, under which key, cast)
+    sources = (
+        ("estimators", cfg, "estimators", tuple),
+        ("lam", cfg, "lambda", float),
+        ("mode", cfg, "mode", None),
+        ("interactions", features, "interactions", lambda pairs: tuple(tuple(p) for p in pairs)),
+        ("standardize", features, "standardize", bool),
+        ("cate_kernel", kernels, "cate", _kernel_from_config),
+        ("prognostic_kernel", kernels, "prognostic", _kernel_from_config),
+        ("solver", cfg, "solver", lambda _: _solver_from_config(cfg)),
+        ("n_boot", cfg, "n_boot", int),
+        ("seed", cfg, "seed", int),
+        ("ipw_hajek", cfg, "ipw_hajek", bool),
+    )
     try:
-        return TransportConfig(
-            estimators=tuple(estimators),
-            lam=float(lam),
-            mode=mode,
-            interactions=tuple(tuple(p) for p in features.get("interactions", ())),
-            standardize=bool(features.get("standardize", True)),
-            cate_kernel=_kernel_from_config(kernels.get("cate")),
-            prognostic_kernel=_kernel_from_config(kernels.get("prognostic")),
-            solver=_solver_from_config(cfg),
-            n_boot=int(cfg.get("n_boot", 200)),
-            seed=int(seed),
-            ipw_hajek=bool(cfg.get("ipw_hajek", False)),
-        )
+        given = {}
+        for name, source, key, cast in sources:
+            if name in flags or key in source:
+                value = flags[name] if name in flags else source[key]
+                given[name] = value if cast is None else cast(value)
+        return TransportConfig(**given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid transport config: {exc}") from exc
 
@@ -301,8 +305,7 @@ def _cmd_transport(args) -> int:
     target = _resolve_target(args, sites)
     report = transport_all(sites, target, config=config)
 
-    methods = [m for m in (NAIVE,) + tuple(KNOWN_ESTIMATORS) if m in config.estimators]
-    methods = list(dict.fromkeys(methods))  # naive first, stable order
+    methods = [m for m in KNOWN_ESTIMATORS if m in config.estimators]
     header = ["site_id", "n", "n1", "n0"]
     for m in methods:
         header += [f"{m}_estimate", f"{m}_std_error", f"{m}_ess_treated", f"{m}_ess_control"]

@@ -27,6 +27,8 @@ _GRAM_PIVOT_TOL = 1e-6
 # Bounds one block of gathered bootstrap designs to 8 MB (or one replicate,
 # if that alone is larger), whatever n_boot is.
 _BLOCK_DOUBLES = 1 << 20
+# The per-arm weight sums may miss n1/n0 by this much, relative.
+_SUM_RTOL = 1e-3
 
 WEIGHTING = "weighting"
 NAIVE = "naive"
@@ -67,13 +69,12 @@ def _sandwich_variance(site: SiteDataset, gamma: np.ndarray, mu1: float, mu0: fl
 def weighting_estimate(
     site: SiteDataset,
     gamma: np.ndarray,
-    rtol: float = 1e-3,
     method: str = WEIGHTING,
 ) -> TransportEstimate:
     """Weighted difference in arm means with its sandwich standard error.
 
     Raises :class:`ConstraintViolationError` when the per-arm weight sums miss
-    n1/n0 by more than ``rtol`` relative.
+    n1/n0 by more than 1e-3 relative.
     """
     gamma = np.asarray(gamma, dtype=float).ravel()
     if gamma.size != site.n:
@@ -81,7 +82,7 @@ def weighting_estimate(
     z = site.treatment
     s1 = float(np.sum(z * gamma))
     s0 = float(np.sum((1 - z) * gamma))
-    if abs(s1 - site.n1) > rtol * site.n1 or abs(s0 - site.n0) > rtol * site.n0:
+    if abs(s1 - site.n1) > _SUM_RTOL * site.n1 or abs(s0 - site.n0) > _SUM_RTOL * site.n0:
         raise ConstraintViolationError(
             f"weight sums ({s1:.4f}, {s0:.4f}) violate (n1, n0)=({site.n1}, {site.n0})"
         )
@@ -109,10 +110,6 @@ def naive_estimate(site: SiteDataset) -> TransportEstimate:
 def _design(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     phi = apply_feature_map(feature_map, np.atleast_2d(X))
     return np.column_stack([np.ones(phi.shape[0]), phi])
-
-
-def _arm_fits(design: np.ndarray, y: np.ndarray, idx1, idx0):
-    return fit_least_squares(design[idx1], y[idx1]), fit_least_squares(design[idx0], y[idx0])
 
 
 def _well_conditioned(gram: np.ndarray) -> np.ndarray:
@@ -197,6 +194,34 @@ def _check_bootstrap_size(n_boot: int) -> None:
         raise ValueError(f"n_boot must be 0 (no bootstrap) or at least 2, got {n_boot}")
 
 
+def _arm_models(site: SiteDataset, target: TargetSpec, feature_map: FeatureMap, n_boot: int, name: str):
+    """The start of the outcome-model and doubly robust estimators (``name``
+    in the error text): their checks, each arm's rows, the site and target
+    designs and each arm's point fit on the site design.
+
+    Returns ``(idx1, idx0, site_design, target_design, (fit1, fit0))``.
+    """
+    if not target.is_sample:
+        raise ValueError(f"{name} estimation requires a unit-level target sample")
+    _check_bootstrap_size(n_boot)
+    k = feature_map.output_dim
+    if site.n1 < k + 1 or site.n0 < k + 1:
+        raise InsufficientArmError(
+            f"arms of size ({site.n1}, {site.n0}) cannot support {k} features"
+        )
+    idx1 = np.flatnonzero(site.treatment == 1)
+    idx0 = np.flatnonzero(site.treatment == 0)
+    site_design = _design(feature_map, site.covariates)
+    fits = tuple(fit_least_squares(site_design[idx], site.outcomes[idx]) for idx in (idx1, idx0))
+    return idx1, idx0, site_design, _design(feature_map, target.sample), fits
+
+
+def _ratio_ess(r: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """Kish ESS of the density-ratio weights in the treated and the control
+    arm; 0 for an arm with no positive ratio."""
+    return tuple(kish_ess(ra) if np.any(ra > 0) else 0.0 for ra in (r[z == 1], r[z == 0]))
+
+
 def outcome_model_estimate(
     site: SiteDataset,
     target: TargetSpec,
@@ -212,20 +237,9 @@ def outcome_model_estimate(
     the pivoted QR when ill-conditioned (see _replicate_fits); a note counts
     the replicates whose QR fit dropped collinear columns.
     """
-    if not target.is_sample:
-        raise ValueError("outcome-model estimation requires a unit-level target sample")
-    _check_bootstrap_size(n_boot)
-    k = feature_map.output_dim
-    if site.n1 < k + 1 or site.n0 < k + 1:
-        raise InsufficientArmError(
-            f"arms of size ({site.n1}, {site.n0}) cannot support {k} features"
-        )
-
-    idx1 = np.flatnonzero(site.treatment == 1)
-    idx0 = np.flatnonzero(site.treatment == 0)
-    site_design = _design(feature_map, site.covariates)
-    fit1, fit0 = _arm_fits(site_design, site.outcomes, idx1, idx0)
-    target_design = _design(feature_map, target.sample)
+    idx1, idx0, site_design, target_design, (fit1, fit0) = _arm_models(
+        site, target, feature_map, n_boot, "outcome-model"
+    )
     estimate = float(np.mean(fit1.linear_predictor(target_design) - fit0.linear_predictor(target_design)))
 
     notes = []
@@ -347,13 +361,10 @@ def ipw_estimate(site: SiteDataset, ratio, hajek: bool = False) -> TransportEsti
     elif max_r > 100.0:
         notes.append(f"extreme density ratio: max {max_r:.3g}")
 
-    r1 = r[z == 1]
-    r0 = r[z == 0]
     return TransportEstimate(
-        estimate=estimate,
-        std_error=float(np.sqrt(var)),
-        ess_treated=kish_ess(r1) if np.any(r1 > 0) else 0.0,
-        ess_control=kish_ess(r0) if np.any(r0 > 0) else 0.0,
+        estimate,
+        float(np.sqrt(var)),
+        *_ratio_ess(r, z),
         method=IPW,
         site_id=site.site_id,
         notes=tuple(notes),
@@ -392,24 +403,12 @@ def doubly_robust_estimate(
     outcome-model bootstrap does, and the ratio in each replicate (target
     sample held fixed).
     """
-    if not target.is_sample:
-        raise ValueError("doubly robust estimation requires a unit-level target sample")
-    _check_bootstrap_size(n_boot)
-    k = feature_map.output_dim
-    if site.n1 < k + 1 or site.n0 < k + 1:
-        raise InsufficientArmError(
-            f"arms of size ({site.n1}, {site.n0}) cannot support {k} features"
-        )
-
+    idx1, idx0, site_design, target_design, (fit1, fit0) = _arm_models(
+        site, target, feature_map, n_boot, "doubly robust"
+    )
     if ratio is None:
         ratio = density_ratio_fit(site.covariates, target.sample, feature_map)
     r = np.asarray(ratio(site.covariates), dtype=float).ravel()
-
-    idx1 = np.flatnonzero(site.treatment == 1)
-    idx0 = np.flatnonzero(site.treatment == 0)
-    site_design = _design(feature_map, site.covariates)
-    target_design = _design(feature_map, target.sample)
-    fit1, fit0 = _arm_fits(site_design, site.outcomes, idx1, idx0)
     estimate = _dr_point(
         site,
         r,
@@ -424,7 +423,8 @@ def doubly_robust_estimate(
     if n_boot > 0:
         # the ratio is refit on the mapped rows under the identity map, which
         # gives the same ratios as mapping the raw covariates again
-        target_mean, target_phi, identity = target_design.mean(axis=0), target_design[:, 1:], identity_map(k)
+        target_mean, target_phi = target_design.mean(axis=0), target_design[:, 1:]
+        identity = identity_map(feature_map.output_dim)
         reps = []
         y = site.outcomes
         pi = site.propensity
@@ -452,14 +452,10 @@ def doubly_robust_estimate(
         if n_refit_failed:
             notes += (f"density-ratio refit failed in {n_refit_failed} of {n_boot} bootstrap replicates",)
 
-    z = site.treatment
-    r1 = r[z == 1]
-    r0 = r[z == 0]
     return TransportEstimate(
-        estimate=estimate,
-        std_error=se,
-        ess_treated=kish_ess(r1) if np.any(r1 > 0) else 0.0,
-        ess_control=kish_ess(r0) if np.any(r0 > 0) else 0.0,
+        estimate,
+        se,
+        *_ratio_ess(r, site.treatment),
         method=DOUBLY_ROBUST,
         site_id=site.site_id,
         notes=notes,

@@ -132,13 +132,13 @@ def apply_feature_map(spec: FeatureMap, x: np.ndarray | Sequence[float]) -> np.n
     return out[0] if single else out
 
 
-def identity_map(d: int, standardize: bool = False) -> FeatureMap:
+def identity_map(d: int) -> FeatureMap:
     """Fitted identity map on d covariates (unit scales, nothing dropped)."""
     scale = np.ones(d)
     scale.setflags(write=False)
     return FeatureMap(
         interactions=(),
-        standardize=standardize,
+        standardize=False,
         n_raw=d,
         kept_base=tuple(range(d)),
         kept_interactions=(),

@@ -12,6 +12,7 @@ from .blas import single_threaded_blas
 from .data import PotentialOutcomeOracle, SiteDataset, TargetSpec
 from .errors import AllSitesFailedError, ConfigError, SiteTransportError
 from .estimators import (
+    DEFAULT_BOOTSTRAP,
     DOUBLY_ROBUST,
     IPW,
     NAIVE,
@@ -29,6 +30,7 @@ from .features import FeatureMap, KernelSpec, fit_feature_map
 from .qp import QpSettings
 
 KNOWN_ESTIMATORS = (NAIVE, WEIGHTING, OUTCOME_MODEL, IPW, DOUBLY_ROBUST)
+DEFAULT_LAMBDA = 0.03
 
 
 @dataclass(frozen=True)
@@ -40,14 +42,14 @@ class TransportConfig:
     """
 
     estimators: tuple[str, ...] = (NAIVE, WEIGHTING)
-    lam: float = 0.03
+    lam: float = DEFAULT_LAMBDA
     mode: str = "linear"
     interactions: tuple[tuple[int, int], ...] = ()
     standardize: bool = True
     cate_kernel: KernelSpec = KernelSpec("linear")
     prognostic_kernel: KernelSpec = KernelSpec("linear")
     solver: QpSettings = QpSettings()
-    n_boot: int = 200
+    n_boot: int = DEFAULT_BOOTSTRAP
     seed: int = 0
     ipw_hajek: bool = False
 
@@ -86,69 +88,51 @@ class TransportReport:
 
 
 def _transport_site(
-    site: SiteDataset,
-    target: TargetSpec,
-    config: TransportConfig,
-    cate_map: FeatureMap | None,
-    prognostic_map: FeatureMap | None,
+    site: SiteDataset, target: TargetSpec, config: TransportConfig, fmap: FeatureMap | None
 ) -> SiteResult:
-    """One site against the target. In kernel mode the feature maps are still
-    used for the outcome-model, IPW, and doubly robust designs."""
+    """One site against the target, every estimator on the one feature map
+    ``fmap`` (in kernel mode the balancing weights use the kernels instead).
+    An estimator's SiteTransportError is recorded under its name, and a
+    failed density-ratio fit under both IPW and doubly robust."""
+    wanted = config.estimators
     estimates: dict[str, TransportEstimate] = {}
     errors: dict[str, str] = {}
-    weights = None
-    use_kernels = config.mode == "kernel"
 
-    if NAIVE in config.estimators:
+    def attempt(names, step):
+        try:
+            return step()
+        except SiteTransportError as exc:
+            errors.update(dict.fromkeys(names, f"{type(exc).__name__}: {exc}"))
+            return None
+
+    def estimate(name, step):
+        if (est := attempt((name,), step)) is not None:
+            estimates[name] = est
+
+    if NAIVE in wanted:
         estimates[NAIVE] = naive_estimate(site)
-
-    if WEIGHTING in config.estimators:
-        try:
-            prob = BalanceProblem(
-                site=site,
-                target=target,
-                lam=config.lam,
-                cate_map=None if use_kernels else cate_map,
-                prognostic_map=None if use_kernels else prognostic_map,
-                cate_kernel=config.cate_kernel if use_kernels else None,
-                prognostic_kernel=config.prognostic_kernel if use_kernels else None,
-            )
-            weights = solve_weights(prob, settings=config.solver)
-            estimates[WEIGHTING] = weighting_estimate(site, weights.gamma)
-        except SiteTransportError as exc:
-            errors[WEIGHTING] = f"{type(exc).__name__}: {exc}"
-
+    weights = None
+    if WEIGHTING in wanted:
+        sides = (
+            {"cate_kernel": config.cate_kernel, "prognostic_kernel": config.prognostic_kernel}
+            if config.mode == "kernel" else {"cate_map": fmap, "prognostic_map": fmap}
+        )
+        weights = attempt((WEIGHTING,), lambda: solve_weights(
+            BalanceProblem(site=site, target=target, lam=config.lam, **sides), settings=config.solver
+        ))
+        if weights is not None:
+            estimate(WEIGHTING, lambda: weighting_estimate(site, weights.gamma))
+    ratio_users = [name for name in (IPW, DOUBLY_ROBUST) if name in wanted]
     ratio = None
-    if IPW in config.estimators or DOUBLY_ROBUST in config.estimators:
-        try:
-            ratio = density_ratio_fit(site.covariates, target.sample, cate_map)
-        except SiteTransportError as exc:
-            msg = f"{type(exc).__name__}: {exc}"
-            for name in (IPW, DOUBLY_ROBUST):
-                if name in config.estimators:
-                    errors[name] = msg
-
-    if IPW in config.estimators and ratio is not None:
-        try:
-            estimates[IPW] = ipw_estimate(site, ratio, hajek=config.ipw_hajek)
-        except SiteTransportError as exc:
-            errors[IPW] = f"{type(exc).__name__}: {exc}"
-
-    if OUTCOME_MODEL in config.estimators:
-        try:
-            estimates[OUTCOME_MODEL] = outcome_model_estimate(
-                site, target, cate_map, n_boot=config.n_boot, seed=config.seed
-            )
-        except SiteTransportError as exc:
-            errors[OUTCOME_MODEL] = f"{type(exc).__name__}: {exc}"
-
-    if DOUBLY_ROBUST in config.estimators and ratio is not None:
-        try:
-            estimates[DOUBLY_ROBUST] = doubly_robust_estimate(
-                site, target, cate_map, ratio=ratio, n_boot=config.n_boot, seed=config.seed
-            )
-        except SiteTransportError as exc:
-            errors[DOUBLY_ROBUST] = f"{type(exc).__name__}: {exc}"
+    if ratio_users:
+        ratio = attempt(ratio_users, lambda: density_ratio_fit(site.covariates, target.sample, fmap))
+    if IPW in wanted and ratio is not None:
+        estimate(IPW, lambda: ipw_estimate(site, ratio, hajek=config.ipw_hajek))
+    bootstrap = {"n_boot": config.n_boot, "seed": config.seed}
+    if OUTCOME_MODEL in wanted:
+        estimate(OUTCOME_MODEL, lambda: outcome_model_estimate(site, target, fmap, **bootstrap))
+    if DOUBLY_ROBUST in wanted and ratio is not None:
+        estimate(DOUBLY_ROBUST, lambda: doubly_robust_estimate(site, target, fmap, ratio=ratio, **bootstrap))
 
     return SiteResult(
         site_id=site.site_id,
@@ -203,7 +187,7 @@ def transport_all(
         fmap = pooled_feature_map(spec, sites, target)
 
     with single_threaded_blas():
-        results = [_transport_site(s, target, config, fmap, fmap) for s in sites]
+        results = [_transport_site(s, target, config, fmap) for s in sites]
 
     if all(not r.estimates for r in results):
         raise AllSitesFailedError("no estimator succeeded on any site")

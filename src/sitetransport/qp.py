@@ -140,17 +140,16 @@ class _Structure:
     @cached_property
     def row_split(self) -> tuple[np.ndarray, ...]:
         """Singleton rows of A (one entry) with their columns and values,
-        then the general rows with their dense block and its transpose."""
+        then the general rows with their dense block."""
         A = self.A
         nnz_per_row = np.diff(A.indptr)
         single, general = np.flatnonzero(nnz_per_row == 1), np.flatnonzero(nnz_per_row != 1)
         first = A.indptr[single]
-        A_general = A[general].toarray()
-        return single, A.indices[first], A.data[first], general, A_general, A_general.T.copy()
+        return single, A.indices[first], A.data[first], general, A[general].toarray()
 
     @cached_property
     def AT(self) -> sp.spmatrix:
-        """A' as scipy transposes it (CSC), for the infeasibility test."""
+        """A' as scipy transposes it (CSC), for every path's A'y."""
         return self.A.T
 
     @cached_property
@@ -351,33 +350,15 @@ class _ReducedKkt:
     """The row split of A shared by both ADMM linear systems, which solve
     M x = sigma x - q + A'(rho z - y) with M = P + sigma I + A' diag(rho) A.
 
-    Singleton rows (one entry) become a gather (A x), a weighted bincount
-    (A' y) and a diagonal term of M; the few general rows use a dense block.
+    Singleton rows (one entry) become a diagonal term of M and the few
+    general rows a dense block; A x and A'y are scipy's sparse products.
     """
 
     def __init__(self, prob: QuadraticProgram, sigma: float):
         self.prob = prob
         self.sigma = sigma
         (self.singleton_rows, self.singleton_cols, self.singleton_vals,
-         self.general_rows, self.A_general, self.AT_general) = prob._structure.row_split
-
-    def a_matvec(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(self.prob.m)
-        out[self.singleton_rows] = self.singleton_vals * x[self.singleton_cols]
-        if self.general_rows.size:
-            out[self.general_rows] = self.A_general @ x
-        return out
-
-    def at_matvec(self, y: np.ndarray) -> np.ndarray:
-        # float even without singleton rows, where bincount returns integers
-        res = np.bincount(
-            self.singleton_cols,
-            weights=self.singleton_vals * y[self.singleton_rows],
-            minlength=self.prob.n,
-        ).astype(float, copy=False)
-        if self.general_rows.size:
-            res += self.AT_general @ y[self.general_rows]
-        return res
+         self.general_rows, self.A_general) = prob._structure.row_split
 
     def _diag(self, rho: np.ndarray) -> np.ndarray:
         """The diagonal of M beyond the base and the general rows: p_diag,
@@ -390,15 +371,15 @@ class _ReducedKkt:
 
     def solve(self, x, z, y, q):
         """(x~, z~) of one ADMM step, with z~ = A x~."""
-        x_t = self._solve(self.sigma * x - q + self.at_matvec(self._rho * z - y))
-        return x_t, self.a_matvec(x_t)
+        x_t = self._solve(self.sigma * x - q + self.prob._structure.AT @ (self._rho * z - y))
+        return x_t, self.prob.A @ x_t
 
 
 class _DirectKkt(_ReducedKkt):
     """Dense Cholesky factorization of M."""
 
     def factor(self, rho: np.ndarray) -> None:
-        general = (self.AT_general * rho[self.general_rows]) @ self.A_general
+        general = (self.A_general.T * rho[self.general_rows]) @ self.A_general
         M = self.prob._structure.dense_base + general
         M[np.diag_indices_from(M)] += self._diag(rho)
         self._chol, info = dpotrf(M, lower=1)
@@ -454,11 +435,11 @@ def _residuals(prob, Ax, z, Px, Aty, q_norm) -> tuple[float, float, float, float
     return r_prim, r_dual, scale_p, scale_d
 
 
-def _primal_infeasible(prob, at_matvec, dy, eps):
+def _primal_infeasible(prob, dy, eps):
     scale = float(np.abs(dy).max(initial=0.0))
     if scale <= 0:
         return False
-    if float(np.abs(at_matvec(dy)).max(initial=0.0)) > eps * scale:
+    if float(np.abs(prob._structure.AT @ dy).max(initial=0.0)) > eps * scale:
         return False
     pos = dy > 0
     neg = dy < 0
@@ -466,7 +447,7 @@ def _primal_infeasible(prob, at_matvec, dy, eps):
     return support <= -eps * scale
 
 
-def _dual_infeasible(prob, kkt, dx, eps):
+def _dual_infeasible(prob, dx, eps):
     scale = float(np.abs(dx).max(initial=0.0))
     if scale <= 0:
         return False
@@ -474,7 +455,7 @@ def _dual_infeasible(prob, kkt, dx, eps):
         return False
     if float(prob.q @ dx) > -eps * scale:
         return False
-    Adx = kkt.a_matvec(dx)
+    Adx = prob.A @ dx
     tol = eps * scale
     upper_finite = np.isfinite(prob.u)
     lower_finite = np.isfinite(prob.l)
@@ -509,7 +490,6 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     diag(1_k, 0) + M_a diag(1/D_a) M_a' over the active columns (x > 0)."""
     structure = prob._structure
     eq, bound, cols, E, Mt = structure.dual
-    AT = structure.AT
     F, D, q = prob.p_factor, prob.p_diag, prob.q
     k = F.shape[0]
     b = prob.l[eq]
@@ -559,7 +539,7 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
         if r_prim <= s.eps_abs + s.eps_rel * scale_p and r_dual <= s.eps_abs + s.eps_rel * scale_d:
             status = SOLVED
             break
-        if y_prev is not None and _primal_infeasible(prob, lambda v: AT @ v, y - y_prev, _EPS_INFEAS):
+        if y_prev is not None and _primal_infeasible(prob, y - y_prev, _EPS_INFEAS):
             status = PRIMAL_INFEASIBLE
             break
         if iteration == s.max_iter:
@@ -748,7 +728,7 @@ def _solve(prob: QuadraticProgram, s: QpSettings, warm_start) -> QpSolution:
     )
     kkt = (_LowRankKkt if lowrank else _DirectKkt)(prob, _SIGMA)
     if warm_start is not None:
-        Ax = kkt.a_matvec(x)
+        Ax = prob.A @ x
         z = np.clip(Ax, prob.l, prob.u)
 
     rho_scalar = _RHO
@@ -783,7 +763,7 @@ def _solve(prob: QuadraticProgram, s: QpSettings, warm_start) -> QpSolution:
             continue
 
         r_prim, r_dual, scale_p, scale_d = _residuals(
-            prob, Ax, z, prob.p_matvec(x), kkt.at_matvec(y), q_norm
+            prob, Ax, z, prob.p_matvec(x), prob._structure.AT @ y, q_norm
         )
 
         if r_prim <= s.eps_abs + s.eps_rel * scale_p and r_dual <= s.eps_abs + s.eps_rel * scale_d:
@@ -800,10 +780,10 @@ def _solve(prob: QuadraticProgram, s: QpSettings, warm_start) -> QpSolution:
         dy = y - y_prev_check
         x_prev_check = x.copy()
         y_prev_check = y.copy()
-        if _primal_infeasible(prob, kkt.at_matvec, dy, _EPS_INFEAS):
+        if _primal_infeasible(prob, dy, _EPS_INFEAS):
             status = PRIMAL_INFEASIBLE
             break
-        if _dual_infeasible(prob, kkt, dx, _EPS_INFEAS):
+        if _dual_infeasible(prob, dx, _EPS_INFEAS):
             status = DUAL_INFEASIBLE
             break
 

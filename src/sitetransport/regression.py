@@ -12,6 +12,10 @@ from .errors import SeparableDataError
 # Linear predictors beyond this magnitude pin fitted probabilities to 0/1 at
 # double precision; reaching it signals (quasi-)separation.
 _SEPARATION_ETA = 30.0
+# IRLS stops once the mean gradient's max norm is at most _LOGISTIC_TOL, or
+# after _LOGISTIC_MAX_ITER Newton steps (the fit then reports converged=False).
+_LOGISTIC_MAX_ITER = 100
+_LOGISTIC_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -58,15 +62,10 @@ def sigmoid(eta: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
 
 
-def fit_logistic(
-    design: np.ndarray,
-    labels: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> RegressionFit:
+def fit_logistic(design: np.ndarray, labels: np.ndarray) -> RegressionFit:
     """Logistic regression by iteratively reweighted least squares.
 
-    Convergence is declared when the mean gradient drops below ``tol``.
+    Convergence is declared when the mean gradient drops to _LOGISTIC_TOL.
     Raises :class:`SeparableDataError` when the linear predictor diverges,
     which signals (quasi-)separable classes.
     """
@@ -80,7 +79,7 @@ def fit_logistic(
     n, p = X.shape
     beta = np.zeros(p)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_LOGISTIC_MAX_ITER):
         eta = X @ beta
         if np.abs(eta).max(initial=0.0) > _SEPARATION_ETA:
             raise SeparableDataError(
@@ -88,7 +87,7 @@ def fit_logistic(
             )
         prob = sigmoid(eta)
         grad = X.T @ (y - prob) / n
-        if np.abs(grad).max(initial=0.0) <= tol:
+        if np.abs(grad).max(initial=0.0) <= _LOGISTIC_TOL:
             converged = True
             break
         w = prob * (1.0 - prob)

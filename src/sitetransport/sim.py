@@ -203,13 +203,11 @@ class SimResult:
     reps: int
     n_sites: int
     # audit detail: per-(estimator, lambda) arrays of (rep, site) errors
-    cell_errors: dict | None = field(default=None, compare=False)
+    cell_errors: dict = field(default_factory=dict, compare=False)
 
     def row(self, estimator: str, lam: float | None = None) -> SimTableRow:
         for r in self.rows:
-            if r.estimator == estimator and (
-                lam is None and r.lam is None or (r.lam is not None and lam is not None and r.lam == lam)
-            ):
+            if r.estimator == estimator and r.lam == lam:
                 return r
         raise KeyError((estimator, lam))
 
@@ -240,7 +238,7 @@ def _rep_errors(config: SimConfig, populations, rep: int) -> dict[tuple, np.ndar
         truth = repl.truth[site.site_id]
         if ORACLE in config.estimators:
             cell(ORACLE)[j] = 0.0
-        estimates = _transport_site(site, repl.target, transport, fmap, fmap).estimates
+        estimates = _transport_site(site, repl.target, transport, fmap).estimates
         for name in transport.estimators:  # a failed estimator leaves its cell NaN
             est = estimates.get(name)
             cell(name)[j] = np.nan if est is None else est.estimate - truth
@@ -263,14 +261,15 @@ def _rep_errors(config: SimConfig, populations, rep: int) -> dict[tuple, np.ndar
     return out
 
 
-def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = False) -> SimResult:
+def run_simulation(config: SimConfig, threads: int = 1) -> SimResult:
     """Score every enabled estimator over the replications.
 
     RMSE is the across-site root mean squared error per replication, averaged
     over replications. Mean absolute bias averages each site's error over
     replications first, then takes the mean absolute value across sites.
-    Failed cells are recorded and excluded from the averages. Deterministic
-    given the seed, independent of thread count.
+    Failed cells are recorded and excluded from the averages; every cell's
+    (rep x site) errors, NaN where it failed, are kept as ``cell_errors``.
+    Deterministic given the seed, independent of thread count.
     """
     populations = build_populations(config)
     J = config.n_sites
@@ -285,11 +284,9 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
 
     keys = sorted(per_rep[0].keys(), key=lambda k: (k[0], -np.inf if k[1] is None else k[1]))
     rows = []
-    audit = {} if keep_estimates else None
+    audit = {}
     for key in keys:
-        err = np.vstack([rep[key] for rep in per_rep])  # reps x J
-        if audit is not None:
-            audit[key] = err
+        err = audit[key] = np.vstack([rep[key] for rep in per_rep])  # reps x J
         ok = np.isfinite(err)
         n_failed = int(err.size - ok.sum())
         if not ok.any():

@@ -12,7 +12,19 @@ from sitetransport import (
     transport_all,
     BalanceProblem,
 )
+from sitetransport.balance import solve_weights
+from sitetransport.blas import single_threaded_blas
 from sitetransport.errors import ConfigError
+from sitetransport.estimators import (
+    density_ratio_fit,
+    doubly_robust_estimate,
+    ipw_estimate,
+    naive_estimate,
+    outcome_model_estimate,
+    weighting_estimate,
+)
+from sitetransport.features import FeatureMap
+from sitetransport.multisite import KNOWN_ESTIMATORS, pooled_feature_map
 
 from conftest import build_site, random_site
 
@@ -76,13 +88,50 @@ class TestTransportAll:
         bad_X = np.full((30, 1), 50.0) + rng.normal(0, 0.01, size=(30, 1))
         bad = build_site(bad_X, [1, 0] * 15, rng.normal(size=30), site_id="bad")
         target = TargetSpec.from_sample(rng.normal(0.0, 1.0, size=(40, 1)))
-        config = TransportConfig(estimators=("naive", "ipw"), n_boot=0)
+        config = TransportConfig(estimators=("naive", "ipw", "doubly_robust"), n_boot=0)
         report = transport_all([good, bad], target, config)
         bad_res = next(r for r in report.results if r.site_id == "bad")
         assert "ipw" in bad_res.errors
         assert "naive" in bad_res.estimates
+        # the failed density-ratio fit is the error of both estimators that use it
+        assert bad_res.errors["doubly_robust"] == bad_res.errors["ipw"]
+        assert bad_res.errors["ipw"].startswith("SeparableDataError: ")
         good_res = next(r for r in report.results if r.site_id == "good")
         assert "ipw" in good_res.estimates
+        assert "doubly_robust" in good_res.estimates
+
+    def test_every_estimator_is_its_public_function_on_the_pooled_map(self, rng):
+        sites = [random_site(rng, n=60, d=2, site_id=f"s{j}") for j in range(2)]
+        target = TargetSpec.from_sample(rng.normal(0.2, 1.0, size=(50, 2)))
+        config = TransportConfig(estimators=KNOWN_ESTIMATORS, n_boot=5, seed=3)
+        report = transport_all(sites, target, config)
+        fmap = pooled_feature_map(FeatureMap(), sites, target)
+
+        def numbers(est):
+            return np.array([est.estimate, est.std_error, est.ess_treated, est.ess_control]).tobytes()
+
+        with single_threaded_blas():
+            for site, res in zip(sites, report.results):
+                weights = solve_weights(
+                    BalanceProblem(site=site, target=target, lam=config.lam, cate_map=fmap, prognostic_map=fmap)
+                )
+                ratio = density_ratio_fit(site.covariates, target.sample, fmap)
+                expected = {
+                    "naive": naive_estimate(site),
+                    "weighting": weighting_estimate(site, weights.gamma),
+                    "ipw": ipw_estimate(site, ratio),
+                    "outcome_model": outcome_model_estimate(site, target, fmap, n_boot=5, seed=3),
+                    "doubly_robust": doubly_robust_estimate(
+                        site, target, fmap, ratio=ratio, n_boot=5, seed=3
+                    ),
+                }
+                assert res.errors == {}
+                assert res.weights.gamma.tobytes() == weights.gamma.tobytes()
+                assert set(res.estimates) == set(expected)
+                for name, want in expected.items():
+                    got = res.estimates[name]
+                    assert numbers(got) == numbers(want), name
+                    assert got.notes == want.notes, name
 
     def test_all_sites_failed_raises(self, rng):
         from sitetransport.errors import AllSitesFailedError

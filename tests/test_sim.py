@@ -136,7 +136,7 @@ class TestRunSimulation:
             estimators=("naive", "outcome_model", "ipw", "doubly_robust"),
             reps=2,
         )
-        res = run_simulation(cfg, keep_estimates=True)
+        res = run_simulation(cfg)
         cells = cfg.reps * cfg.n_sites
         assert res.row("naive").n_failed == 0
         assert res.row("outcome_model").n_failed == cells
@@ -152,15 +152,16 @@ class TestRunSimulation:
 
         names = ("ipw", "outcome_model", "doubly_robust")
         cfg = small_config(estimators=names, reps=1)
-        res = run_simulation(cfg, keep_estimates=True)
+        res = run_simulation(cfg)
         rep = generate_rep(cfg, 0)
         report = transport_all(rep.sites, rep.target, TransportConfig(estimators=names, n_boot=0))
         for name in names:
             expected = [r.estimates[name].estimate - rep.truth[r.site_id] for r in report.results]
             assert res.cell_errors[(name, None)][0].tobytes() == np.array(expected).tobytes()
 
-    def test_audit_detail_retained_on_request(self):
+    def test_cell_errors_filled_without_an_argument(self):
         cfg = small_config(reps=2)
-        res = run_simulation(cfg, keep_estimates=True)
-        err = res.cell_errors[("naive", None)]
-        assert err.shape == (2, cfg.n_sites)
+        res = run_simulation(cfg)
+        assert set(res.cell_errors) == {(row.estimator, row.lam) for row in res.rows}
+        for err in res.cell_errors.values():
+            assert err.shape == (cfg.reps, cfg.n_sites)
