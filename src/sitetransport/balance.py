@@ -23,7 +23,6 @@ from .errors import (
     DimensionMismatchError,
     ModeMismatchError,
     SolverFailedError,
-    UnfittedMapError,
 )
 from .features import FeatureMap, KernelSpec, apply_feature_map, kernel_matrix, resolve_kernel
 from .qp import SOLVED, QpSettings, QpSolution, QuadraticProgram, solve_qp
@@ -124,8 +123,9 @@ class SweepRow:
 class _SiteProgram:
     """The lambda-free part of one site's balancing program: ``base``, the QP
     without its ridge 2 lambda reg (P factored in linear mode, explicit in
-    kernel mode); linear mode adds the mapped features and target mean ``t``,
-    kernel mode the site Grams, target kernel-mean vector and Gram mean."""
+    kernel mode); linear mode adds the mapped features (one array when one
+    map serves both sides) and target mean ``t``, kernel mode the site Grams,
+    target kernel-mean vector and Gram mean (closed forms if k(x, y) = x'y)."""
 
     a_cate: np.ndarray
     a_prog: np.ndarray
@@ -154,11 +154,9 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
     upper = np.concatenate([[site.n1, site.n0], np.full(n, np.inf)])
     constraints = dict(A=A, l=np.concatenate([[site.n1, site.n0], np.zeros(n)]), u=upper)
     if prob.mode == "linear":
-        cmap = prob.cate_map
-        if not (cmap.fitted and prob.prognostic_map.fitted):
-            raise UnfittedMapError("feature maps must be fitted before assembly")
+        cmap, pmap = prob.cate_map, prob.prognostic_map
         phi_cate = apply_feature_map(cmap, X)
-        phi_prog = apply_feature_map(prob.prognostic_map, X)
+        phi_prog = phi_cate if pmap is cmap else apply_feature_map(pmap, X)
         if prob.target.is_sample:
             t = apply_feature_map(cmap, prob.target.sample).mean(axis=0)
         else:
@@ -187,17 +185,22 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
             (a_cate[:, None] * K_cate) * a_cate[None, :]
             + (a_prog[:, None] * K_prog) * a_prog[None, :]
         )
-        kernel_mean = kernel_matrix(k_cate, X, target).mean(axis=1)  # of the n x m cross Gram
+        if k_cate.kind == "linear":  # k(x, y) = x'y: both target terms need only its mean
+            y_bar = target.mean(axis=0)
+            kernel_mean, target_block = X @ y_bar, float(y_bar @ y_bar)
+        else:  # row means of the n x m cross Gram, and the m x m Gram's mean
+            kernel_mean = kernel_matrix(k_cate, X, target).mean(axis=1)
+            target_block = _gram_mean(k_cate, target)
         base = QuadraticProgram(P=0.5 * (P + P.T), q=-2.0 * a_cate * kernel_mean, **constraints)
         return _SiteProgram(
             a_cate, a_prog, reg, base, K_cate=K_cate, K_prog=K_prog, kernel_mean=kernel_mean,
-            target_block=_gram_mean(k_cate, target),
+            target_block=target_block,
         )
 
 
 def _gram_mean(spec: KernelSpec, Y: np.ndarray) -> float:
-    """Mean of the Gram matrix k(Y_i, Y_j), summed in row blocks of at most
-    ``_GRAM_BLOCK_DOUBLES`` entries so the m x m matrix is never held."""
+    """Mean of a non-linear kernel's Gram matrix k(Y_i, Y_j), summed in row
+    blocks of at most ``_GRAM_BLOCK_DOUBLES`` entries (never all m x m)."""
     m = Y.shape[0]
     rows = max(1, _GRAM_BLOCK_DOUBLES // m)
     total = sum(float(kernel_matrix(spec, Y[i : i + rows], Y).sum()) for i in range(0, m, rows))

@@ -169,21 +169,15 @@ class KernelSpec:
 
 
 def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate the kernel at a pair of equal-length vectors."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"kernel arguments have shapes {x.shape} and {y.shape}")
-    if spec.kind == "linear":
-        return float(x @ y)
-    if spec.bandwidth is None:
-        raise ValueError("RBF bandwidth unresolved; call resolve_bandwidth first")
-    sq = float(np.sum((x - y) ** 2))
-    return float(np.exp(-sq / (2.0 * spec.bandwidth**2)))
+    """Evaluate the kernel at a pair of equal-length vectors, each raveled to
+    one point of :func:`kernel_matrix`."""
+    x, y = (np.asarray(v, dtype=float).ravel() for v in (x, y))
+    return float(kernel_matrix(spec, x, y)[0, 0])
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrix k(X_i, Y_j); Y defaults to X."""
+    """Gram matrix k(X_i, Y_j); Y defaults to X. A 1-D X or Y is one point
+    (a single row), unlike a 1-D sample in :func:`resolve_bandwidth`."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
@@ -212,9 +206,11 @@ def resolve_bandwidth(sample: np.ndarray | Sequence[Sequence[float]]) -> float:
     ``BANDWIDTH_SUBSAMPLE_CAP`` points, by one selection over the pairwise
     distances. If the median distance is zero but distinct points exist, the
     median of the strictly positive distances is used so the bandwidth stays
-    positive. A sample with a NaN or infinite entry is rejected.
+    positive. A sample with a NaN or infinite entry is rejected. A 1-D sample
+    holds n scalar observations.
     """
-    X = np.atleast_2d(np.asarray(sample, dtype=float))
+    X = np.asarray(sample, dtype=float)
+    X = X.reshape(-1, 1) if X.ndim < 2 else X
     if X.shape[0] < 2:
         raise EmptySampleError("bandwidth resolution needs at least two points")
     if not np.isfinite(X).all():

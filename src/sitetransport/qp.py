@@ -21,7 +21,8 @@ at lambda > 0).
   mode), the program is solved by the primal-dual active-set method, a
   semismooth Newton method on the KKT conditions (Hintermueller, Ito &
   Kunisch 2002). Each step fixes x = 0 off a free set F, solves the
-  equality-constrained program on F by one Cholesky factorization of P_FF
+  equality-constrained program on F by one Cholesky factorization of P_FF,
+  in place in one copy of P's free block (of P while all units are free),
   and a Schur solve for the multipliers mu of E, sets the bound multipliers
   s = P x + q - E'mu and takes the next free set {x - s > 0}. It stops when
   the free set repeats, at an exact KKT point, like OSQP's solution polish
@@ -627,9 +628,9 @@ def _solve_active_set(prob, s: QpSettings, warm_start) -> QpSolution | None:
         if not _covers_rows(E, free):  # an arm without free units
             return None
         idx = np.flatnonzero(free)
-        # P_FF is symmetric, so its transpose is P_FF in Fortran order,
-        # which LAPACK factors in place
-        H = P[np.ix_(idx, idx)].T
+        # one copy of P_FF (a plain copy of P while every unit is free): P_FF
+        # is symmetric, so its transpose is P_FF in Fortran order, factored in place
+        H = (P.copy() if idx.size == n else P.take(idx, 0).take(idx, 1)).T
         H[np.diag_indices_from(H)] += d[idx]
         chol, info = dpotrf(H, lower=1, overwrite_a=1)
         if info:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -89,14 +90,16 @@ class TestBuildLinearQp:
         with pytest.raises(DimensionMismatchError):
             build_linear_qp(prob)
 
-    def test_unfitted_map_rejected(self):
+    @pytest.mark.parametrize("fitted", [(), ("cate",), ("prognostic",)], ids=["both", "prognostic", "cate"])
+    def test_unfitted_map_rejected(self, fitted):
         site = one_dim_site()
+        maps = {side: identity_map(1) if side in fitted else FeatureMap() for side in ("cate", "prognostic")}
         prob = BalanceProblem(
             site=site,
             target=TargetSpec.from_moments([2.0]),
             lam=0.1,
-            cate_map=FeatureMap(),
-            prognostic_map=FeatureMap(),
+            cate_map=maps["cate"],
+            prognostic_map=maps["prognostic"],
         )
         with pytest.raises(UnfittedMapError):
             build_linear_qp(prob)
@@ -387,7 +390,20 @@ class TestProgramReuse:
         monkeypatch.setattr(module, name, counted)
 
     @pytest.mark.parametrize("k", [1, 4])
-    def test_kernel_sweep_resolves_and_builds_grams_once_per_site(self, sweep_inputs, monkeypatch, k):
+    @pytest.mark.parametrize(
+        "cate, prognostic, per_site, on_target",
+        [
+            # the two site Grams; the target terms come from the target mean
+            ("linear", "rbf", 2, 0),
+            # the two site Grams, the cross Gram and the target Gram's rows,
+            # in one block at this target size
+            ("rbf", "linear", 4, 2),
+        ],
+        ids=["linear-effect", "rbf-effect"],
+    )
+    def test_kernel_sweep_resolves_and_builds_grams_once_per_site(
+        self, sweep_inputs, monkeypatch, k, cate, prognostic, per_site, on_target
+    ):
         from sitetransport import balance, features
 
         sites, target, _ = sweep_inputs
@@ -396,14 +412,13 @@ class TestProgramReuse:
         self._counting(monkeypatch, balance, "kernel_matrix", grams)
         rows = lambda_sweep(
             sites, target, np.logspace(-2, 1, k),
-            cate_kernel=KernelSpec("linear"), prognostic_kernel=KernelSpec("rbf"),
+            cate_kernel=KernelSpec(cate), prognostic_kernel=KernelSpec(prognostic),
         )
         assert sum(r.n_failed for r in rows) == 0
-        # the target Gram's rows, in one block at this target size
-        target_grams = [a for a in grams if np.shares_memory(a[1], target.sample)]
+        target_grams = [a for a in grams if any(np.shares_memory(v, target.sample) for v in a[1:])]
         assert len(bandwidths) == len(sites)
-        assert len(target_grams) == len(sites)
-        assert len(grams) == 4 * len(sites)
+        assert len(target_grams) == on_target * len(sites)
+        assert len(grams) == per_site * len(sites)
 
     def test_identical_rbf_kernels_share_one_bandwidth_and_gram(self, sweep_inputs, monkeypatch):
         from sitetransport import balance, features
@@ -439,15 +454,36 @@ class TestProgramReuse:
                 assert (a.cate_imbalance, a.prognostic_imbalance) == (b.cate_imbalance, b.prognostic_imbalance)
 
     @pytest.mark.parametrize("k", [1, 4])
-    def test_linear_sweep_maps_features_a_fixed_number_of_times(self, sweep_inputs, monkeypatch, k):
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-map", "two-maps"])
+    def test_linear_sweep_maps_features_a_fixed_number_of_times(self, sweep_inputs, monkeypatch, k, shared):
         from sitetransport import balance
 
         sites, target, fmap = sweep_inputs
+        pooled = np.vstack([s.covariates for s in sites] + [target.sample])
+        pmap = fmap if shared else fit_feature_map(FeatureMap(interactions=((0, 1),)), pooled)
         mapped = []
         self._counting(monkeypatch, balance, "apply_feature_map", mapped)
-        lambda_sweep(sites, target, np.logspace(-3, 1, k), cate_map=fmap, prognostic_map=fmap)
-        # effect side and prognostic side on the site, effect side on the target
-        assert len(mapped) == 3 * len(sites)
+        rows = lambda_sweep(sites, target, np.logspace(-3, 1, k), cate_map=fmap, prognostic_map=pmap)
+        assert sum(r.n_failed for r in rows) == 0
+        # effect side on the site and on the target; the prognostic side on
+        # the site only when its map is another one
+        assert len(mapped) == (2 if shared else 3) * len(sites)
+
+    def test_one_map_on_both_sides_gives_the_weights_of_an_equal_second_map(self, sweep_inputs):
+        from sitetransport.balance import solve_along_grid
+
+        sites, target, fmap = sweep_inputs
+        grid = np.logspace(1, -3, 4)
+        for site in sites:
+            one, two = (
+                BalanceProblem(site=site, target=target, lam=grid[0], cate_map=fmap, prognostic_map=pmap)
+                for pmap in (fmap, replace(fmap))
+            )
+            assert one._program.phi_prog is one._program.phi_cate
+            assert two._program.phi_prog is not two._program.phi_cate
+            for (_, a), (_, b) in zip(solve_along_grid(one, grid), solve_along_grid(two, grid)):
+                np.testing.assert_array_equal(a.gamma, b.gamma)
+                assert (a.cate_imbalance, a.prognostic_imbalance) == (b.cate_imbalance, b.prognostic_imbalance)
 
     @staticmethod
     def _counting_structure(monkeypatch, name):
@@ -544,18 +580,33 @@ class TestProgramReuse:
 
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
     @pytest.mark.parametrize("block", [None, 7 * 45])
-    def test_target_gram_mean_summed_in_blocks(self, sweep_inputs, rng, monkeypatch, kind, block):
+    @pytest.mark.parametrize("centred", [False, True], ids=["shifted", "centred"])
+    def test_target_gram_mean_summed_in_blocks(self, sweep_inputs, rng, monkeypatch, kind, block, centred):
         from sitetransport import balance
 
         sites, _, _ = sweep_inputs
-        target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(1100 if block is None else 45, 2)))
+        sample = rng.normal(0.3, 1.0, size=(1100 if block is None else 45, 2))
+        if centred:
+            sample -= sample.mean(axis=0)
+        target = TargetSpec.from_sample(sample)
         if block is not None:  # blocks of 7 rows
             monkeypatch.setattr(balance, "_GRAM_BLOCK_DOUBLES", block)
         spec = KernelSpec(kind, None if kind == "linear" else 0.8)
         kernels = dict(cate_kernel=spec, prognostic_kernel=KernelSpec("linear"))
         program = BalanceProblem(site=sites[0], target=target, lam=0.1, **kernels)._program
-        full = kernel_matrix(spec, target.sample).mean()
-        assert program.target_block == pytest.approx(full, rel=1e-12, abs=0.0)
+        if kind == "rbf" or not centred:
+            full = kernel_matrix(spec, target.sample).mean()
+            assert program.target_block == pytest.approx(full, rel=1e-12, abs=0.0)
+        if kind == "linear":
+            # the linear Gram's mean is |y_bar|^2; centred, its entries cancel
+            # to rounding noise while y_bar stays within a summation error
+            # bound of its exactly rounded value
+            eps = np.finfo(float).eps
+            y_bar = [math.fsum(col) / len(sample) for col in sample.T]
+            err = [eps * math.fsum(np.abs(col)) for col in sample.T]
+            ref = math.fsum(v * v for v in y_bar)
+            tol = math.fsum(2.0 * abs(v) * e + e * e for v, e in zip(y_bar, err)) + 4.0 * eps * ref
+            assert abs(program.target_block - ref) <= tol
 
     @pytest.mark.parametrize("field", ["site", "target"])
     def test_replace_builds_a_fresh_program(self, sweep_inputs, rng, field):

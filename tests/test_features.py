@@ -19,7 +19,7 @@ from sitetransport.errors import (
     EmptySampleError,
     UnfittedMapError,
 )
-from sitetransport.features import BANDWIDTH_SUBSAMPLE_CAP, _median
+from sitetransport.features import BANDWIDTH_SUBSAMPLE_CAP, _median, resolve_kernel
 
 
 class TestFitFeatureMap:
@@ -134,6 +134,16 @@ class TestResolveBandwidth:
     def test_three_points_median(self):
         # pairwise distances {1, 3, 2} -> median 2
         assert resolve_bandwidth(np.array([[0.0], [1.0], [3.0]])) == pytest.approx(2.0)
+
+    def test_one_dimensional_sample_is_scalar_observations(self):
+        # three observations 0, 1, 3, not one point in three dimensions
+        assert resolve_bandwidth(np.array([0.0, 1.0, 3.0])) == 2.0
+
+    @pytest.mark.parametrize("n", [7, BANDWIDTH_SUBSAMPLE_CAP + 31], ids=["small", "past-cap"])
+    def test_one_dimensional_sample_equals_its_column(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        assert resolve_bandwidth(x).hex() == resolve_bandwidth(x[:, None]).hex()
+        assert resolve_kernel(KernelSpec("rbf"), x) == resolve_kernel(KernelSpec("rbf"), x[:, None])
 
     def test_identical_points(self):
         with pytest.raises(AllPointsIdenticalError):

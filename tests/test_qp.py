@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from sitetransport import (
     BalanceProblem,
@@ -15,6 +16,7 @@ from sitetransport import (
     identity_map,
     solve_qp,
 )
+from sitetransport.blas import single_threaded_blas
 from sitetransport.errors import DimensionMismatchError, NonConvexError
 from sitetransport.qp import DUAL_INFEASIBLE, MAX_ITERATIONS, PRIMAL_INFEASIBLE, SOLVED, _dual_hessian
 
@@ -662,7 +664,65 @@ def summed(prob):
     return QuadraticProgram(P=prob.p_dense(), q=prob.q, A=prob.A, l=prob.l, u=prob.u)
 
 
+def ix_gather_active_set(prob, warm_start=None):
+    """The active-set loop with each free block gathered as
+    ``P[np.ix_(idx, idx)]`` and its transpose factored: (x, y, steps)."""
+    eq, bound, cols, E = prob._structure.balancing
+    P, d, q, b, n = prob.P, prob.p_diag, prob.q, prob.l[eq], prob.n
+    free = np.ones(n, dtype=bool)
+    if warm_start is not None:
+        s0 = np.empty(n)
+        s0[cols] = -warm_start[1][bound]
+        free = warm_start[0] - s0 > 0.0
+    with single_threaded_blas():
+        for step in range(1, 51):
+            idx = np.flatnonzero(free)
+            H = P[np.ix_(idx, idx)].T
+            H[np.diag_indices_from(H)] += d[idx]
+            chol, info = dpotrf(H, lower=1, overwrite_a=1)
+            assert info == 0
+            E_f = E[:, idx]
+            solved = dpotrs(chol, np.column_stack([E_f.T, q[idx]]), lower=1)[0]
+            h_e, h_q = solved[:, :-1], solved[:, -1]
+            mu = dpotrs(dpotrf(E_f @ h_e, lower=1)[0], b + E_f @ h_q, lower=1)[0]
+            x = np.zeros(n)
+            x[idx] = h_e @ mu - h_q
+            sv = prob.p_matvec(x) + q - E.T @ mu
+            next_free = x - sv > 0.0
+            if np.array_equal(next_free, free):
+                break
+            free = next_free
+    y = np.empty(prob.m)
+    y[eq] = -mu
+    y[bound] = -np.maximum(sv, 0.0)[cols]
+    return x, y, step
+
+
 class TestActiveSetPath:
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "within-tolerance"])
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_free_blocks_give_the_iterates_of_the_ix_gather(self, symmetric, seed):
+        from sitetransport.qp import _SYMMETRY_TOL
+
+        prob = small_kernel_program(1e-5, n=40, seed=seed)
+        if not symmetric:  # P's upper triangle off its lower one by up to the tolerance
+            noise = np.triu(np.random.default_rng(seed).uniform(-1.0, 1.0, (prob.n, prob.n)), 1)
+            prob = QuadraticProgram(
+                P=prob.P + 0.5 * _SYMMETRY_TOL * noise, p_diag=prob.p_diag, q=prob.q, A=prob.A, l=prob.l, u=prob.u
+            )
+            assert not np.array_equal(prob.P, prob.P.T)
+        # the solution at a smaller lambda starts with part of the units free
+        start = solve_qp(prob.with_p_diag(1e-2 * prob.p_diag))
+        assert 0 < (start.x + start.y[2:] > 0.0).sum() < prob.n
+        for warm in (None, (start.x, start.y)):
+            sol = solve_qp(prob, warm_start=warm)
+            x, y, steps = ix_gather_active_set(prob, warm)
+            # a cold start frees every unit, then factors partly free blocks
+            assert sol.method == "active_set" and sol.iterations == steps > 1
+            np.testing.assert_array_equal(sol.x, x)
+            np.testing.assert_array_equal(sol.y, y)
+            assert sol.objective == prob.objective(x)
+
     @pytest.mark.parametrize("lam", [1e-3, 1.0, 10.0])
     def test_kernel_programs_match_enumeration(self, lam):
         prob = small_kernel_program(lam)
