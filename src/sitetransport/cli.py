@@ -22,9 +22,9 @@ import yaml
 from .balance import lambda_sweep
 from .data import TargetSpec, UnitRecord, UnitTable, validate_dataset
 from .errors import ConfigError, NonBinaryTreatmentError, SchemaError, SiteTransportError
-from .features import FeatureMap, KernelSpec
+from .features import KernelSpec
 from .heterogeneity import SiteEffectSet, estimate_theta, pseudo_r2
-from .multisite import DEFAULT_LAMBDA, KNOWN_ESTIMATORS, TransportConfig, pooled_feature_map, transport_all
+from .multisite import DEFAULT_LAMBDA, KNOWN_ESTIMATORS, TransportConfig, run_setup, transport_all
 from .qp import QpSettings
 from .sim import SimConfig, run_simulation
 
@@ -264,22 +264,12 @@ def _cmd_weights(args) -> int:
             raise SchemaError(f"site {args.site!r} not found in {args.data}")
     target = _resolve_target(args, sites)
 
-    if config.mode == "kernel" and not target.is_sample:
-        raise ConfigError(
-            "kernel mode requires a unit-level target sample; a moments file only "
-            "supports linear mode"
-        )
-
     report = transport_all(sites, target, config=replace(config, estimators=("weighting",)))
     rows = []
-    for res in report.results:
+    for site, res in zip(sites, report.results):
         if res.weights is None:
-            print(
-                f"site {res.site_id}: FAILED {res.errors.get('weighting', 'unknown error')}",
-                file=sys.stderr,
-            )
+            print(f"site {res.site_id}: FAILED {res.errors['weighting']}", file=sys.stderr)
             continue
-        site = next(s for s in sites if s.site_id == res.site_id)
         positions = site.row_indices or tuple(range(site.n))
         for pos, g in zip(positions, res.weights.gamma):
             rows.append([res.site_id, pos, g])
@@ -474,17 +464,8 @@ def _cmd_sweep(args) -> int:
         grid = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]
     else:
         grid = list(cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID))
-    if config.mode == "kernel" and not target.is_sample:
-        raise ConfigError("kernel mode requires a unit-level target sample")
-
-    if config.mode == "linear":
-        spec = FeatureMap(interactions=config.interactions, standardize=config.standardize)
-        fmap = pooled_feature_map(spec, sites, target)
-        kwargs = {"cate_map": fmap, "prognostic_map": fmap}
-    else:
-        kwargs = {"cate_kernel": config.cate_kernel, "prognostic_kernel": config.prognostic_kernel}
-
-    rows = lambda_sweep(sites, target, grid, settings=config.solver, **kwargs)
+    _, sides = run_setup(replace(config, estimators=("weighting",)), sites, target)
+    rows = lambda_sweep(sites, target, grid, settings=config.solver, **sides)
     _write_csv(
         args.out,
         ["lambda", "cate_imbalance", "prognostic_imbalance", "ess", "n_failed"],

@@ -88,12 +88,12 @@ class TransportReport:
 
 
 def _transport_site(
-    site: SiteDataset, target: TargetSpec, config: TransportConfig, fmap: FeatureMap | None
+    site: SiteDataset, target: TargetSpec, config: TransportConfig, fmap: FeatureMap | None, sides: dict
 ) -> SiteResult:
     """One site against the target, every estimator on the one feature map
-    ``fmap`` (in kernel mode the balancing weights use the kernels instead).
-    An estimator's SiteTransportError is recorded under its name, and a
-    failed density-ratio fit under both IPW and doubly robust."""
+    ``fmap`` and the weights on the balancing ``sides`` (see run_setup). An
+    estimator's SiteTransportError is recorded under its name, and a failed
+    density-ratio fit under both IPW and doubly robust."""
     wanted = config.estimators
     estimates: dict[str, TransportEstimate] = {}
     errors: dict[str, str] = {}
@@ -113,10 +113,6 @@ def _transport_site(
         estimates[NAIVE] = naive_estimate(site)
     weights = None
     if WEIGHTING in wanted:
-        sides = (
-            {"cate_kernel": config.cate_kernel, "prognostic_kernel": config.prognostic_kernel}
-            if config.mode == "kernel" else {"cate_map": fmap, "prognostic_map": fmap}
-        )
         weights = attempt((WEIGHTING,), lambda: solve_weights(
             BalanceProblem(site=site, target=target, lam=config.lam, **sides), settings=config.solver
         ))
@@ -145,13 +141,32 @@ def _transport_site(
     )
 
 
-def pooled_feature_map(spec: FeatureMap, sites: list[SiteDataset], target: TargetSpec) -> FeatureMap:
-    """``spec`` fitted on every site's covariates plus the target sample, when
-    the target has one."""
-    pooled = [s.covariates for s in sites]
-    if target.is_sample:
-        pooled.append(target.sample)
-    return fit_feature_map(spec, np.vstack(pooled))
+def run_setup(
+    config: TransportConfig, sites: list[SiteDataset], target: TargetSpec
+) -> tuple[FeatureMap | None, dict]:
+    """A run's set-up, the same for transport, the sweep and the simulation.
+
+    Raises :class:`ConfigError` if the run needs a unit-level target sample
+    (the outcome model, IPW, doubly robust, kernel mode) and ``target`` has
+    moments. If the run uses a feature map (for those estimators, or
+    linear-mode weights), fits it once on every site's covariates plus the
+    target sample, if any; else it is None. Returns ``(fmap, sides)``,
+    ``sides`` the :class:`~sitetransport.balance.BalanceProblem`
+    arguments of the weights: the map on both sides in linear mode, the
+    config's kernels in kernel mode.
+    """
+    sample_needed = sorted({OUTCOME_MODEL, IPW, DOUBLY_ROBUST} & set(config.estimators))
+    if sample_needed and not target.is_sample:
+        raise ConfigError(f"estimators {sample_needed} require a unit-level target sample")
+    if config.mode == "kernel" and not target.is_sample:
+        raise ConfigError("kernel mode requires a unit-level target sample, not moments")
+    fmap = None
+    if sample_needed or (config.mode == "linear" and WEIGHTING in config.estimators):
+        pooled = [s.covariates for s in sites] + ([target.sample] if target.is_sample else [])
+        fmap = fit_feature_map(FeatureMap(config.interactions, config.standardize), np.vstack(pooled))
+    if config.mode == "kernel":
+        return fmap, {"cate_kernel": config.cate_kernel, "prognostic_kernel": config.prognostic_kernel}
+    return fmap, {"cate_map": fmap, "prognostic_map": fmap}
 
 
 def transport_all(
@@ -173,21 +188,9 @@ def transport_all(
     if target is None:
         target = TargetSpec.pooled(sites)
 
-    sample_needed = {OUTCOME_MODEL, IPW, DOUBLY_ROBUST} & set(config.estimators)
-    if sample_needed and not target.is_sample:
-        raise ConfigError(
-            f"estimators {sorted(sample_needed)} require a unit-level target sample"
-        )
-    if config.mode == "kernel" and not target.is_sample:
-        raise ConfigError("kernel mode requires a unit-level target sample")
-
-    fmap = None
-    if config.mode == "linear" or sample_needed:
-        spec = FeatureMap(interactions=config.interactions, standardize=config.standardize)
-        fmap = pooled_feature_map(spec, sites, target)
-
+    fmap, sides = run_setup(config, sites, target)
     with single_threaded_blas():
-        results = [_transport_site(s, target, config, fmap) for s in sites]
+        results = [_transport_site(s, target, config, fmap, sides) for s in sites]
 
     if all(not r.estimates for r in results):
         raise AllSitesFailedError("no estimator succeeded on any site")

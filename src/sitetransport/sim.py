@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .balance import BalanceProblem, solve_along_grid
 from .data import SiteDataset, TargetSpec
 from .errors import SiteTransportError
 from .estimators import DOUBLY_ROBUST, IPW, NAIVE, OUTCOME_MODEL, WEIGHTING, weighting_estimate
-from .features import FeatureMap
-from .multisite import KNOWN_ESTIMATORS, TransportConfig, _transport_site, pooled_feature_map
+from .multisite import KNOWN_ESTIMATORS, TransportConfig, _transport_site, run_setup
 from .qp import QpSettings
 
 # Pseudo-estimator that scores the truth itself; harness self-test hook.
@@ -226,31 +225,22 @@ def _rep_errors(config: SimConfig, populations, rep: int) -> dict[tuple, np.ndar
             out[key] = np.full(J, np.nan)
         return out[key]
 
-    fmap = None
-    if set(config.estimators) - {NAIVE, ORACLE}:
-        fmap = pooled_feature_map(FeatureMap(standardize=True), sites, repl.target)
+    setup = TransportConfig(estimators=tuple(e for e in config.estimators if e != ORACLE), n_boot=0)
+    fmap, sides = run_setup(setup, sites, repl.target)
     # naive, IPW, outcome model and doubly robust are transport's own per-site path
-    transport = TransportConfig(
-        estimators=tuple(e for e in config.estimators if e not in (WEIGHTING, ORACLE)), n_boot=0
-    )
+    transport = replace(setup, estimators=tuple(e for e in setup.estimators if e != WEIGHTING))
 
     for j, site in enumerate(sites):
         truth = repl.truth[site.site_id]
         if ORACLE in config.estimators:
             cell(ORACLE)[j] = 0.0
-        estimates = _transport_site(site, repl.target, transport, fmap).estimates
+        estimates = _transport_site(site, repl.target, transport, fmap, sides).estimates
         for name in transport.estimators:  # a failed estimator leaves its cell NaN
             est = estimates.get(name)
             cell(name)[j] = np.nan if est is None else est.estimate - truth
 
         if WEIGHTING in config.estimators:
-            prob = BalanceProblem(
-                site=site,
-                target=repl.target,
-                lam=grid[0],
-                cate_map=fmap,
-                prognostic_map=fmap,
-            )
+            prob = BalanceProblem(site=site, target=repl.target, lam=grid[0], **sides)
             for lam, ws in solve_along_grid(prob, grid, config.solver, catch=SiteTransportError):
                 errors = cell(WEIGHTING, lam)  # stays NaN unless the estimate succeeds
                 if ws is not None:

@@ -23,8 +23,7 @@ from sitetransport.estimators import (
     outcome_model_estimate,
     weighting_estimate,
 )
-from sitetransport.features import FeatureMap
-from sitetransport.multisite import KNOWN_ESTIMATORS, pooled_feature_map
+from sitetransport.multisite import KNOWN_ESTIMATORS, run_setup
 
 from conftest import build_site, random_site
 
@@ -105,7 +104,7 @@ class TestTransportAll:
         target = TargetSpec.from_sample(rng.normal(0.2, 1.0, size=(50, 2)))
         config = TransportConfig(estimators=KNOWN_ESTIMATORS, n_boot=5, seed=3)
         report = transport_all(sites, target, config)
-        fmap = pooled_feature_map(FeatureMap(), sites, target)
+        fmap, _ = run_setup(config, sites, target)
 
         def numbers(est):
             return np.array([est.estimate, est.std_error, est.ess_treated, est.ess_control]).tobytes()
