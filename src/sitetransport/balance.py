@@ -20,11 +20,10 @@ from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec
 from .errors import (
     AllZeroWeightsError,
-    DimensionMismatchError,
     ModeMismatchError,
     SolverFailedError,
 )
-from .features import FeatureMap, KernelSpec, apply_feature_map, kernel_matrix, resolve_kernel
+from .features import FeatureMap, KernelSpec, apply_feature_map, kernel_matrix, map_raw_means, resolve_kernel
 from .qp import SOLVED, QpSettings, QpSolution, QuadraticProgram, solve_qp
 
 # Weight solutions flag sites whose effective sample size drops below this
@@ -160,11 +159,7 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
         if prob.target.is_sample:
             t = apply_feature_map(cmap, prob.target.sample).mean(axis=0)
         else:
-            t = prob.target.moments
-            if t.size != cmap.output_dim:
-                raise DimensionMismatchError(
-                    f"target moments have length {t.size}, feature map produces {cmap.output_dim}"
-                )
+            t = map_raw_means(cmap, prob.target.moments)
         B_cate = a_cate[:, None] * phi_cate  # row i: a_cate_i * phi(X_i)
         B_prog = a_prog[:, None] * phi_prog
         p_factor = np.sqrt(2.0) * np.vstack([B_cate.T, B_prog.T])

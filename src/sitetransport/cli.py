@@ -22,7 +22,7 @@ import yaml
 from .balance import lambda_sweep
 from .data import TargetSpec, UnitRecord, UnitTable, validate_dataset
 from .errors import ConfigError, NonBinaryTreatmentError, SchemaError, SiteTransportError
-from .features import KernelSpec
+from .features import KernelSpec, raw_feature_names
 from .heterogeneity import SiteEffectSet, estimate_theta, pseudo_r2
 from .multisite import DEFAULT_LAMBDA, KNOWN_ESTIMATORS, TransportConfig, run_setup, transport_all
 from .qp import QpSettings
@@ -151,18 +151,25 @@ def read_target_sample(path: str) -> TargetSpec:
     return TargetSpec.from_sample(np.array([[_parse_float(r, c, path) for c in xcols] for r in rows]))
 
 
-def read_target_moments(path: str) -> TargetSpec:
-    """Moments file: one header row of feature names, one row of means."""
+def read_target_moments(path: str, names: tuple[str, ...]) -> TargetSpec:
+    """Moments file: a header row of feature names and one row of the
+    target's means of them. The names are matched, in any order, against
+    ``names``: the map's features before scaling and dropping."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        table = [row for row in reader if row]
-    if len(table) != 2:
-        raise SchemaError(f"{path}: a moments file needs a header row and one data row")
+        table = [row for row in csv.reader(fh) if row]
+    if len(table) != 2 or len(table[0]) != len(table[1]):
+        raise SchemaError(f"{path}: a moments file needs a header row and one data row of equal length")
+    header = [name.strip() for name in table[0]]
+    missing = [name for name in names if name not in header]
+    unknown = [name for name in header if name not in names or header.count(name) > 1]
+    for label, found in (("missing", missing), ("unknown or repeated", unknown)):
+        if found:
+            raise SchemaError(f"{path}: {label} moment column(s) {found}; expected {list(names)}")
     try:
-        means = [float(v) for v in table[1]]
+        means = dict(zip(header, map(float, table[1])))
     except ValueError as exc:
         raise SchemaError(f"{path}: non-numeric moment value") from exc
-    return TargetSpec.from_moments(np.array(means))
+    return TargetSpec.from_moments([means[name] for name in names])
 
 
 def _load_yaml(path: str | None) -> dict:
@@ -243,11 +250,11 @@ def _transport_config(cfg: dict, args) -> TransportConfig:
         raise ConfigError(f"invalid transport config: {exc}") from exc
 
 
-def _resolve_target(args, sites):
+def _resolve_target(args, sites, config: TransportConfig):
     if getattr(args, "target", None):
         return read_target_sample(args.target)
     if getattr(args, "target_moments", None):
-        return read_target_moments(args.target_moments)
+        return read_target_moments(args.target_moments, raw_feature_names(sites[0].d, config.interactions))
     return TargetSpec.pooled(sites)
 
 
@@ -262,7 +269,7 @@ def _cmd_weights(args) -> int:
         sites = [s for s in sites if s.site_id == args.site]
         if not sites:
             raise SchemaError(f"site {args.site!r} not found in {args.data}")
-    target = _resolve_target(args, sites)
+    target = _resolve_target(args, sites, config)
 
     report = transport_all(sites, target, config=replace(config, estimators=("weighting",)))
     rows = []
@@ -292,7 +299,7 @@ def _cmd_transport(args) -> int:
     cfg = _load_yaml(args.config)
     config = _transport_config(cfg, args)
     sites = validate_dataset(read_unit_table(args.data))
-    target = _resolve_target(args, sites)
+    target = _resolve_target(args, sites, config)
     report = transport_all(sites, target, config=config)
 
     methods = [m for m in KNOWN_ESTIMATORS if m in config.estimators]
@@ -458,7 +465,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_yaml(args.config)
     config = _transport_config(cfg, args)
     sites = validate_dataset(read_unit_table(args.data))
-    target = _resolve_target(args, sites)
+    target = _resolve_target(args, sites, config)
 
     if args.lambdas:
         grid = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]

@@ -175,11 +175,16 @@ class SiteDataset:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Target covariate distribution: a unit-level sample or feature-space means.
+    """Target covariate distribution: a unit-level sample or feature means.
 
     Exactly one of ``sample`` (an (m, d) matrix of raw covariate rows) and
-    ``moments`` (the mean of the effect-side feature map over the target) is
-    set. Kernel-mode balancing requires a sample; linear mode accepts either.
+    ``moments`` is set. ``moments`` are the target's means of the effect-side
+    feature map's features before scaling and dropping: the covariates
+    x1..xd, then each configured interaction product, in that order
+    (:func:`~sitetransport.features.raw_feature_names`). Linear-mode
+    balancing keeps the entries its fitted map keeps and scales them as the
+    map does, so moments and covariates share one scale. Kernel-mode
+    balancing requires a sample; linear mode accepts either.
     """
 
     sample: np.ndarray | None = None

@@ -62,6 +62,12 @@ class FeatureMap:
         return base + inter
 
 
+def raw_feature_names(d: int, interactions: Sequence[tuple[int, int]]) -> tuple[str, ...]:
+    """Names of a map's features before scaling and dropping: the covariates
+    ``x1..xd``, then each interaction product as ``xi*xj`` (1-based)."""
+    return tuple(f"x{i + 1}" for i in range(d)) + tuple(f"x{i + 1}*x{j + 1}" for i, j in interactions)
+
+
 def _raw_features(spec: FeatureMap, X: np.ndarray) -> np.ndarray:
     """Base covariates followed by the interaction products, unscaled."""
     cols = [X]
@@ -90,7 +96,7 @@ def fit_feature_map(spec: FeatureMap, pooled: np.ndarray | Sequence[Sequence[flo
 
     raw = _raw_features(spec, X)
     sd = raw.std(axis=0)  # population sd
-    names = [f"x{i + 1}" for i in range(d)] + [f"x{i + 1}*x{j + 1}" for i, j in spec.interactions]
+    names = raw_feature_names(d, spec.interactions)
 
     keep = sd > 0
     kept_base = tuple(i for i in range(d) if keep[i])
@@ -130,6 +136,17 @@ def apply_feature_map(spec: FeatureMap, x: np.ndarray | Sequence[float]) -> np.n
         cols.append((X[:, i] * X[:, j])[:, None])
     out = np.hstack(cols) / spec.fitted_scale
     return out[0] if single else out
+
+
+def map_raw_means(spec: FeatureMap, means: np.ndarray) -> np.ndarray:
+    """The fitted map applied to means of its raw features (ordered as
+    :func:`raw_feature_names`): the kept entries over their scales. The map
+    is linear in its raw features, so this is the mean of the mapped rows."""
+    k = spec.n_raw + len(spec.interactions)
+    if means.size != k:
+        raise DimensionMismatchError(f"target moments have length {means.size}, the map has {k} raw features")
+    kept = [*spec.kept_base, *(spec.n_raw + spec.interactions.index(pair) for pair in spec.kept_interactions)]
+    return means[kept] / spec.fitted_scale
 
 
 def identity_map(d: int) -> FeatureMap:

@@ -164,6 +164,77 @@ class TestWeightsCommand:
         assert min(int(r["row"]) for r in rows) >= 40
 
 
+def write_golden_moments(path, columns=("x1", "x2", "x3"), x1_scale=1.0):
+    """The golden target's means of ``columns`` (covariates or products
+    such as ``x1*x2``), with x1 multiplied by ``x1_scale``."""
+    X = np.loadtxt(DATA_DIR / "golden_target.csv", delimiter=",", skiprows=1)
+    X[:, 0] *= x1_scale
+    means = [np.prod([X[:, int(v[1:]) - 1] for v in name.split("*")], axis=0).mean() for name in columns]
+    path.write_text(",".join(columns) + "\n" + ",".join(repr(float(m)) for m in means) + "\n", encoding="utf-8")
+
+
+def write_scaled_golden_data(path, x1_scale):
+    rows = read_csv(DATA_DIR / "golden_data.csv")
+    lines = [",".join(rows[0])]
+    for row in rows:
+        row["x1"] = repr(float(row["x1"]) * x1_scale)
+        lines.append(",".join(row.values()))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def golden_weights(tmp_path, target_args, data=DATA_DIR / "golden_data.csv", config=""):
+    cfg, out = tmp_path / "run.yaml", tmp_path / "weights.csv"
+    cfg.write_text(config, encoding="utf-8")
+    rc = main(["weights", "--data", str(data), *target_args, "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    return np.array([float(r["gamma"]) for r in read_csv(out)])
+
+
+class TestTargetMoments:
+    def test_weights_do_not_move_when_a_covariate_is_rescaled(self, tmp_path):
+        plain, scaled = tmp_path / "m.csv", tmp_path / "m100.csv"
+        write_golden_moments(plain)
+        write_golden_moments(scaled, x1_scale=100.0)
+        data100 = tmp_path / "data100.csv"
+        write_scaled_golden_data(data100, 100.0)
+        gamma = golden_weights(tmp_path, ["--target-moments", str(plain)])
+        gamma100 = golden_weights(tmp_path, ["--target-moments", str(scaled)], data=data100)
+        np.testing.assert_allclose(gamma100, gamma, rtol=1e-9, atol=1e-9 * gamma.max())
+
+    def test_columns_are_matched_by_name(self, tmp_path):
+        ordered, permuted = tmp_path / "m.csv", tmp_path / "p.csv"
+        write_golden_moments(ordered)
+        write_golden_moments(permuted, columns=("x3", "x1", "x2"))
+        gamma = golden_weights(tmp_path, ["--target-moments", str(ordered)])
+        np.testing.assert_array_equal(golden_weights(tmp_path, ["--target-moments", str(permuted)]), gamma)
+
+    def test_moments_of_a_sample_give_its_weights(self, tmp_path):
+        # without standardization the pooled map has unit scales whatever
+        # the target, so the sample's raw means define the sample's program
+        config = "features:\n  standardize: false\n  interactions: [[0, 1]]\n"
+        moments = tmp_path / "m.csv"
+        write_golden_moments(moments, columns=("x1*x2", "x3", "x2", "x1"))
+        from_sample = golden_weights(tmp_path, ["--target", str(DATA_DIR / "golden_target.csv")], config=config)
+        from_moments = golden_weights(tmp_path, ["--target-moments", str(moments)], config=config)
+        np.testing.assert_allclose(from_moments, from_sample, rtol=1e-9, atol=1e-9 * from_sample.max())
+
+    @pytest.mark.parametrize(
+        "header, values, named",
+        [("x1,x3", "0.1,0.3", "'x2'"), ("x1,x2,x3,x4", "0.1,0.2,0.3,0.4", "'x4'"),
+         ("x1,x2,x2", "0.1,0.2,0.3", "'x2'"), ("x1,x2,x3", "0.1,0.2", "one data row")],
+    )
+    def test_missing_or_unknown_column_is_a_schema_error(self, tmp_path, capsys, header, values, named):
+        moments = tmp_path / "m.csv"
+        moments.write_text(f"{header}\n{values}\n", encoding="utf-8")
+        rc = main(["weights", "--data", str(DATA_DIR / "golden_data.csv"), "--target-moments", str(moments),
+                   "--out", str(tmp_path / "w.csv")])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "SchemaError"
+        assert named in record["message"]
+        assert not (tmp_path / "w.csv").exists()
+
+
 class TestTransportCommand:
     def test_self_target_heavy_regularization(self, toy):
         tmp, data, _ = toy

@@ -19,7 +19,13 @@ from sitetransport.errors import (
     EmptySampleError,
     UnfittedMapError,
 )
-from sitetransport.features import BANDWIDTH_SUBSAMPLE_CAP, _median, resolve_kernel
+from sitetransport.features import (
+    BANDWIDTH_SUBSAMPLE_CAP,
+    _median,
+    map_raw_means,
+    raw_feature_names,
+    resolve_kernel,
+)
 
 
 class TestFitFeatureMap:
@@ -89,6 +95,29 @@ class TestApplyFeatureMap:
         lhs = apply_feature_map(fitted, x + c * y)
         rhs = apply_feature_map(fitted, x) + c * apply_feature_map(fitted, y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+class TestMapRawMeans:
+    def test_raw_names_are_covariates_then_products(self):
+        assert raw_feature_names(3, ((0, 2), (1, 1))) == ("x1", "x2", "x3", "x1*x3", "x2*x2")
+
+    def test_mean_of_the_mapped_rows(self):
+        # x3 is constant zero, so x3 and x1*x3 are dropped; the rest are scaled
+        rng = np.random.default_rng(4)
+        X = np.column_stack([rng.normal(2.0, 3.0, 40), rng.normal(-1.0, 0.5, 40), np.zeros(40)])
+        fitted = fit_feature_map(FeatureMap(interactions=((0, 2), (0, 1)), standardize=True), X)
+        assert fitted.dropped == ("x3", "x1*x3")
+        sample = rng.normal(1.0, 2.0, size=(25, 3))
+        raw = np.concatenate([sample.mean(axis=0), [(sample[:, 0] * sample[:, 2]).mean()],
+                              [(sample[:, 0] * sample[:, 1]).mean()]])
+        np.testing.assert_allclose(
+            map_raw_means(fitted, raw), apply_feature_map(fitted, sample).mean(axis=0), rtol=1e-12
+        )
+
+    def test_length_must_be_the_raw_feature_count(self):
+        fitted = fit_feature_map(FeatureMap(interactions=((0, 1),)), np.random.default_rng(1).normal(size=(9, 2)))
+        with pytest.raises(DimensionMismatchError, match="3 raw features"):
+            map_raw_means(fitted, np.zeros(2))
 
 
 class TestKernels:
