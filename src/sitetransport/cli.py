@@ -172,6 +172,13 @@ def read_target_moments(path: str, names: tuple[str, ...]) -> TargetSpec:
     return TargetSpec.from_moments([means[name] for name in names])
 
 
+# Every key a config file may hold at its top level, for any subcommand.
+_CONFIG_KEYS = (
+    "seed", "mode", "lambda", "estimators", "features", "kernels", "solver", "n_boot", "ipw_hajek",
+    "lambda_grid", "sim",
+)
+
+
 def _load_yaml(path: str | None) -> dict:
     if path is None:
         return {}
@@ -181,13 +188,16 @@ def _load_yaml(path: str | None) -> dict:
         return {}
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    return cfg
+    return _section(cfg, "top-level", _CONFIG_KEYS)
 
 
-def _mapping(cfg: dict, key: str) -> dict:
-    value = cfg.get(key, {})
+def _section(value, name: str, allowed) -> dict:
+    """One level of the config: a mapping with no key outside ``allowed``."""
     if not isinstance(value, dict):
-        raise ConfigError(f"config key {key!r} must be a mapping")
+        raise ConfigError(f"config key {name!r} must be a mapping")
+    unknown = sorted(set(value) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {name} setting(s) {unknown}")
     return value
 
 
@@ -197,6 +207,7 @@ def _kernel_from_config(value) -> KernelSpec:
     if value == "rbf":
         return KernelSpec("rbf")
     if isinstance(value, dict):
+        value = _section(value, "kernel", ("kind", "bandwidth"))
         kind = value.get("kind", "rbf")
         bw = value.get("bandwidth", "median")
         return KernelSpec(kind, None if bw in (None, "median") else float(bw))
@@ -204,12 +215,8 @@ def _kernel_from_config(value) -> KernelSpec:
 
 
 def _solver_from_config(cfg: dict) -> QpSettings:
-    solver = _mapping(cfg, "solver")
+    solver = _section(cfg.get("solver", {}), "solver", QpSettings.__dataclass_fields__)
     defaults = QpSettings()
-    allowed = {f for f in QpSettings.__dataclass_fields__}
-    unknown = set(solver) - allowed
-    if unknown:
-        raise ConfigError(f"unknown solver setting(s) {sorted(unknown)}")
     coerced = {}
     for key, value in solver.items():
         default = getattr(defaults, key)
@@ -220,7 +227,8 @@ def _solver_from_config(cfg: dict) -> QpSettings:
 def _transport_config(cfg: dict, args) -> TransportConfig:
     """The settings that the flags or else the YAML give, cast; the rest
     keep the defaults of TransportConfig."""
-    features, kernels = _mapping(cfg, "features"), _mapping(cfg, "kernels")
+    features = _section(cfg.get("features", {}), "features", ("standardize", "interactions"))
+    kernels = _section(cfg.get("kernels", {}), "kernels", ("cate", "prognostic"))
     if not isinstance(cfg.get("estimators", []), list):
         raise ConfigError("config key 'estimators' must be a list")
     flags = {name: getattr(args, name, None) for name in ("lam", "mode", "seed")}
@@ -400,12 +408,7 @@ def _cmd_heterogeneity(args) -> int:
 
 
 def _sim_config(cfg: dict, args) -> SimConfig:
-    sim = _mapping(cfg, "sim")
-    allowed = set(SimConfig.__dataclass_fields__) - {"solver"}
-    unknown = set(sim) - allowed
-    if unknown:
-        raise ConfigError(f"unknown sim setting(s) {sorted(unknown)}")
-    kwargs = dict(sim)
+    kwargs = dict(_section(cfg.get("sim", {}), "sim", set(SimConfig.__dataclass_fields__) - {"solver"}))
     # YAML reads unsigned exponents like 1.0e8 as strings; coerce numerics
     casts = {
         "site_size_range": int,

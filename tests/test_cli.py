@@ -284,6 +284,45 @@ class TestTransportCommand:
         assert message in record["message"]
         assert not (tmp / "est.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("transport", "estimator: [naive]\n", "unknown top-level setting(s) ['estimator']"),
+            ("weights", "lamda: 0.1\n", "unknown top-level setting(s) ['lamda']"),
+            ("sweep", "features: {standardise: false}\n", "unknown features setting(s) ['standardise']"),
+            ("weights", "kernels: {cate: linear, prognosis: rbf}\n", "unknown kernels setting(s) ['prognosis']"),
+            ("transport", "kernels:\n  prognostic: {kind: rbf, bandwith: 0.5}\n",
+             "unknown kernel setting(s) ['bandwith']"),
+            ("sweep", "solver: {eps_abs: 1.0e-6, max_iters: 10}\n", "unknown solver setting(s) ['max_iters']"),
+            ("simulate", "sim: {n_site: 3}\n", "unknown sim setting(s) ['n_site']"),
+        ],
+    )
+    def test_unknown_keys_are_errors_at_every_level(self, toy, tmp_path, capsys, command, text, message):
+        tmp, data, target = toy
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        inputs = [] if command == "simulate" else ["--data", str(data), "--target", str(target)]
+        rc = main([command, *inputs, "--config", str(cfg), "--out", str(tmp / "out.csv")])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert message in record["message"]
+        assert not (tmp / "out.csv").exists()
+
+    def test_readme_example_config_loads_for_every_subcommand(self, tmp_path):
+        from argparse import Namespace
+
+        from sitetransport.cli import _load_yaml, _sim_config, _transport_config
+
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("flags override the file:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+        cfg_path = tmp_path / "readme.yaml"
+        cfg_path.write_text(block, encoding="utf-8")
+        cfg = _load_yaml(str(cfg_path))
+        config = _transport_config(cfg, Namespace())
+        assert config.interactions == ((0, 3), (1, 2)) and config.prognostic_kernel.kind == "rbf"
+        assert _sim_config(cfg, Namespace()).reps == 120
+
     def test_effects_round_trip_into_heterogeneity(self, toy, capsys):
         tmp, data, target = toy
         out = tmp / "est.csv"
