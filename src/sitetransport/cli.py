@@ -335,7 +335,11 @@ def _cmd_transport(args) -> int:
     return 0
 
 
-def _read_effects(path: str, method: str | None) -> SiteEffectSet:
+def _read_effects(path: str, method: str | None) -> tuple[dict[str, tuple[float, float]], dict[str, str]]:
+    """The effects of a table by site id (the row number if it has no
+    ``site_id`` column), in row order, and its dropped sites: those whose
+    estimate or standard error is empty, each with its ``errors`` cell as
+    the reason when there is one."""
     fields, rows = _read_rows(path)
     if not rows:
         raise SchemaError(f"{path}: no data rows")
@@ -351,12 +355,16 @@ def _read_effects(path: str, method: str | None) -> SiteEffectSet:
     for col in (est_col, se_col):
         if col not in fields:
             raise SchemaError(f"{path}: missing required column {col!r}")
-    usable = [r for r in rows if r[est_col] not in ("", None) and r[se_col] not in ("", None)]
-    if len(usable) < 2:
-        raise SchemaError(f"{path}: need at least two rows with {est_col!r} present")
-    est = np.array([_parse_float(r, est_col, path) for r in usable])
-    se = np.array([_parse_float(r, se_col, path) for r in usable])
-    return SiteEffectSet(estimates=est, std_errors=se)
+    effects, dropped = {}, {}
+    for i, r in enumerate(rows, 1):
+        site = r["site_id"] if "site_id" in fields else f"row {i}"
+        if site in effects or site in dropped:
+            raise SchemaError(f"{path}: site {site!r} appears in more than one row")
+        if r[est_col] in ("", None) or r[se_col] in ("", None):
+            dropped[site] = r.get("errors") or f"no {est_col!r} value"
+        else:
+            effects[site] = (_parse_float(r, est_col, path), _parse_float(r, se_col, path))
+    return effects, dropped
 
 
 def _report_lines(label: str, effects: SiteEffectSet, alpha: float) -> tuple[list[str], object]:
@@ -375,23 +383,41 @@ def _report_lines(label: str, effects: SiteEffectSet, alpha: float) -> tuple[lis
 
 
 def _cmd_heterogeneity(args) -> int:
-    eff_u = eff_t = None
+    if args.method2 and not args.transported:
+        raise ConfigError("--method2 selects columns of the --transported table, which is not given")
+    if args.baseline and args.transported:
+        raise ConfigError("--baseline selects columns of a wide table; the two-table form takes --transported")
+    if args.baseline and not args.method:
+        raise ConfigError("--baseline requires --method for the transported columns")
+    # (table, column prefix) of the untransported then the transported effects
     if args.transported:
-        # two-table form: --effects holds the untransported effects
-        eff_u = _read_effects(args.effects, args.method)
-        eff_t = _read_effects(args.transported, args.method2 or args.method)
+        sides = [(args.effects, args.method), (args.transported, args.method2 or args.method)]
     elif args.baseline:
-        # wide-table form: --baseline names the untransported column prefix
-        if not args.method:
-            raise ConfigError("--baseline requires --method for the transported columns")
-        eff_u = _read_effects(args.effects, args.baseline)
-        eff_t = _read_effects(args.effects, args.method)
-
-    if eff_t is None:
-        out, _ = _report_lines("effects", _read_effects(args.effects, args.method), args.alpha)
+        sides = [(args.effects, args.baseline), (args.effects, args.method)]
     else:
-        out, rep_untransported = _report_lines("untransported", eff_u, args.alpha)
-        lines, rep_transported = _report_lines("transported", eff_t, args.alpha)
+        sides = [(args.effects, args.method)]
+    tables = [_read_effects(path, method) for path, method in sides]
+
+    def drop_reason(site):  # from the first side that lacks the site
+        for (path, _), (effects, dropped) in zip(sides, tables):
+            if site not in effects:
+                return dropped.get(site, f"not in {path}")
+
+    paired = [site for site in tables[0][0] if all(site in effects for effects, _ in tables)]
+    every_site = dict.fromkeys(site for effects, dropped in tables for site in [*effects, *dropped])
+    out = [f"dropped site {site}: {drop_reason(site)}" for site in every_site if site not in paired]
+    if len(paired) < 2:
+        raise ConfigError(f"{len(paired)} site(s) with effects on every side; heterogeneity needs two")
+    eff = [
+        SiteEffectSet(np.array([effects[s][0] for s in paired]), np.array([effects[s][1] for s in paired]))
+        for effects, _ in tables
+    ]
+    if len(eff) == 1:
+        out += _report_lines("effects", eff[0], args.alpha)[0]
+    else:
+        lines, rep_untransported = _report_lines("untransported", eff[0], args.alpha)
+        out += lines
+        lines, rep_transported = _report_lines("transported", eff[1], args.alpha)
         out += lines
         if rep_untransported.theta_sd > 0:
             r2 = pseudo_r2(rep_untransported.theta_sd, rep_transported.theta_sd)

@@ -390,6 +390,83 @@ class TestHeterogeneityCommand:
         assert "pseudo_r2: " in out
 
 
+def write_effects(path, sites, estimates):
+    rows = ["site_id,estimate,std_error"]
+    rows += [f"{site},{est},0.1" for site, est in zip(sites, estimates)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def heterogeneity_report(capsys, *args):
+    rc = main(["heterogeneity", *map(str, args)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+class TestHeterogeneityPairing:
+    UNTRANSPORTED = {"s1": 0.2, "s2": 0.0, "s3": 0.4, "s4": -0.3, "s5": 0.5, "s6": 0.1, "s7": -0.1, "s8": 0.6}
+    TRANSPORTED = {"s1": 0.15, "s2": 0.05, "s3": 0.2, "s4": -0.1, "s5": 0.3, "s6": 0.1, "s7": 0.0, "s8": 0.35}
+
+    def test_wide_table_profiles_only_the_sites_with_both_effects(self, tmp_path, capsys):
+        # s3's weighting cells are empty, as transport writes a failed estimator
+        rows = ["site_id,naive_estimate,naive_std_error,weighting_estimate,weighting_std_error,errors"]
+        for site, est in self.UNTRANSPORTED.items():
+            if site == "s3":
+                rows.append(f"{site},{est},0.1,,,weighting: SolverFailedError: no solution")
+            else:
+                rows.append(f"{site},{est},0.1,{self.TRANSPORTED[site]},0.1,")
+        wide = tmp_path / "wide.csv"
+        wide.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rc, out, _ = heterogeneity_report(capsys, "--effects", wide, "--baseline", "naive", "--method", "weighting")
+        assert rc == 0
+        assert out.splitlines()[0] == "dropped site s3: weighting: SolverFailedError: no solution"
+        assert out.count("  sites:             7") == 2
+        # the same report as the two-table form on the seven paired sites
+        paired = [site for site in self.UNTRANSPORTED if site != "s3"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_effects(a, paired, [self.UNTRANSPORTED[site] for site in paired])
+        write_effects(b, paired, [self.TRANSPORTED[site] for site in paired])
+        rc, two_table, _ = heterogeneity_report(capsys, "--effects", a, "--transported", b)
+        assert rc == 0
+        assert out.splitlines()[1:] == two_table.splitlines()
+
+    def test_two_tables_are_joined_on_site_id(self, tmp_path, capsys):
+        sites = list(self.UNTRANSPORTED)
+        a, b, b_shuffled = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "b_shuffled.csv"
+        write_effects(a, sites, self.UNTRANSPORTED.values())
+        kept = [site for site in sites if site != "s5"]
+        write_effects(b, kept, [self.TRANSPORTED[site] for site in kept])
+        shuffled = kept[::-1]
+        write_effects(b_shuffled, shuffled, [self.TRANSPORTED[site] for site in shuffled])
+        rc, ordered, _ = heterogeneity_report(capsys, "--effects", a, "--transported", b)
+        assert rc == 0
+        rc, out, _ = heterogeneity_report(capsys, "--effects", a, "--transported", b_shuffled)
+        assert rc == 0
+        assert out.splitlines()[0] == f"dropped site s5: not in {b_shuffled}"
+        assert out.splitlines()[1:] == ordered.splitlines()[1:]
+        assert out.count("  sites:             7") == 2
+
+    def test_single_paired_site_exits_2(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_effects(a, ["s1", "s2"], [0.2, 0.0])
+        write_effects(b, ["s2", "s3"], [0.1, 0.3])
+        rc, out, err = heterogeneity_report(capsys, "--effects", a, "--transported", b)
+        assert rc == 2
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError" and "1 site(s)" in record["message"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--method2", "weighting"], ["--baseline", "naive", "--method", "weighting", "--transported", "{eff}"]],
+    )
+    def test_flags_of_the_other_form_exit_2(self, tmp_path, capsys, flags):
+        eff = tmp_path / "eff.csv"
+        write_effects(eff, ["s1", "s2", "s3"], [0.2, 0.0, 0.4])
+        rc, out, err = heterogeneity_report(capsys, "--effects", eff, *[f.format(eff=eff) for f in flags])
+        assert rc == 2
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+        assert out == ""
+
+
 class TestSimulateCommand:
     def test_small_run_with_plot_data(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
