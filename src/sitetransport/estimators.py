@@ -327,6 +327,13 @@ def density_ratio_fit(
     )
 
 
+def _ratio_notes(ratio) -> tuple[str, ...]:
+    """A note when ``ratio`` is a fit whose IRLS stopped at its step cap."""
+    if isinstance(ratio, DensityRatio) and not ratio.fit.converged:
+        return ("density-ratio fit stopped at its iteration cap without converging",)
+    return ()
+
+
 def ipw_estimate(site: SiteDataset, ratio, hajek: bool = False) -> TransportEstimate:
     """Inverse propensity weighting with an estimated change of measure.
 
@@ -354,7 +361,7 @@ def ipw_estimate(site: SiteDataset, ratio, hajek: bool = False) -> TransportEsti
         estimate = float(np.mean(psi))
     var = float(np.sum((psi - psi.mean()) ** 2)) / (n * max(n - 1, 1))
 
-    notes = []
+    notes = list(_ratio_notes(ratio))
     max_r = float(r.max(initial=0.0))
     if max_r >= RATIO_CLIP[1]:
         notes.append(f"density ratio hit the clip bound {RATIO_CLIP[1]:g}")
@@ -419,7 +426,7 @@ def doubly_robust_estimate(
     )
 
     se = 0.0
-    notes = ()
+    notes = _ratio_notes(ratio)
     if n_boot > 0:
         # the ratio is refit on the mapped rows under the identity map, which
         # gives the same ratios as mapping the raw covariates again
@@ -448,7 +455,7 @@ def doubly_robust_estimate(
                 aug0 = float(np.mean(rb * (1 - zb) * (yb - designb @ beta0_b) / (1 - pi)))
                 reps.append(aug1 + float(target_mean @ beta1_b) - aug0 - float(target_mean @ beta0_b))
         se = float(np.std(reps, ddof=1))
-        notes = _replicates_dropped_note(n_dropped, n_boot)
+        notes += _replicates_dropped_note(n_dropped, n_boot)
         if n_refit_failed:
             notes += (f"density-ratio refit failed in {n_refit_failed} of {n_boot} bootstrap replicates",)
 

@@ -183,6 +183,27 @@ class TestDensityRatio:
             density_ratio_fit(Xe, Xt, identity_map(1))
 
 
+    def test_unconverged_fit_is_noted_in_ipw_and_doubly_robust(self, rng, monkeypatch):
+        from sitetransport import regression
+
+        site = random_site(rng, n=60, d=2)
+        target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(40, 2)))
+        fmap = identity_map(2)
+        note = "density-ratio fit stopped at its iteration cap without converging"
+        converged = density_ratio_fit(site.covariates, target.sample, fmap)
+        assert converged.fit.converged
+        for ratio, noted in ((converged, False), (None, True)):
+            if ratio is None:
+                monkeypatch.setattr(regression, "_LOGISTIC_MAX_ITER", 1)
+                ratio = density_ratio_fit(site.covariates, target.sample, fmap)
+                assert not ratio.fit.converged
+            ipw = ipw_estimate(site, ratio)
+            dr = doubly_robust_estimate(site, target, fmap, ratio=ratio, n_boot=4, seed=0)
+            assert (note in ipw.notes, note in dr.notes) == (noted, noted)
+        # without a ratio, doubly robust notes its own capped fit
+        assert note in doubly_robust_estimate(site, target, fmap, n_boot=0).notes
+
+
 class TestIpw:
     def test_unit_ratio_equals_naive(self, rng):
         # pi = n1/n exactly makes the 1/n-normalized IPW collapse to the
