@@ -273,15 +273,16 @@ def _cmd_weights(args) -> int:
     cfg = _load_yaml(args.config)
     config = _transport_config(cfg, args)
     sites = validate_dataset(read_unit_table(args.data))
-    if args.site is not None:
-        sites = [s for s in sites if s.site_id == args.site]
-        if not sites:
-            raise SchemaError(f"site {args.site!r} not found in {args.data}")
+    if args.site is not None and all(s.site_id != args.site for s in sites):
+        raise SchemaError(f"site {args.site!r} not found in {args.data}")
+    # the target and the pooled map come from every site, whichever is shown
     target = _resolve_target(args, sites, config)
 
     report = transport_all(sites, target, config=replace(config, estimators=("weighting",)))
     rows = []
     for site, res in zip(sites, report.results):
+        if args.site is not None and site.site_id != args.site:
+            continue
         if res.weights is None:
             print(f"site {res.site_id}: FAILED {res.errors['weighting']}", file=sys.stderr)
             continue
@@ -532,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="solve balancing weights for one or all sites")
     add_common(p)
-    p.add_argument("--site", help="restrict to one site id")
+    p.add_argument("--site", help="print and write one site id (the run still uses every site)")
     p.add_argument("--lambda", dest="lam", type=float, help="regularization strength")
     p.add_argument("--mode", choices=["linear", "kernel"])
     p.add_argument("--out", default="weights.csv")

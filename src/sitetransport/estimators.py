@@ -15,7 +15,7 @@ import numpy as np
 from .balance import kish_ess
 from .data import SiteDataset, TargetSpec
 from .errors import ConstraintViolationError, InsufficientArmError, SiteTransportError
-from .features import FeatureMap, apply_feature_map, identity_map
+from .features import FeatureMap, apply_feature_map
 from .regression import RegressionFit, fit_least_squares, fit_logistic
 
 RATIO_CLIP = (1e-6, 1e6)
@@ -163,12 +163,14 @@ def _bootstrap_arm_fits(design, y, idx1, idx0, point_fits, n_boot: int, seed):
 
     Each replicate draws its treated rows and then its control rows from
     ``default_rng(seed)``, as a replicate-by-replicate loop would. Yields the
-    block's resampled rows per arm (B x n1, B x n0), each replicate's
-    coefficients per arm (B x p) and whether either arm's fit dropped
-    collinear columns. An arm whose point fit dropped columns is refit by
-    the pivoted QR in every replicate; otherwise see _replicate_fits.
+    block's resample counts (B x n: how often each site unit is drawn in
+    each replicate), each replicate's coefficients per arm (B x p) and
+    whether either arm's fit dropped collinear columns. An arm whose point
+    fit dropped columns is refit by the pivoted QR in every replicate;
+    otherwise see _replicate_fits.
     """
     rng = np.random.default_rng(seed)
+    n = design.shape[0]
     block = max(1, _BLOCK_DOUBLES // design.size)
     batched = [not fit.dropped for fit in point_fits]
     for start in range(0, n_boot, block):
@@ -179,31 +181,22 @@ def _bootstrap_arm_fits(design, y, idx1, idx0, point_fits, n_boot: int, seed):
         b1, b0 = (np.array(arm) for arm in zip(*draws))
         beta1, dropped1 = _replicate_fits(design, y, b1, batched[0])
         beta0, dropped0 = _replicate_fits(design, y, b0, batched[1])
-        yield b1, b0, beta1, beta0, dropped1 | dropped0
+        rows = np.hstack([b1, b0]) + n * np.arange(len(draws))[:, None]
+        counts = np.bincount(rows.ravel(), minlength=rows.size).reshape(len(draws), n)
+        yield counts, beta1, beta0, dropped1 | dropped0
 
 
-def _replicates_dropped_note(n_dropped: int, n_boot: int) -> tuple[str, ...]:
-    if not n_dropped:
-        return ()
-    return (f"collinear columns dropped in {n_dropped} of {n_boot} bootstrap replicates",)
-
-
-def _check_bootstrap_size(n_boot: int) -> None:
-    """A bootstrap standard error needs at least two replicates; 0 skips it."""
-    if n_boot < 0 or n_boot == 1:
-        raise ValueError(f"n_boot must be 0 (no bootstrap) or at least 2, got {n_boot}")
-
-
-def _arm_models(site: SiteDataset, target: TargetSpec, feature_map: FeatureMap, n_boot: int, name: str):
-    """The start of the outcome-model and doubly robust estimators (``name``
-    in the error text): their checks, each arm's rows, the site and target
-    designs and each arm's point fit on the site design.
+def _arm_models(site: SiteDataset, target: TargetSpec, feature_map: FeatureMap, n_boot: int):
+    """The start of the outcome-model and doubly robust estimators: their
+    checks, each arm's rows, the site and target designs and each arm's
+    point fit on the site design.
 
     Returns ``(idx1, idx0, site_design, target_design, (fit1, fit0))``.
     """
     if not target.is_sample:
-        raise ValueError(f"{name} estimation requires a unit-level target sample")
-    _check_bootstrap_size(n_boot)
+        raise ValueError("outcome-model and doubly robust estimation require a unit-level target sample")
+    if n_boot < 0 or n_boot == 1:  # a standard error needs two replicates; 0 skips it
+        raise ValueError(f"n_boot must be 0 (no bootstrap) or at least 2, got {n_boot}")
     k = feature_map.output_dim
     if site.n1 < k + 1 or site.n0 < k + 1:
         raise InsufficientArmError(
@@ -222,53 +215,10 @@ def _ratio_ess(r: np.ndarray, z: np.ndarray) -> tuple[float, float]:
     return tuple(kish_ess(ra) if np.any(ra > 0) else 0.0 for ra in (r[z == 1], r[z == 0]))
 
 
-def outcome_model_estimate(
-    site: SiteDataset,
-    target: TargetSpec,
-    feature_map: FeatureMap,
-    n_boot: int = DEFAULT_BOOTSTRAP,
-    seed: int | None = None,
-) -> TransportEstimate:
-    """Per-arm least squares on the mapped features, averaged over the target.
-
-    The standard error is an arm-stratified nonparametric bootstrap over the
-    site's units (skipped when ``n_boot`` is 0, leaving std_error at 0). Its
-    replicates solve their normal equations as one batch and fall back to
-    the pivoted QR when ill-conditioned (see _replicate_fits); a note counts
-    the replicates whose QR fit dropped collinear columns.
-    """
-    idx1, idx0, site_design, target_design, (fit1, fit0) = _arm_models(
-        site, target, feature_map, n_boot, "outcome-model"
-    )
-    estimate = float(np.mean(fit1.linear_predictor(target_design) - fit0.linear_predictor(target_design)))
-
-    notes = []
-    if fit1.dropped or fit0.dropped:
-        notes.append(
-            f"collinear design columns dropped: treated {fit1.dropped}, control {fit0.dropped}"
-        )
-
-    se = 0.0
-    if n_boot > 0:
-        target_mean = target_design.mean(axis=0)
-        reps, n_dropped = [], 0
-        for _, _, beta1, beta0, dropped in _bootstrap_arm_fits(
-            site_design, site.outcomes, idx1, idx0, (fit1, fit0), n_boot, seed
-        ):
-            reps.append((beta1 - beta0) @ target_mean)
-            n_dropped += int(dropped.sum())
-        se = float(np.std(np.concatenate(reps), ddof=1))
-        notes.extend(_replicates_dropped_note(n_dropped, n_boot))
-
-    return TransportEstimate(
-        estimate=estimate,
-        std_error=se,
-        ess_treated=float(site.n1),
-        ess_control=float(site.n0),
-        method=OUTCOME_MODEL,
-        site_id=site.site_id,
-        notes=tuple(notes),
-    )
+def _raw_ratio(eta: np.ndarray, prior: float) -> np.ndarray:
+    """The density ratio at the logistic discrimination's linear predictors
+    ``eta``, before clipping to RATIO_CLIP: odds(target) * ``prior``."""
+    return np.exp(np.clip(eta, -50.0, 50.0)) * prior
 
 
 @dataclass(frozen=True)
@@ -289,8 +239,7 @@ class DensityRatio:
         arr = np.asarray(X, dtype=float)
         single = arr.ndim == 1
         design = _design(self.feature_map, np.atleast_2d(arr))
-        eta = self.fit.linear_predictor(design)
-        ratio = np.clip(np.exp(np.clip(eta, -50.0, 50.0)) * self.prior_ratio, *RATIO_CLIP)
+        ratio = np.clip(_raw_ratio(self.fit.linear_predictor(design), self.prior_ratio), *RATIO_CLIP)
         return float(ratio[0]) if single else ratio
 
 
@@ -315,8 +264,7 @@ def density_ratio_fit(
     fit = fit_logistic(design, labels)
     prior = Xe.shape[0] / Xt.shape[0]
 
-    eta = fit.linear_predictor(design[: Xe.shape[0]])
-    raw = np.exp(np.clip(eta, -50.0, 50.0)) * prior
+    raw = _raw_ratio(fit.linear_predictor(design[: Xe.shape[0]]), prior)
     clipped = (raw < RATIO_CLIP[0]) | (raw > RATIO_CLIP[1])
     return DensityRatio(
         fit=fit,
@@ -394,6 +342,95 @@ def _dr_point(
     return aug1 - aug0
 
 
+def _model_estimates(
+    site: SiteDataset,
+    target: TargetSpec,
+    feature_map: FeatureMap,
+    ratio=None,
+    n_boot: int = DEFAULT_BOOTSTRAP,
+    seed: int | None = None,
+) -> tuple[TransportEstimate, TransportEstimate | None]:
+    """The outcome-model estimate and, given a density ``ratio``, the doubly
+    robust one (else None), from one point fit per arm and one bootstrap.
+
+    The outcome model averages per-arm least squares on the mapped features
+    over the target; doubly robust adds the ratio-weighted residuals. The
+    standard errors share one arm-stratified bootstrap over the site's units
+    (none when ``n_boot`` is 0, leaving std_error at 0; see
+    _bootstrap_arm_fits), a replicate being its resample counts c_b. The
+    doubly robust replicate refits the ratio by logistic regression of the
+    site design, counted c_b, against the target design, counted once (or
+    keeps ``ratio`` where that refit separates), and weights its residual
+    sum by c_b.
+    """
+    idx1, idx0, site_design, target_design, (fit1, fit0) = _arm_models(site, target, feature_map, n_boot)
+    m1, m0 = fit1.linear_predictor(target_design), fit0.linear_predictor(target_design)
+    z, y, pi, n = site.treatment, site.outcomes, site.propensity, site.n
+    if ratio is not None:
+        r = np.asarray(ratio(site.covariates), dtype=float).ravel()
+        m1_site, m0_site = fit1.linear_predictor(site_design), fit0.linear_predictor(site_design)
+        dr_estimate = _dr_point(site, r, m1_site, m0_site, float(np.mean(m1)), float(np.mean(m0)))
+        # the refit's rows: the site's, counted per replicate, and the target's, counted once
+        stacked = np.vstack([site_design, target_design])
+        labels = np.concatenate([np.zeros(n), np.ones(target_design.shape[0])])
+        ratio_counts = np.ones(stacked.shape[0])
+        prior = n / target_design.shape[0]
+
+    notes = []
+    if fit1.dropped or fit0.dropped:
+        notes.append(
+            f"collinear design columns dropped: treated {fit1.dropped}, control {fit0.dropped}"
+        )
+    om_reps, dr_reps, n_dropped, n_refit_failed = [], [], 0, 0
+    if n_boot > 0:
+        target_mean = target_design.mean(axis=0)
+        for counts, beta1, beta0, dropped in _bootstrap_arm_fits(
+            site_design, y, idx1, idx0, (fit1, fit0), n_boot, seed
+        ):
+            n_dropped += int(dropped.sum())
+            om_reps.append((beta1 - beta0) @ target_mean)
+            if ratio is None:
+                continue
+            rb = np.empty(counts.shape)
+            for k, c in enumerate(counts):
+                ratio_counts[:n] = c
+                try:
+                    refit = fit_logistic(stacked, labels, ratio_counts)
+                    rb[k] = np.clip(_raw_ratio(site_design @ refit.coefficients, prior), *RATIO_CLIP)
+                except SiteTransportError:
+                    rb[k] = r  # keep the replicate usable under resampled separation
+                    n_refit_failed += 1
+            resid = z / pi * (y - beta1 @ site_design.T) - (1 - z) / (1 - pi) * (y - beta0 @ site_design.T)
+            dr_reps.append(om_reps[-1] + np.sum(counts * rb * resid, axis=1) / n)
+    if n_dropped:
+        notes.append(f"collinear columns dropped in {n_dropped} of {n_boot} bootstrap replicates")
+
+    def se(reps):
+        return float(np.std(np.concatenate(reps), ddof=1)) if reps else 0.0
+
+    om = TransportEstimate(
+        float(np.mean(m1 - m0)), se(om_reps), float(site.n1), float(site.n0), OUTCOME_MODEL, site.site_id, tuple(notes)
+    )
+    if ratio is None:
+        return om, None
+    if n_refit_failed:
+        notes.append(f"density-ratio refit failed in {n_refit_failed} of {n_boot} bootstrap replicates")
+    notes = _ratio_notes(ratio) + tuple(notes)
+    return om, TransportEstimate(dr_estimate, se(dr_reps), *_ratio_ess(r, z), DOUBLY_ROBUST, site.site_id, notes)
+
+
+def outcome_model_estimate(
+    site: SiteDataset,
+    target: TargetSpec,
+    feature_map: FeatureMap,
+    n_boot: int = DEFAULT_BOOTSTRAP,
+    seed: int | None = None,
+) -> TransportEstimate:
+    """Per-arm least squares on the mapped features, averaged over the
+    target, with a bootstrap standard error (see _model_estimates)."""
+    return _model_estimates(site, target, feature_map, None, n_boot, seed)[0]
+
+
 def doubly_robust_estimate(
     site: SiteDataset,
     target: TargetSpec,
@@ -403,67 +440,11 @@ def doubly_robust_estimate(
     seed: int | None = None,
 ) -> TransportEstimate:
     """Augmented estimator: ratio-weighted residuals plus target-averaged
-    outcome models.
+    outcome models, with a bootstrap standard error (see _model_estimates).
 
     When ``ratio`` is None the change of measure is fit from the site against
-    the target sample. The bootstrap refits both the outcome models, as the
-    outcome-model bootstrap does, and the ratio in each replicate (target
-    sample held fixed).
+    the target sample (a moments target is rejected by _arm_models).
     """
-    idx1, idx0, site_design, target_design, (fit1, fit0) = _arm_models(
-        site, target, feature_map, n_boot, "doubly robust"
-    )
-    if ratio is None:
+    if ratio is None and target.is_sample:
         ratio = density_ratio_fit(site.covariates, target.sample, feature_map)
-    r = np.asarray(ratio(site.covariates), dtype=float).ravel()
-    estimate = _dr_point(
-        site,
-        r,
-        fit1.linear_predictor(site_design),
-        fit0.linear_predictor(site_design),
-        float(np.mean(fit1.linear_predictor(target_design))),
-        float(np.mean(fit0.linear_predictor(target_design))),
-    )
-
-    se = 0.0
-    notes = _ratio_notes(ratio)
-    if n_boot > 0:
-        # the ratio is refit on the mapped rows under the identity map, which
-        # gives the same ratios as mapping the raw covariates again
-        target_mean, target_phi = target_design.mean(axis=0), target_design[:, 1:]
-        identity = identity_map(feature_map.output_dim)
-        reps = []
-        y = site.outcomes
-        pi = site.propensity
-        n_refit_failed = n_dropped = 0
-        for b1s, b0s, beta1, beta0, dropped in _bootstrap_arm_fits(
-            site_design, y, idx1, idx0, (fit1, fit0), n_boot, seed
-        ):
-            n_dropped += int(dropped.sum())
-            for b1, b0, beta1_b, beta0_b in zip(b1s, b0s, beta1, beta0):
-                rows = np.concatenate([b1, b0])
-                zb = np.concatenate([np.ones(b1.size), np.zeros(b0.size)])
-                yb = y[rows]
-                designb = site_design[rows]
-                try:
-                    ratio_b = density_ratio_fit(designb[:, 1:], target_phi, identity)
-                    rb = ratio_b(designb[:, 1:])
-                except SiteTransportError:
-                    rb = r[rows]  # keep the replicate usable under resampled separation
-                    n_refit_failed += 1
-                aug1 = float(np.mean(rb * zb * (yb - designb @ beta1_b) / pi))
-                aug0 = float(np.mean(rb * (1 - zb) * (yb - designb @ beta0_b) / (1 - pi)))
-                reps.append(aug1 + float(target_mean @ beta1_b) - aug0 - float(target_mean @ beta0_b))
-        se = float(np.std(reps, ddof=1))
-        notes += _replicates_dropped_note(n_dropped, n_boot)
-        if n_refit_failed:
-            notes += (f"density-ratio refit failed in {n_refit_failed} of {n_boot} bootstrap replicates",)
-
-    return TransportEstimate(
-        estimate,
-        se,
-        *_ratio_ess(r, site.treatment),
-        method=DOUBLY_ROBUST,
-        site_id=site.site_id,
-        notes=notes,
-    )
+    return _model_estimates(site, target, feature_map, ratio, n_boot, seed)[1]

@@ -168,7 +168,7 @@ class KernelSpec:
     """Kernel function: ``linear`` (dot product) or ``rbf`` with a bandwidth.
 
     ``bandwidth=None`` on an RBF kernel means "resolve by the median heuristic
-    on the data at solve time".
+    on the data at solve time". A linear kernel takes no bandwidth.
     """
 
     kind: str = "linear"
@@ -177,6 +177,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if self.bandwidth is not None and self.kind == "linear":
+            raise ValueError(f"a linear kernel takes no bandwidth, got {self.bandwidth}")
         if self.bandwidth is not None and not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
 

@@ -19,11 +19,10 @@ from .estimators import (
     OUTCOME_MODEL,
     WEIGHTING,
     TransportEstimate,
+    _model_estimates,
     density_ratio_fit,
-    doubly_robust_estimate,
     ipw_estimate,
     naive_estimate,
-    outcome_model_estimate,
     weighting_estimate,
 )
 from .features import FeatureMap, KernelSpec, fit_feature_map
@@ -92,8 +91,9 @@ def _transport_site(
 ) -> SiteResult:
     """One site against the target, every estimator on the one feature map
     ``fmap`` and the weights on the balancing ``sides`` (see run_setup). An
-    estimator's SiteTransportError is recorded under its name, and a failed
-    density-ratio fit under both IPW and doubly robust."""
+    estimator's SiteTransportError is recorded under its name, a failed
+    density-ratio fit under both IPW and doubly robust, and a failed arm fit
+    under both the outcome model and doubly robust, which share it."""
     wanted = config.estimators
     estimates: dict[str, TransportEstimate] = {}
     errors: dict[str, str] = {}
@@ -124,11 +124,12 @@ def _transport_site(
         ratio = attempt(ratio_users, lambda: density_ratio_fit(site.covariates, target.sample, fmap))
     if IPW in wanted and ratio is not None:
         estimate(IPW, lambda: ipw_estimate(site, ratio, hajek=config.ipw_hajek))
-    bootstrap = {"n_boot": config.n_boot, "seed": config.seed}
-    if OUTCOME_MODEL in wanted:
-        estimate(OUTCOME_MODEL, lambda: outcome_model_estimate(site, target, fmap, **bootstrap))
-    if DOUBLY_ROBUST in wanted and ratio is not None:
-        estimate(DOUBLY_ROBUST, lambda: doubly_robust_estimate(site, target, fmap, ratio=ratio, **bootstrap))
+    # the outcome model and doubly robust share one arm fit and one bootstrap
+    dr_ratio = ratio if DOUBLY_ROBUST in wanted else None
+    users = [OUTCOME_MODEL] * (OUTCOME_MODEL in wanted) + [DOUBLY_ROBUST] * (dr_ratio is not None)
+    if users:
+        fits = attempt(users, lambda: _model_estimates(site, target, fmap, dr_ratio, config.n_boot, config.seed))
+        estimates.update((est.method, est) for est in fits or () if est is not None and est.method in users)
 
     return SiteResult(
         site_id=site.site_id,

@@ -62,9 +62,11 @@ def sigmoid(eta: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
 
 
-def fit_logistic(design: np.ndarray, labels: np.ndarray) -> RegressionFit:
+def fit_logistic(design: np.ndarray, labels: np.ndarray, counts: np.ndarray | None = None) -> RegressionFit:
     """Logistic regression by iteratively reweighted least squares.
 
+    Row i counts ``counts[i]`` times (default once), as if repeated that
+    often; a row with count 0 is left out, of the separation tests too.
     Convergence is declared when the mean gradient drops to _LOGISTIC_TOL.
     Raises :class:`SeparableDataError` when the linear predictor diverges,
     which signals (quasi-)separable classes.
@@ -75,22 +77,24 @@ def fit_logistic(design: np.ndarray, labels: np.ndarray) -> RegressionFit:
         raise ValueError(f"design has {X.shape[0]} rows but labels have {y.size}")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("labels must be 0/1")
+    c = np.ones(y.size) if counts is None else np.asarray(counts, dtype=float).ravel()
+    present = c > 0
 
-    n, p = X.shape
-    beta = np.zeros(p)
+    n = float(c.sum())
+    beta = np.zeros(X.shape[1])
     converged = False
     for _ in range(_LOGISTIC_MAX_ITER):
         eta = X @ beta
-        if np.abs(eta).max(initial=0.0) > _SEPARATION_ETA:
+        if np.abs(eta).max(initial=0.0, where=present) > _SEPARATION_ETA:
             raise SeparableDataError(
                 "logistic regression diverged; the classes are (quasi-)separable"
             )
         prob = sigmoid(eta)
-        grad = X.T @ (y - prob) / n
+        grad = X.T @ (c * (y - prob)) / n
         if np.abs(grad).max(initial=0.0) <= _LOGISTIC_TOL:
             converged = True
             break
-        w = prob * (1.0 - prob)
+        w = c * prob * (1.0 - prob)
         hess = (X * w[:, None]).T @ X / n
         hess[np.diag_indices_from(hess)] += 1e-12
         try:
@@ -100,7 +104,7 @@ def fit_logistic(design: np.ndarray, labels: np.ndarray) -> RegressionFit:
         beta = beta + step
 
     prob = sigmoid(X @ beta)
-    if np.all(prob[y == 1] > 1.0 - 1e-6) and np.all(prob[y == 0] < 1e-6):
+    if np.all(np.where(y == 1, prob > 1.0 - 1e-6, prob < 1e-6) | ~present):
         raise SeparableDataError(
             "logistic regression saturated every fitted probability; "
             "the classes are separable"

@@ -163,6 +163,35 @@ class TestWeightsCommand:
         # row indices refer to the original file: beta occupies the second half
         assert min(int(r["row"]) for r in rows) >= 40
 
+    @pytest.mark.parametrize("target_args", [["--target", str(DATA_DIR / "golden_target.csv")], []])
+    def test_one_site_is_its_rows_of_the_all_sites_run(self, tmp_path, target_args):
+        # the target and the pooled map come from every site, with --site or not
+        outputs = {}
+        for name, site_args in (("all", []), ("beta", ["--site", "beta"])):
+            out = tmp_path / f"{name}.csv"
+            rc = main(["weights", "--data", str(DATA_DIR / "golden_data.csv"), *target_args, *site_args,
+                       "--out", str(out)])
+            assert rc == 0
+            outputs[name] = out.read_text(encoding="utf-8").splitlines()
+        header, *rows = outputs["all"]
+        assert outputs["beta"] == [header] + [row for row in rows if row.startswith("beta,")]
+        assert len(outputs["beta"]) == 1 + 35
+
+    def test_bandwidth_on_a_linear_kernel_is_an_error(self, toy, tmp_path, capsys):
+        tmp, data, target = toy
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "kernels: {cate: {kind: linear, bandwidth: 0.5}, prognostic: {kind: linear, bandwidth: 50}}\n",
+            encoding="utf-8",
+        )
+        out = tmp / "w.csv"
+        rc = main(["weights", "--data", str(data), "--target", str(target), "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert "a linear kernel takes no bandwidth" in record["message"]
+        assert not out.exists()
+
 
 def write_golden_moments(path, columns=("x1", "x2", "x3"), x1_scale=1.0):
     """The golden target's means of ``columns`` (covariates or products

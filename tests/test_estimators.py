@@ -6,6 +6,7 @@ from hypothesis import strategies as st_
 from sitetransport import (
     FeatureMap,
     TargetSpec,
+    TransportConfig,
     density_ratio_fit,
     doubly_robust_estimate,
     fit_feature_map,
@@ -13,6 +14,7 @@ from sitetransport import (
     ipw_estimate,
     naive_estimate,
     outcome_model_estimate,
+    transport_all,
     weighting_estimate,
 )
 from sitetransport.errors import (
@@ -261,6 +263,17 @@ class TestDoublyRobust:
         dr = _dr_point(site, r, zeros, zeros, 0.0, 0.0)
         assert dr == pytest.approx(ipw.estimate, abs=1e-12)
 
+    def test_collinear_point_fits_are_noted(self, rng):
+        X = rng.normal(size=(40, 2))
+        X = np.column_stack([X, X[:, 0]])  # duplicate column
+        site = build_site(X, np.array([1, 0] * 20), rng.normal(size=40))
+        target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(30, 3)))
+        ratio = lambda X_: np.ones(len(X_))  # noqa: E731
+        dr = doubly_robust_estimate(site, target, identity_map(3), ratio=ratio, n_boot=0)
+        om = outcome_model_estimate(site, target, identity_map(3), n_boot=0)
+        assert any(note.startswith("collinear design columns dropped: treated") for note in dr.notes)
+        assert dr.notes == om.notes
+
     def test_both_correct_matches_outcome_model(self, rng):
         site, target, _ = self._noiseless_site(rng)
         ratio = density_ratio_fit(site.covariates, target.sample, identity_map(2))
@@ -323,6 +336,23 @@ class TestLogisticRegression:
         assert fit.converged
         np.testing.assert_allclose(fit.coefficients, [-0.3, 0.8], atol=0.15)
 
+    def test_counts_fit_the_rows_repeated_that_often(self, rng):
+        n = 300
+        x = rng.normal(size=n)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(0.2 - 0.7 * x))).astype(float)
+        X = np.column_stack([np.ones(n), x])
+        # one row far out, drawn in no resample: at the fit its linear
+        # predictor is past the divergence bound, so it alone would raise
+        X[0, 1] = 500.0
+        rows = rng.choice(np.arange(1, n), size=n)
+        counts = np.bincount(rows, minlength=n)
+        assert counts[0] == 0
+        fit = fit_logistic(X, y, counts)
+        repeated = fit_logistic(X[rows], y[rows])
+        np.testing.assert_allclose(fit.coefficients, repeated.coefficients, rtol=0, atol=1e-12)
+        assert fit.converged and repeated.converged
+        assert abs(X[0] @ fit.coefficients) > 30.0
+
 
 class TestDoublyRobustBootstrapRefit:
     def _setup(self, rng):
@@ -335,7 +365,7 @@ class TestDoublyRobustBootstrapRefit:
         from sitetransport import estimators
 
         site, target, fmap, ratio = self._setup(rng)
-        real = estimators.density_ratio_fit
+        real = estimators.fit_logistic
         calls = []
 
         def flaky(*args, **kwargs):
@@ -344,7 +374,7 @@ class TestDoublyRobustBootstrapRefit:
                 raise SeparableDataError("resampled arms separate")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(estimators, "density_ratio_fit", flaky)
+        monkeypatch.setattr(estimators, "fit_logistic", flaky)
         est = doubly_robust_estimate(site, target, fmap, ratio=ratio, n_boot=10, seed=0)
         assert len(calls) == 10
         assert est.notes == ("density-ratio refit failed in 3 of 10 bootstrap replicates",)
@@ -363,7 +393,7 @@ class TestDoublyRobustBootstrapRefit:
         def broken(*args, **kwargs):
             raise RuntimeError("not a data problem")
 
-        monkeypatch.setattr(estimators, "density_ratio_fit", broken)
+        monkeypatch.setattr(estimators, "fit_logistic", broken)
         with pytest.raises(RuntimeError, match="not a data problem"):
             doubly_robust_estimate(site, target, fmap, ratio=ratio, n_boot=3, seed=0)
 
@@ -443,6 +473,15 @@ class TestBatchedBootstrap:
         assert blocked.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
         assert blocked.std_error == pytest.approx(whole.std_error, rel=1e-14, abs=0.0)
 
+    def test_outcome_model_and_doubly_robust_share_the_arm_fits(self, rng, monkeypatch):
+        sites = [random_site(rng, n=60, d=2, site_id=f"s{j}") for j in range(3)]
+        target = TargetSpec.from_sample(rng.normal(0.2, 1.0, size=(50, 2)))
+        calls = _count_least_squares_calls(monkeypatch)
+        config = TransportConfig(estimators=("outcome_model", "doubly_robust"), n_boot=0)
+        report = transport_all(sites, target, config)
+        assert all(set(res.estimates) == {"outcome_model", "doubly_robust"} for res in report.results)
+        assert len(calls) == 2 * len(sites)  # one fit per arm and site
+
     def test_full_rank_replicates_take_no_qr(self, rng, monkeypatch):
         site, target = self._site(rng)
         calls = _count_least_squares_calls(monkeypatch)
@@ -456,9 +495,6 @@ class TestBatchedBootstrap:
         site = build_site(X, site.treatment, site.outcomes)
         target = TargetSpec.from_sample(np.column_stack([target.sample, target.sample[:, 0]]))
         fmap = identity_map(3)
-        # a unit density ratio, for the estimator and the loop alike
-        unit_ratio = lambda X_: np.ones(len(X_))  # noqa: E731
-        monkeypatch.setattr("sitetransport.estimators.density_ratio_fit", lambda *a: unit_ratio)
         calls = _count_least_squares_calls(monkeypatch)
         est = estimator(site, target, fmap, n_boot=6, seed=2)
         assert len(calls) == 2 + 2 * 6

@@ -129,6 +129,10 @@ class TestKernels:
         spec = KernelSpec("linear")
         assert kernel_eval(spec, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == pytest.approx(11.0)
 
+    def test_linear_kernel_takes_no_bandwidth(self):
+        with pytest.raises(ValueError, match="a linear kernel takes no bandwidth"):
+            KernelSpec("linear", bandwidth=0.5)
+
     def test_rbf_characteristic_distance(self):
         # ||x - y||^2 = 2 sigma^2  ->  exp(-1)
         sigma = 0.7
