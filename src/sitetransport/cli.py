@@ -19,7 +19,8 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from .balance import lambda_sweep
+from .balance import BalanceProblem, lambda_sweep, solve_weights
+from .blas import single_threaded_blas
 from .data import TargetSpec, UnitRecord, UnitTable, validate_dataset
 from .errors import ConfigError, NonBinaryTreatmentError, SchemaError, SiteTransportError
 from .features import KernelSpec, raw_feature_names
@@ -277,20 +278,22 @@ def _cmd_weights(args) -> int:
         raise SchemaError(f"site {args.site!r} not found in {args.data}")
     # the target and the pooled map come from every site, whichever is shown
     target = _resolve_target(args, sites, config)
+    _, sides = run_setup(replace(config, estimators=("weighting",)), sites, target)
 
-    report = transport_all(sites, target, config=replace(config, estimators=("weighting",)))
     rows = []
-    for site, res in zip(sites, report.results):
+    for site in sites:
         if args.site is not None and site.site_id != args.site:
             continue
-        if res.weights is None:
-            print(f"site {res.site_id}: FAILED {res.errors['weighting']}", file=sys.stderr)
+        try:
+            with single_threaded_blas():
+                ws = solve_weights(BalanceProblem(site=site, target=target, lam=config.lam, **sides), config.solver)
+        except SiteTransportError as exc:
+            print(f"site {site.site_id}: FAILED {type(exc).__name__}: {exc}", file=sys.stderr)
             continue
         positions = site.row_indices or tuple(range(site.n))
-        for pos, g in zip(positions, res.weights.gamma):
-            rows.append([res.site_id, pos, g])
-        ws = res.weights
-        print(f"site {res.site_id}: lambda={ws.lam:g} ess={ws.ess:.2f}")
+        for pos, g in zip(positions, ws.gamma):
+            rows.append([site.site_id, pos, g])
+        print(f"site {site.site_id}: lambda={ws.lam:g} ess={ws.ess:.2f}")
         print(f"  treated-vs-target imbalance:  {ws.cate_imbalance:.6g}")
         print(f"  treated-vs-control imbalance: {ws.prognostic_imbalance:.6g}")
         gap_text = "n/a (ADMM)" if ws.solver.method == "admm" else f"{ws.solver.duality_gap:.3g}"
@@ -520,20 +523,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, target=True):
+    def add_common(p):
         p.add_argument("--config", help="YAML config file")
-        p.add_argument("--seed", type=int, help="overrides the config seed")
-        if target:
-            p.add_argument("--data", required=True, help="unit-level CSV: site_id,z,y,x1..xd")
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--target", help="unit-level target sample CSV")
-            group.add_argument(
-                "--target-moments", help="feature-means target CSV (linear mode only)"
-            )
+        p.add_argument("--data", required=True, help="unit-level CSV: site_id,z,y,x1..xd")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--target", help="unit-level target sample CSV")
+        group.add_argument(
+            "--target-moments", help="feature-means target CSV (linear mode only)"
+        )
 
     p = sub.add_parser("weights", help="solve balancing weights for one or all sites")
     add_common(p)
-    p.add_argument("--site", help="print and write one site id (the run still uses every site)")
+    p.add_argument("--site", help="solve, print and write one site id (the target and map still pool every site)")
     p.add_argument("--lambda", dest="lam", type=float, help="regularization strength")
     p.add_argument("--mode", choices=["linear", "kernel"])
     p.add_argument("--out", default="weights.csv")
@@ -541,6 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transport", help="per-site transported-effect table")
     add_common(p)
+    p.add_argument("--seed", type=int, help="overrides the config seed")
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--mode", choices=["linear", "kernel"])
     p.add_argument("--out", default="estimates.csv")

@@ -16,7 +16,7 @@ from .balance import kish_ess
 from .data import SiteDataset, TargetSpec
 from .errors import ConstraintViolationError, InsufficientArmError, SiteTransportError
 from .features import FeatureMap, apply_feature_map
-from .regression import RegressionFit, fit_least_squares, fit_logistic
+from .regression import RegressionFit, fit_least_squares, fit_logistic, rank_tolerance
 
 RATIO_CLIP = (1e-6, 1e6)
 DEFAULT_BOOTSTRAP = 200
@@ -126,87 +126,61 @@ def _well_conditioned(gram: np.ndarray) -> np.ndarray:
     return np.all(pivots**2 >= _GRAM_PIVOT_TOL, axis=1)
 
 
-def _replicate_fits(design: np.ndarray, y: np.ndarray, rows: np.ndarray, batched: bool):
+def _replicate_fits(design: np.ndarray, y: np.ndarray, rows: np.ndarray):
     """Least-squares coefficients on each resample ``rows[b]`` of one arm
     (B x p), and whether each replicate's fit dropped collinear columns.
 
-    When ``batched``, every replicate's normal equations Xb'Xb beta = Xb'yb
-    are formed and solved at once, scaled to a unit-diagonal Gram matrix. A
-    replicate whose scaled Gram matrix is not certified by _well_conditioned,
-    and every replicate when not ``batched``, is fitted by the pivoted QR of
-    fit_least_squares instead.
+    Every replicate's normal equations Xb'Xb beta = Xb'yb are formed and
+    solved at once, scaled to a unit-diagonal Gram matrix. A replicate with a
+    column that the QR's rank test would drop by its length alone, or whose
+    scaled Gram matrix is not certified by _well_conditioned, is fitted by
+    the pivoted QR of fit_least_squares instead. A resample keeps such a
+    column short, and a column collinear on the whole arm collinear, so an
+    arm whose point fit dropped columns takes the QR in every replicate.
     """
     beta = np.zeros((rows.shape[0], design.shape[1]))
     dropped = np.zeros(rows.shape[0], dtype=bool)
-    qr = np.ones(rows.shape[0], dtype=bool)
-    if batched:
-        Xb = design[rows]
-        Xt = Xb.transpose(0, 2, 1)
-        gram, rhs = Xt @ Xb, (Xt @ y[rows][..., None])[..., 0]
-        scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
-        ok = np.all(scale > 0.0, axis=1)  # a resample with an all-zero column goes to QR
-        gram, rhs, scale = gram[ok], rhs[ok], scale[ok]
-        gram /= scale[:, :, None] * scale[:, None, :]
-        good = _well_conditioned(gram)
-        ok[ok] = good
-        beta[ok] = np.linalg.solve(gram[good], (rhs[good] / scale[good])[..., None])[..., 0] / scale[good]
-        qr = ~ok
-    for b in np.flatnonzero(qr):
+    Xb = design[rows]
+    Xt = Xb.transpose(0, 2, 1)
+    gram, rhs = Xt @ Xb, (Xt @ y[rows][..., None])[..., 0]
+    scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    # a column no longer than the QR's rank tolerance (an all-zero one, say) goes to QR
+    ok = np.all(scale > scale.max(axis=1, keepdims=True) * rank_tolerance(Xb.shape[1:]), axis=1)
+    gram, rhs, scale = gram[ok], rhs[ok], scale[ok]
+    gram /= scale[:, :, None] * scale[:, None, :]
+    good = _well_conditioned(gram)
+    ok[ok] = good
+    beta[ok] = np.linalg.solve(gram[good], (rhs[good] / scale[good])[..., None])[..., 0] / scale[good]
+    for b in np.flatnonzero(~ok):
         fit = fit_least_squares(design[rows[b]], y[rows[b]])
         beta[b], dropped[b] = fit.coefficients, bool(fit.dropped)
     return beta, dropped
 
 
-def _bootstrap_arm_fits(design, y, idx1, idx0, point_fits, n_boot: int, seed):
+def _bootstrap_arm_fits(design, y, idx1, idx0, n_boot: int, seed):
     """The within-site, arm-stratified bootstrap of both arm fits, a block
     of replicates at a time.
 
     Each replicate draws its treated rows and then its control rows from
     ``default_rng(seed)``, as a replicate-by-replicate loop would. Yields the
     block's resample counts (B x n: how often each site unit is drawn in
-    each replicate), each replicate's coefficients per arm (B x p) and
-    whether either arm's fit dropped collinear columns. An arm whose point
-    fit dropped columns is refit by the pivoted QR in every replicate;
-    otherwise see _replicate_fits.
+    each replicate), each replicate's coefficients per arm (B x p, see
+    _replicate_fits) and whether either arm's fit dropped collinear columns.
     """
     rng = np.random.default_rng(seed)
     n = design.shape[0]
     block = max(1, _BLOCK_DOUBLES // design.size)
-    batched = [not fit.dropped for fit in point_fits]
     for start in range(0, n_boot, block):
         draws = [
             (rng.choice(idx1, size=idx1.size), rng.choice(idx0, size=idx0.size))
             for _ in range(min(block, n_boot - start))
         ]
         b1, b0 = (np.array(arm) for arm in zip(*draws))
-        beta1, dropped1 = _replicate_fits(design, y, b1, batched[0])
-        beta0, dropped0 = _replicate_fits(design, y, b0, batched[1])
+        beta1, dropped1 = _replicate_fits(design, y, b1)
+        beta0, dropped0 = _replicate_fits(design, y, b0)
         rows = np.hstack([b1, b0]) + n * np.arange(len(draws))[:, None]
         counts = np.bincount(rows.ravel(), minlength=rows.size).reshape(len(draws), n)
         yield counts, beta1, beta0, dropped1 | dropped0
-
-
-def _arm_models(site: SiteDataset, target: TargetSpec, feature_map: FeatureMap, n_boot: int):
-    """The start of the outcome-model and doubly robust estimators: their
-    checks, each arm's rows, the site and target designs and each arm's
-    point fit on the site design.
-
-    Returns ``(idx1, idx0, site_design, target_design, (fit1, fit0))``.
-    """
-    if not target.is_sample:
-        raise ValueError("outcome-model and doubly robust estimation require a unit-level target sample")
-    if n_boot < 0 or n_boot == 1:  # a standard error needs two replicates; 0 skips it
-        raise ValueError(f"n_boot must be 0 (no bootstrap) or at least 2, got {n_boot}")
-    k = feature_map.output_dim
-    if site.n1 < k + 1 or site.n0 < k + 1:
-        raise InsufficientArmError(
-            f"arms of size ({site.n1}, {site.n0}) cannot support {k} features"
-        )
-    idx1 = np.flatnonzero(site.treatment == 1)
-    idx0 = np.flatnonzero(site.treatment == 0)
-    site_design = _design(feature_map, site.covariates)
-    fits = tuple(fit_least_squares(site_design[idx], site.outcomes[idx]) for idx in (idx1, idx0))
-    return idx1, idx0, site_design, _design(feature_map, target.sample), fits
 
 
 def _ratio_ess(r: np.ndarray, z: np.ndarray) -> tuple[float, float]:
@@ -362,8 +336,22 @@ def _model_estimates(
     site design, counted c_b, against the target design, counted once (or
     keeps ``ratio`` where that refit separates), and weights its residual
     sum by c_b.
+
+    Raises ValueError for a moments target or an ``n_boot`` of 1 or below 0,
+    and :class:`InsufficientArmError` when an arm has no more units than
+    the map has features.
     """
-    idx1, idx0, site_design, target_design, (fit1, fit0) = _arm_models(site, target, feature_map, n_boot)
+    if not target.is_sample:
+        raise ValueError("outcome-model and doubly robust estimation require a unit-level target sample")
+    if n_boot < 0 or n_boot == 1:  # a standard error needs two replicates; 0 skips it
+        raise ValueError(f"n_boot must be 0 (no bootstrap) or at least 2, got {n_boot}")
+    k = feature_map.output_dim
+    if site.n1 < k + 1 or site.n0 < k + 1:
+        raise InsufficientArmError(f"arms of size ({site.n1}, {site.n0}) cannot support {k} features")
+    idx1 = np.flatnonzero(site.treatment == 1)
+    idx0 = np.flatnonzero(site.treatment == 0)
+    site_design, target_design = _design(feature_map, site.covariates), _design(feature_map, target.sample)
+    fit1, fit0 = (fit_least_squares(site_design[idx], site.outcomes[idx]) for idx in (idx1, idx0))
     m1, m0 = fit1.linear_predictor(target_design), fit0.linear_predictor(target_design)
     z, y, pi, n = site.treatment, site.outcomes, site.propensity, site.n
     if ratio is not None:
@@ -384,9 +372,7 @@ def _model_estimates(
     om_reps, dr_reps, n_dropped, n_refit_failed = [], [], 0, 0
     if n_boot > 0:
         target_mean = target_design.mean(axis=0)
-        for counts, beta1, beta0, dropped in _bootstrap_arm_fits(
-            site_design, y, idx1, idx0, (fit1, fit0), n_boot, seed
-        ):
+        for counts, beta1, beta0, dropped in _bootstrap_arm_fits(site_design, y, idx1, idx0, n_boot, seed):
             n_dropped += int(dropped.sum())
             om_reps.append((beta1 - beta0) @ target_mean)
             if ratio is None:
@@ -443,7 +429,7 @@ def doubly_robust_estimate(
     outcome models, with a bootstrap standard error (see _model_estimates).
 
     When ``ratio`` is None the change of measure is fit from the site against
-    the target sample (a moments target is rejected by _arm_models).
+    the target sample (a moments target is rejected by _model_estimates).
     """
     if ratio is None and target.is_sample:
         ratio = density_ratio_fit(site.covariates, target.sample, feature_map)

@@ -54,13 +54,6 @@ class FeatureMap:
             raise UnfittedMapError("feature map has not been fitted")
         return len(self.kept_base) + len(self.kept_interactions)
 
-    def feature_names(self) -> tuple[str, ...]:
-        if not self.fitted:
-            raise UnfittedMapError("feature map has not been fitted")
-        base = tuple(f"x{i + 1}" for i in self.kept_base)
-        inter = tuple(f"x{i + 1}*x{j + 1}" for i, j in self.kept_interactions)
-        return base + inter
-
 
 def raw_feature_names(d: int, interactions: Sequence[tuple[int, int]]) -> tuple[str, ...]:
     """Names of a map's features before scaling and dropping: the covariates
@@ -74,6 +67,11 @@ def _raw_features(spec: FeatureMap, X: np.ndarray) -> np.ndarray:
     for i, j in spec.interactions:
         cols.append((X[:, i] * X[:, j])[:, None])
     return np.hstack(cols) if len(cols) > 1 else X
+
+
+def _kept(spec: FeatureMap) -> list[int]:
+    """Indices of a fitted map's kept features among its raw features."""
+    return [*spec.kept_base, *(spec.n_raw + spec.interactions.index(pair) for pair in spec.kept_interactions)]
 
 
 def fit_feature_map(spec: FeatureMap, pooled: np.ndarray | Sequence[Sequence[float]]) -> FeatureMap:
@@ -131,10 +129,7 @@ def apply_feature_map(spec: FeatureMap, x: np.ndarray | Sequence[float]) -> np.n
         raise DimensionMismatchError(
             f"expected {spec.n_raw} raw covariates, got {X.shape[1]}"
         )
-    cols = [X[:, list(spec.kept_base)]] if spec.kept_base else [np.empty((X.shape[0], 0))]
-    for i, j in spec.kept_interactions:
-        cols.append((X[:, i] * X[:, j])[:, None])
-    out = np.hstack(cols) / spec.fitted_scale
+    out = _raw_features(spec, X)[:, _kept(spec)] / spec.fitted_scale
     return out[0] if single else out
 
 
@@ -145,8 +140,7 @@ def map_raw_means(spec: FeatureMap, means: np.ndarray) -> np.ndarray:
     k = spec.n_raw + len(spec.interactions)
     if means.size != k:
         raise DimensionMismatchError(f"target moments have length {means.size}, the map has {k} raw features")
-    kept = [*spec.kept_base, *(spec.n_raw + spec.interactions.index(pair) for pair in spec.kept_interactions)]
-    return means[kept] / spec.fitted_scale
+    return means[_kept(spec)] / spec.fitted_scale
 
 
 def identity_map(d: int) -> FeatureMap:

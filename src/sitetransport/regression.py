@@ -35,6 +35,12 @@ class RegressionFit:
         return np.asarray(design, dtype=float) @ self.coefficients
 
 
+def rank_tolerance(shape: tuple[int, int]) -> float:
+    """fit_least_squares drops the columns whose pivoted-QR diagonal is at
+    most this times the first, for a design of this shape."""
+    return max(shape) * np.finfo(float).eps
+
+
 def fit_least_squares(design: np.ndarray, y: np.ndarray) -> RegressionFit:
     """Rank-revealing least squares via one pivoted QR; collinear columns dropped.
 
@@ -51,7 +57,7 @@ def fit_least_squares(design: np.ndarray, y: np.ndarray) -> RegressionFit:
 
     qty, r, pivots = scipy.linalg.qr_multiply(X, y, mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
-    rank = 0 if diag[0] == 0.0 else int(np.sum(diag > diag[0] * max(X.shape) * np.finfo(float).eps))
+    rank = 0 if diag[0] == 0.0 else int(np.sum(diag > diag[0] * rank_tolerance(X.shape)))
     if rank > 0:
         beta[pivots[:rank]] = scipy.linalg.solve_triangular(r[:rank, :rank], qty[:rank])
     dropped = tuple(sorted(int(c) for c in pivots[rank:]))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .balance import BalanceProblem, solve_along_grid
+from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec
 from .errors import SiteTransportError
 from .estimators import DOUBLY_ROBUST, IPW, NAIVE, OUTCOME_MODEL, WEIGHTING, weighting_estimate
@@ -259,18 +260,21 @@ def run_simulation(config: SimConfig, threads: int = 1) -> SimResult:
     replications first, then takes the mean absolute value across sites.
     Failed cells are recorded and excluded from the averages; every cell's
     (rep x site) errors, NaN where it failed, are kept as ``cell_errors``.
-    Deterministic given the seed, independent of thread count.
+    The replications run under :func:`~sitetransport.blas.single_threaded_blas`,
+    so the result is deterministic given the seed, independent of ``threads``
+    and of the machine's core count.
     """
     populations = build_populations(config)
     J = config.n_sites
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(
-                pool.map(lambda r: _rep_errors(config, populations, r), range(config.reps))
-            )
-    else:
-        per_rep = [_rep_errors(config, populations, r) for r in range(config.reps)]
+    with single_threaded_blas():
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                per_rep = list(
+                    pool.map(lambda r: _rep_errors(config, populations, r), range(config.reps))
+                )
+        else:
+            per_rep = [_rep_errors(config, populations, r) for r in range(config.reps)]
 
     keys = sorted(per_rep[0].keys(), key=lambda k: (k[0], -np.inf if k[1] is None else k[1]))
     rows = []

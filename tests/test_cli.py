@@ -177,6 +177,31 @@ class TestWeightsCommand:
         assert outputs["beta"] == [header] + [row for row in rows if row.startswith("beta,")]
         assert len(outputs["beta"]) == 1 + 35
 
+    def test_one_site_solves_only_that_site(self, tmp_path, monkeypatch):
+        from sitetransport import balance
+
+        calls = []
+        solve_qp = balance.solve_qp
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return solve_qp(*args, **kwargs)
+
+        monkeypatch.setattr(balance, "solve_qp", counted)
+        rc = main(["weights", "--data", str(DATA_DIR / "golden_data.csv"), "--target",
+                   str(DATA_DIR / "golden_target.csv"), "--site", "beta", "--out", str(tmp_path / "w.csv")])
+        assert rc == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["weights", "sweep"])
+    def test_seed_is_not_a_flag_of_a_command_that_draws_nothing(self, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(DATA_DIR / "golden_data.csv"), "--seed", "1",
+                  "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bandwidth_on_a_linear_kernel_is_an_error(self, toy, tmp_path, capsys):
         tmp, data, target = toy
         cfg = tmp_path / "cfg.yaml"

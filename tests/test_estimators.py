@@ -505,6 +505,39 @@ class TestBatchedBootstrap:
         assert n_dropped == 6
         assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
 
+    def test_only_the_arm_whose_point_fit_dropped_a_column_is_refit_by_qr(self, rng, monkeypatch):
+        site, target = self._site(rng, d=2)
+        # a binary covariate that is 1 on every treated unit: the treated arm's
+        # column equals its intercept, the control arm's varies
+        binary = np.where(site.treatment == 1, 1.0, rng.random(site.n) < 0.5)
+        site = build_site(np.column_stack([site.covariates, binary]), site.treatment, site.outcomes)
+        target = TargetSpec.from_sample(np.column_stack([target.sample, rng.random(50) < 0.5]))
+        fmap = identity_map(3)
+        calls = _count_least_squares_calls(monkeypatch)
+        est = outcome_model_estimate(site, target, fmap, n_boot=8, seed=6)
+        assert len(calls) == 2 + 8  # the point fits, then each treated replicate
+        assert "collinear design columns dropped: treated (3,), control ()" in est.notes
+        assert "collinear columns dropped in 8 of 8 bootstrap replicates" in est.notes
+        se, n_dropped = bootstrap_loop(site, target, fmap, 8, seed=6)
+        assert n_dropped == 8
+        assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+
+    def test_a_column_below_the_qr_rank_tolerance_is_refit_by_qr(self, rng, monkeypatch):
+        site, target = self._site(rng, d=2)
+        # well conditioned once scaled, but so short next to the others that
+        # the QR's rank test drops it, in the point fits and in every replicate
+        X = np.column_stack([site.covariates, 1e-17 * rng.normal(size=site.n)])
+        site = build_site(X, site.treatment, site.outcomes)
+        target = TargetSpec.from_sample(np.column_stack([target.sample, 1e-17 * rng.normal(size=50)]))
+        fmap = identity_map(3)
+        calls = _count_least_squares_calls(monkeypatch)
+        est = outcome_model_estimate(site, target, fmap, n_boot=5, seed=1)
+        assert len(calls) == 2 + 2 * 5
+        assert "collinear columns dropped in 5 of 5 bootstrap replicates" in est.notes
+        se, n_dropped = bootstrap_loop(site, target, fmap, 5, seed=1)
+        assert n_dropped == 5
+        assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+
     def test_ill_conditioned_replicates_are_refit_by_qr_without_a_note(self, rng, monkeypatch):
         site, target = self._site(rng, d=2)
         # 1 - R^2 of this column on the intercept is about 1e-10: full rank for

@@ -81,6 +81,18 @@ class TestApplyFeatureMap:
         with pytest.raises(UnfittedMapError):
             apply_feature_map(FeatureMap(), np.ones(2))
 
+    def test_dropped_features_leave_the_kept_columns_in_order(self):
+        # x2 is constant zero, so x2 and x1*x2 are dropped between kept columns
+        rng = np.random.default_rng(6)
+        X = np.column_stack([rng.normal(size=30), np.zeros(30), rng.normal(2.0, 1.0, 30)])
+        fitted = fit_feature_map(FeatureMap(interactions=((0, 2), (0, 1), (2, 2))), X)
+        assert fitted.dropped == ("x2", "x1*x2")
+        sample = rng.normal(size=(7, 3))
+        kept = np.column_stack([sample[:, 0], sample[:, 2], sample[:, 0] * sample[:, 2], sample[:, 2] * sample[:, 2]])
+        expected = kept / fitted.fitted_scale
+        assert np.array_equal(apply_feature_map(fitted, sample), expected)
+        assert np.array_equal(apply_feature_map(fitted, sample[4]), expected[4])
+
     @settings(max_examples=30, deadline=None)
     @given(
         st_.floats(-10, 10, allow_nan=False),

@@ -127,6 +127,22 @@ class TestRunSimulation:
         threaded = run_simulation(cfg, threads=3)
         assert serial.rows == threaded.rows
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_replications_run_under_the_blas_cap(self, monkeypatch, threads):
+        from sitetransport import blas, sim
+
+        depths = []
+        rep_errors = sim._rep_errors
+
+        def recorded(*args):
+            depths.append(blas._depth)
+            return rep_errors(*args)
+
+        monkeypatch.setattr(sim, "_rep_errors", recorded)
+        run_simulation(small_config(reps=2), threads=threads)
+        assert len(depths) == 2 and all(depth > 0 for depth in depths)
+        assert blas._depth == 0
+
     def test_failures_counted_not_fatal(self):
         # sites with many covariates and tiny arms push the outcome model
         # into InsufficientArm territory and the density ratio off its fit
