@@ -9,6 +9,7 @@ weights are nonnegative.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -321,16 +322,16 @@ def solve_along_grid(
     prob: BalanceProblem,
     lambdas: Sequence[float],
     settings: QpSettings | None = None,
-    catch: type[Exception] = SolverFailedError,
 ) -> Iterator[tuple[float, WeightSolution | None]]:
     """Solve ``prob`` at each lambda of a descending grid, warm-starting each
     solve from the last success. Yields ``(lam, solution)``, with ``solution``
-    None when the solve raised ``catch``; other errors propagate."""
+    None when the solve raised :class:`SolverFailedError`; other errors
+    propagate."""
     warm = None
     for lam in lambdas:
         try:
             ws = solve_weights(prob.with_lam(lam), settings=settings, warm_start=warm)
-        except catch:
+        except SolverFailedError:
             ws = None
         else:
             warm = (ws.solver.x, ws.solver.y)
@@ -350,8 +351,10 @@ def lambda_sweep(
     """Trade-off table over a regularization grid, averaged across sites.
 
     Each site's weights are warm-started along the grid in descending lambda
-    order. Per-cell solver failures are recorded in ``n_failed`` without
-    aborting the sweep. Rows come back in ascending lambda order.
+    order, under :func:`~sitetransport.blas.single_threaded_blas`. A solver
+    failure leaves its (lambda, site) cell out of the means and is counted in
+    ``n_failed`` without aborting the sweep. Rows come back in ascending
+    lambda order.
     """
     lambdas = [float(v) for v in lambdas]
     if not lambdas:
@@ -360,34 +363,25 @@ def lambda_sweep(
         raise ValueError("lambda values must be nonnegative")
     order = sorted(set(lambdas), reverse=True)
 
-    cells: dict[float, list[WeightSolution]] = {lam: [] for lam in order}
-    failures: dict[float, int] = {lam: 0 for lam in order}
-    for site in sites:
-        prob = BalanceProblem(
-            site=site,
-            target=target,
-            lam=order[0],
-            cate_map=cate_map,
-            prognostic_map=prognostic_map,
-            cate_kernel=cate_kernel,
-            prognostic_kernel=prognostic_kernel,
-        )
-        for lam, ws in solve_along_grid(prob, order, settings):
-            if ws is None:
-                failures[lam] += 1
-            else:
-                cells[lam].append(ws)
-
-    def mean_of(sols: list[WeightSolution], attr: str) -> float:
-        return float(np.mean([getattr(s, attr) for s in sols])) if sols else float("nan")
-
-    return [
-        SweepRow(
-            lam=lam,
-            cate_imbalance=mean_of(cells[lam], "cate_imbalance"),
-            prognostic_imbalance=mean_of(cells[lam], "prognostic_imbalance"),
-            ess=mean_of(cells[lam], "ess"),
-            n_failed=failures[lam],
-        )
-        for lam in sorted(order)
-    ]
+    # cate imbalance, prognostic imbalance and ESS per (lambda, site); NaN where the solve failed
+    cells = np.full((3, len(order), len(sites)), np.nan)
+    with single_threaded_blas():
+        for j, site in enumerate(sites):
+            prob = BalanceProblem(
+                site=site,
+                target=target,
+                lam=order[0],
+                cate_map=cate_map,
+                prognostic_map=prognostic_map,
+                cate_kernel=cate_kernel,
+                prognostic_kernel=prognostic_kernel,
+            )
+            for i, (_, ws) in enumerate(solve_along_grid(prob, order, settings)):
+                if ws is not None:
+                    cells[:, i, j] = ws.cate_imbalance, ws.prognostic_imbalance, ws.ess
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a lambda that failed at every site averages to NaN
+        means = np.nanmean(cells, axis=2)
+    n_failed = np.isnan(cells[2]).sum(axis=1).tolist()
+    rows = [SweepRow(lam, *means[:, i].tolist(), n_failed[i]) for i, lam in enumerate(order)]
+    return rows[::-1]

@@ -13,17 +13,11 @@ package bundles an OpenBLAS (builds against another BLAS) it does nothing.
 Callers:
 
 * ``multisite.transport_all``, around its per-site loop;
+* ``balance.lambda_sweep``, around its per-site loop;
 * ``sim.run_simulation``, around its replications;
 * ``cli`` ``weights``, around each shown site's solve;
 * ``qp.solve_qp``, around every solve of a program with an explicit P;
 * ``balance._site_program``, around the kernel-mode Grams and bandwidths.
-
-The dual Newton path of linear mode is not capped on its own, so
-``balance.lambda_sweep`` runs it threaded; inside transport, the simulation
-and ``weights`` it runs under their caps. Its steps are mostly products of
-the n x (k + 2) dual matrix with a vector, since a lambda copy forms its
-Hessian from a kept Gram; capping the path alone made neither the 25-lambda
-sweep at n = 2000 nor the default simulation faster on a two-core machine.
 """
 
 from __future__ import annotations

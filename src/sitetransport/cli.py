@@ -21,7 +21,7 @@ import yaml
 
 from .balance import BalanceProblem, lambda_sweep, solve_weights
 from .blas import single_threaded_blas
-from .data import TargetSpec, UnitRecord, UnitTable, validate_dataset
+from .data import SiteDataset, TargetSpec, UnitRecord, UnitTable, validate_dataset
 from .errors import ConfigError, NonBinaryTreatmentError, SchemaError, SiteTransportError
 from .features import KernelSpec, raw_feature_names
 from .heterogeneity import SiteEffectSet, estimate_theta, pseudo_r2
@@ -259,25 +259,30 @@ def _transport_config(cfg: dict, args) -> TransportConfig:
         raise ConfigError(f"invalid transport config: {exc}") from exc
 
 
-def _resolve_target(args, sites, config: TransportConfig):
-    if getattr(args, "target", None):
-        return read_target_sample(args.target)
-    if getattr(args, "target_moments", None):
-        return read_target_moments(args.target_moments, raw_feature_names(sites[0].d, config.interactions))
-    return TargetSpec.pooled(sites)
+def _read_inputs(args) -> tuple[dict, TransportConfig, list[SiteDataset], TargetSpec]:
+    """The config file, the run's settings, the validated sites and the
+    target (the pooled sites unless a target file is given) of ``weights``,
+    ``transport`` and ``sweep``."""
+    cfg = _load_yaml(args.config)
+    config = _transport_config(cfg, args)
+    sites = validate_dataset(read_unit_table(args.data))
+    if args.target:
+        target = read_target_sample(args.target)
+    elif args.target_moments:
+        target = read_target_moments(args.target_moments, raw_feature_names(sites[0].d, config.interactions))
+    else:
+        target = TargetSpec.pooled(sites)
+    return cfg, config, sites, target
 
 
 # --- subcommands ---
 
 
 def _cmd_weights(args) -> int:
-    cfg = _load_yaml(args.config)
-    config = _transport_config(cfg, args)
-    sites = validate_dataset(read_unit_table(args.data))
+    # the target and the pooled map come from every site, whichever is shown
+    _, config, sites, target = _read_inputs(args)
     if args.site is not None and all(s.site_id != args.site for s in sites):
         raise SchemaError(f"site {args.site!r} not found in {args.data}")
-    # the target and the pooled map come from every site, whichever is shown
-    target = _resolve_target(args, sites, config)
     _, sides = run_setup(replace(config, estimators=("weighting",)), sites, target)
 
     rows = []
@@ -308,10 +313,7 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_transport(args) -> int:
-    cfg = _load_yaml(args.config)
-    config = _transport_config(cfg, args)
-    sites = validate_dataset(read_unit_table(args.data))
-    target = _resolve_target(args, sites, config)
+    _, config, sites, target = _read_inputs(args)
     report = transport_all(sites, target, config=config)
 
     methods = [m for m in KNOWN_ESTIMATORS if m in config.estimators]
@@ -495,11 +497,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_yaml(args.config)
-    config = _transport_config(cfg, args)
-    sites = validate_dataset(read_unit_table(args.data))
-    target = _resolve_target(args, sites, config)
-
+    cfg, config, sites, target = _read_inputs(args)
     if args.lambdas:
         grid = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]
     else:
@@ -531,12 +529,12 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument(
             "--target-moments", help="feature-means target CSV (linear mode only)"
         )
+        p.add_argument("--mode", choices=["linear", "kernel"])
 
     p = sub.add_parser("weights", help="solve balancing weights for one or all sites")
     add_common(p)
     p.add_argument("--site", help="solve, print and write one site id (the target and map still pool every site)")
     p.add_argument("--lambda", dest="lam", type=float, help="regularization strength")
-    p.add_argument("--mode", choices=["linear", "kernel"])
     p.add_argument("--out", default="weights.csv")
     p.set_defaults(func=_cmd_weights)
 
@@ -544,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--seed", type=int, help="overrides the config seed")
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--mode", choices=["linear", "kernel"])
     p.add_argument("--out", default="estimates.csv")
     p.set_defaults(func=_cmd_transport)
 
@@ -568,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="lambda trade-off table (imbalance vs. ESS)")
     add_common(p)
     p.add_argument("--lambdas", help="comma-separated grid; default log grid 1e-4..1e2")
-    p.add_argument("--mode", choices=["linear", "kernel"])
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=_cmd_sweep)
     return parser
@@ -579,14 +575,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
     except (SiteTransportError, ValueError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

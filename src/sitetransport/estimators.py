@@ -332,10 +332,11 @@ def _model_estimates(
     standard errors share one arm-stratified bootstrap over the site's units
     (none when ``n_boot`` is 0, leaving std_error at 0; see
     _bootstrap_arm_fits), a replicate being its resample counts c_b. The
-    doubly robust replicate refits the ratio by logistic regression of the
-    site design, counted c_b, against the target design, counted once (or
-    keeps ``ratio`` where that refit separates), and weights its residual
-    sum by c_b.
+    doubly robust replicate weights its residual sum by c_b. When ``ratio``
+    is a fitted :class:`DensityRatio`, the replicate refits it by logistic
+    regression of the site design, counted c_b, against the target design,
+    counted once (keeping ``ratio`` where that refit separates); any other
+    ratio is held fixed in every replicate.
 
     Raises ValueError for a moments target or an ``n_boot`` of 1 or below 0,
     and :class:`InsufficientArmError` when an arm has no more units than
@@ -358,6 +359,7 @@ def _model_estimates(
         r = np.asarray(ratio(site.covariates), dtype=float).ravel()
         m1_site, m0_site = fit1.linear_predictor(site_design), fit0.linear_predictor(site_design)
         dr_estimate = _dr_point(site, r, m1_site, m0_site, float(np.mean(m1)), float(np.mean(m0)))
+    if isinstance(ratio, DensityRatio):
         # the refit's rows: the site's, counted per replicate, and the target's, counted once
         stacked = np.vstack([site_design, target_design])
         labels = np.concatenate([np.zeros(n), np.ones(target_design.shape[0])])
@@ -377,15 +379,17 @@ def _model_estimates(
             om_reps.append((beta1 - beta0) @ target_mean)
             if ratio is None:
                 continue
-            rb = np.empty(counts.shape)
-            for k, c in enumerate(counts):
-                ratio_counts[:n] = c
-                try:
-                    refit = fit_logistic(stacked, labels, ratio_counts)
-                    rb[k] = np.clip(_raw_ratio(site_design @ refit.coefficients, prior), *RATIO_CLIP)
-                except SiteTransportError:
-                    rb[k] = r  # keep the replicate usable under resampled separation
-                    n_refit_failed += 1
+            rb = r
+            if isinstance(ratio, DensityRatio):
+                rb = np.empty(counts.shape)
+                for k, c in enumerate(counts):
+                    ratio_counts[:n] = c
+                    try:
+                        refit = fit_logistic(stacked, labels, ratio_counts)
+                        rb[k] = np.clip(_raw_ratio(site_design @ refit.coefficients, prior), *RATIO_CLIP)
+                    except SiteTransportError:
+                        rb[k] = r  # keep the replicate usable under resampled separation
+                        n_refit_failed += 1
             resid = z / pi * (y - beta1 @ site_design.T) - (1 - z) / (1 - pi) * (y - beta0 @ site_design.T)
             dr_reps.append(om_reps[-1] + np.sum(counts * rb * resid, axis=1) / n)
     if n_dropped:
@@ -430,6 +434,8 @@ def doubly_robust_estimate(
 
     When ``ratio`` is None the change of measure is fit from the site against
     the target sample (a moments target is rejected by _model_estimates).
+    The bootstrap refits a :class:`DensityRatio` in each replicate and holds
+    any other ``ratio`` fixed.
     """
     if ratio is None and target.is_sample:
         ratio = density_ratio_fit(site.covariates, target.sample, feature_map)

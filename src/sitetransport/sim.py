@@ -19,7 +19,6 @@ import numpy as np
 from .balance import BalanceProblem, solve_along_grid
 from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec
-from .errors import SiteTransportError
 from .estimators import DOUBLY_ROBUST, IPW, NAIVE, OUTCOME_MODEL, WEIGHTING, weighting_estimate
 from .multisite import KNOWN_ESTIMATORS, TransportConfig, _transport_site, run_setup
 from .qp import QpSettings
@@ -212,43 +211,31 @@ class SimResult:
         raise KeyError((estimator, lam))
 
 
-def _rep_errors(config: SimConfig, populations, rep: int) -> dict[tuple, np.ndarray]:
-    """Estimate every enabled cell for one replication; NaN marks a failure."""
+def _rep_errors(config: SimConfig, populations, rep: int, cells) -> np.ndarray:
+    """Estimate every cell for one replication: a cells x sites array of
+    estimate minus truth, NaN where the estimate failed."""
     repl = generate_rep(config, rep, populations)
-    sites = repl.sites
-    J = len(sites)
-    grid = sorted(set(float(v) for v in config.lambda_grid), reverse=True)
-    out: dict[tuple, np.ndarray] = {}
-
-    def cell(estimator, lam=None):
-        key = (estimator, lam)
-        if key not in out:
-            out[key] = np.full(J, np.nan)
-        return out[key]
+    out = np.full((len(cells), len(repl.sites)), np.nan)
+    row = {cell: i for i, cell in enumerate(cells)}
+    grid = [lam for name, lam in reversed(cells) if name == WEIGHTING]  # descending, for the warm starts
 
     setup = TransportConfig(estimators=tuple(e for e in config.estimators if e != ORACLE), n_boot=0)
-    fmap, sides = run_setup(setup, sites, repl.target)
+    fmap, sides = run_setup(setup, repl.sites, repl.target)
     # naive, IPW, outcome model and doubly robust are transport's own per-site path
     transport = replace(setup, estimators=tuple(e for e in setup.estimators if e != WEIGHTING))
 
-    for j, site in enumerate(sites):
+    for j, site in enumerate(repl.sites):
         truth = repl.truth[site.site_id]
         if ORACLE in config.estimators:
-            cell(ORACLE)[j] = 0.0
+            out[row[ORACLE, None], j] = 0.0
         estimates = _transport_site(site, repl.target, transport, fmap, sides).estimates
-        for name in transport.estimators:  # a failed estimator leaves its cell NaN
-            est = estimates.get(name)
-            cell(name)[j] = np.nan if est is None else est.estimate - truth
-
-        if WEIGHTING in config.estimators:
+        for name, est in estimates.items():  # a failed estimator leaves its cell NaN
+            out[row[name, None], j] = est.estimate - truth
+        if grid:
             prob = BalanceProblem(site=site, target=repl.target, lam=grid[0], **sides)
-            for lam, ws in solve_along_grid(prob, grid, config.solver, catch=SiteTransportError):
-                errors = cell(WEIGHTING, lam)  # stays NaN unless the estimate succeeds
-                if ws is not None:
-                    try:
-                        errors[j] = weighting_estimate(site, ws.gamma).estimate - truth
-                    except SiteTransportError:
-                        pass
+            for lam, ws in solve_along_grid(prob, grid, config.solver):
+                if ws is not None:  # a solver failure leaves its cell NaN
+                    out[row[WEIGHTING, lam], j] = weighting_estimate(site, ws.gamma).estimate - truth
     return out
 
 
@@ -265,40 +252,26 @@ def run_simulation(config: SimConfig, threads: int = 1) -> SimResult:
     and of the machine's core count.
     """
     populations = build_populations(config)
-    J = config.n_sites
+    grid = sorted(set(float(v) for v in config.lambda_grid))
+    # the table's rows: by estimator name, the weighting cells by ascending lambda
+    cells = [(name, lam) for name in sorted(set(config.estimators)) for lam in (grid if name == WEIGHTING else [None])]
 
     with single_threaded_blas():
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 per_rep = list(
-                    pool.map(lambda r: _rep_errors(config, populations, r), range(config.reps))
+                    pool.map(lambda r: _rep_errors(config, populations, r, cells), range(config.reps))
                 )
         else:
-            per_rep = [_rep_errors(config, populations, r) for r in range(config.reps)]
+            per_rep = [_rep_errors(config, populations, r, cells) for r in range(config.reps)]
 
-    keys = sorted(per_rep[0].keys(), key=lambda k: (k[0], -np.inf if k[1] is None else k[1]))
-    rows = []
-    audit = {}
-    for key in keys:
-        err = audit[key] = np.vstack([rep[key] for rep in per_rep])  # reps x J
-        ok = np.isfinite(err)
-        n_failed = int(err.size - ok.sum())
-        if not ok.any():
-            rmse = mab = float("nan")
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                per_rep_rmse = np.sqrt(np.nanmean(np.where(ok, err**2, np.nan), axis=1))
-                rmse = float(np.nanmean(per_rep_rmse))
-                site_bias = np.nanmean(np.where(ok, err, np.nan), axis=0)
-                mab = float(np.nanmean(np.abs(site_bias)))
-        rows.append(
-            SimTableRow(
-                estimator=key[0],
-                lam=key[1],
-                rmse=rmse,
-                mean_abs_bias=mab,
-                n_failed=n_failed,
-            )
-        )
-    return SimResult(rows=tuple(rows), reps=config.reps, n_sites=J, cell_errors=audit)
+    errors = np.stack(per_rep, axis=1)  # cells x reps x sites
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a cell that failed everywhere scores NaN
+        rmse = np.nanmean(np.sqrt(np.nanmean(errors**2, axis=2)), axis=1).tolist()
+        mean_abs_bias = np.nanmean(np.abs(np.nanmean(errors, axis=1)), axis=1).tolist()
+    n_failed = np.isnan(errors).sum(axis=(1, 2)).tolist()
+    rows = tuple(
+        SimTableRow(name, lam, rmse[i], mean_abs_bias[i], n_failed[i]) for i, (name, lam) in enumerate(cells)
+    )
+    return SimResult(rows=rows, reps=config.reps, n_sites=config.n_sites, cell_errors=dict(zip(cells, errors)))

@@ -84,12 +84,13 @@ def balance_objective(site, target_mean, gamma, lam, phi=None):
     return float(treated_term @ treated_term + control_term @ control_term + ridge)
 
 
-def bootstrap_loop(site, target, feature_map, n_boot, seed, doubly_robust=False):
+def bootstrap_loop(site, target, feature_map, n_boot, seed, doubly_robust=False, ratio=None):
     """The arm-stratified bootstrap fitted replicate by replicate, each arm by
     one pivoted QR, each replicate scored on the whole target design. Returns
     the bootstrap SE and the number of replicates in which either arm's fit
     dropped collinear columns. With ``doubly_robust`` the replicate also
-    refits the density ratio on the raw covariates (target held fixed)."""
+    refits the density ratio on the raw covariates (target held fixed), or,
+    given a ``ratio`` callable, weights by that ratio held fixed."""
     from sitetransport.errors import SiteTransportError
     from sitetransport.estimators import density_ratio_fit
     from sitetransport.features import apply_feature_map
@@ -103,7 +104,7 @@ def bootstrap_loop(site, target, feature_map, n_boot, seed, doubly_robust=False)
     idx1 = np.flatnonzero(site.treatment == 1)
     idx0 = np.flatnonzero(site.treatment == 0)
     if doubly_robust:
-        r = density_ratio_fit(site.covariates, target.sample, feature_map)(site.covariates)
+        r = (ratio or density_ratio_fit(site.covariates, target.sample, feature_map))(site.covariates)
     rng = np.random.default_rng(seed)
     reps, n_dropped = [], 0
     for _ in range(n_boot):
@@ -118,10 +119,13 @@ def bootstrap_loop(site, target, feature_map, n_boot, seed, doubly_robust=False)
             continue
         rows = np.concatenate([b1, b0])
         zb = np.concatenate([np.ones(b1.size), np.zeros(b0.size)])
-        try:
-            rb = density_ratio_fit(site.covariates[rows], target.sample, feature_map)(site.covariates[rows])
-        except SiteTransportError:
+        if ratio is not None:
             rb = r[rows]
+        else:
+            try:
+                rb = density_ratio_fit(site.covariates[rows], target.sample, feature_map)(site.covariates[rows])
+            except SiteTransportError:
+                rb = r[rows]
         resid1 = y[rows] - site_design[rows] @ f1.coefficients
         resid0 = y[rows] - site_design[rows] @ f0.coefficients
         aug1 = np.mean(rb * zb * resid1 / pi) + np.mean(m1)

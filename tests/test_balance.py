@@ -309,6 +309,17 @@ class TestKishEss:
             kish_ess(np.zeros(3))
 
 
+@pytest.fixture
+def sweep_inputs(rng):
+    sites = [random_site(rng, n=30, d=2, site_id=f"s{i}") for i in range(3)]
+    target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(40, 2)))
+    fmap = fit_feature_map(
+        FeatureMap(standardize=True),
+        np.vstack([s.covariates for s in sites] + [target.sample]),
+    )
+    return sites, target, fmap
+
+
 class TestLambdaSweep:
     def test_huge_lambda_equals_unweighted(self, rng):
         sites = [random_site(rng, n=30, d=2, site_id=f"s{i}") for i in range(3)]
@@ -341,6 +352,56 @@ class TestLambdaSweep:
         with pytest.raises(ValueError):
             lambda_sweep([one_dim_site()], TargetSpec.from_moments([1.0]), [], cate_map=identity_map(1), prognostic_map=identity_map(1))
 
+    @staticmethod
+    def _recording(monkeypatch, record):
+        """Route every weight solve through ``record(prob)``, then the solver;
+        returns the solutions by (site id, lambda)."""
+        from sitetransport import balance
+
+        solved, real = {}, balance.solve_weights
+
+        def solve(prob, *args, **kwargs):
+            record(prob)
+            solved[prob.site.site_id, prob.lam] = ws = real(prob, *args, **kwargs)
+            return ws
+
+        monkeypatch.setattr(balance, "solve_weights", solve)
+        return solved
+
+    @pytest.mark.parametrize("mode", ["linear", "kernel"])
+    def test_sites_solve_under_the_blas_cap(self, sweep_inputs, monkeypatch, mode):
+        from sitetransport import blas
+
+        sites, target, fmap = sweep_inputs
+        depths = []
+        self._recording(monkeypatch, lambda prob: depths.append(blas._depth))
+        sides = (
+            dict(cate_map=fmap, prognostic_map=fmap) if mode == "linear"
+            else dict(cate_kernel=KernelSpec("linear"), prognostic_kernel=KernelSpec("rbf"))
+        )
+        lambda_sweep(sites, target, [1.0, 0.1], **sides)
+        assert len(depths) == 2 * len(sites) and all(depth > 0 for depth in depths)
+        assert blas._depth == 0
+
+    def test_a_failed_solve_is_counted_and_left_out_of_the_means(self, sweep_inputs, monkeypatch):
+        from sitetransport.errors import SolverFailedError
+
+        sites, target, fmap = sweep_inputs
+        grid = [1.0, 0.1, 0.01]
+
+        def fail(prob):
+            if prob.site.site_id == "s1" and prob.lam == 0.1:
+                raise SolverFailedError("injected")
+
+        solved = self._recording(monkeypatch, fail)
+        rows = lambda_sweep(sites, target, grid, cate_map=fmap, prognostic_map=fmap)
+        assert [r.n_failed for r in rows] == [0, 1, 0]
+        for row in rows:
+            sols = [solved[s.site_id, row.lam] for s in sites if (s.site_id, row.lam) in solved]
+            assert len(sols) == len(sites) - row.n_failed
+            for name in ("cate_imbalance", "prognostic_imbalance", "ess"):
+                assert getattr(row, name) == np.mean([getattr(ws, name) for ws in sols])
+
     def test_monotone_tradeoff(self, rng):
         sites = [random_site(rng, n=35, d=3, site_id=f"s{i}") for i in range(2)]
         target = TargetSpec.from_sample(rng.normal(0.6, 1.0, size=(50, 3)))
@@ -368,16 +429,6 @@ def _kernel_problem(site, target, lam):
 
 class TestProgramReuse:
     """The lambda-free part of a site's program is built once per site."""
-
-    @pytest.fixture
-    def sweep_inputs(self, rng):
-        sites = [random_site(rng, n=30, d=2, site_id=f"s{i}") for i in range(3)]
-        target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(40, 2)))
-        fmap = fit_feature_map(
-            FeatureMap(standardize=True),
-            np.vstack([s.covariates for s in sites] + [target.sample]),
-        )
-        return sites, target, fmap
 
     @staticmethod
     def _counting(monkeypatch, module, name, log):

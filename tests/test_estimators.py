@@ -385,6 +385,29 @@ class TestDoublyRobustBootstrapRefit:
         est = doubly_robust_estimate(site, target, fmap, ratio=ratio, n_boot=5, seed=0)
         assert est.notes == ()
 
+    def test_a_ratio_that_is_not_a_fit_is_held_fixed(self, monkeypatch):
+        from sitetransport import estimators
+
+        rng = np.random.default_rng(1)
+        site = random_site(rng, n=200, d=2)
+        target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(150, 2)))
+        fmap = identity_map(2)
+
+        def constant(X):
+            return np.full(len(X), 1.3)
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return fit_logistic(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit_logistic", counted)
+        est = doubly_robust_estimate(site, target, fmap, ratio=constant, n_boot=50, seed=1)
+        se, _ = bootstrap_loop(site, target, fmap, 50, seed=1, doubly_robust=True, ratio=constant)
+        assert calls == []
+        assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+
     def test_other_errors_propagate(self, rng, monkeypatch):
         from sitetransport import estimators
 

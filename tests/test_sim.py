@@ -161,6 +161,41 @@ class TestRunSimulation:
         for row in res.rows:
             assert row.n_failed == np.isnan(res.cell_errors[(row.estimator, row.lam)]).sum()
 
+    @staticmethod
+    def _failing_solve(monkeypatch, error, on_call):
+        """Make the ``on_call``-th weight solve raise ``error``."""
+        from sitetransport import balance
+
+        calls, real = [], balance.solve_weights
+
+        def solve(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == on_call:
+                raise error("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(balance, "solve_weights", solve)
+
+    def test_a_solver_failure_is_one_nan_weighting_cell(self, monkeypatch):
+        from sitetransport.errors import SolverFailedError
+
+        cfg = small_config(reps=2)
+        clean = run_simulation(cfg)
+        self._failing_solve(monkeypatch, SolverFailedError, on_call=5)
+        res = run_simulation(cfg)
+        failed = {key: int(np.isnan(err).sum()) for key, err in res.cell_errors.items()}
+        assert sum(row.n_failed for row in clean.rows) == 0
+        assert sum(failed.values()) == 1
+        (key,) = [key for key, count in failed.items() if count]
+        assert key[0] == "weighting" and res.row(*key).n_failed == 1
+
+    def test_other_weight_solve_errors_propagate(self, monkeypatch):
+        from sitetransport.errors import NonConvexError
+
+        self._failing_solve(monkeypatch, NonConvexError, on_call=2)
+        with pytest.raises(NonConvexError, match="injected"):
+            run_simulation(small_config(reps=1))
+
     def test_model_based_cells_are_transport_estimates(self):
         # the simulation scores IPW, outcome model and doubly robust through
         # transport's per-site path with the bootstrap off
