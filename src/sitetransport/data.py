@@ -75,10 +75,12 @@ class SiteDataset:
 
     ``covariates`` (n, d), ``treatment`` (0/1) and ``outcomes`` are copied,
     validated once and read-only. Pass them as keywords with ``site_id``, or
-    pass records as ``units`` (see :meth:`from_records`); ``units`` is derived
-    from the arrays on first use. A bad value raises what :class:`UnitRecord`
-    raises for the first unit holding one. ``propensity`` defaults to the
-    treated fraction n1 / (n1 + n0).
+    pass records as ``units`` (see :meth:`from_records`). Records are turned
+    into the arrays and not kept: ``units`` is rebuilt from the arrays on
+    first use, however the site was built. A bad value raises what
+    :class:`UnitRecord` raises for the first unit holding one. ``n1`` and
+    ``n0`` count the arms, and ``propensity`` defaults to the treated
+    fraction n1 / (n1 + n0).
     """
 
     site_id: str
@@ -106,7 +108,6 @@ class SiteDataset:
             site_ids = {u.site_id for u in units}
             if len(site_ids) != 1:
                 raise ValueError(f"units of one SiteDataset must share a site_id, got {site_ids}")
-            self.__dict__["units"] = units
             site_id, table = site_ids.pop(), UnitTable.from_records(units)
             covariates, treatment, outcomes = table.covariates, table.treatment, table.outcomes
         X, z, y = (np.array(a, dtype=float) for a in (covariates, treatment, outcomes))
@@ -131,6 +132,7 @@ class SiteDataset:
         row_indices = None if row_indices is None else tuple(row_indices)
         for name, value in zip(self.__dataclass_fields__, (site_id, X, z, y, propensity, row_indices)):
             object.__setattr__(self, name, value)
+        self.__dict__.update(n1=n1, n0=n0)
 
     @classmethod
     def from_records(cls, records: Iterable[UnitRecord], propensity=None, row_indices=None) -> SiteDataset:
@@ -144,14 +146,6 @@ class SiteDataset:
     @property
     def n(self) -> int:
         return self.outcomes.size
-
-    @property
-    def n1(self) -> int:
-        return int(self.treatment.sum())
-
-    @property
-    def n0(self) -> int:
-        return self.n - self.n1
 
     @property
     def d(self) -> int:

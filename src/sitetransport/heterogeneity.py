@@ -29,6 +29,11 @@ class SiteEffectSet:
             raise ValueError("estimates and std_errors must have equal length")
         if est.size < 2:
             raise ValueError("heterogeneity analysis needs at least two sites")
+        for name, values in (("estimate", est), ("standard error", se)):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"{name} {i + 1} of {values.size} is {float(values[i])}; it must be finite")
         if not np.all(se > 0):
             raise ValueError("all standard errors must be strictly positive")
         object.__setattr__(self, "estimates", est)

@@ -84,6 +84,19 @@ class TestEstimateTheta:
         with pytest.raises(ValueError):
             SiteEffectSet(np.array([0.1]), np.array([0.1]))
 
+    @pytest.mark.parametrize(
+        "estimates, std_errors, message",
+        [
+            ([0.1, np.nan, 0.3], [0.1, 0.2, 0.3], "estimate 2 of 3 is nan"),
+            ([0.1, 0.2, -np.inf], [0.1, 0.2, 0.3], "estimate 3 of 3 is -inf"),
+            ([0.1, 0.2, 0.3], [0.1, np.inf, 0.3], "standard error 2 of 3 is inf"),
+            ([0.1, 0.2, 0.3], [np.nan, 0.2, 0.3], "standard error 1 of 3 is nan"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, estimates, std_errors, message):
+        with pytest.raises(ValueError, match=message):
+            SiteEffectSet(np.array(estimates), np.array(std_errors))
+
 
 class TestPseudoR2:
     def test_no_change(self):

@@ -1,7 +1,9 @@
 """Columnar CSV ingest and the arrays-first SiteDataset."""
 
 import csv
+import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -154,6 +156,29 @@ class TestArraysFirstSiteDataset:
         assert from_arrays != SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y)
         assert from_arrays != SiteDataset(site_id="t", covariates=X, treatment=z, outcomes=y, propensity=0.4)
 
+    @pytest.mark.parametrize("build", [lambda records: SiteDataset(units=records), SiteDataset.from_records])
+    def test_records_are_not_kept(self, rng, build):
+        records, *_ = records_and_arrays(rng)
+        values = [(r.covariates, r.treatment, r.outcome, r.site_id) for r in records]
+        refs = [weakref.ref(r) for r in records]
+        site = build(records)
+        del records
+        assert all(ref() is None for ref in refs)
+        assert site.units == tuple(UnitRecord(*v) for v in values)
+        assert (site.n1, site.n0) == (6, 6)
+
+    @pytest.mark.parametrize("field, value", [("treatment", 2.0), ("outcome", np.inf), ("covariates", (0.0, np.nan, 1.0))])
+    def test_bad_record_raises_what_unit_record_raises(self, rng, field, value):
+        records, *_ = records_and_arrays(rng)
+        object.__setattr__(records[3], field, value)  # past UnitRecord's own check
+        bad = records[3]
+        with pytest.raises(Exception) as expected:
+            UnitRecord(bad.covariates, bad.treatment, bad.outcome, bad.site_id)
+        with pytest.raises(Exception) as got:
+            SiteDataset(units=records)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
     def test_negative_zero_hashes_like_zero(self, rng):
         _, X, z, y = records_and_arrays(rng)
         X[0, 0] = 0.0
@@ -161,7 +186,9 @@ class TestArraysFirstSiteDataset:
         flipped[0, 0] = -0.0
         a = SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y)
         b = SiteDataset(site_id="s", covariates=flipped, treatment=z, outcomes=y)
-        assert a == b and hash(a) == hash(b)
+        c = SiteDataset.from_records(b.units)
+        assert math.copysign(1.0, c.covariates[0, 0]) == -1.0
+        assert a == b == c and hash(a) == hash(b) == hash(c)
 
     def test_arrays_are_copied_and_read_only(self, rng):
         _, X, z, y = records_and_arrays(rng)
