@@ -30,8 +30,9 @@ from .qp import SOLVED, QpSettings, QpSolution, QuadraticProgram, solve_qp
 # Weight solutions flag sites whose effective sample size drops below this
 # share of the site size.
 LOW_ESS_SHARE = 0.1
-# The target Gram's mean is summed over row blocks of at most this many
-# entries (8 MB), not over the whole m x m Gram.
+# A kernel-mode site program forms the n x m cross Gram's row means and the
+# m x m target Gram's mean over row blocks of at most this many entries
+# (8 MB), never the whole Gram.
 _GRAM_BLOCK_DOUBLES = 1 << 20
 
 
@@ -185,8 +186,9 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
             y_bar = target.mean(axis=0)
             kernel_mean, target_block = X @ y_bar, float(y_bar @ y_bar)
         else:  # row means of the n x m cross Gram, and the m x m Gram's mean
-            kernel_mean = kernel_matrix(k_cate, X, target).mean(axis=1)
-            target_block = _gram_mean(k_cate, target)
+            kernel_mean = np.concatenate([K.mean(axis=1) for K in _gram_blocks(k_cate, X, target)])
+            m = target.shape[0]
+            target_block = sum(float(K.sum()) for K in _gram_blocks(k_cate, target, target)) / (m * m)
         base = QuadraticProgram(P=0.5 * (P + P.T), q=-2.0 * a_cate * kernel_mean, **constraints)
         return _SiteProgram(
             a_cate, a_prog, reg, base, K_cate=K_cate, K_prog=K_prog, kernel_mean=kernel_mean,
@@ -194,13 +196,12 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
         )
 
 
-def _gram_mean(spec: KernelSpec, Y: np.ndarray) -> float:
-    """Mean of a non-linear kernel's Gram matrix k(Y_i, Y_j), summed in row
-    blocks of at most ``_GRAM_BLOCK_DOUBLES`` entries (never all m x m)."""
-    m = Y.shape[0]
-    rows = max(1, _GRAM_BLOCK_DOUBLES // m)
-    total = sum(float(kernel_matrix(spec, Y[i : i + rows], Y).sum()) for i in range(0, m, rows))
-    return total / (m * m)
+def _gram_blocks(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> Iterator[np.ndarray]:
+    """The kernel matrix k(X_i, Y_j) in row blocks of at most
+    ``_GRAM_BLOCK_DOUBLES`` entries, so that it is never held whole."""
+    rows = max(1, _GRAM_BLOCK_DOUBLES // Y.shape[0])
+    for i in range(0, X.shape[0], rows):
+        yield kernel_matrix(spec, X[i : i + rows], Y)
 
 
 def build_linear_qp(prob: BalanceProblem) -> QuadraticProgram:

@@ -414,6 +414,11 @@ def _cmd_heterogeneity(args) -> int:
     out = [f"dropped site {site}: {drop_reason(site)}" for site in every_site if site not in paired]
     if len(paired) < 2:
         raise ConfigError(f"{len(paired)} site(s) with effects on every side; heterogeneity needs two")
+    for (path, _), (effects, _) in zip(sides, tables):
+        for site in paired:
+            for name, value in zip(("estimate", "standard error"), effects[site]):
+                if not np.isfinite(value):
+                    raise ValueError(f"{path}: the {name} of site {site} is {value}; it must be finite")
     eff = [
         SiteEffectSet(np.array([effects[s][0] for s in paired]), np.array([effects[s][1] for s in paired]))
         for effects, _ in tables

@@ -215,11 +215,12 @@ def _median(v: np.ndarray) -> float:
 def resolve_bandwidth(sample: np.ndarray | Sequence[Sequence[float]]) -> float:
     """Median heuristic: median pairwise Euclidean distance of the sample.
 
-    Computed on an evenly spaced subsample of at most
-    ``BANDWIDTH_SUBSAMPLE_CAP`` points, by one selection over the pairwise
-    distances. If the median distance is zero but distinct points exist, the
-    median of the strictly positive distances is used so the bandwidth stays
-    positive. A sample with a NaN or infinite entry is rejected. A 1-D sample
+    Computed by one selection over the pairwise distances of at most
+    ``BANDWIDTH_SUBSAMPLE_CAP`` points: past the cap, an evenly spaced
+    subsample of the rows in ``np.lexsort`` order, so that the bandwidth
+    depends on the rows as a set, not on their order. If the median
+    distance is zero but distinct points exist, the median of the strictly
+    positive distances is used so the bandwidth stays positive. A sample with a NaN or infinite entry is rejected. A 1-D sample
     holds n scalar observations.
     """
     X = np.asarray(sample, dtype=float)
@@ -230,7 +231,7 @@ def resolve_bandwidth(sample: np.ndarray | Sequence[Sequence[float]]) -> float:
         raise ValueError("bandwidth resolution needs a finite sample")
     if X.shape[0] > BANDWIDTH_SUBSAMPLE_CAP:
         idx = np.linspace(0, X.shape[0] - 1, BANDWIDTH_SUBSAMPLE_CAP).round().astype(int)
-        X = X[idx]
+        X = X[np.lexsort(X.T)[idx]]
     dists = pdist(X)
     if not np.any(dists > 0):
         raise AllPointsIdenticalError("all points identical; median distance is zero")

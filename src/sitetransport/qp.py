@@ -15,7 +15,12 @@ at lambda > 0).
   The copies of a program share the Gram G0 = M diag(1/D0) M' for the
   first ridge D0 they solve with; at a ridge D = c D0 (a lambda grid) the
   Hessian is G0/c, corrected by the inactive columns when they are fewer
-  than the active ones. The duality gap objective(x) + h certifies the
+  than the active ones. Such a copy first solves for the minimizer theta*
+  of the piece of h on which every column is active,
+  (diag(1_k, 0) + G0/c) theta* = (0, b) - r0/c with r0 = M diag(1/D0) q
+  kept beside G0, and starts there when s* = q + M'theta* < 0 puts theta*
+  on that piece, where it is the dual optimum; otherwise it starts from the
+  warm or cold start. The duality gap objective(x) + h certifies the
   result.
 * **Primal-dual active set.** When the base is an explicit matrix (kernel
   mode), the program is solved by the primal-dual active-set method, a
@@ -105,17 +110,18 @@ def _diagonal(d, n: int) -> np.ndarray:
 
 
 class _Structure:
-    """What the solver derives from a program's constraints and base (``P``,
-    or the factor ``F`` of F'F), each piece once, on first use; a program
-    shares it with every ``with_p_diag`` copy. The one piece that depends on
-    ``p_diag``, the dual path's Gram (``dual_gram``), is kept for the first
-    ridge that path solves with and serves every copy whose ridge is a
-    multiple of it."""
+    """What the solver derives from a program's constraints, ``q`` and base
+    (``P``, or the factor ``F`` of F'F), each piece once, on first use; a
+    program shares it with every ``with_p_diag`` copy. The one piece that
+    depends on ``p_diag``, the dual path's Gram and r0 (``dual_gram``), is
+    kept for the first ridge that path solves with and serves every copy
+    whose ridge is a multiple of it."""
 
     def __init__(self, prob: QuadraticProgram):
-        self.A, self.l, self.u, self.P, self.F = prob.A, prob.l, prob.u, prob.P, prob.p_factor
+        self.A, self.l, self.u, self.q = prob.A, prob.l, prob.u, prob.q
+        self.P, self.F = prob.P, prob.p_factor
         self._ridge: np.ndarray | None = None
-        self._gram: np.ndarray | None = None
+        self._gram: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def dense_base(self) -> np.ndarray:
@@ -180,13 +186,14 @@ class _Structure:
         eq, bound, cols, E = self.balancing
         return eq, bound, cols, E, np.hstack([self.F.T, -E.T])
 
-    def dual_gram(self, D: np.ndarray) -> tuple[np.ndarray, float] | None:
-        """(G0, c) for a ridge D = c * D0 to a few ulps of each entry, where
-        D0 is the first ridge asked about (a copy is kept) and
+    def dual_gram(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """(G0, r0, c) for a ridge D = c * D0 to a few ulps of each entry,
+        where D0 is the first ridge asked about (a copy is kept),
         G0 = Mt' diag(1/D0) Mt over every column, the dual path's Hessian
-        without its unit block when every column is active. None for D0
-        itself, so a program's first solve builds no G0, and for a D that
-        is no such multiple. G0 is built at the first multiple."""
+        without its unit block when every column is active, and
+        r0 = Mt'(q/D0). None for D0 itself, so a program's first solve
+        builds no G0, and for a D that is no such multiple. G0 and r0 are
+        built at the first multiple."""
         if self._ridge is None:
             self._ridge = D.copy()
             return None
@@ -194,8 +201,9 @@ class _Structure:
         if not np.all(np.abs(D - c * self._ridge) <= _RIDGE_ULPS * np.spacing(D)):
             return None
         if self._gram is None:
-            self._gram = _dual_hessian(self.dual[-1], np.ones(D.size, dtype=bool), 1.0 / self._ridge)
-        return self._gram, c
+            Mt, inv_d0 = self.dual[-1], 1.0 / self._ridge
+            self._gram = _dual_hessian(Mt, np.ones(D.size, dtype=bool), inv_d0), Mt.T @ (self.q * inv_d0)
+        return *self._gram, c
 
 
 @dataclass(frozen=True)
@@ -323,6 +331,9 @@ class QpSolution:
     ``method`` names the path that ran: "newton" (the dual Newton path),
     "active_set" (the primal-dual active-set path) or "admm", also when
     the active-set path handed the program over to ADMM.
+    ``iterations`` counts Newton steps, active-set steps or ADMM
+    iterations; it is 0 when the dual path's start is already optimal, as
+    at the all-positive start theta* of a program's later copies.
     """
 
     x: np.ndarray
@@ -484,6 +495,23 @@ def _dual_hessian(Mt, active, inv_d, gram=None, c=1.0) -> np.ndarray:
     return H
 
 
+def _all_positive_start(Mt, q, unit, c, gram, r0, ratio) -> tuple[np.ndarray, np.ndarray] | None:
+    """(theta*, s*) with s* = q + Mt theta* for the minimizer theta* of the
+    dual's quadratic piece on which every column is active,
+    (diag(unit) + G0/ratio) theta* = c - r0/ratio at a ridge D = ratio D0,
+    when s* < 0 puts theta* on that piece (then it is the dual optimum);
+    None when some entry of s* is not negative or the matrix does not
+    factor."""
+    H = gram / ratio
+    H[np.diag_indices_from(H)] += unit
+    chol, info = dpotrf(H, lower=1, overwrite_a=1)
+    if info:
+        return None
+    theta = dpotrs(chol, c - r0 / ratio, lower=1)[0]
+    sv = q + Mt @ theta
+    return (theta, sv) if np.all(sv < 0.0) else None
+
+
 def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     """Semismooth Newton on the dual h(theta), theta = (nu, mu); see the
     module docstring. With M = [F; -E], the gradient is
@@ -497,20 +525,24 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     unit = np.concatenate([np.ones(k), np.zeros(eq.size)])
     c = np.concatenate([np.zeros(k), b])
     inv_d = 1.0 / D
-    gram, ridge_ratio = structure.dual_gram(D) or (None, 1.0)
+    gram, r0, ridge_ratio = structure.dual_gram(D) or (None, None, 1.0)
 
-    if warm_start is None:
-        # the least-norm point of Ex = b, with its least-squares multipliers
-        x0 = np.linalg.lstsq(E, b, rcond=None)[0]
-        mu = np.linalg.lstsq(E.T, prob.p_matvec(x0) + q, rcond=None)[0]
-    else:
-        x0, mu = warm_start[0], -warm_start[1][eq]
-    theta = np.concatenate([F @ x0, mu])
     # s is carried along the steps (s += t M'step) instead of recomputed from
     # theta, and the line search measures the change in h directly: at small
     # D, x = max(0, -s)/D magnifies the rounding of q + M'theta beyond the
     # stopping tolerance, and h itself loses the digits Armijo compares
-    sv = q + Mt @ theta
+    start = None if gram is None else _all_positive_start(Mt, q, unit, c, gram, r0, ridge_ratio)
+    if start is not None:
+        theta, sv = start
+    else:
+        if warm_start is None:
+            # the least-norm point of Ex = b, with its least-squares multipliers
+            x0 = np.linalg.lstsq(E, b, rcond=None)[0]
+            mu = np.linalg.lstsq(E.T, prob.p_matvec(x0) + q, rcond=None)[0]
+        else:
+            x0, mu = warm_start[0], -warm_start[1][eq]
+        theta = np.concatenate([F @ x0, mu])
+        sv = q + Mt @ theta
     a = np.maximum(-sv, 0.0)  # D x
     x = a * inv_d
 

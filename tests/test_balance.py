@@ -640,14 +640,29 @@ class TestProgramReuse:
         if centred:
             sample -= sample.mean(axis=0)
         target = TargetSpec.from_sample(sample)
+        shapes = []
         if block is not None:  # blocks of 7 rows
             monkeypatch.setattr(balance, "_GRAM_BLOCK_DOUBLES", block)
+
+            def recorded(spec, X, Y=None):
+                K = kernel_matrix(spec, X, Y)
+                shapes.append(K.shape)
+                return K
+
+            monkeypatch.setattr(balance, "kernel_matrix", recorded)
         spec = KernelSpec(kind, None if kind == "linear" else 0.8)
         kernels = dict(cate_kernel=spec, prognostic_kernel=KernelSpec("linear"))
         program = BalanceProblem(site=sites[0], target=target, lam=0.1, **kernels)._program
         if kind == "rbf" or not centred:
             full = kernel_matrix(spec, target.sample).mean()
             assert program.target_block == pytest.approx(full, rel=1e-12, abs=0.0)
+        if kind == "rbf":
+            # the cross Gram's row means, bitwise those of the whole n x m Gram
+            cross = kernel_matrix(spec, sites[0].covariates, target.sample).mean(axis=1)
+            np.testing.assert_array_equal(program.kernel_mean, cross)
+            if block is not None:  # the n x m and m x m Grams, 7 rows at a time
+                blocks = [rows for rows, cols in shapes if cols == 45]
+                assert sum(blocks) == sites[0].n + 45 and max(blocks) == 7
         if kind == "linear":
             # the linear Gram's mean is |y_bar|^2; centred, its entries cancel
             # to rounding noise while y_bar stays within a summation error

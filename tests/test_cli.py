@@ -509,6 +509,23 @@ class TestHeterogeneityPairing:
         assert record["error"] == "ConfigError" and "1 site(s)" in record["message"]
 
     @pytest.mark.parametrize(
+        "bad, message",
+        [("s3,nan,0.1", "the estimate of site s3 is nan"), ("s4,0.2,inf", "the standard error of site s4 is inf")],
+    )
+    def test_non_finite_effect_names_its_site_and_exits_1(self, tmp_path, capsys, bad, message):
+        # s1 is not in the transported table, so s3 is the second paired site
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_effects(a, ["s1", "s2", "s3", "s4"], [0.2, 0.0, 0.4, -0.3])
+        rows = ["site_id,estimate,std_error", "s2,0.05,0.1", "s3,0.2,0.1", "s4,-0.1,0.1"]
+        rows = [bad if row.startswith(bad[:3]) else row for row in rows]
+        b.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rc, out, err = heterogeneity_report(capsys, "--effects", a, "--transported", b)
+        assert rc == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ValueError"
+        assert record["message"] == f"{b}: {message}; it must be finite"
+
+    @pytest.mark.parametrize(
         "flags",
         [["--method2", "weighting"], ["--baseline", "naive", "--method", "weighting", "--transported", "{eff}"]],
     )

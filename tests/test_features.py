@@ -200,6 +200,14 @@ class TestResolveBandwidth:
         bw = resolve_bandwidth(X)
         assert 0.5 < bw < 5.0
 
+    def test_past_the_cap_the_bandwidth_ignores_row_order(self):
+        # a site's rows stacked on a target's, as a kernel-mode site pools them
+        rng = np.random.default_rng(10)
+        X = np.vstack([rng.normal(0.0, 1.0, size=(400, 3)), rng.normal(1.5, 0.5, size=(2000, 3))])
+        bw = resolve_bandwidth(X)
+        for order in (rng.permutation(X.shape[0]), np.arange(X.shape[0])[::-1]):
+            assert resolve_bandwidth(X[order]).hex() == bw.hex()
+
     def test_majority_duplicates_still_positive(self):
         X = np.vstack([np.zeros((10, 1)), np.ones((2, 1))])
         assert resolve_bandwidth(X) > 0.0
@@ -217,7 +225,7 @@ def _median_by_numpy(sample):
     """The median heuristic as ``np.median`` computes it, subsample included."""
     X = np.asarray(sample, dtype=float)
     if X.shape[0] > BANDWIDTH_SUBSAMPLE_CAP:
-        X = X[np.linspace(0, X.shape[0] - 1, BANDWIDTH_SUBSAMPLE_CAP).round().astype(int)]
+        X = X[np.lexsort(X.T)[np.linspace(0, X.shape[0] - 1, BANDWIDTH_SUBSAMPLE_CAP).round().astype(int)]]
     d = pdist(X)
     med = np.median(d)
     return float(med if med > 0.0 else np.median(d[d > 0]))

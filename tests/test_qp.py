@@ -534,7 +534,7 @@ class TestDualPath:
         structure = prob._structure
         assert structure.dual_gram(prob.p_diag) is None  # becomes the program's ridge
         D = 1e-3 * prob.p_diag
-        gram, c = structure.dual_gram(D)
+        gram, _, c = structure.dual_gram(D)
         assert c == pytest.approx(1e-3, rel=1e-15)
         active = np.zeros(prob.n, dtype=bool)
         active[rng.permutation(prob.n)[:n_active]] = True
@@ -549,7 +549,7 @@ class TestDualPath:
         structure, reg = prob._structure, rng.uniform(1.5, 3.0, prob.n)
         assert structure.dual_gram(2.0 * 0.7 * reg) is None
         for lam in (1e-4, 0.3, 0.7, 1e2):
-            assert structure.dual_gram(2.0 * lam * reg)[1] == pytest.approx(lam / 0.7, rel=1e-15)
+            assert structure.dual_gram(2.0 * lam * reg)[2] == pytest.approx(lam / 0.7, rel=1e-15)
         off = 2.0 * 0.35 * reg
         off[7] *= 1.0 + 1e-12
         assert structure.dual_gram(off) is None
@@ -560,10 +560,10 @@ class TestDualPath:
         structure, ridge = prob._structure, prob.p_diag.copy()
         assert structure.dual_gram(ridge) is None
         ridge *= 2.0
-        gram, c = structure.dual_gram(ridge)
+        gram, r0, c = structure.dual_gram(ridge)
         assert c == 2.0
         ridge *= 2.0
-        assert structure.dual_gram(ridge) == (gram, 4.0)
+        assert structure.dual_gram(ridge) == (gram, r0, 4.0)
 
     def test_copy_with_a_ridge_off_the_multiple_solves_like_a_fresh_program(self):
         data = balancing_program(np.random.default_rng(52), 1e-3, n=60)
@@ -589,6 +589,77 @@ class TestDualPath:
             np.testing.assert_allclose(swept.x, cold.x, rtol=0, atol=tol)
             warm = (swept.x, swept.y)
         assert prob._structure._gram is not None
+
+    def test_all_positive_optimum_of_a_warm_copy_takes_no_step(self):
+        # the first solve keeps the ridge D0; every later copy has the Gram
+        # and starts at the all-positive piece's minimizer when it is on it
+        data = balancing_program(np.random.default_rng(57), 1.0, n=60, k=5)
+        prob = QuadraticProgram(**data)
+        warm, zero_steps, with_zeros = None, 0, 0
+        for i, lam in enumerate(np.logspace(2, -4, 13)):
+            ridge = lam * data["p_diag"]
+            swept = solve_qp(prob.with_p_diag(ridge), warm_start=warm)
+            exact = solve_qp(QuadraticProgram(**dict(data, p_diag=ridge)), QpSettings(eps_abs=1e-13, eps_rel=0.0))
+            assert swept.status == exact.status == SOLVED
+            if i and np.all(exact.x > 0.0):
+                assert swept.iterations == 0
+                np.testing.assert_allclose(swept.x, exact.x, rtol=0, atol=1e-12 * np.abs(exact.x).max())
+                zero_steps += 1
+            elif i:
+                assert swept.iterations >= 1
+                with_zeros += 1
+            warm = (swept.x, swept.y)
+        assert zero_steps >= 4 and with_zeros >= 4
+
+    @staticmethod
+    def zero_weight_copy():
+        """A program solved once, and a warm start and ridge for a copy whose
+        optimum has a zero weight."""
+        data = balancing_program(np.random.default_rng(58), 1e-2, n=60, k=5)
+        prob = QuadraticProgram(**data)
+        first = solve_qp(prob)
+        return prob, (first.x, first.y), 0.5 * data["p_diag"]
+
+    def test_zero_weight_optimum_starts_from_the_warm_start(self, monkeypatch):
+        from sitetransport import qp
+
+        prob, warm, ridge = self.zero_weight_copy()
+        real, starts = qp._all_positive_start, []
+        monkeypatch.setattr(qp, "_all_positive_start", lambda *args: starts.append(real(*args)))
+        sol = solve_qp(prob.with_p_diag(ridge), warm_start=warm)
+        assert starts == [None] and np.any(sol.x == 0.0)
+        # the same iterates as a solve that never tries the start at theta*
+        prob, warm, ridge = self.zero_weight_copy()
+        monkeypatch.setattr(qp, "_all_positive_start", lambda *args: None)
+        without = solve_qp(prob.with_p_diag(ridge), warm_start=warm)
+        assert sol.status == without.status == SOLVED
+        assert sol.iterations == without.iterations >= 1
+        np.testing.assert_array_equal(sol.x, without.x)
+
+    def test_failed_factor_at_the_all_positive_start_starts_from_the_warm_start(self, monkeypatch):
+        from sitetransport import qp
+
+        data = balancing_program(np.random.default_rng(57), 10.0, n=60, k=5)
+        prob = QuadraticProgram(**data)
+        first = solve_qp(prob)
+        copy, warm = prob.with_p_diag(0.5 * data["p_diag"]), (first.x, first.y)
+        assert solve_qp(copy, warm_start=warm).iterations == 0
+        failed = []
+
+        def fail_first(a, *args, **kwargs):  # as if U + G0/c had lost definiteness
+            if not failed:
+                failed.append(a.shape)
+                return a, 1
+            return dpotrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(qp, "dpotrf", fail_first)
+        sol = solve_qp(copy, warm_start=warm)
+        assert failed == [(7, 7)] and sol.status == SOLVED and sol.iterations >= 1
+        monkeypatch.setattr(qp, "dpotrf", dpotrf)
+        monkeypatch.setattr(qp, "_all_positive_start", lambda *args: None)
+        without = solve_qp(copy, warm_start=warm)
+        assert sol.iterations == without.iterations
+        np.testing.assert_array_equal(sol.x, without.x)
 
     def test_failed_factor_of_the_corrected_hessian_is_formed_again_directly(self, monkeypatch):
         from sitetransport import qp
