@@ -36,6 +36,17 @@ LOW_ESS_SHARE = 0.1
 _GRAM_BLOCK_DOUBLES = 1 << 20
 
 
+def check_lambda(lam, error: type[Exception] = ValueError) -> float:
+    """``lam`` as a float, or ``error`` naming it unless it is a finite nonnegative number."""
+    try:
+        value = float(lam)
+    except (TypeError, ValueError):
+        value = np.nan  # not a number: rejected below by its own text
+    if not 0.0 <= value < np.inf:
+        raise error(f"lambda must be a finite nonnegative number, got {lam!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class BalanceProblem:
     """One site, one target, one regularization level.
@@ -54,8 +65,7 @@ class BalanceProblem:
     prognostic_kernel: KernelSpec | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        check_lambda(self.lam)
         has_maps = self.cate_map is not None or self.prognostic_map is not None
         has_kernels = self.cate_kernel is not None or self.prognostic_kernel is not None
         if has_maps and has_kernels:
@@ -268,13 +278,13 @@ def _kernel_imbalances(prob: BalanceProblem, gamma: np.ndarray) -> tuple[float, 
 def _polish(site: SiteDataset, x: np.ndarray) -> np.ndarray:
     """Clip solver negatives at zero and rescale each arm to its exact sum."""
     gamma = np.maximum(x, 0.0)
-    treated = site.treatment == 1
+    treated, control = site.arms
     s1 = gamma[treated].sum()
-    s0 = gamma[~treated].sum()
+    s0 = gamma[control].sum()
     if s1 <= 0 or s0 <= 0:
         raise SolverFailedError("solver returned an arm with no positive weight mass")
     gamma[treated] *= site.n1 / s1
-    gamma[~treated] *= site.n0 / s0
+    gamma[control] *= site.n0 / s0
     return gamma
 
 
@@ -357,11 +367,9 @@ def lambda_sweep(
     ``n_failed`` without aborting the sweep. Rows come back in ascending
     lambda order.
     """
-    lambdas = [float(v) for v in lambdas]
+    lambdas = [check_lambda(v) for v in lambdas]
     if not lambdas:
         raise ValueError("lambda grid must be nonempty")
-    if any(v < 0 for v in lambdas):
-        raise ValueError("lambda values must be nonnegative")
     order = sorted(set(lambdas), reverse=True)
 
     # cate imbalance, prognostic imbalance and ESS per (lambda, site); NaN where the solve failed

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from .balance import BalanceProblem, lambda_sweep, solve_weights
+from .balance import BalanceProblem, check_lambda, lambda_sweep, solve_weights
 from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec, UnitRecord, UnitTable, validate_dataset
 from .errors import ConfigError, NonBinaryTreatmentError, SchemaError, SiteTransportError
@@ -454,17 +454,17 @@ def _sim_config(cfg: dict, args) -> SimConfig:
         "lambda_grid": float,
         "estimators": str,
     }
-    for key, cast in casts.items():
-        if key in kwargs and kwargs[key] is not None:
-            if not isinstance(kwargs[key], list):
-                raise ConfigError(f"sim setting {key!r} must be a list")
-            kwargs[key] = tuple(cast(v) for v in kwargs[key])
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     elif "seed" not in kwargs:
         kwargs["seed"] = int(cfg.get("seed", 0))
     kwargs["solver"] = _solver_from_config(cfg)
     try:
+        for key, cast in casts.items():
+            if key in kwargs and kwargs[key] is not None:
+                if not isinstance(kwargs[key], list):
+                    raise ConfigError(f"sim setting {key!r} must be a list")
+                kwargs[key] = tuple(cast(v) for v in kwargs[key])
         return SimConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sim config: {exc}") from exc
@@ -504,9 +504,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg, config, sites, target = _read_inputs(args)
     if args.lambdas:
-        grid = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]
+        grid = [v for v in args.lambdas.split(",") if v.strip() != ""]
     else:
-        grid = list(cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID))
+        grid = cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
+    grid = [check_lambda(v, ConfigError) for v in grid]
     _, sides = run_setup(replace(config, estimators=("weighting",)), sites, target)
     rows = lambda_sweep(sites, target, grid, settings=config.solver, **sides)
     _write_csv(

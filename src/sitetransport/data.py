@@ -79,8 +79,8 @@ class SiteDataset:
     into the arrays and not kept: ``units`` is rebuilt from the arrays on
     first use, however the site was built. A bad value raises what
     :class:`UnitRecord` raises for the first unit holding one. ``n1`` and
-    ``n0`` count the arms, and ``propensity`` defaults to the treated
-    fraction n1 / (n1 + n0).
+    ``n0`` count the arms, ``arms`` holds their row indices (treated, then
+    control), and ``propensity`` defaults to the treated fraction n1 / (n1 + n0).
     """
 
     site_id: str
@@ -117,8 +117,8 @@ class SiteDataset:
         if bad.any():
             i = int(np.argmax(bad))
             UnitRecord(tuple(X[i].tolist()), z[i].item(), y[i].item(), site_id)
-        n1 = int(z.sum())
-        n0 = z.size - n1
+        arms = np.flatnonzero(z == 1), np.flatnonzero(z == 0)
+        n1, n0 = arms[0].size, arms[1].size
         if n1 == 0 or n0 == 0:
             raise DegenerateSiteError(f"site {site_id!r} has n1={n1}, n0={n0}; both arms are required")
         if propensity is None:
@@ -132,7 +132,7 @@ class SiteDataset:
         row_indices = None if row_indices is None else tuple(row_indices)
         for name, value in zip(self.__dataclass_fields__, (site_id, X, z, y, propensity, row_indices)):
             object.__setattr__(self, name, value)
-        self.__dict__.update(n1=n1, n0=n0)
+        self.__dict__.update(n1=n1, n0=n0, arms=arms)
 
     @classmethod
     def from_records(cls, records: Iterable[UnitRecord], propensity=None, row_indices=None) -> SiteDataset:

@@ -79,9 +79,9 @@ def weighting_estimate(
     gamma = np.asarray(gamma, dtype=float).ravel()
     if gamma.size != site.n:
         raise ValueError(f"gamma has length {gamma.size}, site has {site.n} units")
-    z = site.treatment
-    s1 = float(np.sum(z * gamma))
-    s0 = float(np.sum((1 - z) * gamma))
+    z, (treated, control) = site.treatment, site.arms
+    s1 = float(gamma[treated].sum())
+    s0 = float(gamma[control].sum())
     if abs(s1 - site.n1) > _SUM_RTOL * site.n1 or abs(s0 - site.n0) > _SUM_RTOL * site.n0:
         raise ConstraintViolationError(
             f"weight sums ({s1:.4f}, {s0:.4f}) violate (n1, n0)=({site.n1}, {site.n0})"
@@ -94,8 +94,8 @@ def weighting_estimate(
     return TransportEstimate(
         estimate=mu1 - mu0,
         std_error=float(np.sqrt(var)),
-        ess_treated=kish_ess(gamma[z == 1]),
-        ess_control=kish_ess(gamma[z == 0]),
+        ess_treated=kish_ess(gamma[treated]),
+        ess_control=kish_ess(gamma[control]),
         method=method,
         site_id=site.site_id,
     )
@@ -349,8 +349,7 @@ def _model_estimates(
     k = feature_map.output_dim
     if site.n1 < k + 1 or site.n0 < k + 1:
         raise InsufficientArmError(f"arms of size ({site.n1}, {site.n0}) cannot support {k} features")
-    idx1 = np.flatnonzero(site.treatment == 1)
-    idx0 = np.flatnonzero(site.treatment == 0)
+    idx1, idx0 = site.arms
     site_design, target_design = _design(feature_map, site.covariates), _design(feature_map, target.sample)
     fit1, fit0 = (fit_least_squares(site_design[idx], site.outcomes[idx]) for idx in (idx1, idx0))
     m1, m0 = fit1.linear_predictor(target_design), fit0.linear_predictor(target_design)

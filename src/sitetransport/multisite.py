@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balance import BalanceProblem, WeightSolution, solve_weights
+from .balance import BalanceProblem, WeightSolution, check_lambda, solve_weights
 from .blas import single_threaded_blas
 from .data import PotentialOutcomeOracle, SiteDataset, TargetSpec
 from .errors import AllSitesFailedError, ConfigError, SiteTransportError
@@ -60,8 +60,7 @@ class TransportConfig:
             )
         if self.mode not in ("linear", "kernel"):
             raise ConfigError(f"mode must be 'linear' or 'kernel', got {self.mode!r}")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
+        check_lambda(self.lam, ConfigError)
         if self.n_boot < 0 or self.n_boot == 1:
             raise ConfigError(f"n_boot must be 0 (no bootstrap) or at least 2, got {self.n_boot}")
 

@@ -13,15 +13,19 @@ at lambda > 0).
   backtrack takes a few steps, each one factorization of a (k + rows) square
   Hessian M_a diag(1/D_a) M_a' over the active columns, with M = [F; -E].
   The copies of a program share the Gram G0 = M diag(1/D0) M' for the
-  first ridge D0 they solve with; at a ridge D = c D0 (a lambda grid) the
-  Hessian is G0/c, corrected by the inactive columns when they are fewer
-  than the active ones. Such a copy first solves for the minimizer theta*
-  of the piece of h on which every column is active,
+  first ridge D0 they solve with. Such a copy, at a ridge D = c D0 (a
+  lambda grid), first solves for the minimizer theta* of the piece of h
+  on which every column is active,
   (diag(1_k, 0) + G0/c) theta* = (0, b) - r0/c with r0 = M diag(1/D0) q
   kept beside G0, and starts there when s* = q + M'theta* < 0 puts theta*
   on that piece, where it is the dual optimum; otherwise it starts from the
-  warm or cold start. The duality gap objective(x) + h certifies the
-  result.
+  warm or cold start. Its Hessian is diag(1_k, 0) + T_A/c, where the
+  lambda-free T_A = M_A diag(1/D0_A) M_A' over the active columns A starts
+  at G0 and each step adds the columns that entered A and subtracts those
+  that left; it is formed again from A when more columns changed since its
+  last such form than A holds, or when its factorization fails. The dual
+  residual's n x k product waits until the primal residual passes (or the
+  exit). The duality gap objective(x) + h certifies the result.
 * **Primal-dual active set.** When the base is an explicit matrix (kernel
   mode), the program is solved by the primal-dual active-set method, a
   semismooth Newton method on the KKT conditions (Hintermueller, Ito &
@@ -112,16 +116,17 @@ def _diagonal(d, n: int) -> np.ndarray:
 class _Structure:
     """What the solver derives from a program's constraints, ``q`` and base
     (``P``, or the factor ``F`` of F'F), each piece once, on first use; a
-    program shares it with every ``with_p_diag`` copy. The one piece that
-    depends on ``p_diag``, the dual path's Gram and r0 (``dual_gram``), is
-    kept for the first ridge that path solves with and serves every copy
-    whose ridge is a multiple of it."""
+    program shares it with every ``with_p_diag`` copy. The pieces that
+    depend on ``p_diag``, the dual path's Gram, r0 and running active Gram
+    (``dual_gram``, ``active_gram``), are kept for the first ridge that path
+    solves with and serve every copy whose ridge is a multiple of it."""
 
     def __init__(self, prob: QuadraticProgram):
         self.A, self.l, self.u, self.q = prob.A, prob.l, prob.u, prob.q
         self.P, self.F = prob.P, prob.p_factor
         self._ridge: np.ndarray | None = None
         self._gram: tuple[np.ndarray, np.ndarray] | None = None
+        self._running = None  # (A, T_A, rows changed since T_A was last formed directly)
 
     @cached_property
     def dense_base(self) -> np.ndarray:
@@ -202,8 +207,25 @@ class _Structure:
             return None
         if self._gram is None:
             Mt, inv_d0 = self.dual[-1], 1.0 / self._ridge
-            self._gram = _dual_hessian(Mt, np.ones(D.size, dtype=bool), inv_d0), Mt.T @ (self.q * inv_d0)
+            self._gram = _row_gram(Mt, slice(None), inv_d0), Mt.T @ (self.q * inv_d0)
+            self._running = np.ones(D.size, dtype=bool), self._gram[0].copy(), 0
         return *self._gram, c
+
+    def active_gram(self, active: np.ndarray, direct: bool = False) -> np.ndarray:
+        """T_A = Mt_A' diag(1/D0_A) Mt_A over the active rows A (after
+        ``dual_gram`` built G0, where it starts), updated from the last A by the
+        rows that entered and left it; formed again from the active rows when
+        ``direct`` or when the rows changed since its last such form outnumber
+        them, which bounds both the work and the rounding drift."""
+        (last, T, drift), Mt, inv_d0 = self._running, self.dual[-1], 1.0 / self._ridge
+        changed = active != last
+        drift += np.count_nonzero(changed)
+        if direct or drift > np.count_nonzero(active):
+            T, drift = _row_gram(Mt, active, inv_d0), 0
+        else:
+            T += _row_gram(Mt, changed & active, inv_d0) - _row_gram(Mt, changed & ~active, inv_d0)
+        self._running = active, T, drift
+        return T
 
 
 @dataclass(frozen=True)
@@ -478,21 +500,10 @@ def _dual_infeasible(prob, dx, eps):
     return True
 
 
-def _dual_hessian(Mt, active, inv_d, gram=None, c=1.0) -> np.ndarray:
-    """Mt_a' diag(inv_d_a) Mt_a over the active rows a. Given
-    ``gram`` = Mt' diag(inv_d0) Mt with inv_d = inv_d0 / c, it is gram/c
-    when every row is active, gram/c minus the sum over the inactive rows
-    when those are fewer, and otherwise the sum over the active rows."""
-    n_active = np.count_nonzero(active)
-    if gram is None or 2 * n_active <= active.size:
-        W = Mt[active] * np.sqrt(inv_d[active])[:, None]
-        return W.T @ W
-    H = gram / c
-    if n_active < active.size:
-        inactive = ~active
-        W = Mt[inactive] * np.sqrt(inv_d[inactive])[:, None]
-        H -= W.T @ W
-    return H
+def _row_gram(Mt, rows, w) -> np.ndarray:
+    """Mt_r' diag(w_r) Mt_r over the rows r selected by ``rows``."""
+    W = Mt[rows] * np.sqrt(w[rows])[:, None]
+    return W.T @ W
 
 
 def _all_positive_start(Mt, q, unit, c, gram, r0, ratio) -> tuple[np.ndarray, np.ndarray] | None:
@@ -557,21 +568,23 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
         y = np.empty(prob.m)
         y[eq] = -theta[k:]
         y[bound] = -bound_y[cols]
-        # P x + q + A'y = F'(F x - nu) = -F'g_nu, and P x = F'nu - F'g_nu + D x
-        # with F'nu = s - q - Mt[:, k:] mu: no n x k product beyond F'g_nu
-        mt_mu = Mt[:, k:] @ theta[k:]
-        f_g = Mt[:, :k] @ g[:k]
         r_prim = float(np.abs(g[k:]).max(initial=0.0))
-        r_dual = float(np.abs(f_g).max(initial=0.0))
         scale_p = max(float(np.abs(g[k:] + b).max(initial=0.0)), b_norm, float(x.max(initial=0.0)))
-        scale_d = max(
-            float(np.abs(sv - q - mt_mu - f_g + a).max(initial=0.0)),
-            float(np.abs(mt_mu - bound_y).max(initial=0.0)),
-            q_norm,
-        )
-        if r_prim <= s.eps_abs + s.eps_rel * scale_p and r_dual <= s.eps_abs + s.eps_rel * scale_d:
-            status = SOLVED
-            break
+        r_dual = None  # its n x k product only once the primal residual passes
+        if r_prim <= s.eps_abs + s.eps_rel * scale_p:
+            # P x + q + A'y = F'(F x - nu) = -F'g_nu, and P x = F'nu - F'g_nu + D x
+            # with F'nu = s - q - Mt[:, k:] mu: no n x k product beyond F'g_nu
+            mt_mu = Mt[:, k:] @ theta[k:]
+            f_g = Mt[:, :k] @ g[:k]
+            r_dual = float(np.abs(f_g).max(initial=0.0))
+            scale_d = max(
+                float(np.abs(sv - q - mt_mu - f_g + a).max(initial=0.0)),
+                float(np.abs(mt_mu - bound_y).max(initial=0.0)),
+                q_norm,
+            )
+            if r_dual <= s.eps_abs + s.eps_rel * scale_d:
+                status = SOLVED
+                break
         if y_prev is not None and _primal_infeasible(prob, y - y_prev, _EPS_INFEAS):
             status = PRIMAL_INFEASIBLE
             break
@@ -580,11 +593,11 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
         y_prev = y
 
         active = x > 0.0
-        H = _dual_hessian(Mt, active, inv_d, gram, ridge_ratio)
+        H = _row_gram(Mt, active, inv_d) if gram is None else structure.active_gram(active) / ridge_ratio
         H[np.diag_indices_from(H)] += unit
         chol, info = dpotrf(H, lower=1)
-        if info and gram is not None:  # G0/c minus the inactive rows may cancel
-            H = _dual_hessian(Mt, active, inv_d)
+        if info and gram is not None:  # what left A may have cancelled: form T_A again
+            H = structure.active_gram(active, direct=True) / ridge_ratio
             H[np.diag_indices_from(H)] += unit
             chol, info = dpotrf(H, lower=1)
         if info:  # a row of E without active columns: regularize its direction
@@ -611,6 +624,8 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
         x = a * inv_d
         iteration += 1
 
+    if r_dual is None:  # the last check's primal residual did not pass
+        r_dual = float(np.abs(Mt[:, :k] @ g[:k]).max(initial=0.0))
     if status == PRIMAL_INFEASIBLE:
         obj, gap = np.inf, float("nan")
     else:

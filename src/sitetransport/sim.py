@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .balance import BalanceProblem, solve_along_grid
+from .balance import BalanceProblem, check_lambda, solve_along_grid
 from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec
 from .estimators import DOUBLY_ROBUST, IPW, NAIVE, OUTCOME_MODEL, WEIGHTING, weighting_estimate
@@ -68,8 +68,8 @@ class SimConfig:
             raise ValueError("one intercept per experiment group is required")
         if not 0 <= self.target_experiment < self.n_experiments:
             raise ValueError("target_experiment out of range")
-        if not self.lambda_grid or any(v < 0 for v in self.lambda_grid):
-            raise ValueError("lambda_grid must be nonempty and nonnegative")
+        if not [check_lambda(v) for v in self.lambda_grid]:
+            raise ValueError("lambda_grid must be nonempty")
         unknown = [e for e in self.estimators if e not in _KNOWN]
         if unknown:
             raise ValueError(f"unknown estimator(s) {unknown}")

@@ -116,6 +116,13 @@ class TestBuildLinearQp:
         with pytest.raises(ModeMismatchError):
             build_linear_qp(prob)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.1])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        fmap = identity_map(1)
+        with pytest.raises(ValueError, match=f"got {lam}"):
+            BalanceProblem(site=one_dim_site(), target=TargetSpec.from_moments([1.0]), lam=lam,
+                           cate_map=fmap, prognostic_map=fmap)
+
 
 class TestBuildKernelQp:
     def test_linear_kernels_reproduce_linear_program(self, rng):
@@ -212,6 +219,23 @@ class TestSolveWeights:
             assert abs(ws.gamma[z == 1].sum() - site.n1) <= 1e-4 * site.n1
             assert abs(ws.gamma[z == 0].sum() - site.n0) <= 1e-4 * site.n0
             assert ws.gamma.min() >= -1e-8
+
+    def test_polish_by_the_site_arms_is_bitwise_the_masked_one(self, rng):
+        from sitetransport.balance import _polish
+
+        for _ in range(5):
+            site = random_site(rng, n=rng.integers(20, 400), d=2)
+            x = rng.normal(1.0, 1.0, site.n)
+            gamma = np.maximum(x, 0.0)  # the same arithmetic over boolean masks of the treatment
+            treated = site.treatment == 1
+            s1, s0 = gamma[treated].sum(), gamma[~treated].sum()
+            gamma[treated] *= site.n1 / s1
+            gamma[~treated] *= site.n0 / s0
+            np.testing.assert_array_equal(_polish(site, x), gamma)
+        treated, control = site.arms
+        assert treated.tolist() == np.flatnonzero(site.treatment == 1).tolist()
+        assert control.tolist() == np.flatnonzero(site.treatment == 0).tolist()
+        assert site.arms is site.arms  # computed once
 
     def test_far_target_flags_low_ess(self, rng):
         site = random_site(rng, n=40, d=1)
@@ -351,6 +375,13 @@ class TestLambdaSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             lambda_sweep([one_dim_site()], TargetSpec.from_moments([1.0]), [], cate_map=identity_map(1), prognostic_map=identity_map(1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_grid_value_rejected_by_name(self, bad):
+        # before any solve, not as the QP layer's "program data must be finite"
+        with pytest.raises(ValueError, match=f"lambda must be a finite nonnegative number, got {bad}"):
+            lambda_sweep([one_dim_site()], TargetSpec.from_moments([1.0]), [1e-3, bad],
+                         cate_map=identity_map(1), prognostic_map=identity_map(1))
 
     @staticmethod
     def _recording(monkeypatch, record):

@@ -586,6 +586,35 @@ class TestSimulateCommand:
         assert record == {"error": "ConfigError", "message": "sim setting 'estimators' must be a list"}
 
 
+class TestLambdaValues:
+    @pytest.mark.parametrize(
+        "command, flags, config, named",
+        [
+            ("weights", ["--lambda", "nan"], "", "got nan"),
+            ("transport", ["--lambda", "inf"], "", "got inf"),
+            ("transport", [], "lambda: .nan\n", "got nan"),
+            ("sweep", ["--lambdas", "1e-3,nan"], "", "got 'nan'"),
+            ("sweep", ["--lambdas", "1e-3,abc"], "", "got 'abc'"),
+            ("sweep", ["--lambdas", "1e-3,-1"], "", "got '-1'"),
+            ("sweep", [], "lambda_grid: [0.1, .nan]\n", "got nan"),
+            ("sweep", [], "lambda_grid: [0.1, abc]\n", "got 'abc'"),
+            ("simulate", [], "sim: {lambda_grid: [0.1, .inf]}\n", "got inf"),
+            ("simulate", [], "sim: {lambda_grid: [0.1, abc]}\n", "'abc'"),
+        ],
+    )
+    def test_bad_lambda_exits_2_and_names_it(self, toy, tmp_path, capsys, command, flags, config, named):
+        tmp, data, target = toy
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        inputs = [] if command == "simulate" else ["--data", str(data), "--target", str(target)]
+        rc = main([command, *inputs, *flags, "--config", str(cfg), "--out", str(tmp / "out.csv")])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert named in record["message"] and "program data" not in record["message"]
+        assert not (tmp / "out.csv").exists()
+
+
 class TestSweepCommand:
     def test_endpoints_behave(self, toy):
         tmp, data, target = toy

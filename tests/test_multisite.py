@@ -154,6 +154,11 @@ class TestTransportAll:
         with pytest.raises(ConfigError):
             TransportConfig(estimators=("naive", "magic"))
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.5])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ConfigError, match=f"got {lam}"):
+            TransportConfig(lam=lam)
+
     @pytest.mark.parametrize("n_boot", [1, -1])
     def test_bootstrap_size_without_a_standard_error_rejected(self, n_boot):
         with pytest.raises(ConfigError, match="n_boot"):

@@ -18,7 +18,7 @@ from sitetransport import (
 )
 from sitetransport.blas import single_threaded_blas
 from sitetransport.errors import DimensionMismatchError, NonConvexError
-from sitetransport.qp import DUAL_INFEASIBLE, MAX_ITERATIONS, PRIMAL_INFEASIBLE, SOLVED, _dual_hessian
+from sitetransport.qp import DUAL_INFEASIBLE, MAX_ITERATIONS, PRIMAL_INFEASIBLE, SOLVED, _row_gram
 
 from conftest import build_site, random_site
 from oracles import active_set_enumeration, projected_gradient_box
@@ -528,20 +528,59 @@ class TestDualPath:
         assert prob._structure._gram is not None and copied.status == SOLVED
         np.testing.assert_allclose(copied.x, solve_qp(QuadraticProgram(**doubled)).x, atol=1e-7)
 
-    @pytest.mark.parametrize("n_active", [60, 42, 18], ids=["all-active", "more-active", "more-inactive"])
-    def test_hessian_from_the_gram_matches_the_direct_one(self, rng, n_active):
+    def test_running_active_gram_matches_the_direct_sum(self, rng):
         prob = QuadraticProgram(**balancing_program(rng, 1.0, n=60))
         structure = prob._structure
-        assert structure.dual_gram(prob.p_diag) is None  # becomes the program's ridge
-        D = 1e-3 * prob.p_diag
-        gram, _, c = structure.dual_gram(D)
-        assert c == pytest.approx(1e-3, rel=1e-15)
-        active = np.zeros(prob.n, dtype=bool)
-        active[rng.permutation(prob.n)[:n_active]] = True
-        Mt, inv_d = structure.dual[-1], 1.0 / D
-        cached = _dual_hessian(Mt, active, inv_d, gram, c)
-        direct = _dual_hessian(Mt, active, inv_d)
-        np.testing.assert_allclose(cached, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
+        assert structure.dual_gram(prob.p_diag) is None  # becomes the program's ridge D0
+        assert structure.dual_gram(1e-3 * prob.p_diag) is not None  # builds G0, where T_A starts
+        Mt, inv_d0 = structure.dual[-1], 1.0 / prob.p_diag
+        active, direct_forms = np.ones(prob.n, dtype=bool), 0
+        for _ in range(40):
+            active = active.copy()
+            flip = rng.permutation(prob.n)[: rng.integers(1, 8)]  # a few rows enter or leave A
+            active[flip] = ~active[flip]
+            running = structure.active_gram(active)
+            direct_forms += structure._running[2] == 0  # rows changed since the last direct form
+            direct = _row_gram(Mt, active, inv_d0)
+            np.testing.assert_allclose(running, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
+        # the rows changed since the last direct form came to outnumber the active ones
+        assert 1 <= direct_forms < 40
+
+    def test_a_later_copy_gathers_only_the_rows_that_changed(self, monkeypatch):
+        from sitetransport import qp
+
+        data = balancing_program(np.random.default_rng(59), 1.0, n=200, k=5)
+        prob = QuadraticProgram(**data)
+        first = solve_qp(prob)  # its ridge becomes D0; it forms each Hessian directly
+        real_rows, real_gram = qp._row_gram, qp._Structure.active_gram
+        calls = []  # (changed since the last step, since the last direct form, |A|, rows gathered)
+
+        def counted_rows(Mt, rows, w):
+            if calls:
+                calls[-1][-1] += int(np.count_nonzero(rows))
+            return real_rows(Mt, rows, w)
+
+        def logged(structure, active, direct=False):
+            assert not direct  # no factorization fails here
+            last, _, drift = structure._running
+            changed = int(np.count_nonzero(active != last))
+            calls.append([changed, drift + changed, int(active.sum()), 0])
+            return real_gram(structure, active, direct)
+
+        monkeypatch.setattr(qp, "_row_gram", counted_rows)
+        monkeypatch.setattr(qp._Structure, "active_gram", logged)
+        warm = (first.x, first.y)
+        for lam in np.logspace(-0.5, -4, 8):
+            sol = solve_qp(prob.with_p_diag(lam * data["p_diag"]), warm_start=warm)
+            assert sol.status == SOLVED
+            warm = (sol.x, sol.y)
+        assert len(calls) >= 8
+        for changed, since_direct, n_active, gathered in calls:
+            # an update reads the rows that changed; a direct form the active
+            # rows, which the rows changed since the last one outnumber
+            assert gathered == changed or gathered == n_active < since_direct
+        updates = [(changed, n_active) for changed, _, n_active, gathered in calls if gathered == changed]
+        assert any(0 < changed < min(n_active, prob.n - n_active) for changed, n_active in updates)
 
     def test_dual_gram_needs_a_multiple_to_a_few_ulps(self, rng):
         # the ridges 2 lam reg of a site's lambda copies
@@ -667,23 +706,35 @@ class TestDualPath:
         data = balancing_program(np.random.default_rng(55), 1e-3, n=60)
         prob = QuadraticProgram(**data)
         solve_qp(prob)
-        real, corrected = qp._dual_hessian, []
+        real, updated = qp._Structure.active_gram, []
 
-        def cancelled(Mt, active, inv_d, gram=None, c=1.0):
-            H = real(Mt, active, inv_d, gram, c)
-            if gram is not None:  # as if G0/c minus the inactive rows lost definiteness
-                corrected.append(active)
-                H[-1, -1] = -1.0
-            return H
+        def cancelled(structure, active, direct=False):
+            T = real(structure, active, direct)
+            if not direct:  # as if T_A minus the rows that left A had lost definiteness
+                updated.append(active)
+                T = T.copy()
+                T[-1, -1] = -1.0
+            return T
 
-        monkeypatch.setattr(qp, "_dual_hessian", cancelled)
-        doubled = dict(data, p_diag=2.0 * data["p_diag"])
-        again = solve_qp(prob.with_p_diag(doubled["p_diag"]))
-        fresh = solve_qp(QuadraticProgram(**doubled))
-        assert corrected and again.status == SOLVED
+        monkeypatch.setattr(qp._Structure, "active_gram", cancelled)
+        # at D = 4 D0, T_A / 4 formed directly is bitwise the fresh program's Hessian
+        quadrupled = dict(data, p_diag=4.0 * data["p_diag"])
+        again = solve_qp(prob.with_p_diag(quadrupled["p_diag"]))
+        fresh = solve_qp(QuadraticProgram(**quadrupled))
+        assert updated and again.status == SOLVED
         # every step factored the directly formed Hessian, unregularized
         assert again.iterations == fresh.iterations
         np.testing.assert_array_equal(again.x, fresh.x)
+
+    def test_newton_stopped_at_max_iter_reports_its_dual_residual(self):
+        # the dual residual is formed only once the primal one passes, and at exit
+        prob = QuadraticProgram(**balancing_program(np.random.default_rng(50), 1e-4))
+        for steps in (0, 1, 2):
+            sol = solve_qp(prob, QpSettings(max_iter=steps))
+            assert sol.status == MAX_ITERATIONS and sol.iterations == steps
+            residual = np.abs(prob.p_matvec(sol.x) + prob.q + prob.A.T @ sol.y).max()
+            assert np.isfinite(sol.dual_residual)
+            assert sol.dual_residual == pytest.approx(residual, rel=1e-6)
 
     def test_residual_checks_form_no_p_product(self, monkeypatch):
         # P x at each residual check comes from the carried s = q + M'theta;

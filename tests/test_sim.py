@@ -26,6 +26,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(noise_sd=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_lambda_grid_value_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            small_config(lambda_grid=(1e-4, bad))
+
     def test_intercept_count_must_match_groups(self):
         with pytest.raises(ValueError):
             small_config(experiment_intercepts=(0.1,))
