@@ -24,7 +24,7 @@ from .errors import (
     ModeMismatchError,
     SolverFailedError,
 )
-from .features import FeatureMap, KernelSpec, apply_feature_map, kernel_matrix, map_raw_means, resolve_kernel
+from .features import FeatureMap, KernelSpec, apply_feature_map, kernel_matrix, map_raw_means, resolve_kernels
 from .qp import SOLVED, QpSettings, QpSolution, QuadraticProgram, solve_qp
 
 # Weight solutions flag sites whose effective sample size drops below this
@@ -53,7 +53,9 @@ class BalanceProblem:
 
     Linear mode supplies fitted feature maps for the effect (CATE) side and
     the prognostic side; kernel mode supplies kernel specs instead and
-    requires a unit-level target sample.
+    requires a unit-level target sample. A run passes kernels resolved once
+    for all its sites; an unresolved RBF bandwidth here is resolved on this
+    site's covariates stacked with the target sample.
     """
 
     site: SiteDataset
@@ -181,11 +183,8 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
     # one BLAS thread, as for the solves of the explicit P built here
     with single_threaded_blas():
         target = prob.target.sample
-        pooled = np.vstack([X, target])
-        # identical kernels share one bandwidth and one site Gram
-        k_cate = resolve_kernel(prob.cate_kernel, pooled)
-        same = prob.prognostic_kernel == prob.cate_kernel
-        k_prog = k_cate if same else resolve_kernel(prob.prognostic_kernel, pooled)
+        # a run passes resolved kernels; a problem on its own resolves on its site and target
+        k_cate, k_prog = resolve_run_kernels([site], prob.target, prob.cate_kernel, prob.prognostic_kernel)
         K_cate = kernel_matrix(k_cate, X)
         K_prog = K_cate if k_prog == k_cate else kernel_matrix(k_prog, X)
         P = 2.0 * (
@@ -195,10 +194,12 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
         if k_cate.kind == "linear":  # k(x, y) = x'y: both target terms need only its mean
             y_bar = target.mean(axis=0)
             kernel_mean, target_block = X @ y_bar, float(y_bar @ y_bar)
-        else:  # row means of the n x m cross Gram, and the m x m Gram's mean
+        else:  # row means of the n x m cross Gram; the m x m Gram's mean once per target and kernel
             kernel_mean = np.concatenate([K.mean(axis=1) for K in _gram_blocks(k_cate, X, target)])
             m = target.shape[0]
-            target_block = sum(float(K.sum()) for K in _gram_blocks(k_cate, target, target)) / (m * m)
+            target_block = prob.target.memo(
+                k_cate, lambda: sum(float(K.sum()) for K in _gram_blocks(k_cate, target, target)) / (m * m)
+            )
         base = QuadraticProgram(P=0.5 * (P + P.T), q=-2.0 * a_cate * kernel_mean, **constraints)
         return _SiteProgram(
             a_cate, a_prog, reg, base, K_cate=K_cate, K_prog=K_prog, kernel_mean=kernel_mean,
@@ -212,6 +213,15 @@ def _gram_blocks(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> Iterator[np.
     rows = max(1, _GRAM_BLOCK_DOUBLES // Y.shape[0])
     for i in range(0, X.shape[0], rows):
         yield kernel_matrix(spec, X[i : i + rows], Y)
+
+
+def resolve_run_kernels(
+    sites: Sequence[SiteDataset], target: TargetSpec, cate_kernel: KernelSpec, prognostic_kernel: KernelSpec
+) -> tuple[KernelSpec, KernelSpec]:
+    """The two kernels, each unresolved RBF bandwidth resolved once by the
+    median heuristic on every site's covariates stacked with the target
+    sample, so that all the sites share it."""
+    return resolve_kernels((cate_kernel, prognostic_kernel), [s.covariates for s in sites] + [target.sample])
 
 
 def build_linear_qp(prob: BalanceProblem) -> QuadraticProgram:
@@ -362,15 +372,19 @@ def lambda_sweep(
     """Trade-off table over a regularization grid, averaged across sites.
 
     Each site's weights are warm-started along the grid in descending lambda
-    order, under :func:`~sitetransport.blas.single_threaded_blas`. A solver
-    failure leaves its (lambda, site) cell out of the means and is counted in
-    ``n_failed`` without aborting the sweep. Rows come back in ascending
-    lambda order.
+    order, under :func:`~sitetransport.blas.single_threaded_blas`. Unresolved
+    RBF kernels get one median-heuristic bandwidth, on every site's
+    covariates stacked with the target sample, which all sites share. A
+    solver failure leaves its (lambda, site) cell out of the means and is
+    counted in ``n_failed`` without aborting the sweep. Rows come back in
+    ascending lambda order.
     """
     lambdas = [check_lambda(v) for v in lambdas]
     if not lambdas:
         raise ValueError("lambda grid must be nonempty")
     order = sorted(set(lambdas), reverse=True)
+    if cate_kernel is not None and prognostic_kernel is not None and target.is_sample:
+        cate_kernel, prognostic_kernel = resolve_run_kernels(sites, target, cate_kernel, prognostic_kernel)
 
     # cate imbalance, prognostic imbalance and ESS per (lambda, site); NaN where the solve failed
     cells = np.full((3, len(order), len(sites)), np.nan)

@@ -275,6 +275,21 @@ def _read_inputs(args) -> tuple[dict, TransportConfig, list[SiteDataset], Target
     return cfg, config, sites, target
 
 
+def _print_kernels(config: TransportConfig, sides: dict) -> None:
+    """In kernel mode, one line naming the run's resolved kernels."""
+    if config.mode != "kernel":
+        return
+    parts = []
+    for side in ("cate", "prognostic"):
+        kernel = sides[f"{side}_kernel"]
+        if kernel.kind == "rbf":
+            source = "given" if getattr(config, f"{side}_kernel").resolved else "median heuristic"
+            parts.append(f"{side} rbf, bandwidth {kernel.bandwidth:.6g} ({source})")
+        else:
+            parts.append(f"{side} {kernel.kind}")
+    print("kernels: " + "; ".join(parts))
+
+
 # --- subcommands ---
 
 
@@ -284,6 +299,7 @@ def _cmd_weights(args) -> int:
     if args.site is not None and all(s.site_id != args.site for s in sites):
         raise SchemaError(f"site {args.site!r} not found in {args.data}")
     _, sides = run_setup(replace(config, estimators=("weighting",)), sites, target)
+    _print_kernels(config, sides)
 
     rows = []
     for site in sites:
@@ -509,6 +525,7 @@ def _cmd_sweep(args) -> int:
         grid = cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
     grid = [check_lambda(v, ConfigError) for v in grid]
     _, sides = run_setup(replace(config, estimators=("weighting",)), sites, target)
+    _print_kernels(config, sides)
     rows = lambda_sweep(sites, target, grid, settings=config.solver, **sides)
     _write_csv(
         args.out,

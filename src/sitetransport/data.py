@@ -183,6 +183,7 @@ class TargetSpec:
 
     sample: np.ndarray | None = None
     moments: np.ndarray | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.sample is None) == (self.moments is None):
@@ -209,6 +210,13 @@ class TargetSpec:
     @property
     def is_sample(self) -> bool:
         return self.sample is not None
+
+    def memo(self, key, compute: Callable[[], float]) -> float:
+        """``compute()``, called on the first use of ``key`` and kept on this
+        target (its arrays are read-only), as for an RBF kernel's target Gram mean."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @classmethod
     def from_sample(cls, rows: Sequence[Sequence[float]] | np.ndarray) -> "TargetSpec":

@@ -161,8 +161,11 @@ def identity_map(d: int) -> FeatureMap:
 class KernelSpec:
     """Kernel function: ``linear`` (dot product) or ``rbf`` with a bandwidth.
 
-    ``bandwidth=None`` on an RBF kernel means "resolve by the median heuristic
-    on the data at solve time". A linear kernel takes no bandwidth.
+    ``bandwidth=None`` on an RBF kernel means "resolve by the median
+    heuristic": a run resolves it once, on every site's covariates stacked
+    with the target sample (:func:`resolve_kernels`), so that all its sites
+    share one bandwidth. A given bandwidth must be a finite positive number.
+    A linear kernel takes no bandwidth.
     """
 
     kind: str = "linear"
@@ -173,8 +176,8 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.bandwidth is not None and self.kind == "linear":
             raise ValueError(f"a linear kernel takes no bandwidth, got {self.bandwidth}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be a finite positive number, got {self.bandwidth}")
 
     @property
     def resolved(self) -> bool:
@@ -220,8 +223,9 @@ def resolve_bandwidth(sample: np.ndarray | Sequence[Sequence[float]]) -> float:
     subsample of the rows in ``np.lexsort`` order, so that the bandwidth
     depends on the rows as a set, not on their order. If the median
     distance is zero but distinct points exist, the median of the strictly
-    positive distances is used so the bandwidth stays positive. A sample with a NaN or infinite entry is rejected. A 1-D sample
-    holds n scalar observations.
+    positive distances is used so the bandwidth stays positive. A sample
+    with a NaN or infinite entry is rejected. A 1-D sample holds n scalar
+    observations.
     """
     X = np.asarray(sample, dtype=float)
     X = X.reshape(-1, 1) if X.ndim < 2 else X
@@ -241,8 +245,11 @@ def resolve_bandwidth(sample: np.ndarray | Sequence[Sequence[float]]) -> float:
     return med
 
 
-def resolve_kernel(spec: KernelSpec, sample: np.ndarray) -> KernelSpec:
-    """Fill in an unresolved RBF bandwidth from the sample; no-op otherwise."""
-    if spec.resolved:
-        return spec
-    return KernelSpec(kind=spec.kind, bandwidth=resolve_bandwidth(sample))
+def resolve_kernels(specs: Sequence[KernelSpec], samples: Sequence[np.ndarray]) -> tuple[KernelSpec, ...]:
+    """The kernels, each unresolved RBF one with the bandwidth of one
+    :func:`resolve_bandwidth` on the samples stacked by rows (a 1-D sample
+    holds n scalar observations); the rest pass through."""
+    if all(spec.resolved for spec in specs):
+        return tuple(specs)
+    bandwidth = resolve_bandwidth(np.vstack([np.asarray(s, dtype=float).reshape(len(s), -1) for s in samples]))
+    return tuple(spec if spec.resolved else replace(spec, bandwidth=bandwidth) for spec in specs)

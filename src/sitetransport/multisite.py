@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balance import BalanceProblem, WeightSolution, check_lambda, solve_weights
+from .balance import BalanceProblem, WeightSolution, check_lambda, resolve_run_kernels, solve_weights
 from .blas import single_threaded_blas
 from .data import PotentialOutcomeOracle, SiteDataset, TargetSpec
 from .errors import AllSitesFailedError, ConfigError, SiteTransportError
@@ -153,7 +153,8 @@ def run_setup(
     target sample, if any; else it is None. Returns ``(fmap, sides)``,
     ``sides`` the :class:`~sitetransport.balance.BalanceProblem`
     arguments of the weights: the map on both sides in linear mode, the
-    config's kernels in kernel mode.
+    config's kernels in kernel mode, each median-heuristic bandwidth
+    resolved once on the same pooled sample, so that every site shares it.
     """
     sample_needed = sorted({OUTCOME_MODEL, IPW, DOUBLY_ROBUST} & set(config.estimators))
     if sample_needed and not target.is_sample:
@@ -165,7 +166,8 @@ def run_setup(
         pooled = [s.covariates for s in sites] + ([target.sample] if target.is_sample else [])
         fmap = fit_feature_map(FeatureMap(config.interactions, config.standardize), np.vstack(pooled))
     if config.mode == "kernel":
-        return fmap, {"cate_kernel": config.cate_kernel, "prognostic_kernel": config.prognostic_kernel}
+        kernels = resolve_run_kernels(sites, target, config.cate_kernel, config.prognostic_kernel)
+        return fmap, dict(zip(("cate_kernel", "prognostic_kernel"), kernels))
     return fmap, {"cate_map": fmap, "prognostic_map": fmap}
 
 

@@ -473,18 +473,18 @@ class TestProgramReuse:
 
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize(
-        "cate, prognostic, per_site, on_target",
+        "cate, prognostic, per_site, target_grams",
         [
             # the two site Grams; the target terms come from the target mean
             ("linear", "rbf", 2, 0),
-            # the two site Grams, the cross Gram and the target Gram's rows,
-            # in one block at this target size
-            ("rbf", "linear", 4, 2),
+            # the two site Grams and the cross Gram; the target Gram's rows
+            # once per run, in one block at this target size
+            ("rbf", "linear", 3, 1),
         ],
         ids=["linear-effect", "rbf-effect"],
     )
-    def test_kernel_sweep_resolves_and_builds_grams_once_per_site(
-        self, sweep_inputs, monkeypatch, k, cate, prognostic, per_site, on_target
+    def test_kernel_sweep_resolves_once_per_run_and_builds_grams_once_per_site(
+        self, sweep_inputs, monkeypatch, k, cate, prognostic, per_site, target_grams
     ):
         from sitetransport import balance, features
 
@@ -497,10 +497,11 @@ class TestProgramReuse:
             cate_kernel=KernelSpec(cate), prognostic_kernel=KernelSpec(prognostic),
         )
         assert sum(r.n_failed for r in rows) == 0
-        target_grams = [a for a in grams if any(np.shares_memory(v, target.sample) for v in a[1:])]
-        assert len(bandwidths) == len(sites)
-        assert len(target_grams) == on_target * len(sites)
-        assert len(grams) == per_site * len(sites)
+        on_target = [[np.shares_memory(v, target.sample) for v in a[1:]] for a in grams]
+        assert len(bandwidths) == 1
+        assert on_target.count([True, True]) == target_grams
+        assert on_target.count([False, True]) == (cate == "rbf") * len(sites)
+        assert len(grams) == per_site * len(sites) + target_grams
 
     def test_identical_rbf_kernels_share_one_bandwidth_and_gram(self, sweep_inputs, monkeypatch):
         from sitetransport import balance, features
@@ -514,9 +515,9 @@ class TestProgramReuse:
             cate_kernel=KernelSpec("rbf"), prognostic_kernel=KernelSpec("rbf"),
         )
         assert sum(r.n_failed for r in rows) == 0
-        assert len(bandwidths) == len(sites)
-        # one site Gram, the cross Gram and the target Gram's rows
-        assert len(grams) == 3 * len(sites)
+        assert len(bandwidths) == 1
+        # one site Gram and the cross Gram per site; the target Gram's rows once
+        assert len(grams) == 2 * len(sites) + 1
 
     def test_shared_median_bandwidth_gives_the_weights_of_explicit_bandwidths(self, sweep_inputs):
         from sitetransport import features

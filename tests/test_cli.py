@@ -217,6 +217,45 @@ class TestWeightsCommand:
         assert "a linear kernel takes no bandwidth" in record["message"]
         assert not out.exists()
 
+    def test_infinite_bandwidth_is_an_error(self, tmp_path, capsys):
+        # an infinite bandwidth used to give an all-ones RBF Gram and exit 0
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("kernels:\n  prognostic: {kind: rbf, bandwidth: .inf}\n", encoding="utf-8")
+        out = tmp_path / "w.csv"
+        rc = main(["weights", "--data", str(DATA_DIR / "golden_data.csv"), "--target", str(DATA_DIR / "golden_target.csv"),
+                   "--mode", "kernel", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert "bandwidth must be a finite positive number, got inf" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["weights", "sweep"])
+    @pytest.mark.parametrize(
+        "kernels, line",
+        [
+            ("cate: linear\n  prognostic: rbf", "cate linear; prognostic rbf, bandwidth {bw:.6g} (median heuristic)"),
+            ("cate: {kind: rbf, bandwidth: 1.5}\n  prognostic: rbf",
+             "cate rbf, bandwidth 1.5 (given); prognostic rbf, bandwidth {bw:.6g} (median heuristic)"),
+        ],
+        ids=["median", "given-and-median"],
+    )
+    def test_kernel_mode_prints_the_run_kernels_once(self, toy, capsys, command, kernels, line):
+        from sitetransport import resolve_bandwidth
+
+        tmp, data, target = toy
+        cfg = tmp / "cfg.yaml"
+        cfg.write_text(f"kernels:\n  {kernels}\n", encoding="utf-8")
+        args = [command, "--data", str(data), "--target", str(target), "--config", str(cfg), "--out", str(tmp / "o.csv")]
+        assert main(args + ["--mode", "kernel"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        pooled = np.vstack([np.loadtxt(path, delimiter=",", skiprows=1, usecols=cols) for path, cols in
+                            ((data, (3, 4, 5)), (target, (0, 1, 2)))])
+        assert [ln for ln in out if ln.startswith("kernels:")] == ["kernels: " + line.format(bw=resolve_bandwidth(pooled))]
+        assert out[0].startswith("kernels:")
+        assert main(args) == 0  # linear mode names no kernel
+        assert not any(ln.startswith("kernels:") for ln in capsys.readouterr().out.splitlines())
+
 
 def write_golden_moments(path, columns=("x1", "x2", "x3"), x1_scale=1.0):
     """The golden target's means of ``columns`` (covariates or products

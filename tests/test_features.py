@@ -24,7 +24,7 @@ from sitetransport.features import (
     _median,
     map_raw_means,
     raw_feature_names,
-    resolve_kernel,
+    resolve_kernels,
 )
 
 
@@ -145,6 +145,27 @@ class TestKernels:
         with pytest.raises(ValueError, match="a linear kernel takes no bandwidth"):
             KernelSpec("linear", bandwidth=0.5)
 
+    @pytest.mark.parametrize("bandwidth", [np.inf, np.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        # an infinite bandwidth used to be accepted: its RBF Gram is all ones
+        with pytest.raises(ValueError, match=f"bandwidth must be a finite positive number, got {bandwidth}"):
+            KernelSpec("rbf", bandwidth=bandwidth)
+
+    def test_identical_unresolved_kernels_share_one_resolution(self, monkeypatch):
+        from sitetransport import features
+
+        calls = []
+        real = features.resolve_bandwidth
+        monkeypatch.setattr(features, "resolve_bandwidth", lambda X: calls.append(X) or real(X))
+        rng = np.random.default_rng(5)
+        samples = [rng.normal(size=(30, 2)), rng.normal(1.0, 1.0, size=(40, 2))]
+        given = KernelSpec("rbf", 0.7)
+        kernels = resolve_kernels([KernelSpec("rbf"), KernelSpec("linear"), given, KernelSpec("rbf")], samples)
+        bandwidth = real(np.vstack(samples))
+        assert kernels == (KernelSpec("rbf", bandwidth), KernelSpec("linear"), given, KernelSpec("rbf", bandwidth))
+        assert len(calls) == 1
+        assert resolve_kernels(kernels, samples) == kernels and len(calls) == 1
+
     def test_rbf_characteristic_distance(self):
         # ||x - y||^2 = 2 sigma^2  ->  exp(-1)
         sigma = 0.7
@@ -188,7 +209,7 @@ class TestResolveBandwidth:
     def test_one_dimensional_sample_equals_its_column(self, n):
         x = np.random.default_rng(n).normal(size=n)
         assert resolve_bandwidth(x).hex() == resolve_bandwidth(x[:, None]).hex()
-        assert resolve_kernel(KernelSpec("rbf"), x) == resolve_kernel(KernelSpec("rbf"), x[:, None])
+        assert resolve_kernels([KernelSpec("rbf")], [x]) == resolve_kernels([KernelSpec("rbf")], [x[:, None]])
 
     def test_identical_points(self):
         with pytest.raises(AllPointsIdenticalError):

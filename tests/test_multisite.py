@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sitetransport import (
+    KernelSpec,
     PotentialOutcomeOracle,
+    SiteDataset,
     TargetSpec,
     TransportConfig,
     decompose_error,
@@ -11,6 +15,8 @@ from sitetransport import (
     identity_map,
     transport_all,
     BalanceProblem,
+    lambda_sweep,
+    resolve_bandwidth,
 )
 from sitetransport.balance import solve_weights
 from sitetransport.blas import single_threaded_blas
@@ -163,6 +169,109 @@ class TestTransportAll:
     def test_bootstrap_size_without_a_standard_error_rejected(self, n_boot):
         with pytest.raises(ConfigError, match="n_boot"):
             TransportConfig(n_boot=n_boot)
+
+
+KERNEL_RUN = TransportConfig(
+    estimators=("naive", "weighting"), mode="kernel", cate_kernel=KernelSpec("rbf"), prognostic_kernel=KernelSpec("rbf")
+)
+
+
+def _permuted(site, order):
+    return SiteDataset(
+        site_id=site.site_id, covariates=site.covariates[order], treatment=site.treatment[order],
+        outcomes=site.outcomes[order],
+    )
+
+
+class TestKernelRun:
+    """A kernel-mode run resolves one median bandwidth, on every site's
+    covariates stacked with the target sample, and all its sites share it."""
+
+    @staticmethod
+    def _inputs(rng, n_target=300):
+        sites = [random_site(rng, n=60, d=3, site_id=f"s{j}", covariate_shift=0.3 * j) for j in range(3)]
+        # two blocks with different spreads: a subsample taken by row position would move
+        half = n_target // 2
+        target = np.vstack([rng.normal(-0.5, 1.0, size=(half, 3)), rng.normal(0.8, 0.6, size=(n_target - half, 3))])
+        return sites, TargetSpec.from_sample(target)
+
+    @staticmethod
+    def _pooled(sites, target):
+        return np.vstack([s.covariates for s in sites] + [target.sample])
+
+    @staticmethod
+    def _counting(monkeypatch, module, name):
+        calls, real = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    # pooled samples of 480 and 2580 rows, on either side of the 2000-row subsample cap
+    @pytest.mark.parametrize("n_target", [300, 2400], ids=["below-cap", "past-cap"])
+    def test_bandwidth_ignores_site_order_and_row_order(self, rng, n_target):
+        sites, target = self._inputs(rng, n_target)
+        bandwidth = run_setup(KERNEL_RUN, sites, target)[1]["cate_kernel"].bandwidth
+        assert bandwidth.hex() == resolve_bandwidth(self._pooled(sites, target)).hex()
+        reordered = (
+            (sites[::-1], target),
+            ([_permuted(s, rng.permutation(s.n)) for s in sites], target),
+            (sites, TargetSpec.from_sample(target.sample[rng.permutation(n_target)])),
+        )
+        for run_sites, run_target in reordered:
+            sides = run_setup(KERNEL_RUN, run_sites, run_target)[1]
+            assert sides["cate_kernel"] == sides["prognostic_kernel"]
+            assert sides["cate_kernel"].bandwidth.hex() == bandwidth.hex()
+
+    @pytest.mark.parametrize("run", ["transport", "sweep"])
+    def test_every_site_program_carries_the_run_bandwidth(self, rng, monkeypatch, run):
+        from sitetransport import balance
+
+        sites, target = self._inputs(rng)
+        programs = self._counting(monkeypatch, balance, "_site_program")
+        if run == "transport":
+            transport_all(sites, target, KERNEL_RUN)
+            kernels = (KernelSpec("rbf"), KernelSpec("rbf"))
+        else:
+            lambda_sweep(sites, target, [1.0, 0.1], cate_kernel=KernelSpec("linear"), prognostic_kernel=KernelSpec("rbf"))
+            kernels = (KernelSpec("linear"), KernelSpec("rbf"))
+        bandwidth = resolve_bandwidth(self._pooled(sites, target))
+        resolved = tuple(KernelSpec(k.kind, None if k.kind == "linear" else bandwidth) for k in kernels)
+        assert [(prob.site.site_id, prob.cate_kernel, prob.prognostic_kernel) for (prob,) in programs] == [
+            (s.site_id, *resolved) for s in sites
+        ]
+
+    def test_estimates_ignore_site_order(self, rng):
+        sites, target = self._inputs(rng)
+        forward, backward = (transport_all(run, target, KERNEL_RUN) for run in (sites, sites[::-1]))
+        by_site = {r.site_id: r for r in backward.results}
+        for res in forward.results:
+            for name in ("naive", "weighting"):
+                got, want = by_site[res.site_id].estimates[name], res.estimates[name]
+                assert got.estimate == pytest.approx(want.estimate, rel=1e-12, abs=0.0)
+                assert got.std_error == pytest.approx(want.std_error, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(by_site[res.site_id].weights.gamma, res.weights.gamma, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("run", ["transport", "sweep"])
+    def test_one_bandwidth_and_one_target_gram_mean_per_run(self, rng, monkeypatch, run):
+        from sitetransport import balance, features
+
+        sites, target = self._inputs(rng)
+        bandwidths = self._counting(monkeypatch, features, "resolve_bandwidth")
+        blocks = self._counting(monkeypatch, balance, "_gram_blocks")
+        for bandwidth in (None, None, 0.8):  # a median bandwidth twice, then a given one
+            kernel = KernelSpec("rbf", bandwidth)
+            if run == "transport":
+                transport_all(sites, target, replace(KERNEL_RUN, cate_kernel=kernel, prognostic_kernel=kernel))
+            else:
+                lambda_sweep(sites, target, [1.0, 0.1], cate_kernel=kernel, prognostic_kernel=KernelSpec("linear"))
+        assert len(bandwidths) == 2
+        # the same target and resolved kernel reuse the mean: the median
+        # bandwidth's once, then the given bandwidth's
+        bandwidth = resolve_bandwidth(self._pooled(sites, target))
+        assert [spec for spec, X, Y in blocks if X is target.sample and Y is target.sample] == [
+            KernelSpec("rbf", bandwidth), KernelSpec("rbf", 0.8)
+        ]
+        # and one cross Gram per site and run
+        assert len(blocks) == 3 * len(sites) + 2
 
 
 class TestDecomposeError:
