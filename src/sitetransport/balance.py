@@ -47,7 +47,7 @@ def check_lambda(lam, error: type[Exception] = ValueError) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BalanceProblem:
     """One site, one target, one regularization level.
 
@@ -97,7 +97,7 @@ class BalanceProblem:
         return copy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSolution:
     """Per-unit weights for one site plus solver and balance diagnostics.
 
@@ -115,7 +115,7 @@ class WeightSolution:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImbalanceReport:
     cate_imbalance: float
     prognostic_imbalance: float
@@ -132,7 +132,7 @@ class SweepRow:
     n_failed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SiteProgram:
     """The lambda-free part of one site's balancing program: ``base``, the QP
     without its ridge 2 lambda reg (P factored in linear mode, explicit in

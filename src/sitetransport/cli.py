@@ -311,8 +311,7 @@ def _cmd_weights(args) -> int:
         except SiteTransportError as exc:
             print(f"site {site.site_id}: FAILED {type(exc).__name__}: {exc}", file=sys.stderr)
             continue
-        positions = site.row_indices or tuple(range(site.n))
-        for pos, g in zip(positions, ws.gamma):
+        for pos, g in zip(site.row_indices.tolist(), ws.gamma):
             rows.append([site.site_id, pos, g])
         print(f"site {site.site_id}: lambda={ws.lam:g} ess={ws.ess:.2f}")
         print(f"  treated-vs-target imbalance:  {ws.cate_imbalance:.6g}")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -75,12 +74,13 @@ class SiteDataset:
 
     ``covariates`` (n, d), ``treatment`` (0/1) and ``outcomes`` are copied,
     validated once and read-only. Pass them as keywords with ``site_id``, or
-    pass records as ``units`` (see :meth:`from_records`). Records are turned
-    into the arrays and not kept: ``units`` is rebuilt from the arrays on
-    first use, however the site was built. A bad value raises what
-    :class:`UnitRecord` raises for the first unit holding one. ``n1`` and
-    ``n0`` count the arms, ``arms`` holds their row indices (treated, then
-    control), and ``propensity`` defaults to the treated fraction n1 / (n1 + n0).
+    pass records as ``units``: they are turned into the arrays and not kept.
+    A bad value raises what :class:`UnitRecord` raises for the first unit
+    holding one. ``row_indices`` (read-only integers, 0..n-1 unless given)
+    holds each unit's row in the input table. ``n1`` and ``n0`` count the
+    arms, ``arms`` holds their row indices (treated, then control), and
+    ``propensity`` defaults to the treated fraction n1 / (n1 + n0). Like
+    every object that holds arrays, a site compares and hashes by identity.
     """
 
     site_id: str
@@ -88,7 +88,7 @@ class SiteDataset:
     treatment: np.ndarray = field(repr=False)
     outcomes: np.ndarray = field(repr=False)
     propensity: float = None  # type: ignore[assignment]
-    row_indices: tuple[int, ...] | None = None
+    row_indices: np.ndarray = field(repr=False)
 
     def __init__(
         self,
@@ -125,23 +125,14 @@ class SiteDataset:
             propensity = n1 / (n1 + n0)
         if not 0.0 < propensity < 1.0:
             raise ValueError(f"propensity must lie in (0, 1), got {propensity}")
-        if row_indices is not None and len(row_indices) != z.size:
+        rows = np.arange(z.size) if row_indices is None else np.array(row_indices, dtype=np.intp)
+        if rows.shape != z.shape:
             raise ValueError("row_indices must align with units")
-        for arr in (X, z, y):
+        for arr in (X, z, y, rows):
             arr.setflags(write=False)
-        row_indices = None if row_indices is None else tuple(row_indices)
-        for name, value in zip(self.__dataclass_fields__, (site_id, X, z, y, propensity, row_indices)):
+        for name, value in zip(self.__dataclass_fields__, (site_id, X, z, y, propensity, rows)):
             object.__setattr__(self, name, value)
         self.__dict__.update(n1=n1, n0=n0, arms=arms)
-
-    @classmethod
-    def from_records(cls, records: Iterable[UnitRecord], propensity=None, row_indices=None) -> SiteDataset:
-        return cls(units=records, propensity=propensity, row_indices=row_indices)
-
-    @cached_property
-    def units(self) -> tuple[UnitRecord, ...]:
-        rows = zip(self.covariates.tolist(), self.treatment.tolist(), self.outcomes.tolist())
-        return tuple(UnitRecord(tuple(x), int(t), y, self.site_id) for x, t, y in rows)
 
     @property
     def n(self) -> int:
@@ -151,23 +142,8 @@ class SiteDataset:
     def d(self) -> int:
         return self.covariates.shape[1]
 
-    def __eq__(self, other):
-        if not isinstance(other, SiteDataset):
-            return NotImplemented
-        mine, theirs = self._state(), other._state()
-        return mine[:3] == theirs[:3] and all(np.array_equal(a, b) for a, b in zip(mine[3:], theirs[3:]))
 
-    def __hash__(self):
-        # + 0.0 maps -0.0 to 0.0, which compares equal to it
-        state = self._state()
-        return hash(state[:3] + (self.covariates.shape,) + tuple((a + 0.0).tobytes() for a in state[3:]))
-
-    def _state(self) -> tuple:
-        arrays = self.covariates, self.treatment, self.outcomes
-        return (self.site_id, self.propensity, self.row_indices) + arrays
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSpec:
     """Target covariate distribution: a unit-level sample or feature means.
 
@@ -183,7 +159,7 @@ class TargetSpec:
 
     sample: np.ndarray | None = None
     moments: np.ndarray | None = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if (self.sample is None) == (self.moments is None):

@@ -195,7 +195,7 @@ def _raw_ratio(eta: np.ndarray, prior: float) -> np.ndarray:
     return np.exp(np.clip(eta, -50.0, 50.0)) * prior
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityRatio:
     """Estimated change of measure d(target)/d(experimental).
 

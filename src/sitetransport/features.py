@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,13 +20,15 @@ from .errors import (
 BANDWIDTH_SUBSAMPLE_CAP = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMap:
     """Identity-plus-interactions feature map with optional unit-variance scaling.
 
     The map starts unfitted: ``fit_feature_map`` computes per-feature standard
     deviations on a pooled sample, drops zero-variance features, and returns a
-    fitted copy. Applying an unfitted map raises :class:`UnfittedMapError`.
+    fitted copy whose ``kept`` holds the indices of the kept features among
+    the raw ones (:func:`raw_feature_names`). Applying an unfitted map raises
+    :class:`UnfittedMapError`. A map compares and hashes by identity.
     """
 
     interactions: tuple[tuple[int, int], ...] = ()
@@ -34,9 +36,8 @@ class FeatureMap:
 
     # populated by fit_feature_map
     n_raw: int | None = None
-    kept_base: tuple[int, ...] | None = None
-    kept_interactions: tuple[tuple[int, int], ...] | None = None
-    fitted_scale: np.ndarray | None = field(default=None, compare=False)
+    kept: tuple[int, ...] | None = None
+    fitted_scale: np.ndarray | None = None
     dropped: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -52,7 +53,7 @@ class FeatureMap:
     def output_dim(self) -> int:
         if not self.fitted:
             raise UnfittedMapError("feature map has not been fitted")
-        return len(self.kept_base) + len(self.kept_interactions)
+        return len(self.kept)
 
 
 def raw_feature_names(d: int, interactions: Sequence[tuple[int, int]]) -> tuple[str, ...]:
@@ -67,11 +68,6 @@ def _raw_features(spec: FeatureMap, X: np.ndarray) -> np.ndarray:
     for i, j in spec.interactions:
         cols.append((X[:, i] * X[:, j])[:, None])
     return np.hstack(cols) if len(cols) > 1 else X
-
-
-def _kept(spec: FeatureMap) -> list[int]:
-    """Indices of a fitted map's kept features among its raw features."""
-    return [*spec.kept_base, *(spec.n_raw + spec.interactions.index(pair) for pair in spec.kept_interactions)]
 
 
 def fit_feature_map(spec: FeatureMap, pooled: np.ndarray | Sequence[Sequence[float]]) -> FeatureMap:
@@ -97,21 +93,12 @@ def fit_feature_map(spec: FeatureMap, pooled: np.ndarray | Sequence[Sequence[flo
     names = raw_feature_names(d, spec.interactions)
 
     keep = sd > 0
-    kept_base = tuple(i for i in range(d) if keep[i])
-    kept_inter = tuple(pair for k, pair in enumerate(spec.interactions) if keep[d + k])
     dropped = tuple(name for name, k in zip(names, keep) if not k)
 
     scale = sd[keep] if spec.standardize else np.ones(int(keep.sum()))
     scale = scale.copy()
     scale.setflags(write=False)
-    return replace(
-        spec,
-        n_raw=d,
-        kept_base=kept_base,
-        kept_interactions=kept_inter,
-        fitted_scale=scale,
-        dropped=dropped,
-    )
+    return replace(spec, n_raw=d, kept=tuple(np.flatnonzero(keep).tolist()), fitted_scale=scale, dropped=dropped)
 
 
 def apply_feature_map(spec: FeatureMap, x: np.ndarray | Sequence[float]) -> np.ndarray:
@@ -129,7 +116,7 @@ def apply_feature_map(spec: FeatureMap, x: np.ndarray | Sequence[float]) -> np.n
         raise DimensionMismatchError(
             f"expected {spec.n_raw} raw covariates, got {X.shape[1]}"
         )
-    out = _raw_features(spec, X)[:, _kept(spec)] / spec.fitted_scale
+    out = _raw_features(spec, X)[:, spec.kept] / spec.fitted_scale
     return out[0] if single else out
 
 
@@ -140,7 +127,7 @@ def map_raw_means(spec: FeatureMap, means: np.ndarray) -> np.ndarray:
     k = spec.n_raw + len(spec.interactions)
     if means.size != k:
         raise DimensionMismatchError(f"target moments have length {means.size}, the map has {k} raw features")
-    return means[_kept(spec)] / spec.fitted_scale
+    return means[list(spec.kept)] / spec.fitted_scale
 
 
 def identity_map(d: int) -> FeatureMap:
@@ -151,8 +138,7 @@ def identity_map(d: int) -> FeatureMap:
         interactions=(),
         standardize=False,
         n_raw=d,
-        kept_base=tuple(range(d)),
-        kept_interactions=(),
+        kept=tuple(range(d)),
         fitted_scale=scale,
     )
 

@@ -15,7 +15,7 @@ _PROFILE_XTOL = 1e-13
 _PROFILE_MAX_GROW = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiteEffectSet:
     """Per-site effect estimates and their standard errors."""
 

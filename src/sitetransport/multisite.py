@@ -65,7 +65,7 @@ class TransportConfig:
             raise ConfigError(f"n_boot must be 0 (no bootstrap) or at least 2, got {self.n_boot}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiteResult:
     site_id: str
     n: int
@@ -76,7 +76,7 @@ class SiteResult:
     errors: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportReport:
     results: tuple[SiteResult, ...]
     target_size: int | None

@@ -228,7 +228,7 @@ class _Structure:
         return T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticProgram:
     """Problem data. Equalities are encoded as l == u rows of A.
 
@@ -247,9 +247,9 @@ class QuadraticProgram:
     l: np.ndarray
     u: np.ndarray
     P: np.ndarray | None = None
-    p_factor: np.ndarray | None = field(default=None, compare=False)
-    p_diag: np.ndarray | None = field(default=None, compare=False)
-    _structure: _Structure = field(init=False, repr=False, compare=False)
+    p_factor: np.ndarray | None = None
+    p_diag: np.ndarray | None = None
+    _structure: _Structure = field(init=False, repr=False)
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float).ravel()
@@ -335,7 +335,7 @@ class QpSettings:
     max_iter: int = 20000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpSolution:
     """Solver output; ``y`` satisfies P x + q + A'y = 0 at the optimum.
 
@@ -720,7 +720,7 @@ def _solve_active_set(prob, s: QpSettings, warm_start) -> QpSolution | None:
         primal_residual=r_prim,
         dual_residual=r_dual,
         iterations=step,
-        objective=prob.objective(x),
+        objective=float(0.5 * x @ px + q @ x),
         duality_gap=float(x @ bound_y) + float(mu @ (E @ x - b)),
     )
 

@@ -18,7 +18,7 @@ _LOGISTIC_MAX_ITER = 100
 _LOGISTIC_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionFit:
     """Fitted coefficients for a least-squares or logistic model.
 

@@ -81,7 +81,7 @@ class SimConfig:
             raise ValueError("cate_coefficients length must equal n_covariates")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SitePopulation:
     """One site's fixed base population, drawn once per configuration."""
 
@@ -135,7 +135,7 @@ def _site_tau(config: SimConfig, experiment: int, X: np.ndarray) -> np.ndarray:
     return X @ coef + config.experiment_intercepts[experiment]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimReplicate:
     sites: list[SiteDataset]
     target: TargetSpec

@@ -2,8 +2,12 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/make_references.py
+    PYTHONPATH=src python tests/make_references.py [NAME ...]
 
+With no NAME it rewrites every reference; with names (file names under
+tests/data/, as in NAMES) it rewrites only those, so a change that moves one
+reference leaves the others' bytes as they are (a rerun can move their last
+bits on another BLAS build).
 The references are kernel-mode ``weights`` (λ = 0.03) and ``sweep`` runs on
 the golden inputs with two kernel pairs, a linear-mode ``sweep``, and the
 rows and per-cell errors of ``SimConfig(reps=4, seed=s)`` for s in
@@ -48,6 +52,7 @@ CLI_RUNS = {
 SIM_SEEDS = (1, 2, 7)
 SIM_ROWS = "reference_sim_rows.csv"
 SIM_CELLS = "reference_sim_cell_errors.csv"
+NAMES = (*CLI_RUNS, SIM_ROWS, SIM_CELLS)
 
 
 def cli_output(name: str) -> list[list[str]]:
@@ -90,10 +95,12 @@ def sim_outputs() -> tuple[list[list[str]], list[list[str]]]:
     return rows, cells
 
 
-def outputs() -> dict[str, list[list[str]]]:
-    """Every reference's table, computed from the current source."""
-    tables = {name: cli_output(name) for name in CLI_RUNS}
-    tables[SIM_ROWS], tables[SIM_CELLS] = sim_outputs()
+def outputs(names: tuple[str, ...] = NAMES) -> dict[str, list[list[str]]]:
+    """The named references' tables, computed from the current source."""
+    tables = {name: cli_output(name) for name in names if name in CLI_RUNS}
+    if SIM_ROWS in names or SIM_CELLS in names:
+        sim = dict(zip((SIM_ROWS, SIM_CELLS), sim_outputs()))
+        tables.update((name, sim[name]) for name in names if name in sim)
     return tables
 
 
@@ -110,8 +117,12 @@ def write_reference(name: str, table: list[list[str]]) -> None:
         csv.writer(fh, lineterminator="\n").writerows(table)
 
 
-def main() -> int:
-    for name, table in outputs().items():
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in NAMES]
+    if unknown:
+        print(f"unknown reference {', '.join(unknown)}; the references are {', '.join(NAMES)}", file=sys.stderr)
+        return 2
+    for name, table in outputs(tuple(names) or NAMES).items():
         write_reference(name, table)
         nan = sum(1 for row in table[1:] for v in row if v == "nan")
         print(f"wrote tests/data/{name}: {len(table) - 1} rows" + (f", {nan} NaN cells" if nan else ""))
@@ -119,4 +130,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

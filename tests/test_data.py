@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from conftest import assert_sites_identical, site_records
 from sitetransport import SiteDataset, TargetSpec, UnitRecord, validate_dataset
 from sitetransport.errors import (
     DegenerateSiteError,
@@ -54,8 +55,8 @@ class TestValidateDataset:
     def test_row_indices_track_input_positions(self):
         rows = [rec("a", 1), rec("b", 1), rec("a", 0), rec("b", 0)]
         sites = validate_dataset(rows)
-        assert sites[0].row_indices == (0, 2)
-        assert sites[1].row_indices == (1, 3)
+        assert sites[0].row_indices.tolist() == [0, 2]
+        assert sites[1].row_indices.tolist() == [1, 3]
 
 
 class TestUnitRecord:
@@ -101,8 +102,8 @@ class TestSiteDataset:
         raw = raw + [(1, 0.0, 0.0), (0, 0.0, 0.0)]
         rows = [rec("a", z, y, (x, x * 2)) for z, y, x in raw]
         (site,) = validate_dataset(rows)
-        (again,) = validate_dataset(list(site.units))
-        assert again == site
+        (again,) = validate_dataset(site_records(site))
+        assert_sites_identical(again, site)
 
 
 class TestTargetSpec:

@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import assert_sites_identical, site_records
 from sitetransport import SiteDataset, UnitRecord, UnitTable, validate_dataset
 from sitetransport.cli import read_target_sample, read_unit_table
 from sitetransport.errors import NonBinaryTreatmentError, SchemaError
@@ -113,7 +114,7 @@ class TestParsedArrays:
         assert_tables_identical(table, reference_table(path))
         sites = validate_dataset(table)
         assert [s.site_id for s in sites] == ["a,b", "a", "b"]
-        assert sites[0].row_indices == (0, 5)
+        assert sites[0].row_indices.tolist() == [0, 5]
 
     def test_number_spellings_match_float(self, tmp_path):
         # loadtxt rejects the underscore and full-width spellings that float()
@@ -150,21 +151,24 @@ class TestArraysFirstSiteDataset:
         records, X, z, y = records_and_arrays(rng)
         from_arrays = SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y, propensity=0.4)
         from_records = SiteDataset(units=records, propensity=0.4)
-        assert from_arrays == from_records == SiteDataset.from_records(records, propensity=0.4)
-        assert hash(from_arrays) == hash(from_records)
-        assert from_arrays.units == tuple(records)
-        assert from_arrays != SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y)
-        assert from_arrays != SiteDataset(site_id="t", covariates=X, treatment=z, outcomes=y, propensity=0.4)
+        assert_sites_identical(from_records, from_arrays)
+        np.testing.assert_array_equal(from_arrays.row_indices, np.arange(len(records)))
+        assert SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y).propensity == 0.5
+        # a site is its arrays: equality and hash are identity
+        assert from_arrays != from_records and hash(from_arrays) == object.__hash__(from_arrays)
 
-    @pytest.mark.parametrize("build", [lambda records: SiteDataset(units=records), SiteDataset.from_records])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda records: SiteDataset(units=records), lambda records: validate_dataset(records)[0]],
+        ids=["units", "validate_dataset"],
+    )
     def test_records_are_not_kept(self, rng, build):
-        records, *_ = records_and_arrays(rng)
-        values = [(r.covariates, r.treatment, r.outcome, r.site_id) for r in records]
+        records, X, z, y = records_and_arrays(rng)
         refs = [weakref.ref(r) for r in records]
         site = build(records)
         del records
         assert all(ref() is None for ref in refs)
-        assert site.units == tuple(UnitRecord(*v) for v in values)
+        assert_sites_identical(site, SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y))
         assert (site.n1, site.n0) == (6, 6)
 
     @pytest.mark.parametrize("field, value", [("treatment", 2.0), ("outcome", np.inf), ("covariates", (0.0, np.nan, 1.0))])
@@ -179,16 +183,13 @@ class TestArraysFirstSiteDataset:
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
 
-    def test_negative_zero_hashes_like_zero(self, rng):
+    def test_negative_zero_survives_the_records_route(self, rng):
         _, X, z, y = records_and_arrays(rng)
-        X[0, 0] = 0.0
-        flipped = X.copy()
-        flipped[0, 0] = -0.0
-        a = SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y)
-        b = SiteDataset(site_id="s", covariates=flipped, treatment=z, outcomes=y)
-        c = SiteDataset.from_records(b.units)
+        X[0, 0] = -0.0
+        b = SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y)
+        c = SiteDataset(units=site_records(b))
         assert math.copysign(1.0, c.covariates[0, 0]) == -1.0
-        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert_sites_identical(c, b)
 
     def test_arrays_are_copied_and_read_only(self, rng):
         _, X, z, y = records_and_arrays(rng)
@@ -226,5 +227,6 @@ class TestArraysFirstSiteDataset:
             for s, x, t, v in zip(table.site_ids, table.covariates.tolist(), table.treatment, table.outcomes.tolist())
         ]
         from_table, from_records = validate_dataset(table), validate_dataset(records)
-        assert [s.row_indices for s in from_table] == [s.row_indices for s in from_records]
-        assert from_table == from_records
+        assert len(from_table) == 3
+        for got, want in zip(from_table, from_records, strict=True):
+            assert_sites_identical(got, want)

@@ -1,10 +1,12 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sitetransport import (
     KernelSpec,
+    QpSettings,
     PotentialOutcomeOracle,
     SiteDataset,
     TargetSpec,
@@ -17,6 +19,7 @@ from sitetransport import (
     BalanceProblem,
     lambda_sweep,
     resolve_bandwidth,
+    validate_dataset,
 )
 from sitetransport.balance import solve_weights
 from sitetransport.blas import single_threaded_blas
@@ -32,6 +35,8 @@ from sitetransport.estimators import (
 from sitetransport.multisite import KNOWN_ESTIMATORS, run_setup
 
 from conftest import build_site, random_site
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def linear_oracle(b0, bt, intercept=0.0):
@@ -272,6 +277,73 @@ class TestKernelRun:
         ]
         # and one cross Gram per site and run
         assert len(blocks) == 3 * len(sites) + 2
+
+
+class TestInvariance:
+    """Weights on the golden inputs do not depend on the units the covariates
+    are measured in (linear mode, standardized map) or on where their origin
+    sits (RBF kernels on both sides, median bandwidth).
+
+    Solves run at eps 1e-10 and must agree to 1e-12 of the largest weight,
+    the references' bound for last-bit differences. The moved inputs differ
+    from the golden ones only by rounding, which moves the weights by at most
+    6e-16 of the largest at lambda 0.03 and 2e-14 at lambda 1e-4, where the
+    program is worst conditioned; a weight that depended on scale or shift
+    would move by orders more (the unstandardized map moves them by 0.7).
+    """
+
+    TIGHT = QpSettings(eps_abs=1e-10, eps_rel=1e-10)
+
+    @staticmethod
+    def _golden():
+        from sitetransport.cli import read_target_sample, read_unit_table
+
+        sites = validate_dataset(read_unit_table(str(DATA_DIR / "golden_data.csv")))
+        return sites, read_target_sample(str(DATA_DIR / "golden_target.csv"))
+
+    @staticmethod
+    def _moved(sites, target, f):
+        """The sites and target with every covariate row mapped by ``f``."""
+        moved = [
+            SiteDataset(site_id=s.site_id, covariates=f(s.covariates), treatment=s.treatment, outcomes=s.outcomes)
+            for s in sites
+        ]
+        return moved, TargetSpec.from_sample(f(target.sample))
+
+    def _weights(self, config, sites, target):
+        _, sides = run_setup(config, sites, target)
+        problems = [BalanceProblem(site=s, target=target, lam=config.lam, **sides) for s in sites]
+        return np.concatenate([solve_weights(prob, self.TIGHT).gamma for prob in problems])
+
+    @staticmethod
+    def _rescale_x1(X):
+        X = X.copy()
+        X[:, 0] = 100.0 * X[:, 0] + 5.0
+        return X
+
+    @pytest.mark.parametrize("lam", [0.03, 1e-4])
+    def test_linear_weights_ignore_the_units_of_a_covariate(self, lam):
+        sites, target = self._golden()
+        config = TransportConfig(estimators=("weighting",), lam=lam)
+        w = self._weights(config, sites, target)
+        w_moved = self._weights(config, *self._moved(sites, target, self._rescale_x1))
+        np.testing.assert_allclose(w_moved, w, rtol=0.0, atol=1e-12 * w.max())
+        # the standardized map is what makes them equal
+        raw = replace(config, standardize=False)
+        w_raw = self._weights(raw, *self._moved(sites, target, self._rescale_x1))
+        assert np.abs(w_raw - self._weights(raw, sites, target)).max() > 1e-3 * w.max()
+
+    @pytest.mark.parametrize("lam", [0.03, 1e-4])
+    def test_rbf_weights_ignore_a_shift_of_every_covariate(self, lam):
+        sites, target = self._golden()
+        rbf = KernelSpec("rbf")
+        config = TransportConfig(
+            estimators=("weighting",), lam=lam, mode="kernel", cate_kernel=rbf, prognostic_kernel=rbf
+        )
+        shift = np.array([3.0, -7.5, 0.25])
+        w = self._weights(config, sites, target)
+        w_moved = self._weights(config, *self._moved(sites, target, lambda X: X + shift))
+        np.testing.assert_allclose(w_moved, w, rtol=0.0, atol=1e-12 * w.max())
 
 
 class TestDecomposeError:

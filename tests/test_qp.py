@@ -845,6 +845,16 @@ class TestActiveSetPath:
             np.testing.assert_array_equal(sol.y, y)
             assert sol.objective == prob.objective(x)
 
+    def test_one_product_with_p_per_step(self, monkeypatch):
+        prob = small_kernel_program(1e-5, n=40, seed=52)
+        products = []
+        matvec = QuadraticProgram.p_matvec
+        monkeypatch.setattr(QuadraticProgram, "p_matvec", lambda self, x: products.append(1) or matvec(self, x))
+        sol = solve_qp(prob)
+        # the objective reuses the last step's P x
+        assert sol.method == "active_set" and len(products) == sol.iterations > 1
+        assert sol.objective == prob.objective(sol.x)
+
     @pytest.mark.parametrize("lam", [1e-3, 1.0, 10.0])
     def test_kernel_programs_match_enumeration(self, lam):
         prob = small_kernel_program(lam)

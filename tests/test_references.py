@@ -63,3 +63,30 @@ def test_comparison_rejects_a_moved_value():
     moved[1][1] = repr(float(moved[1][1]) * (1 + 1e-9))
     with pytest.raises(AssertionError, match="cate_imbalance"):
         assert_matches_reference(name, moved)
+
+
+def test_make_references_rewrites_only_the_named_references(monkeypatch):
+    written = []
+    monkeypatch.setattr(refs, "write_reference", lambda name, table: written.append((name, table)))
+    monkeypatch.setattr(refs, "sim_outputs", lambda: pytest.fail("the simulation ran for a CLI reference"))
+    assert refs.main(["reference_sweep_linear.csv"]) == 0
+    assert [name for name, _ in written] == ["reference_sweep_linear.csv"]
+    assert_matches_reference("reference_sweep_linear.csv", written[0][1])
+
+
+def test_make_references_writes_one_simulation_table_alone(monkeypatch):
+    written = []
+    monkeypatch.setattr(refs, "write_reference", lambda name, table: written.append(name))
+    monkeypatch.setattr(refs, "cli_output", lambda name: pytest.fail(f"{name} ran for a simulation reference"))
+    monkeypatch.setattr(refs, "sim_outputs", lambda: ([["rows"]], [["cells"]]))
+    assert refs.main([refs.SIM_CELLS]) == 0
+    assert written == [refs.SIM_CELLS]
+
+
+def test_make_references_rejects_an_unknown_name_and_lists_the_valid_ones(monkeypatch, capsys):
+    monkeypatch.setattr(refs, "write_reference", lambda name, table: pytest.fail("wrote a reference"))
+    assert refs.main(["reference_sweep_linear.csv", "reference_nope.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "reference_nope.csv" in err
+    assert all(name in err for name in refs.NAMES)
+    assert len(refs.NAMES) == 7 and refs.SIM_ROWS in refs.NAMES

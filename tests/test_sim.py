@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import assert_sites_identical
 from sitetransport import SimConfig, build_populations, generate_rep, run_simulation
 from sitetransport.sim import ORACLE
 
@@ -48,7 +49,8 @@ class TestGenerateRep:
         pops = build_populations(cfg)
         a = generate_rep(cfg, 5, pops)
         b = generate_rep(cfg, 5, pops)
-        assert a.sites[0] == b.sites[0]
+        for got, want in zip(a.sites, b.sites, strict=True):
+            assert_sites_identical(got, want)
         np.testing.assert_array_equal(a.target.sample, b.target.sample)
         assert a.truth == b.truth
 
