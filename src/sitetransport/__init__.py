@@ -36,7 +36,6 @@ from .features import (
     apply_feature_map,
     fit_feature_map,
     identity_map,
-    kernel_eval,
     kernel_matrix,
     resolve_bandwidth,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "identity_map",
     "imbalance_report",
     "ipw_estimate",
-    "kernel_eval",
     "kernel_matrix",
     "kish_ess",
     "lambda_sweep",

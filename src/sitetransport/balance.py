@@ -187,10 +187,10 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
         k_cate, k_prog = resolve_run_kernels([site], prob.target, prob.cate_kernel, prob.prognostic_kernel)
         K_cate = kernel_matrix(k_cate, X)
         K_prog = K_cate if k_prog == k_cate else kernel_matrix(k_prog, X)
-        P = 2.0 * (
-            (a_cate[:, None] * K_cate) * a_cate[None, :]
-            + (a_prog[:, None] * K_prog) * a_prog[None, :]
-        )
+        # 2 (K_c o a_c a_c' + K_p o a_p a_p') in place, symmetric bit for bit as the Grams are
+        P, prog = np.outer(2.0 * a_cate, a_cate), np.outer(2.0 * a_prog, a_prog)
+        P *= K_cate
+        P += np.multiply(prog, K_prog, out=prog)
         if k_cate.kind == "linear":  # k(x, y) = x'y: both target terms need only its mean
             y_bar = target.mean(axis=0)
             kernel_mean, target_block = X @ y_bar, float(y_bar @ y_bar)
@@ -200,7 +200,7 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
             target_block = prob.target.memo(
                 k_cate, lambda: sum(float(K.sum()) for K in _gram_blocks(k_cate, target, target)) / (m * m)
             )
-        base = QuadraticProgram(P=0.5 * (P + P.T), q=-2.0 * a_cate * kernel_mean, **constraints)
+        base = QuadraticProgram(P=P, q=-2.0 * a_cate * kernel_mean, **constraints)
         return _SiteProgram(
             a_cate, a_prog, reg, base, K_cate=K_cate, K_prog=K_prog, kernel_mean=kernel_mean,
             target_block=target_block,
@@ -258,11 +258,11 @@ def kish_ess(gamma: np.ndarray | Sequence[float]) -> float:
     return float(np.sum(w)) ** 2 / denom
 
 
-def imbalance_report(site: SiteDataset, gamma: np.ndarray, prob: BalanceProblem) -> ImbalanceReport:
-    """Signed per-feature imbalances and their norms (linear mode only)."""
+def imbalance_report(prob: BalanceProblem, gamma: np.ndarray) -> ImbalanceReport:
+    """Signed per-feature imbalances of the site's weights ``gamma`` and their norms (linear mode only)."""
     if prob.mode != "linear":
         raise ModeMismatchError("per-feature imbalance requires linear mode")
-    program = (prob if site is prob.site else replace(prob, site=site))._program
+    program = prob._program
     gamma = np.asarray(gamma, dtype=float)
     cate_vec = program.phi_cate.T @ (program.a_cate * gamma) - program.t
     prog_vec = program.phi_prog.T @ (program.a_prog * gamma)
@@ -317,7 +317,7 @@ def solve_weights(
     gamma = _polish(prob.site, sol.x)
 
     if prob.mode == "linear":
-        report = imbalance_report(prob.site, gamma, prob)
+        report = imbalance_report(prob, gamma)
         cate_imb, prog_imb = report.cate_imbalance, report.prognostic_imbalance
     else:
         cate_imb, prog_imb = _kernel_imbalances(prob, gamma)

@@ -26,7 +26,7 @@ from .errors import ConfigError, NonBinaryTreatmentError, SchemaError, SiteTrans
 from .features import KernelSpec, raw_feature_names
 from .heterogeneity import SiteEffectSet, estimate_theta, pseudo_r2
 from .multisite import DEFAULT_LAMBDA, KNOWN_ESTIMATORS, TransportConfig, run_setup, transport_all
-from .qp import QpSettings
+from .qp import QpSettings, whole_number
 from .sim import SimConfig, run_simulation
 
 # Logarithmic default grid plus the production default value 0.03.
@@ -216,13 +216,8 @@ def _kernel_from_config(value) -> KernelSpec:
 
 
 def _solver_from_config(cfg: dict) -> QpSettings:
-    solver = _section(cfg.get("solver", {}), "solver", QpSettings.__dataclass_fields__)
-    defaults = QpSettings()
-    coerced = {}
-    for key, value in solver.items():
-        default = getattr(defaults, key)
-        coerced[key] = value if isinstance(value, type(default)) else type(default)(value)
-    return QpSettings(**coerced)
+    """The solver settings; QpSettings casts and checks each value."""
+    return QpSettings(**_section(cfg.get("solver", {}), "solver", QpSettings.__dataclass_fields__))
 
 
 def _transport_config(cfg: dict, args) -> TransportConfig:
@@ -244,8 +239,8 @@ def _transport_config(cfg: dict, args) -> TransportConfig:
         ("cate_kernel", kernels, "cate", _kernel_from_config),
         ("prognostic_kernel", kernels, "prognostic", _kernel_from_config),
         ("solver", cfg, "solver", lambda _: _solver_from_config(cfg)),
-        ("n_boot", cfg, "n_boot", int),
-        ("seed", cfg, "seed", int),
+        ("n_boot", cfg, "n_boot", lambda v: whole_number(v, "n_boot")),
+        ("seed", cfg, "seed", lambda v: whole_number(v, "seed")),
         ("ipw_hajek", cfg, "ipw_hajek", bool),
     )
     try:
@@ -352,6 +347,9 @@ def _cmd_transport(args) -> int:
     for res in report.results:
         for method, msg in sorted(res.errors.items()):
             print(f"site {res.site_id} {method}: {msg}", file=sys.stderr)
+        for method, est in res.estimates.items():
+            for note in est.notes:
+                print(f"site {res.site_id} {method} note: {note}", file=sys.stderr)
     print(f"wrote {args.out}")
     return 0
 
@@ -463,7 +461,7 @@ def _sim_config(cfg: dict, args) -> SimConfig:
     kwargs = dict(_section(cfg.get("sim", {}), "sim", set(SimConfig.__dataclass_fields__) - {"solver"}))
     # YAML reads unsigned exponents like 1.0e8 as strings; coerce numerics
     casts = {
-        "site_size_range": int,
+        "site_size_range": float,  # SimConfig checks that each is whole
         "cate_coefficients": float,
         "experiment_intercepts": float,
         "lambda_grid": float,
@@ -472,9 +470,9 @@ def _sim_config(cfg: dict, args) -> SimConfig:
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     elif "seed" not in kwargs:
-        kwargs["seed"] = int(cfg.get("seed", 0))
-    kwargs["solver"] = _solver_from_config(cfg)
+        kwargs["seed"] = cfg.get("seed", 0)
     try:
+        kwargs["solver"] = _solver_from_config(cfg)
         for key, cast in casts.items():
             if key in kwargs and kwargs[key] is not None:
                 if not isinstance(kwargs[key], list):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -229,14 +229,11 @@ class PotentialOutcomeOracle:
         return np.array([self.tau(x) for x in np.atleast_2d(X)], dtype=float)
 
 
-def validate_dataset(
-    records: Iterable[UnitRecord] | UnitTable,
-    propensities: Mapping[str, float] | None = None,
-) -> list[SiteDataset]:
+def validate_dataset(records: Iterable[UnitRecord] | UnitTable) -> list[SiteDataset]:
     """Group a unit table (or unit records) by site and validate each site.
 
-    Sites are returned in order of first appearance. A user-supplied per-site
-    propensity overrides the default treated-fraction. Raises
+    Sites are returned in order of first appearance, each with the treated
+    fraction as its propensity. Raises
     :class:`MixedArityError` if covariate lengths differ anywhere in the input
     and :class:`DegenerateSiteError` for any site missing an arm.
     """
@@ -246,15 +243,12 @@ def validate_dataset(
     by_site: dict[str, list[int]] = {}
     for i, site_id in enumerate(table.site_ids):
         by_site.setdefault(site_id, []).append(i)
-
-    propensities = propensities or {}
     return [
         SiteDataset(
             site_id=site_id,
             covariates=table.covariates[idx],
             treatment=table.treatment[idx],
             outcomes=table.outcomes[idx],
-            propensity=propensities.get(site_id),
             row_indices=idx,
         )
         for site_id, idx in by_site.items()

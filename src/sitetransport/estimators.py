@@ -207,7 +207,6 @@ class DensityRatio:
     feature_map: FeatureMap
     prior_ratio: float
     clip_rate: float
-    max_ratio: float
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         arr = np.asarray(X, dtype=float)
@@ -245,7 +244,6 @@ def density_ratio_fit(
         feature_map=feature_map,
         prior_ratio=prior,
         clip_rate=float(np.mean(clipped)),
-        max_ratio=float(np.clip(raw, *RATIO_CLIP).max(initial=0.0)),
     )
 
 
@@ -261,7 +259,10 @@ def ipw_estimate(site: SiteDataset, ratio, hajek: bool = False) -> TransportEsti
 
     ``ratio`` maps covariate rows to density-ratio values (typically a
     :class:`DensityRatio`). The default normalization is 1/n with the known
-    propensity; ``hajek=True`` normalizes each arm by its realized ratio mass.
+    propensity (Horvitz-Thompson); ``hajek=True`` normalizes each arm by its
+    realized ratio mass. Unlike every other estimator here, the default one
+    depends on the outcome's origin: adding c to every outcome adds
+    c * mean(r (z/pi - (1-z)/(1-pi))), not 0 in a sample; Hajek's does not move.
     """
     r = np.asarray(ratio(site.covariates), dtype=float).ravel()
     z = site.treatment

@@ -170,13 +170,6 @@ class KernelSpec:
         return self.kind == "linear" or self.bandwidth is not None
 
 
-def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate the kernel at a pair of equal-length vectors, each raveled to
-    one point of :func:`kernel_matrix`."""
-    x, y = (np.asarray(v, dtype=float).ravel() for v in (x, y))
-    return float(kernel_matrix(spec, x, y)[0, 0])
-
-
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix k(X_i, Y_j); Y defaults to X. A 1-D X or Y is one point
     (a single row), unlike a 1-D sample in :func:`resolve_bandwidth`."""

@@ -79,7 +79,6 @@ class SiteResult:
 @dataclass(frozen=True, eq=False)
 class TransportReport:
     results: tuple[SiteResult, ...]
-    target_size: int | None
 
     def estimates_for(self, method: str) -> list[TransportEstimate]:
         return [r.estimates[method] for r in self.results if method in r.estimates]
@@ -196,9 +195,7 @@ def transport_all(
 
     if all(not r.estimates for r in results):
         raise AllSitesFailedError("no estimator succeeded on any site")
-    return TransportReport(results=tuple(results), target_size=(
-        int(target.sample.shape[0]) if target.is_sample else None
-    ))
+    return TransportReport(results=tuple(results))
 
 
 @dataclass(frozen=True)
@@ -217,11 +214,7 @@ class ErrorDecomposition:
 
 
 def decompose_error(
-    site: SiteDataset,
-    gamma: np.ndarray,
-    target: TargetSpec,
-    oracle: PotentialOutcomeOracle,
-    y: np.ndarray | None = None,
+    site: SiteDataset, gamma: np.ndarray, target: TargetSpec, oracle: PotentialOutcomeOracle
 ) -> ErrorDecomposition:
     """Split the estimation error using the true prognostic and CATE functions.
 
@@ -231,15 +224,12 @@ def decompose_error(
     if not target.is_sample:
         raise ValueError("error decomposition requires a unit-level target sample")
     gamma = np.asarray(gamma, dtype=float).ravel()
-    y = site.outcomes if y is None else np.asarray(y, dtype=float).ravel()
-    z = site.treatment
-    pi = site.propensity
-    n = site.n
+    z, pi, n = site.treatment, site.propensity, site.n
 
     w = (z - pi) / (pi * (1.0 - pi))
     m0 = oracle.m0_vec(site.covariates)
     tau = oracle.tau_vec(site.covariates)
-    eps = y - m0 - z * tau
+    eps = site.outcomes - m0 - z * tau
     truth = float(np.mean(oracle.tau_vec(target.sample)))
 
     prognostic_term = float(np.sum(gamma * w * m0)) / n
@@ -253,7 +243,7 @@ def decompose_error(
     )
 
 
-def display_estimate(site: SiteDataset, gamma: np.ndarray, y: np.ndarray | None = None) -> float:
+def display_estimate(site: SiteDataset, gamma: np.ndarray) -> float:
     """The weighting estimator in its single-sum form
     (1/n) sum gamma_i (z_i - pi) / (pi (1 - pi)) y_i.
 
@@ -261,6 +251,5 @@ def display_estimate(site: SiteDataset, gamma: np.ndarray, y: np.ndarray | None 
     constraints hold and pi = n1/n; used by the decomposition identity.
     """
     gamma = np.asarray(gamma, dtype=float).ravel()
-    y = site.outcomes if y is None else np.asarray(y, dtype=float).ravel()
     w = (site.treatment - site.propensity) / (site.propensity * (1.0 - site.propensity))
-    return float(np.sum(gamma * w * y)) / site.n
+    return float(np.sum(gamma * w * site.outcomes)) / site.n

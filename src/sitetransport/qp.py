@@ -61,6 +61,7 @@ computed once per program and shared by its ``with_p_diag`` copies.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -327,12 +328,35 @@ class QpSettings:
     Every path stops when the primal and dual residuals fall below
     ``eps_abs + eps_rel * scale``. ADMM and the dual Newton path give up
     after ``max_iter`` iterations (Newton steps on the dual path); the
-    active-set path hands over to ADMM instead.
+    active-set path hands over to ADMM instead. A tolerance that is not finite
+    and nonnegative, or a ``max_iter`` not a whole number >= 1, raises ValueError.
     """
 
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
     max_iter: int = 20000
+
+    def __post_init__(self):
+        for name in ("eps_abs", "eps_rel"):
+            value = float(getattr(self, name))
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be a finite nonnegative number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "max_iter", whole_number(self.max_iter, "max_iter", 1))
+
+
+def whole_number(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int, or ValueError naming ``name`` unless it is a whole
+    number (an integral float such as 3.0 included), of at least ``low`` if given."""
+    try:
+        number = value if isinstance(value, numbers.Integral) else float(value)
+    except (TypeError, ValueError):
+        number = np.nan  # not a number: rejected below by its own text
+    if not (isinstance(number, numbers.Integral) or number.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if low is not None and number < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,6 @@ class RegressionFit:
     """
 
     coefficients: np.ndarray
-    kind: str  # "least_squares" | "logistic"
     converged: bool
     dropped: tuple[int, ...] = ()
 
@@ -53,7 +52,7 @@ def fit_least_squares(design: np.ndarray, y: np.ndarray) -> RegressionFit:
         raise ValueError(f"design has {X.shape[0]} rows but y has {y.size}")
     beta = np.zeros(X.shape[1])
     if X.size == 0:
-        return RegressionFit(beta, "least_squares", converged=True, dropped=tuple(range(X.shape[1])))
+        return RegressionFit(beta, converged=True, dropped=tuple(range(X.shape[1])))
 
     qty, r, pivots = scipy.linalg.qr_multiply(X, y, mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
@@ -61,7 +60,7 @@ def fit_least_squares(design: np.ndarray, y: np.ndarray) -> RegressionFit:
     if rank > 0:
         beta[pivots[:rank]] = scipy.linalg.solve_triangular(r[:rank, :rank], qty[:rank])
     dropped = tuple(sorted(int(c) for c in pivots[rank:]))
-    return RegressionFit(coefficients=beta, kind="least_squares", converged=True, dropped=dropped)
+    return RegressionFit(coefficients=beta, converged=True, dropped=dropped)
 
 
 def sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -115,4 +114,4 @@ def fit_logistic(design: np.ndarray, labels: np.ndarray, counts: np.ndarray | No
             "logistic regression saturated every fitted probability; "
             "the classes are separable"
         )
-    return RegressionFit(coefficients=beta, kind="logistic", converged=converged)
+    return RegressionFit(coefficients=beta, converged=converged)

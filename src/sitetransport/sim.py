@@ -21,12 +21,7 @@ from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec
 from .estimators import DOUBLY_ROBUST, IPW, NAIVE, OUTCOME_MODEL, WEIGHTING, weighting_estimate
 from .multisite import KNOWN_ESTIMATORS, TransportConfig, _transport_site, run_setup
-from .qp import QpSettings
-
-# Pseudo-estimator that scores the truth itself; harness self-test hook.
-ORACLE = "oracle"
-
-_KNOWN = KNOWN_ESTIMATORS + (ORACLE,)
+from .qp import QpSettings, whole_number
 
 
 def _default_cate_coefficients(d: int) -> tuple[float, ...]:
@@ -43,6 +38,9 @@ def _default_cate_coefficients(d: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The simulation's settings. The counts, ``seed`` and the site sizes (2 <= low <= high) must
+    be whole numbers (3.0 is kept as 3) and ``noise_sd`` finite and positive, else ValueError."""
+
     n_sites: int = 12
     n_experiments: int = 3
     site_size_range: tuple[int, int] = (150, 600)
@@ -58,19 +56,22 @@ class SimConfig:
     solver: QpSettings = QpSettings()
 
     def __post_init__(self):
-        if self.noise_sd <= 0:
-            raise ValueError("noise_sd must be positive")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if self.n_sites < 1 or self.n_experiments < 1:
-            raise ValueError("site and experiment counts must be positive")
+        counts = dict(n_sites=1, n_experiments=1, n_covariates=1, reps=1, target_experiment=0, seed=0)
+        for name, low in counts.items():
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, low))
+        sizes = tuple(whole_number(v, "a site size", 2) for v in self.site_size_range)
+        if len(sizes) != 2 or sizes[0] > sizes[1]:
+            raise ValueError(f"site_size_range must be two sizes, low <= high, got {sizes}")
+        object.__setattr__(self, "site_size_range", sizes)
+        if not 0.0 < self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be a finite positive number, got {self.noise_sd!r}")
         if len(self.experiment_intercepts) != self.n_experiments:
             raise ValueError("one intercept per experiment group is required")
         if not 0 <= self.target_experiment < self.n_experiments:
             raise ValueError("target_experiment out of range")
         if not [check_lambda(v) for v in self.lambda_grid]:
             raise ValueError("lambda_grid must be nonempty")
-        unknown = [e for e in self.estimators if e not in _KNOWN]
+        unknown = [e for e in self.estimators if e not in KNOWN_ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimator(s) {unknown}")
         if self.cate_coefficients is None:
@@ -219,15 +220,13 @@ def _rep_errors(config: SimConfig, populations, rep: int, cells) -> np.ndarray:
     row = {cell: i for i, cell in enumerate(cells)}
     grid = [lam for name, lam in reversed(cells) if name == WEIGHTING]  # descending, for the warm starts
 
-    setup = TransportConfig(estimators=tuple(e for e in config.estimators if e != ORACLE), n_boot=0)
+    setup = TransportConfig(estimators=config.estimators, n_boot=0)
     fmap, sides = run_setup(setup, repl.sites, repl.target)
     # naive, IPW, outcome model and doubly robust are transport's own per-site path
     transport = replace(setup, estimators=tuple(e for e in setup.estimators if e != WEIGHTING))
 
     for j, site in enumerate(repl.sites):
         truth = repl.truth[site.site_id]
-        if ORACLE in config.estimators:
-            out[row[ORACLE, None], j] = 0.0
         estimates = _transport_site(site, repl.target, transport, fmap, sides).estimates
         for name, est in estimates.items():  # a failed estimator leaves its cell NaN
             out[row[name, None], j] = est.estimate - truth

@@ -281,7 +281,7 @@ class TestImbalanceReport:
         prob = BalanceProblem(
             site=site, target=TargetSpec.from_moments([2.0]), lam=0.0, cate_map=fmap, prognostic_map=fmap
         )
-        rep = imbalance_report(site, np.array([0.0, 2.0, 1.0, 1.0]), prob)
+        rep = imbalance_report(prob, np.array([0.0, 2.0, 1.0, 1.0]))
         assert rep.cate_imbalance == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_arms_zero_prognostic_imbalance(self):
@@ -291,7 +291,7 @@ class TestImbalanceReport:
         prob = BalanceProblem(
             site=site, target=TargetSpec.from_moments([1.0]), lam=0.0, cate_map=fmap, prognostic_map=fmap
         )
-        rep = imbalance_report(site, np.ones(2), prob)
+        rep = imbalance_report(prob, np.ones(2))
         assert rep.prognostic_imbalance == pytest.approx(0.0, abs=1e-12)
 
     def test_formula_plugin(self):
@@ -302,7 +302,7 @@ class TestImbalanceReport:
         prob = BalanceProblem(
             site=site, target=TargetSpec.from_moments([0.0]), lam=0.0, cate_map=fmap, prognostic_map=fmap
         )
-        rep = imbalance_report(site, np.array([2.0, 0.0, 1.0, 1.0]), prob)
+        rep = imbalance_report(prob, np.array([2.0, 0.0, 1.0, 1.0]))
         assert rep.cate_imbalance == pytest.approx(0.0, abs=1e-12)
 
     def test_kernel_mode_rejected(self):
@@ -315,7 +315,7 @@ class TestImbalanceReport:
             prognostic_kernel=KernelSpec("linear"),
         )
         with pytest.raises(ModeMismatchError):
-            imbalance_report(site, np.ones(4), prob)
+            imbalance_report(prob, np.ones(4))
 
 
 class TestKishEss:
@@ -357,9 +357,7 @@ class TestLambdaSweep:
         unweighted = np.mean(
             [
                 imbalance_report(
-                    s,
-                    np.ones(s.n),
-                    BalanceProblem(site=s, target=target, lam=1e6, cate_map=fmap, prognostic_map=fmap),
+                    BalanceProblem(site=s, target=target, lam=1e6, cate_map=fmap, prognostic_map=fmap), np.ones(s.n)
                 ).cate_imbalance
                 for s in sites
             ]

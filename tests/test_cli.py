@@ -433,6 +433,24 @@ class TestTransportCommand:
         for row in rows:
             assert row["weighting_estimate"] == repr(float(row["weighting_estimate"]))
 
+    def test_estimate_notes_are_printed_to_stderr(self, tmp_path, capsys):
+        # x4 repeats x1, so each arm's outcome-model design drops a column
+        for name in ("golden_data", "golden_target"):
+            header, *rows = (DATA_DIR / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+            x1 = header.split(",").index("x1")
+            text = "\n".join([header + ",x4"] + [f"{row},{row.split(',')[x1]}" for row in rows]) + "\n"
+            (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("estimators: [naive, outcome_model]\nn_boot: 0\n", encoding="utf-8")
+        out = tmp_path / "est.csv"
+        rc = main(["transport", "--data", str(tmp_path / "golden_data.csv"), "--target",
+                   str(tmp_path / "golden_target.csv"), "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        note = "outcome_model note: collinear design columns dropped: treated (4,), control (4,)"
+        assert [line for line in err if "note:" in line] == [f"site {site} {note}" for site in ("alpha", "beta")]
+        assert all(row["errors"] == "" for row in read_csv(out))
+
     def test_deterministic_given_seed(self, toy):
         tmp, data, target = toy
         out1, out2 = tmp / "e1.csv", tmp / "e2.csv"
@@ -652,6 +670,44 @@ class TestLambdaValues:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ConfigError"
         assert named in record["message"] and "program data" not in record["message"]
+        assert not (tmp / "out.csv").exists()
+
+
+# a simulation small enough to finish at once where a bad setting slips through
+SMALL_SIM = "n_sites: 2, n_experiments: 1, experiment_intercepts: [0.2], n_covariates: 3, estimators: [naive]"
+
+
+class TestSettingValues:
+    @pytest.mark.parametrize(
+        "command, config, named",
+        [
+            ("transport", "solver: {eps_abs: .nan}\n", "eps_abs must be a finite nonnegative number, got nan"),
+            ("transport", "solver: {max_iter: 0}\n", "max_iter must be at least 1, got 0"),
+            ("weights", "solver: {max_iter: 2.5}\n", "max_iter must be a whole number, got 2.5"),
+            ("sweep", "solver: {eps_rel: -1.0e-6}\n", "eps_rel must be a finite nonnegative number"),
+            ("transport", "n_boot: 2.7\n", "n_boot must be a whole number, got 2.7"),
+            ("transport", "seed: 1.5\n", "seed must be a whole number, got 1.5"),
+            ("simulate", f"sim: {{{SMALL_SIM}, reps: 2.5}}\n", "reps must be a whole number, got 2.5"),
+            ("simulate", f"sim: {{{SMALL_SIM}, reps: 1, site_size_range: [50, 20]}}\n",
+             "site_size_range must be two sizes, low <= high, got (50, 20)"),
+            ("simulate", f"sim: {{{SMALL_SIM}, reps: 1, noise_sd: .nan}}\n",
+             "noise_sd must be a finite positive number, got nan"),
+            ("simulate", f"sim: {{{SMALL_SIM}, reps: 1}}\nseed: 1.5\n", "seed must be a whole number, got 1.5"),
+            ("simulate", f"sim: {{{SMALL_SIM}, reps: 1}}\nsolver: {{max_iter: 0}}\n", "max_iter must be at least 1"),
+        ],
+    )
+    def test_a_setting_it_cannot_honour_exits_2_and_names_it(self, toy, tmp_path, capsys, command, config, named):
+        # each used to exit 0 with every solve failed or a count truncated,
+        # exit 1 from deep in the run, or end in a TypeError traceback
+        tmp, data, target = toy
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        inputs = [] if command == "simulate" else ["--data", str(data), "--target", str(target)]
+        rc = main([command, *inputs, "--config", str(cfg), "--out", str(tmp / "out.csv")])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigError"
+        assert named in record["message"]
         assert not (tmp / "out.csv").exists()
 
 

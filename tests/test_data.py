@@ -47,11 +47,6 @@ class TestValidateDataset:
         sites = validate_dataset(rows)
         assert sum(s.n for s in sites) == len(rows)
 
-    def test_propensity_override(self):
-        rows = [rec("a", 1), rec("a", 0), rec("a", 0)]
-        (site,) = validate_dataset(rows, propensities={"a": 0.4})
-        assert site.propensity == 0.4
-
     def test_row_indices_track_input_positions(self):
         rows = [rec("a", 1), rec("b", 1), rec("a", 0), rec("b", 0)]
         sites = validate_dataset(rows)
@@ -80,6 +75,11 @@ class TestSiteDataset:
         np.testing.assert_array_equal(site.covariates, [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(site.treatment, [1.0, 0.0])
         np.testing.assert_array_equal(site.outcomes, [2.0, 3.0])
+
+    def test_propensity_override(self):
+        rows = [rec("a", 1), rec("a", 0), rec("a", 0)]
+        site = SiteDataset(units=rows, propensity=0.4)
+        assert site.propensity == 0.4
 
     def test_propensity_bounds(self):
         with pytest.raises(ValueError):

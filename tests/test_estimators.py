@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st_
 
 from sitetransport import (
     FeatureMap,
+    KernelSpec,
+    QpSettings,
     TargetSpec,
     TransportConfig,
     density_ratio_fit,
@@ -15,18 +19,23 @@ from sitetransport import (
     naive_estimate,
     outcome_model_estimate,
     transport_all,
+    validate_dataset,
     weighting_estimate,
 )
+from sitetransport.cli import read_target_sample, read_unit_table
 from sitetransport.errors import (
     ConstraintViolationError,
     InsufficientArmError,
     SeparableDataError,
 )
 from sitetransport.estimators import _dr_point
+from sitetransport.multisite import run_setup
 from sitetransport.regression import fit_least_squares, fit_logistic
 
 from conftest import build_site, random_site
 from oracles import bootstrap_loop
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 class TestWeightingEstimate:
@@ -282,33 +291,127 @@ class TestDoublyRobust:
         assert dr.estimate == pytest.approx(om.estimate, abs=1e-6)
 
 
-class TestShiftEquivariance:
-    @settings(max_examples=10, deadline=None)
-    @given(st_.floats(-20, 20, allow_nan=False))
-    def test_all_estimators_ignore_outcome_shifts(self, c):
-        rng = np.random.default_rng(7)
-        site = random_site(rng, n=30, d=2)
-        shifted = build_site(site.covariates, site.treatment, site.outcomes + c)
-        target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(20, 2)))
-        fmap = identity_map(2)
-        gamma = np.abs(rng.normal(1.0, 0.2, site.n))
-        z = site.treatment
-        gamma[z == 1] *= site.n1 / gamma[z == 1].sum()
-        gamma[z == 0] *= site.n0 / gamma[z == 0].sum()
+ALL_ESTIMATORS = ("naive", "weighting", "ipw", "outcome_model", "doubly_robust")
 
-        assert weighting_estimate(shifted, gamma).estimate == pytest.approx(
-            weighting_estimate(site, gamma).estimate, abs=1e-9
+
+def _relation_inputs():
+    """Three sites of 40-70 units and a 50-row target, in 3 covariates."""
+    rng = np.random.default_rng(21)
+    sites = [
+        random_site(rng, n=int(rng.integers(40, 70)), d=3, site_id=f"s{j}", covariate_shift=0.2 * j)
+        for j in range(3)
+    ]
+    return sites, TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(50, 3)))
+
+
+def _moved(sites, covariates=lambda X: X, outcomes=lambda y: y, rows=lambda site: slice(None)):
+    """The sites with their covariates, outcomes and unit order changed."""
+    return [
+        build_site(covariates(s.covariates[rows(s)]), s.treatment[rows(s)], outcomes(s.outcomes[rows(s)]), s.site_id)
+        for s in sites
+    ]
+
+
+def _table(sites, target, **config):
+    """Per estimator, a 2 x sites array of the estimates and standard errors
+    of one transport run of every estimator with a 20-replicate bootstrap."""
+    config = TransportConfig(estimators=ALL_ESTIMATORS, n_boot=20, seed=3, **config)
+    results = transport_all(sites, target, config).results
+    return {
+        m: np.array([[r.estimates[m].estimate, r.estimates[m].std_error] for r in results]).T for m in ALL_ESTIMATORS
+    }
+
+
+class TestShiftEquivariance:
+    """Relations between transport runs on every estimator. Where a relation
+    holds in exact arithmetic, sums taken in another order or over other
+    magnitudes move the results by rounding only: the tolerances are 1e-12,
+    hundreds of times the largest change seen (below 1e-14)."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        c=st_.floats(-20, 20, allow_nan=False),
+        a=st_.floats(0.05, 20) | st_.floats(-20, -0.05),
+    )
+    def test_outcome_shifts_and_scales(self, c, a):
+        sites, target = _relation_inputs()
+        base = _table(sites, target)
+        shifted = _table(_moved(sites, outcomes=lambda y: y + c), target)
+        scaled = _table(_moved(sites, outcomes=lambda y: a * y), target)
+        for m in ALL_ESTIMATORS:
+            # y -> a y scales every estimate by a and every standard error by |a|
+            np.testing.assert_allclose(scaled[m], [[a], [abs(a)]] * base[m], rtol=1e-12, atol=1e-12 * abs(a))
+        # y -> y + c moves nothing, except the default Horvitz-Thompson IPW:
+        # its estimate mean(r (z/pi - (1-z)/(1-pi)) y) gains
+        # c mean(r (z/pi - (1-z)/(1-pi))), which is not 0 in a sample, and
+        # its standard error changes too
+        tol = 1e-12 * (1.0 + abs(c))
+        for m in ALL_ESTIMATORS:
+            if m != "ipw":
+                np.testing.assert_allclose(shifted[m], base[m], rtol=0.0, atol=tol, err_msg=m)
+        fmap, _ = run_setup(TransportConfig(estimators=ALL_ESTIMATORS), sites, target)
+        moved = []
+        for site in sites:
+            r = density_ratio_fit(site.covariates, target.sample, fmap)(site.covariates)
+            z, pi = site.treatment, site.propensity
+            moved.append(c * float(np.mean(r * (z / pi - (1 - z) / (1 - pi)))))
+        np.testing.assert_allclose(shifted["ipw"][0], base["ipw"][0] + moved, rtol=0.0, atol=tol)
+
+    def test_units_permuted_within_each_site(self):
+        sites, target = _relation_inputs()
+        perms = {s.site_id: np.random.default_rng(j).permutation(s.n) for j, s in enumerate(sites)}
+        permuted = _table(_moved(sites, rows=lambda s: perms[s.site_id]), target)
+        base = _table(sites, target)
+        for m in ALL_ESTIMATORS:
+            # the outcome-model and doubly robust standard errors are left out:
+            # a bootstrap replicate resamples units by position, so it draws
+            # other units once they are permuted
+            rows = 1 if m in ("outcome_model", "doubly_robust") else 2
+            np.testing.assert_allclose(permuted[m][:rows], base[m][:rows], rtol=1e-12, err_msg=m)
+
+    def test_covariate_columns_reversed(self):
+        sites, target = _relation_inputs()
+        flipped = _table(_moved(sites, covariates=lambda X: X[:, ::-1]), TargetSpec.from_sample(target.sample[:, ::-1]))
+        base = _table(sites, target)
+        for m in ALL_ESTIMATORS:
+            np.testing.assert_allclose(flipped[m], base[m], rtol=1e-12, err_msg=m)
+
+    def test_site_order_reversed(self):
+        # each site's results depend on the others only through the pooled
+        # feature map. On the golden inputs they are bitwise equal; with the
+        # three sites here the map's standard deviations, summed over the
+        # stacked rows in another order, can move by an ulp, and the results
+        # by rounding
+        sites, target = _relation_inputs()
+        base, reversed_sites = _table(sites, target), _table(sites[::-1], target)
+        for m in ALL_ESTIMATORS:
+            np.testing.assert_allclose(reversed_sites[m][:, ::-1], base[m], rtol=1e-12, err_msg=m)
+        golden = validate_dataset(read_unit_table(str(DATA_DIR / "golden_data.csv")))
+        golden_target = read_target_sample(str(DATA_DIR / "golden_target.csv"))
+        base, reversed_sites = _table(golden, golden_target), _table(golden[::-1], golden_target)
+        for m in ALL_ESTIMATORS:
+            assert reversed_sites[m][:, ::-1].tobytes() == base[m].tobytes(), m
+
+    @pytest.mark.parametrize("lam", [0.03, 1e-4])
+    def test_rbf_weights_ignore_a_rotation(self, lam):
+        # median-bandwidth RBF kernels depend on distances only. The sites stay
+        # below the bandwidth's 2000-row subsample cap, past which the
+        # np.lexsort subsample turns with the coordinates
+        sites, target = _relation_inputs()
+        turn = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))[0]
+        tight = QpSettings(eps_abs=1e-10, eps_rel=1e-10)
+        rbf = KernelSpec("rbf")
+        config = TransportConfig(
+            estimators=("weighting",), lam=lam, mode="kernel", cate_kernel=rbf, prognostic_kernel=rbf, solver=tight
         )
-        assert naive_estimate(shifted).estimate == pytest.approx(
-            naive_estimate(site).estimate, abs=1e-9
-        )
-        om0 = outcome_model_estimate(site, target, fmap, n_boot=0)
-        om1 = outcome_model_estimate(shifted, target, fmap, n_boot=0)
-        assert om1.estimate == pytest.approx(om0.estimate, abs=1e-8)
-        ratio = density_ratio_fit(site.covariates, target.sample, fmap)
-        dr0 = doubly_robust_estimate(site, target, fmap, ratio=ratio, n_boot=0)
-        dr1 = doubly_robust_estimate(shifted, target, fmap, ratio=ratio, n_boot=0)
-        assert dr1.estimate == pytest.approx(dr0.estimate, abs=1e-8)
+
+        def weights(sites, target):
+            report = transport_all(sites, target, config)
+            return np.concatenate([r.weights.gamma for r in report.results])
+
+        w = weights(sites, target)
+        turned = weights(_moved(sites, covariates=lambda X: X @ turn), TargetSpec.from_sample(target.sample @ turn))
+        np.testing.assert_allclose(turned, w, rtol=0.0, atol=1e-12 * w.max())
 
     def test_weighted_means_shift_by_constant(self, rng):
         site = random_site(rng, n=16, d=1)

@@ -9,7 +9,6 @@ from sitetransport import (
     KernelSpec,
     apply_feature_map,
     fit_feature_map,
-    kernel_eval,
     kernel_matrix,
     resolve_bandwidth,
 )
@@ -135,11 +134,11 @@ class TestMapRawMeans:
 class TestKernels:
     def test_rbf_at_zero_distance(self):
         spec = KernelSpec("rbf", bandwidth=1.5)
-        assert kernel_eval(spec, np.array([1.0, 2.0]), np.array([1.0, 2.0])) == pytest.approx(1.0)
+        assert kernel_matrix(spec, np.array([1.0, 2.0]), np.array([1.0, 2.0]))[0, 0] == pytest.approx(1.0)
 
     def test_linear_dot_product(self):
         spec = KernelSpec("linear")
-        assert kernel_eval(spec, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == pytest.approx(11.0)
+        assert kernel_matrix(spec, np.array([1.0, 2.0]), np.array([3.0, 4.0]))[0, 0] == pytest.approx(11.0)
 
     def test_linear_kernel_takes_no_bandwidth(self):
         with pytest.raises(ValueError, match="a linear kernel takes no bandwidth"):
@@ -171,11 +170,11 @@ class TestKernels:
         sigma = 0.7
         x = np.array([0.0])
         y = np.array([np.sqrt(2.0) * sigma])
-        assert kernel_eval(KernelSpec("rbf", sigma), x, y) == pytest.approx(np.exp(-1.0))
+        assert kernel_matrix(KernelSpec("rbf", sigma), x, y)[0, 0] == pytest.approx(np.exp(-1.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            kernel_eval(KernelSpec("linear"), np.ones(2), np.ones(3))
+            kernel_matrix(KernelSpec("linear"), np.ones(2), np.ones(3))
 
     def test_gram_matrices_are_psd(self):
         rng = np.random.default_rng(1)

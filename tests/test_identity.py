@@ -56,7 +56,7 @@ def holders():
         "QuadraticProgram": build_linear_qp(prob),
         "QpSolution": ws.solver,
         "WeightSolution": ws,
-        "ImbalanceReport": imbalance_report(sites[0], ws.gamma, prob),
+        "ImbalanceReport": imbalance_report(prob, ws.gamma),
         "RegressionFit": ratio.fit,
         "DensityRatio": ratio,
         "SiteEffectSet": SiteEffectSet(np.array([0.1, 0.4]), np.array([0.2, 0.3])),

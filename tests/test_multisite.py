@@ -418,7 +418,7 @@ class TestDecomposeError:
 
         fmap = identity_map(d)
         prob = BalanceProblem(site=site, target=target, lam=0.0, cate_map=fmap, prognostic_map=fmap)
-        rep = imbalance_report(site, gamma, prob)
+        rep = imbalance_report(prob, gamma)
         dec = decompose_error(site, gamma, target, oracle)
         bound = C0 * rep.prognostic_imbalance + Ct * rep.cate_imbalance + abs(dec.noise_term)
         # the cate term uses a linear tau with an intercept of zero here,

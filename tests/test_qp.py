@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -189,6 +190,30 @@ def lowrank_program(rng, n=40, k=6):
         l=np.concatenate([[n], np.zeros(n)]),
         u=np.concatenate([[n], np.full(n, np.inf)]),
     )
+
+
+class TestSettings:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(eps_abs=np.nan), "eps_abs must be a finite nonnegative number, got nan"),
+            (dict(eps_abs=np.inf), "eps_abs must be a finite nonnegative number, got inf"),
+            (dict(eps_rel=-1e-6), "eps_rel must be a finite nonnegative number, got -1e-06"),
+            (dict(max_iter=0), "max_iter must be at least 1, got 0"),
+            (dict(max_iter=-5), "max_iter must be at least 1, got -5"),
+            (dict(max_iter=2.5), "max_iter must be a whole number, got 2.5"),
+        ],
+    )
+    def test_a_setting_it_cannot_honour_is_rejected(self, setting, message):
+        # NaN tolerances or no iterations used to fail every solve, not the settings
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QpSettings(**setting)
+
+    def test_values_are_cast(self):
+        # YAML reads 1e-10 as a string; an integral float is a whole number
+        settings = QpSettings(eps_abs="1e-10", eps_rel=0, max_iter=30.0)
+        assert settings == QpSettings(eps_abs=1e-10, eps_rel=0.0, max_iter=30)
+        assert type(settings.max_iter) is int and type(settings.eps_rel) is float
 
 
 class TestFiniteData:
@@ -465,7 +490,7 @@ class TestDualPath:
         assert -np.abs(mu).sum() * sol.primal_residual - 1e-15 * scale <= sol.duality_gap
         assert sol.duality_gap <= 1e-9 * scale
 
-    @pytest.mark.parametrize("steps", [0, 1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
     def test_gap_bounds_the_distance_to_the_optimum(self, steps):
         # weak duality: -h(nu, mu) <= optimum for every (nu, mu), so
         # objective(x) - optimum <= gap also before convergence; x is not
@@ -729,7 +754,7 @@ class TestDualPath:
     def test_newton_stopped_at_max_iter_reports_its_dual_residual(self):
         # the dual residual is formed only once the primal one passes, and at exit
         prob = QuadraticProgram(**balancing_program(np.random.default_rng(50), 1e-4))
-        for steps in (0, 1, 2):
+        for steps in (1, 2):
             sol = solve_qp(prob, QpSettings(max_iter=steps))
             assert sol.status == MAX_ITERATIONS and sol.iterations == steps
             residual = np.abs(prob.p_matvec(sol.x) + prob.q + prob.A.T @ sol.y).max()

@@ -1,9 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import assert_sites_identical
 from sitetransport import SimConfig, build_populations, generate_rep, run_simulation
-from sitetransport.sim import ORACLE
 
 
 def small_config(**overrides):
@@ -31,6 +32,33 @@ class TestConfig:
     def test_lambda_grid_value_must_be_finite_and_nonnegative(self, bad):
         with pytest.raises(ValueError, match=f"got {bad}"):
             small_config(lambda_grid=(1e-4, bad))
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(reps=2.5), "reps must be a whole number, got 2.5"),
+            (dict(n_sites=4.5), "n_sites must be a whole number, got 4.5"),
+            (dict(n_covariates=5.5), "n_covariates must be a whole number, got 5.5"),
+            (dict(target_experiment=0.5), "target_experiment must be a whole number, got 0.5"),
+            (dict(seed=1.5), "seed must be a whole number, got 1.5"),
+            (dict(noise_sd=float("nan")), "noise_sd must be a finite positive number, got nan"),
+            (dict(noise_sd=float("inf")), "noise_sd must be a finite positive number, got inf"),
+            (dict(site_size_range=(120, 60)), "site_size_range must be two sizes, low <= high, got (120, 60)"),
+            (dict(site_size_range=(1, 60)), "a site size must be at least 2, got 1"),
+            (dict(site_size_range=(60.5, 120)), "a site size must be a whole number, got 60.5"),
+            (dict(site_size_range=(60,)), "site_size_range must be two sizes, low <= high, got (60,)"),
+        ],
+    )
+    def test_a_setting_it_cannot_honour_is_rejected(self, setting, message):
+        # each used to pass here and fail later: a TypeError, numpy's
+        # "low >= high" or "outcome must be finite", or a truncated count
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_config(**setting)
+
+    def test_whole_floats_are_kept_as_ints(self):
+        cfg = small_config(reps=3.0, n_sites=4.0, seed=11.0, site_size_range=(60.0, 120.0))
+        assert cfg == small_config()
+        assert all(type(v) is int for v in (cfg.reps, cfg.n_sites, cfg.seed, *cfg.site_size_range))
 
     def test_intercept_count_must_match_groups(self):
         with pytest.raises(ValueError):
@@ -107,12 +135,21 @@ class TestGenerateRep:
 
 
 class TestRunSimulation:
-    def test_oracle_scores_zero(self):
-        cfg = small_config(estimators=(ORACLE, "naive"))
+    def test_rows_score_the_cell_errors(self):
+        # RMSE: each rep's root mean square over its completed sites, averaged
+        # over reps; mean absolute bias: each site's mean error over its
+        # completed reps, absolute, averaged over sites. IPW fails every rep
+        # of two sites here, which then count in neither average.
+        cfg = small_config(n_covariates=12, site_size_range=(16, 20), estimators=("naive", "weighting", "ipw"))
         res = run_simulation(cfg)
-        row = res.row(ORACLE)
-        assert row.rmse == 0.0
-        assert row.mean_abs_bias == 0.0
+        assert 0 < res.row("ipw").n_failed < cfg.reps * cfg.n_sites
+        for row in res.rows:
+            errors = res.cell_errors[row.estimator, row.lam]
+            done = [e[~np.isnan(e)] for e in errors], [e[~np.isnan(e)] for e in errors.T]
+            per_rep = [np.sqrt(np.mean(e**2)) for e in done[0] if e.size]
+            per_site = [np.mean(e) for e in done[1] if e.size]
+            assert row.rmse == pytest.approx(np.mean(per_rep), rel=1e-12)
+            assert row.mean_abs_bias == pytest.approx(np.mean(np.abs(per_site)), rel=1e-12)
 
     def test_heavily_regularized_weighting_matches_naive(self):
         cfg = small_config()
