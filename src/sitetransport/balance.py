@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec
@@ -163,9 +162,9 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
     a_cate = z / (n * pi)
     a_prog = (z - pi) / (n * pi * (1.0 - pi))
     reg = z / pi + (1.0 - z) / (1.0 - pi)
-    A = sp.vstack([sp.csr_matrix(z), sp.csr_matrix(1.0 - z), sp.eye(n, format="csr")], format="csr")
-    upper = np.concatenate([[site.n1, site.n0], np.full(n, np.inf)])
-    constraints = dict(A=A, l=np.concatenate([[site.n1, site.n0], np.zeros(n)]), u=upper)
+    # the arm sums, gamma'z = n1 and gamma'(1 - z) = n0, and gamma >= 0
+    arm_sums = np.array([site.n1, site.n0], dtype=float)
+    constraints = dict(A=np.vstack([z, 1.0 - z]), l=arm_sums, u=arm_sums, lb=np.zeros(n))
     if prob.mode == "linear":
         cmap, pmap = prob.cate_map, prob.prognostic_map
         phi_cate = apply_feature_map(cmap, X)

@@ -26,7 +26,7 @@ from .errors import ConfigError, NonBinaryTreatmentError, SchemaError, SiteTrans
 from .features import KernelSpec, raw_feature_names
 from .heterogeneity import SiteEffectSet, estimate_theta, pseudo_r2
 from .multisite import DEFAULT_LAMBDA, KNOWN_ESTIMATORS, TransportConfig, run_setup, transport_all
-from .qp import QpSettings, whole_number
+from .qp import QpSettings
 from .sim import SimConfig, run_simulation
 
 # Logarithmic default grid plus the production default value 0.03.
@@ -235,13 +235,13 @@ def _transport_config(cfg: dict, args) -> TransportConfig:
         ("lam", cfg, "lambda", float),
         ("mode", cfg, "mode", None),
         ("interactions", features, "interactions", lambda pairs: tuple(tuple(p) for p in pairs)),
-        ("standardize", features, "standardize", bool),
+        ("standardize", features, "standardize", None),
         ("cate_kernel", kernels, "cate", _kernel_from_config),
         ("prognostic_kernel", kernels, "prognostic", _kernel_from_config),
         ("solver", cfg, "solver", lambda _: _solver_from_config(cfg)),
-        ("n_boot", cfg, "n_boot", lambda v: whole_number(v, "n_boot")),
-        ("seed", cfg, "seed", lambda v: whole_number(v, "seed")),
-        ("ipw_hajek", cfg, "ipw_hajek", bool),
+        ("n_boot", cfg, "n_boot", None),
+        ("seed", cfg, "seed", None),
+        ("ipw_hajek", cfg, "ipw_hajek", None),
     )
     try:
         given = {}

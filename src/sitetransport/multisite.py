@@ -26,7 +26,7 @@ from .estimators import (
     weighting_estimate,
 )
 from .features import FeatureMap, KernelSpec, fit_feature_map
-from .qp import QpSettings
+from .qp import QpSettings, whole_number
 
 KNOWN_ESTIMATORS = (NAIVE, WEIGHTING, OUTCOME_MODEL, IPW, DOUBLY_ROBUST)
 DEFAULT_LAMBDA = 0.03
@@ -38,6 +38,8 @@ class TransportConfig:
 
     The same feature-map specification is used for the effect side and the
     prognostic side in linear mode; kernel mode uses the two kernel specs.
+    ``n_boot`` and ``seed`` must be whole numbers >= 0 and ``standardize``
+    and ``ipw_hajek`` booleans, or ConfigError names the setting.
     """
 
     estimators: tuple[str, ...] = (NAIVE, WEIGHTING)
@@ -61,6 +63,14 @@ class TransportConfig:
         if self.mode not in ("linear", "kernel"):
             raise ConfigError(f"mode must be 'linear' or 'kernel', got {self.mode!r}")
         check_lambda(self.lam, ConfigError)
+        for name in ("standardize", "ipw_hajek"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        try:
+            object.__setattr__(self, "n_boot", whole_number(self.n_boot, "n_boot"))
+            object.__setattr__(self, "seed", whole_number(self.seed, "seed", 0))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.n_boot < 0 or self.n_boot == 1:
             raise ConfigError(f"n_boot must be 0 (no bootstrap) or at least 2, got {self.n_boot}")
 

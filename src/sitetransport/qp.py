@@ -1,9 +1,11 @@
-"""Convex QP solver: minimize 1/2 x'Px + q'x subject to l <= Ax <= u.
+"""Convex QP solver: minimize 1/2 x'Px + q'x subject to l <= Ax <= u and
+lb <= x <= ub, with multipliers y on the stacked rows [A; I_S] (see
+``QuadraticProgram``).
 
 ``solve_qp`` takes one of three paths, chosen from the program alone. Two of
-them need the balancing shape: equality rows Ex = b, one ``0 <= x_i < inf``
-row per column, and P = base + diag(D) with every D > 0 (a balancing program
-at lambda > 0).
+them need the balancing shape: equality rows Ex = b (E = A, b = l = u),
+0 <= x < inf on every variable, and P = base + diag(D) with every D > 0 (a
+balancing program at lambda > 0).
 
 * **Dual Newton.** When the base is factored, P = F'F + diag(D) (linear
   mode), the program is solved on its exact dual in theta = (nu, mu), one
@@ -38,16 +40,17 @@ at lambda > 0).
   (Stellato et al. 2020). If the free set keeps changing for
   ``_ACTIVE_SET_MAX_STEPS`` steps, a factorization fails or the result
   misses the residual test, the program goes to ADMM.
-* **ADMM** for every other program (a zero in D, inequality rows, general
-  constraints): an operator-splitting iteration with over-relaxation,
+* **ADMM** for every other program (a zero in D, inequality rows, other
+  bounds): an operator-splitting iteration with over-relaxation,
   residual-balancing step-size adaptation, and divergence certificates for
-  primal/dual infeasibility. Each iteration solves the reduced KKT system
-  (P + sigma I + A' diag(rho) A) x = sigma x - q + A'(rho z - y) of OSQP:
+  primal/dual infeasibility, on the stacked rows C = [A; I_S]. Each
+  iteration solves the reduced KKT system
+  (P + sigma I + C' diag(rho) C) x = sigma x - q + C'(rho z - y) of OSQP:
   through a diagonal-plus-low-rank (Woodbury) factorization when P is
   factored and of low rank, otherwise through a dense Cholesky
   factorization.
 
-All paths return multipliers in one sign convention (P x + q + A'y = 0 at
+All paths return y in one layout and sign convention (P x + q + C'y = 0 at
 the optimum) and stop on the same eps_abs/eps_rel residual test, so each can
 warm-start the others. A program with an explicit P is solved with the BLAS
 capped at one thread (:func:`~sitetransport.blas.single_threaded_blas`): on
@@ -105,10 +108,16 @@ _ACTIVE_SET_MAX_STEPS = 50
 _RIDGE_ULPS = 8
 
 
+def _vector(value, size: int, fill: float, name: str) -> np.ndarray:
+    """``value`` as a float vector of ``size`` entries, ``fill`` in each when None."""
+    v = np.full(size, fill) if value is None else np.asarray(value, dtype=float).ravel()
+    if v.size != size:
+        raise DimensionMismatchError(f"{name} has {v.size} entries, expected {size}")
+    return v
+
+
 def _diagonal(d, n: int) -> np.ndarray:
-    d = np.zeros(n) if d is None else np.asarray(d, dtype=float).ravel()
-    if d.size != n:
-        raise DimensionMismatchError("p_diag length must match q")
+    d = _vector(d, n, 0.0, "p_diag")
     if not np.isfinite(d).all():
         raise ValueError("program data must be finite (bounds may be infinite, not NaN)")
     return d
@@ -116,15 +125,22 @@ def _diagonal(d, n: int) -> np.ndarray:
 
 class _Structure:
     """What the solver derives from a program's constraints, ``q`` and base
-    (``P``, or the factor ``F`` of F'F), each piece once, on first use; a
-    program shares it with every ``with_p_diag`` copy. The pieces that
-    depend on ``p_diag``, the dual path's Gram, r0 and running active Gram
-    (``dual_gram``, ``active_gram``), are kept for the first ridge that path
-    solves with and serve every copy whose ridge is a multiple of it."""
+    (``P``, or the factor ``F`` of F'F): the set S of bounded variables and
+    the bounds of the stacked rows [A; I_S] at once, every other piece once,
+    on first use; a program shares it with every ``with_p_diag`` copy. The
+    pieces that depend on ``p_diag``, the dual path's Gram, r0 and running
+    active Gram (``dual_gram``, ``active_gram``), are kept for the first
+    ridge that path solves with and serve every copy whose ridge is a
+    multiple of it."""
 
     def __init__(self, prob: QuadraticProgram):
         self.A, self.l, self.u, self.q = prob.A, prob.l, prob.u, prob.q
+        self.lb, self.ub = prob.lb, prob.ub
         self.P, self.F = prob.P, prob.p_factor
+        self.m_a = self.A.shape[0]
+        self.bounded = np.flatnonzero(np.isfinite(self.lb) | np.isfinite(self.ub))
+        self.lower = np.concatenate([self.l, self.lb[self.bounded]])
+        self.upper = np.concatenate([self.u, self.ub[self.bounded]])
         self._ridge: np.ndarray | None = None
         self._gram: tuple[np.ndarray, np.ndarray] | None = None
         self._running = None  # (A, T_A, rows changed since T_A was last formed directly)
@@ -150,47 +166,33 @@ class _Structure:
                 f"of P + tol I fails at pivot {info}"
             )
 
-    @cached_property
-    def row_split(self) -> tuple[np.ndarray, ...]:
-        """Singleton rows of A (one entry) with their columns and values,
-        then the general rows with their dense block."""
-        A = self.A
-        nnz_per_row = np.diff(A.indptr)
-        single, general = np.flatnonzero(nnz_per_row == 1), np.flatnonzero(nnz_per_row != 1)
-        first = A.indptr[single]
-        return single, A.indices[first], A.data[first], general, A[general].toarray()
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """[A; I_S] x: the rows of A, then the bounded variables."""
+        return np.concatenate([self.A @ x, x[self.bounded]])
+
+    def rows_t(self, y: np.ndarray) -> np.ndarray:
+        """[A; I_S]' y: A' times y's first m_a entries, plus the rest on S."""
+        out = self.A.T @ y[: self.m_a]
+        out[self.bounded] += y[self.m_a :]
+        return out
 
     @cached_property
-    def AT(self) -> sp.spmatrix:
-        """A' as scipy transposes it (CSC), for every path's A'y."""
-        return self.A.T
+    def balancing(self) -> bool:
+        """Whether the program has the balancing shape: every row of A an
+        equality (l == u, finite) and 0 <= x < inf on every variable."""
+        return bool(
+            np.all(self.l == self.u) and np.isfinite(self.l).all()
+            and np.all(self.lb == 0.0) and np.all(self.ub == np.inf)
+        )
 
     @cached_property
-    def balancing(self) -> tuple[np.ndarray, ...] | None:
-        """``(eq, bound, cols, E)`` of a program of the balancing shape, or
-        None: ``bound[j]`` is the ``0 <= x < inf`` row of column ``cols[j]``
-        (one per column), ``eq`` the other rows, all l == u and finite, and
-        E = A[eq]."""
-        l, u, n = self.l, self.u, self.A.shape[1]
-        single, single_cols, single_vals = self.row_split[:3]
-        keep = (single_vals == 1.0) & (l[single] == 0.0) & (u[single] == np.inf)
-        bound, cols = single[keep], single_cols[keep]
-        if bound.size != n or np.bincount(cols, minlength=n).max(initial=0) != 1:
+    def dual(self) -> np.ndarray | None:
+        """The dual Newton path's Mt = [F', -E'] with E = A, one row per
+        column of the program, or None when the base is explicit or the
+        program is not of the balancing shape."""
+        if self.P is not None or not self.balancing:
             return None
-        eq = np.setdiff1d(np.arange(l.size), bound)
-        if not (np.all(l[eq] == u[eq]) and np.isfinite(l[eq]).all()):
-            return None
-        return eq, bound, cols, self.A[eq].toarray()
-
-    @cached_property
-    def dual(self) -> tuple[np.ndarray, ...] | None:
-        """The dual Newton path's ``(eq, bound, cols, E, Mt)`` with
-        Mt = [F', -E'], one row per column of the program, or None when the
-        base is explicit or the program is not of the balancing shape."""
-        if self.P is not None or self.balancing is None:
-            return None
-        eq, bound, cols, E = self.balancing
-        return eq, bound, cols, E, np.hstack([self.F.T, -E.T])
+        return np.hstack([self.F.T, -self.A.T])
 
     def dual_gram(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
         """(G0, r0, c) for a ridge D = c * D0 to a few ulps of each entry,
@@ -207,7 +209,7 @@ class _Structure:
         if not np.all(np.abs(D - c * self._ridge) <= _RIDGE_ULPS * np.spacing(D)):
             return None
         if self._gram is None:
-            Mt, inv_d0 = self.dual[-1], 1.0 / self._ridge
+            Mt, inv_d0 = self.dual, 1.0 / self._ridge
             self._gram = _row_gram(Mt, slice(None), inv_d0), Mt.T @ (self.q * inv_d0)
             self._running = np.ones(D.size, dtype=bool), self._gram[0].copy(), 0
         return *self._gram, c
@@ -218,7 +220,7 @@ class _Structure:
         rows that entered and left it; formed again from the active rows when
         ``direct`` or when the rows changed since its last such form outnumber
         them, which bounds both the work and the rounding drift."""
-        (last, T, drift), Mt, inv_d0 = self._running, self.dual[-1], 1.0 / self._ridge
+        (last, T, drift), Mt, inv_d0 = self._running, self.dual, 1.0 / self._ridge
         changed = active != last
         drift += np.count_nonzero(changed)
         if direct or drift > np.count_nonzero(active):
@@ -231,10 +233,16 @@ class _Structure:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticProgram:
-    """Problem data. Equalities are encoded as l == u rows of A.
+    """Problem data: minimize 1/2 x'Px + q'x subject to l <= A x <= u and
+    lb <= x <= ub, every bound unbounded and ``A`` without rows by default.
+
+    ``A`` holds the general rows, l == u for an equality; a bound on one
+    variable goes in ``lb``/``ub``. A solution's ``y`` has ``m`` entries, on
+    the stacked rows [A; I_S] with S the variables with a finite bound: one
+    per row of A, then one per variable of S in variable order.
 
     The quadratic term is P = base + diag(p_diag). The base is an explicit
-    symmetric PSD matrix ``P`` (kept as a dense array; a sparse one is
+    symmetric PSD matrix ``P`` (kept dense, as ``A``; sparse input is
     densified) or p_factor' p_factor for a k x n ``p_factor``, not both;
     ``p_diag`` (length n) defaults to zeros. All data must be finite, except
     that bounds may be infinite.
@@ -244,30 +252,30 @@ class QuadraticProgram:
     """
 
     q: np.ndarray
-    A: sp.spmatrix
-    l: np.ndarray
-    u: np.ndarray
+    A: np.ndarray | None = None
+    l: np.ndarray | None = None
+    u: np.ndarray | None = None
     P: np.ndarray | None = None
     p_factor: np.ndarray | None = None
     p_diag: np.ndarray | None = None
+    lb: np.ndarray | None = None
+    ub: np.ndarray | None = None
     _structure: _Structure = field(init=False, repr=False)
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float).ravel()
         object.__setattr__(self, "q", q)
         n = q.size
-        A = sp.csr_matrix(self.A, dtype=float)
-        if A.shape[1] != n:
-            raise DimensionMismatchError(f"A has {A.shape[1]} columns, expected {n}")
+        A = np.empty((0, n)) if self.A is None else self.A
+        A = np.asarray(A.toarray() if sp.issparse(A) else A, dtype=float)
+        if A.ndim != 2 or A.shape[1] != n:
+            raise DimensionMismatchError(f"A has shape {A.shape}, expected {n} columns")
         object.__setattr__(self, "A", A)
-        l = np.asarray(self.l, dtype=float).ravel()
-        u = np.asarray(self.u, dtype=float).ravel()
-        if l.size != A.shape[0] or u.size != A.shape[0]:
-            raise DimensionMismatchError("bound vectors must match the constraint row count")
-        if np.any(l > u):
+        m, bounds = A.shape[0], ("l", "u", "lb", "ub")
+        for name, size, fill in zip(bounds, (m, m, n, n), (-np.inf, np.inf, -np.inf, np.inf)):
+            object.__setattr__(self, name, _vector(getattr(self, name), size, fill, name))
+        if np.any(self.l > self.u) or np.any(self.lb > self.ub):
             raise ValueError("lower bounds exceed upper bounds")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "u", u)
 
         if self.P is not None:
             if self.p_factor is not None:
@@ -286,8 +294,8 @@ class QuadraticProgram:
             object.__setattr__(self, "p_factor", F)
         object.__setattr__(self, "p_diag", _diagonal(self.p_diag, n))
         base = self.P if self.P is not None else self.p_factor
-        finite = np.isfinite(q).all() and np.isfinite(base).all()
-        if not finite or np.isnan(l).any() or np.isnan(u).any():
+        finite = np.isfinite(q).all() and np.isfinite(base).all() and np.isfinite(A).all()
+        if not finite or any(np.isnan(getattr(self, name)).any() for name in bounds):
             raise ValueError("program data must be finite (bounds may be infinite, not NaN)")
         object.__setattr__(self, "_structure", _Structure(self))
 
@@ -304,7 +312,8 @@ class QuadraticProgram:
 
     @property
     def m(self) -> int:
-        return self.A.shape[0]
+        """The length of y: the rows of A and the bounded variables."""
+        return self._structure.lower.size
 
     def p_matvec(self, x: np.ndarray) -> np.ndarray:
         base = self.P @ x if self.P is not None else self.p_factor.T @ (self.p_factor @ x)
@@ -361,7 +370,8 @@ def whole_number(value, name: str, low: int | None = None) -> int:
 
 @dataclass(frozen=True, eq=False)
 class QpSolution:
-    """Solver output; ``y`` satisfies P x + q + A'y = 0 at the optimum.
+    """Solver output; ``y``, laid out as the stacked rows [A; I_S] (see
+    QuadraticProgram), satisfies P x + q + [A; I_S]'y = 0 at the optimum.
 
     ``duality_gap`` is objective(x) + h(nu, mu) on the dual Newton path,
     which equals 1/2 |F x - nu|^2 + mu'(E x - b). By weak duality it bounds
@@ -405,39 +415,36 @@ def _check_convexity(prob: QuadraticProgram) -> None:
 
 
 class _ReducedKkt:
-    """The row split of A shared by both ADMM linear systems, which solve
-    M x = sigma x - q + A'(rho z - y) with M = P + sigma I + A' diag(rho) A.
-
-    Singleton rows (one entry) become a diagonal term of M and the few
-    general rows a dense block; A x and A'y are scipy's sparse products.
+    """What both ADMM linear systems share. They solve
+    M x = sigma x - q + C'(rho z - y) with M = P + sigma I + C' diag(rho) C
+    over the stacked rows C = [A; I_S]: the bound rows add their rho to the
+    diagonal of M, the rows of A a dense block.
     """
 
     def __init__(self, prob: QuadraticProgram, sigma: float):
         self.prob = prob
         self.sigma = sigma
-        (self.singleton_rows, self.singleton_cols, self.singleton_vals,
-         self.general_rows, self.A_general) = prob._structure.row_split
+        self.A, self.m_a = prob.A, prob._structure.m_a
 
     def _diag(self, rho: np.ndarray) -> np.ndarray:
-        """The diagonal of M beyond the base and the general rows: p_diag,
-        sigma and the singleton rows' part of A' diag(rho) A."""
-        return self.prob.p_diag + (self.sigma + np.bincount(
-            self.singleton_cols,
-            weights=rho[self.singleton_rows] * self.singleton_vals**2,
-            minlength=self.prob.n,
-        ))
+        """The diagonal of M beyond the base and the rows of A: p_diag,
+        sigma and the bound rows' rho."""
+        bound_rho = np.zeros(self.prob.n)
+        bound_rho[self.prob._structure.bounded] = rho[self.m_a :]
+        return self.prob.p_diag + (self.sigma + bound_rho)
 
     def solve(self, x, z, y, q):
-        """(x~, z~) of one ADMM step, with z~ = A x~."""
-        x_t = self._solve(self.sigma * x - q + self.prob._structure.AT @ (self._rho * z - y))
-        return x_t, self.prob.A @ x_t
+        """(x~, z~) of one ADMM step, with z~ = C x~."""
+        structure = self.prob._structure
+        x_t = self._solve(self.sigma * x - q + structure.rows_t(self._rho * z - y))
+        return x_t, structure.rows(x_t)
 
 
 class _DirectKkt(_ReducedKkt):
     """Dense Cholesky factorization of M."""
 
     def factor(self, rho: np.ndarray) -> None:
-        general = (self.A_general.T * rho[self.general_rows]) @ self.A_general
+        general = (self.A.T * rho[: self.m_a]) @ self.A
         M = self.prob._structure.dense_base + general
         M[np.diag_indices_from(M)] += self._diag(rho)
         self._chol, info = dpotrf(M, lower=1)
@@ -453,13 +460,11 @@ class _DirectKkt(_ReducedKkt):
 
 class _LowRankKkt(_ReducedKkt):
     """Woodbury solve of M = diag(d) + C'C with C stacking the P factor and
-    the general rows scaled by sqrt(rho), at O(n * rank) per iteration."""
+    the rows of A scaled by sqrt(rho), at O(n * rank) per iteration."""
 
     def factor(self, rho: np.ndarray) -> None:
         diag = self._diag(rho)
-        C = np.vstack(
-            [self.prob.p_factor, np.sqrt(rho[self.general_rows])[:, None] * self.A_general]
-        )
+        C = np.vstack([self.prob.p_factor, np.sqrt(rho[: self.m_a])[:, None] * self.A])
         self._d = diag
         self._C = C
         Cd = C / diag
@@ -476,15 +481,16 @@ class _LowRankKkt(_ReducedKkt):
 
 
 def _build_rho(prob: QuadraticProgram, rho_scalar: float) -> np.ndarray:
+    lower, upper = prob._structure.lower, prob._structure.upper
     rho = np.full(prob.m, rho_scalar)
-    finite = np.isfinite(prob.l) & np.isfinite(prob.u)
-    eq = finite & (prob.u - prob.l <= _EQ_TOL)
+    finite = np.isfinite(lower) & np.isfinite(upper)
+    eq = finite & (upper - lower <= _EQ_TOL)
     rho[eq] = rho_scalar * _RHO_EQ_SCALE
     return rho
 
 
 def _residuals(prob, Ax, z, Px, Aty, q_norm) -> tuple[float, float, float, float]:
-    """Primal and dual residuals |Ax - z|, |Px + q + A'y| (max norms) and
+    """Primal and dual residuals |Cx - z|, |Px + q + C'y| (max norms) and
     their scales, as ADMM and the active-set path test them."""
     r_prim = float(np.abs(Ax - z).max(initial=0.0))
     r_dual = float(np.abs(Px + prob.q + Aty).max(initial=0.0))
@@ -497,11 +503,12 @@ def _primal_infeasible(prob, dy, eps):
     scale = float(np.abs(dy).max(initial=0.0))
     if scale <= 0:
         return False
-    if float(np.abs(prob._structure.AT @ dy).max(initial=0.0)) > eps * scale:
+    structure = prob._structure
+    if float(np.abs(structure.rows_t(dy)).max(initial=0.0)) > eps * scale:
         return False
     pos = dy > 0
     neg = dy < 0
-    support = float(np.sum(prob.u[pos] * dy[pos])) + float(np.sum(prob.l[neg] * dy[neg]))
+    support = float(np.sum(structure.upper[pos] * dy[pos])) + float(np.sum(structure.lower[neg] * dy[neg]))
     return support <= -eps * scale
 
 
@@ -513,15 +520,10 @@ def _dual_infeasible(prob, dx, eps):
         return False
     if float(prob.q @ dx) > -eps * scale:
         return False
-    Adx = prob.A @ dx
-    tol = eps * scale
-    upper_finite = np.isfinite(prob.u)
-    lower_finite = np.isfinite(prob.l)
-    if np.any(Adx[upper_finite] > tol):
-        return False
-    if np.any(Adx[lower_finite] < -tol):
-        return False
-    return True
+    # C dx may not leave any row by a finite bound
+    structure, tol = prob._structure, eps * scale
+    Cdx = structure.rows(dx)
+    return not (np.any(Cdx[np.isfinite(structure.upper)] > tol) or np.any(Cdx[np.isfinite(structure.lower)] < -tol))
 
 
 def _row_gram(Mt, rows, w) -> np.ndarray:
@@ -553,11 +555,10 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     (nu, 0) - M x - (0, b) and the generalized Hessian is
     diag(1_k, 0) + M_a diag(1/D_a) M_a' over the active columns (x > 0)."""
     structure = prob._structure
-    eq, bound, cols, E, Mt = structure.dual
+    Mt, E, b = structure.dual, prob.A, prob.l
     F, D, q = prob.p_factor, prob.p_diag, prob.q
     k = F.shape[0]
-    b = prob.l[eq]
-    unit = np.concatenate([np.ones(k), np.zeros(eq.size)])
+    unit = np.concatenate([np.ones(k), np.zeros(b.size)])
     c = np.concatenate([np.zeros(k), b])
     inv_d = 1.0 / D
     gram, r0, ridge_ratio = structure.dual_gram(D) or (None, None, 1.0)
@@ -575,7 +576,7 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
             x0 = np.linalg.lstsq(E, b, rcond=None)[0]
             mu = np.linalg.lstsq(E.T, prob.p_matvec(x0) + q, rcond=None)[0]
         else:
-            x0, mu = warm_start[0], -warm_start[1][eq]
+            x0, mu = warm_start[0], -warm_start[1][: b.size]
         theta = np.concatenate([F @ x0, mu])
         sv = q + Mt @ theta
     a = np.maximum(-sv, 0.0)  # D x
@@ -589,14 +590,12 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     while True:
         g = unit * theta - Mt.T @ x - c
         bound_y = np.maximum(sv, 0.0)
-        y = np.empty(prob.m)
-        y[eq] = -theta[k:]
-        y[bound] = -bound_y[cols]
+        y = -np.concatenate([theta[k:], bound_y])
         r_prim = float(np.abs(g[k:]).max(initial=0.0))
         scale_p = max(float(np.abs(g[k:] + b).max(initial=0.0)), b_norm, float(x.max(initial=0.0)))
         r_dual = None  # its n x k product only once the primal residual passes
         if r_prim <= s.eps_abs + s.eps_rel * scale_p:
-            # P x + q + A'y = F'(F x - nu) = -F'g_nu, and P x = F'nu - F'g_nu + D x
+            # P x + q + C'y = F'(F x - nu) = -F'g_nu, and P x = F'nu - F'g_nu + D x
             # with F'nu = s - q - Mt[:, k:] mu: no n x k product beyond F'g_nu
             mt_mu = Mt[:, k:] @ theta[k:]
             f_g = Mt[:, :k] @ g[:k]
@@ -683,16 +682,14 @@ def _solve_active_set(prob, s: QpSettings, warm_start) -> QpSolution | None:
     set {x0 - s0 > 0} with s0 = -y0 on the bound rows, unless that set
     leaves a row of E without a free column; otherwise every column starts
     free."""
-    eq, bound, cols, E = prob._structure.balancing
-    if eq.size == 0:  # x >= 0 alone: no multipliers for the Schur step to fix
+    structure = prob._structure
+    P, d, q, E, b = prob.P, prob.p_diag, prob.q, prob.A, prob.l
+    if b.size == 0:  # x >= 0 alone: no multipliers for the Schur step to fix
         return None
-    P, d, q, b = prob.P, prob.p_diag, prob.q, prob.l[eq]
     n = prob.n
     free = np.ones(n, dtype=bool)
     if warm_start is not None:
-        s0 = np.empty(n)
-        s0[cols] = -warm_start[1][bound]
-        warm_free = warm_start[0] - s0 > 0.0
+        warm_free = warm_start[0] + warm_start[1][b.size :] > 0.0
         if _covers_rows(E, warm_free):
             free = warm_free
     for step in range(1, _ACTIVE_SET_MAX_STEPS + 1):
@@ -726,12 +723,10 @@ def _solve_active_set(prob, s: QpSettings, warm_start) -> QpSolution | None:
         return None
 
     bound_y = np.maximum(sv, 0.0)
-    y = np.empty(prob.m)
-    y[eq] = -mu
-    y[bound] = -bound_y[cols]
-    Ax = prob.A @ x
+    y = -np.concatenate([mu, bound_y])
+    Ax = structure.rows(x)
     r_prim, r_dual, scale_p, scale_d = _residuals(
-        prob, Ax, np.clip(Ax, prob.l, prob.u), px, prob._structure.AT @ y,
+        prob, Ax, np.clip(Ax, structure.lower, structure.upper), px, structure.rows_t(y),
         float(np.abs(q).max(initial=0.0)),
     )
     if r_prim > s.eps_abs + s.eps_rel * scale_p or r_dual > s.eps_abs + s.eps_rel * scale_d:
@@ -780,28 +775,23 @@ def _solve(prob: QuadraticProgram, s: QpSettings, warm_start) -> QpSolution:
             raise DimensionMismatchError("warm start dimensions do not match the program")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("warm start must be finite")
+    structure = prob._structure
     if np.all(prob.p_diag > 0):
         start = None if warm_start is None else (x, y)
-        if prob._structure.dual is not None:
+        if structure.dual is not None:
             return _solve_dual(prob, s, start)
-        if prob.P is not None and prob._structure.balancing is not None:
+        if prob.P is not None and structure.balancing:
             sol = _solve_active_set(prob, s, start)
             if sol is not None:
                 return sol
     if warm_start is None:
-        x = np.zeros(n)
-        y = np.zeros(m)
-        Ax = np.zeros(m)
-        z = np.clip(np.zeros(m), prob.l, prob.u)
+        x, y = np.zeros(n), np.zeros(m)
+    Ax = structure.rows(x)
+    z = np.clip(Ax, structure.lower, structure.upper)
 
-    # Woodbury while the factor and the general rows have rank <= max(8, n // 2)
-    lowrank = prob.P is None and (
-        prob.p_factor.shape[0] + prob._structure.row_split[3].size <= max(8, n // 2)
-    )
+    # Woodbury while the factor and the rows of A have rank <= max(8, n // 2)
+    lowrank = prob.P is None and prob.p_factor.shape[0] + structure.m_a <= max(8, n // 2)
     kkt = (_LowRankKkt if lowrank else _DirectKkt)(prob, _SIGMA)
-    if warm_start is not None:
-        Ax = prob.A @ x
-        z = np.clip(Ax, prob.l, prob.u)
 
     rho_scalar = _RHO
     rho = _build_rho(prob, rho_scalar)
@@ -819,10 +809,10 @@ def _solve(prob: QuadraticProgram, s: QpSettings, warm_start) -> QpSolution:
         x_t, z_t = kkt.solve(x, z, y, prob.q)
         x_new = _ALPHA * x_t + (1.0 - _ALPHA) * x
         v = _ALPHA * z_t + (1.0 - _ALPHA) * z + y / rho
-        z_new = np.clip(v, prob.l, prob.u)
+        z_new = np.clip(v, structure.lower, structure.upper)
         y_new = rho * (v - z_new)
 
-        # A x_new follows from A x_t without another matvec
+        # C x_new follows from C x_t without another matvec
         Ax = _ALPHA * z_t + (1.0 - _ALPHA) * Ax
         x, z, y = x_new, z_new, y_new
 
@@ -835,7 +825,7 @@ def _solve(prob: QuadraticProgram, s: QpSettings, warm_start) -> QpSolution:
             continue
 
         r_prim, r_dual, scale_p, scale_d = _residuals(
-            prob, Ax, z, prob.p_matvec(x), prob._structure.AT @ y, q_norm
+            prob, Ax, z, prob.p_matvec(x), structure.rows_t(y), q_norm
         )
 
         if r_prim <= s.eps_abs + s.eps_rel * scale_p and r_dual <= s.eps_abs + s.eps_rel * scale_d:

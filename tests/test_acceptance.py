@@ -107,7 +107,7 @@ def test_criterion_2_qp_matches_oracles():
         q = rng.normal(size=n)
         lo = -rng.uniform(0.3, 2.0, n)
         hi = rng.uniform(0.3, 2.0, n)
-        prob = QuadraticProgram(P=sp.csr_matrix(P), q=q, A=sp.eye(n), l=lo, u=hi)
+        prob = QuadraticProgram(P=sp.csr_matrix(P), q=q, lb=lo, ub=hi)
         sol = solve_qp(prob, settings)
         assert sol.status == SOLVED
         ref = projected_gradient_box(P, q, lo, hi)

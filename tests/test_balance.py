@@ -593,13 +593,13 @@ class TestProgramReuse:
         assert len(certified) == len(sites)
         assert all(s.P is not None for s in certified)
 
-    def test_linear_sweep_splits_rows_and_builds_dual_matrices_once_per_site(self, sweep_inputs, monkeypatch):
+    def test_linear_sweep_tests_the_shape_and_builds_dual_matrices_once_per_site(self, sweep_inputs, monkeypatch):
         sites, target, fmap = sweep_inputs
-        splits = self._counting_structure(monkeypatch, "row_split")
+        shapes = self._counting_structure(monkeypatch, "balancing")
         duals = self._counting_structure(monkeypatch, "dual")
         rows = lambda_sweep(sites, target, np.logspace(-3, 1, 4), cate_map=fmap, prognostic_map=fmap)
         assert sum(r.n_failed for r in rows) == 0
-        assert len(splits) == len(duals) == len(sites)
+        assert len(shapes) == len(duals) == len(sites)
         assert all(s.dual is not None for s in duals)  # every solve took the dual path
 
     def test_linear_sweep_builds_the_dual_gram_once_per_site(self, sweep_inputs, monkeypatch):
@@ -658,6 +658,21 @@ class TestProgramReuse:
         ka, kb = build_kernel_qp(kprob), build_kernel_qp(kprob.with_lam(2.0))
         assert kb.P is ka.P and np.shares_memory(kb.q, ka.q)
         np.testing.assert_allclose(kb.p_diag - ka.p_diag, 1.5 * 2.0 * _ridge(sites[0]), rtol=1e-12)
+
+    def test_program_states_two_arm_rows_and_nonnegative_weights(self, sweep_inputs):
+        sites, target, fmap = sweep_inputs
+        site = sites[0]
+        for qp in (
+            build_linear_qp(BalanceProblem(site=site, target=target, lam=0.5, cate_map=fmap, prognostic_map=fmap)),
+            build_kernel_qp(_kernel_problem(site, target, 0.5)),
+        ):
+            assert type(qp.A) is np.ndarray and qp.A.shape == (2, site.n)
+            np.testing.assert_array_equal(qp.A, [site.treatment, 1.0 - site.treatment])
+            np.testing.assert_array_equal(qp.l, [site.n1, site.n0])
+            np.testing.assert_array_equal(qp.u, [site.n1, site.n0])
+            np.testing.assert_array_equal(qp.lb, np.zeros(site.n))
+            np.testing.assert_array_equal(qp.ub, np.full(site.n, np.inf))
+            assert qp.m == 2 + site.n  # y: the two arm rows, then one per weight
 
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
     @pytest.mark.parametrize("block", [None, 7 * 45])

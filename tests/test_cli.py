@@ -687,6 +687,7 @@ class TestSettingValues:
             ("sweep", "solver: {eps_rel: -1.0e-6}\n", "eps_rel must be a finite nonnegative number"),
             ("transport", "n_boot: 2.7\n", "n_boot must be a whole number, got 2.7"),
             ("transport", "seed: 1.5\n", "seed must be a whole number, got 1.5"),
+            ("weights", 'features: {standardize: "false"}\n', "standardize must be true or false, got 'false'"),
             ("simulate", f"sim: {{{SMALL_SIM}, reps: 2.5}}\n", "reps must be a whole number, got 2.5"),
             ("simulate", f"sim: {{{SMALL_SIM}, reps: 1, site_size_range: [50, 20]}}\n",
              "site_size_range must be two sizes, low <= high, got (50, 20)"),

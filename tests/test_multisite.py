@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -174,6 +175,22 @@ class TestTransportAll:
     def test_bootstrap_size_without_a_standard_error_rejected(self, n_boot):
         with pytest.raises(ConfigError, match="n_boot"):
             TransportConfig(n_boot=n_boot)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(n_boot=2.7), "n_boot must be a whole number, got 2.7"),
+            (dict(seed=1.5), "seed must be a whole number, got 1.5"),
+            (dict(seed=-1), "seed must be at least 0, got -1"),
+            (dict(standardize="false"), "standardize must be true or false, got 'false'"),
+            (dict(ipw_hajek="false"), "ipw_hajek must be true or false, got 'false'"),
+        ],
+    )
+    def test_a_setting_it_cannot_honour_is_rejected_by_name(self, setting, message):
+        # a fractional n_boot used to end in a TypeError inside the bootstrap,
+        # a negative seed in numpy's ValueError, and a quoted "false" ran as true
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            TransportConfig(**setting)
 
 
 KERNEL_RUN = TransportConfig(

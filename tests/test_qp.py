@@ -27,10 +27,15 @@ from oracles import active_set_enumeration, projected_gradient_box
 
 def simplex_program(P, q, total=2.0):
     n = len(q)
-    A = sp.vstack([sp.csr_matrix(np.ones((1, n))), sp.eye(n)], format="csr")
-    l = np.concatenate([[total], np.zeros(n)])
-    u = np.concatenate([[total], np.full(n, np.inf)])
-    return QuadraticProgram(P=sp.csr_matrix(np.asarray(P, dtype=float)), q=q, A=A, l=l, u=u)
+    return QuadraticProgram(P=np.asarray(P, dtype=float), q=q, A=np.ones((1, n)), l=[total], u=[total], lb=np.zeros(n))
+
+
+def stacked(prob):
+    """The dense rows [A; I_S] of a program, S its variables with a finite
+    bound, and their bounds: the rows its multipliers y belong to."""
+    S = np.flatnonzero(np.isfinite(prob.lb) | np.isfinite(prob.ub))
+    rows = np.vstack([prob.A, np.eye(prob.n)[S]])
+    return rows, np.concatenate([prob.l, prob.lb[S]]), np.concatenate([prob.u, prob.ub[S]])
 
 
 class TestSolveQp:
@@ -50,13 +55,7 @@ class TestSolveQp:
         assert sol.objective <= objs.min() + 1e-5
 
     def test_unbounded_below_is_dual_infeasible(self):
-        prob = QuadraticProgram(
-            P=sp.csr_matrix((2, 2)),
-            q=np.array([-1.0, 0.0]),
-            A=sp.eye(2, format="csr"),
-            l=np.zeros(2),
-            u=np.full(2, np.inf),
-        )
+        prob = QuadraticProgram(P=np.zeros((2, 2)), q=np.array([-1.0, 0.0]), lb=np.zeros(2))
         assert solve_qp(prob).status == DUAL_INFEASIBLE
 
     def test_contradictory_equalities_are_primal_infeasible(self):
@@ -76,15 +75,14 @@ class TestSolveQp:
         assert sol.status == MAX_ITERATIONS
 
     def test_nonconvex_rejected(self):
-        P = sp.csr_matrix(np.diag([1.0, -1.0]))
-        prob = QuadraticProgram(P=P, q=np.zeros(2), A=sp.eye(2), l=np.zeros(2), u=np.ones(2))
+        prob = QuadraticProgram(P=np.diag([1.0, -1.0]), q=np.zeros(2), lb=np.zeros(2), ub=np.ones(2))
         with pytest.raises(NonConvexError):
             solve_qp(prob)
 
     def test_asymmetric_p_rejected(self):
         P = sp.csr_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            QuadraticProgram(P=P, q=np.zeros(2), A=sp.eye(2), l=np.zeros(2), u=np.ones(2))
+            QuadraticProgram(P=P, q=np.zeros(2), lb=np.zeros(2), ub=np.ones(2))
 
     def test_warm_start_from_solution_converges_fast(self):
         rng = np.random.default_rng(0)
@@ -128,7 +126,7 @@ class TestSolveQp:
             sol = solve_qp(prob, settings)
             assert sol.status == SOLVED
             Ax = prob.A @ sol.x
-            assert np.all(Ax >= prob.l - 1e-6)
+            assert np.all(Ax >= prob.l - 1e-6) and np.all(sol.x >= prob.lb - 1e-6)
             assert np.all(Ax <= prob.u + 1e-6)
 
     def test_factored_matches_explicit(self):
@@ -136,11 +134,9 @@ class TestSolveQp:
         F = rng.normal(size=(3, 8))
         diag = rng.uniform(0.1, 1.0, size=8)
         q = rng.normal(size=8)
-        A = sp.vstack([sp.csr_matrix(np.ones((1, 8))), sp.eye(8)], format="csr")
-        l = np.concatenate([[4.0], np.zeros(8)])
-        u = np.concatenate([[4.0], np.full(8, np.inf)])
-        explicit = QuadraticProgram(P=sp.csr_matrix(F.T @ F + np.diag(diag)), q=q, A=A, l=l, u=u)
-        factored = QuadraticProgram(q=q, A=A, l=l, u=u, p_factor=F, p_diag=diag)
+        rows = dict(A=np.ones((1, 8)), l=[4.0], u=[4.0], lb=np.zeros(8))
+        explicit = QuadraticProgram(P=F.T @ F + np.diag(diag), q=q, **rows)
+        factored = QuadraticProgram(q=q, p_factor=F, p_diag=diag, **rows)
         xe = solve_qp(explicit).x
         xf = solve_qp(factored).x
         np.testing.assert_allclose(xe, xf, atol=1e-5)
@@ -154,7 +150,7 @@ class TestSolveQp:
             q = rng.normal(size=n)
             lo = -rng.uniform(0.5, 2.0, n)
             hi = rng.uniform(0.5, 2.0, n)
-            prob = QuadraticProgram(P=sp.csr_matrix(P), q=q, A=sp.eye(n), l=lo, u=hi)
+            prob = QuadraticProgram(P=P, q=q, lb=lo, ub=hi)
             sol = solve_qp(prob)
             assert sol.status == SOLVED
             ref = projected_gradient_box(P, q, lo, hi)
@@ -181,14 +177,14 @@ class TestSolveQp:
 
 
 def lowrank_program(rng, n=40, k=6):
-    A = sp.vstack([sp.csr_matrix(np.ones((1, n))), sp.eye(n)], format="csr")
     return dict(
         p_factor=rng.normal(size=(k, n)),
         p_diag=np.full(n, 0.1),
         q=rng.normal(size=n),
-        A=A,
-        l=np.concatenate([[n], np.zeros(n)]),
-        u=np.concatenate([[n], np.full(n, np.inf)]),
+        A=np.ones((1, n)),
+        l=[n],
+        u=[n],
+        lb=np.zeros(n),
     )
 
 
@@ -257,10 +253,10 @@ class TestFiniteData:
 
 def full_kkt_step(prob, sigma, rho, x, z, y):
     """One ADMM step's (x~, z~) from a dense solve of the full KKT system
-    [[P + sigma I, A'], [A, -diag(1/rho)]] [x~; nu] = [sigma x - q; z - y/rho],
-    with z~ = z + (nu - y)/rho."""
+    [[P + sigma I, C'], [C, -diag(1/rho)]] [x~; nu] = [sigma x - q; z - y/rho]
+    over the stacked rows C = [A; I_S], with z~ = z + (nu - y)/rho."""
     n = prob.n
-    A = prob.A.toarray()
+    A = stacked(prob)[0]
     kkt = np.block([[prob.p_dense() + sigma * np.eye(n), A.T], [A, -np.diag(1.0 / rho)]])
     sol = np.linalg.solve(kkt, np.concatenate([sigma * x - prob.q, z - y / rho]))
     return sol[:n], z + (sol[n:] - y) / rho
@@ -268,10 +264,9 @@ def full_kkt_step(prob, sigma, rho, x, z, y):
 
 def general_rows_program(rng, n=8):
     M = rng.normal(size=(n + 2, n))
-    A = sp.vstack([sp.csr_matrix(rng.normal(size=(3, n))), sp.eye(n)], format="csr")
     return QuadraticProgram(
-        P=M.T @ M + 0.5 * np.eye(n), q=rng.normal(size=n), A=A,
-        l=np.full(n + 3, -1.0), u=np.full(n + 3, 1.0),
+        P=M.T @ M + 0.5 * np.eye(n), q=rng.normal(size=n), A=rng.normal(size=(3, n)),
+        l=np.full(3, -1.0), u=np.full(3, 1.0), lb=np.full(n, -1.0), ub=np.full(n, 1.0),
     )
 
 
@@ -298,15 +293,13 @@ class TestReducedKkt:
         np.testing.assert_allclose(x_t, ref_x, rtol=0.0, atol=1e-10 * np.abs(ref_x).max())
         np.testing.assert_allclose(z_t, ref_z, rtol=0.0, atol=1e-10 * np.abs(ref_z).max())
 
-    def test_factored_program_without_singleton_rows(self, rng):
-        # two dense rows and no singleton row: A'y is a bincount over no rows
+    def test_factored_program_without_variable_bounds(self, rng):
+        # two dense rows and no bounded variable: y has no bound entries
         F = rng.normal(size=(2, 6))
         A = rng.normal(size=(2, 6))
         q = rng.normal(size=6)
         l, u = np.full(2, -1.0), np.full(2, 1.0)
-        prob = QuadraticProgram(
-            q=q, A=sp.csr_matrix(A), l=l, u=u, p_factor=F, p_diag=np.full(6, 0.5)
-        )
+        prob = QuadraticProgram(q=q, A=A, l=l, u=u, p_factor=F, p_diag=np.full(6, 0.5))
         sol = solve_qp(prob, QpSettings(eps_abs=1e-8, eps_rel=0.0))
         assert sol.status == SOLVED
         _, ref_obj = active_set_enumeration(prob.p_dense(), q, A, l, u)
@@ -317,10 +310,41 @@ class TestReducedKkt:
         # but M = P + sigma I + A' diag(rho) A keeps it: x2 has no row of A
         prob = QuadraticProgram(
             P=np.diag([1e4, -5e-5]), q=np.array([0.0, 1e-3]),
-            A=sp.csr_matrix(np.array([[1.0, 0.0]])), l=np.zeros(1), u=np.ones(1),
+            A=np.array([[1.0, 0.0]]), l=np.zeros(1), u=np.ones(1),
         )
         with pytest.raises(NonConvexError, match="not positive definite"):
             solve_qp(prob)
+
+
+class TestVariableBounds:
+    def test_bounds_and_singleton_rows_of_a_state_one_program(self, rng):
+        # a bound stated as a row of A is an ordinary general row; y holds the
+        # rows of A, then one entry per variable with a finite bound
+        n = 6
+        M = rng.normal(size=(n + 2, n))
+        P, q = M.T @ M + 0.1 * np.eye(n), rng.normal(size=n)
+        lo, hi = -rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
+        hi[1], lo[2] = np.inf, -np.inf  # one-sided
+        lo[4], hi[4] = -np.inf, np.inf  # unbounded: no entry in y
+        general = dict(A=np.ones((1, n)), l=[-0.5], u=[0.5])
+        bounds = QuadraticProgram(P=P, q=q, lb=lo, ub=hi, **general)
+        rows = QuadraticProgram(
+            P=P, q=q, A=np.vstack([general["A"], np.eye(n)]), l=np.concatenate([[-0.5], lo]),
+            u=np.concatenate([[0.5], hi]),
+        )
+        assert (bounds.m, rows.m) == (n, n + 1)
+        settings = QpSettings(eps_abs=1e-9, eps_rel=0.0)
+        a, b = solve_qp(bounds, settings), solve_qp(rows, settings)
+        assert a.status == b.status == SOLVED
+        np.testing.assert_allclose(a.x, b.x, rtol=0.0, atol=1e-7)
+        ref_x, _ = active_set_enumeration(P, q, *stacked(rows))
+        np.testing.assert_allclose(a.x, ref_x, rtol=0.0, atol=1e-6)
+        # the unbounded variable's row of A has a zero multiplier; the rest line up
+        assert abs(b.y[1 + 4]) <= 1e-7
+        np.testing.assert_allclose(a.y, np.delete(b.y, 1 + 4), rtol=0.0, atol=1e-6 * np.abs(b.y).max())
+        C = stacked(bounds)[0]
+        assert C.shape == (n, n)
+        assert np.abs(P @ a.x + q + C.T @ a.y).max() <= 1e-8
 
 
 class TestConvexityCheck:
@@ -360,11 +384,11 @@ class TestDiagonalTerm:
         M = rng.normal(size=(n - 3, n))
         B, d, q = M.T @ M, rng.uniform(0.1, 1.0, n), rng.normal(size=n)
         summed = simplex_program(B + np.diag(d), q)
-        split = QuadraticProgram(P=B, p_diag=d, q=q, A=summed.A, l=summed.l, u=summed.u)
+        split = QuadraticProgram(P=B, p_diag=d, q=q, A=summed.A, l=summed.l, u=summed.u, lb=summed.lb)
         settings = QpSettings(eps_abs=1e-9, eps_rel=1e-9)
         a, b = solve_qp(split, settings), solve_qp(summed, settings)
         assert a.status == b.status == SOLVED
-        ref_x, ref_obj = active_set_enumeration(B + np.diag(d), q, summed.A.toarray(), summed.l, summed.u)
+        ref_x, ref_obj = active_set_enumeration(B + np.diag(d), q, *stacked(summed))
         np.testing.assert_allclose(a.x, ref_x, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(b.x, ref_x, rtol=0.0, atol=1e-7)
         assert a.objective == pytest.approx(ref_obj, rel=1e-12)
@@ -415,26 +439,26 @@ DUAL_LAMBDAS = [1e-8, 1e-4, 1.0, 1e6, 1e8]
 
 def balancing_program(rng, lam, n=30, k=4, n1=None):
     """A linear balancing program: factored P with ridge 2 lam reg, the two
-    arm-sum rows and one x >= 0 row per unit."""
+    arm-sum rows and x >= 0."""
     z = np.zeros(n)
     z[rng.permutation(n)[: n1 or n // 2]] = 1.0
-    A = sp.vstack([sp.csr_matrix(z), sp.csr_matrix(1.0 - z), sp.eye(n, format="csr")], format="csr")
-    arms = [z.sum(), n - z.sum()]
+    arms = np.array([z.sum(), n - z.sum()])
     return dict(
         p_factor=rng.normal(size=(k, n)) / n,
         p_diag=2.0 * lam * rng.uniform(1.5, 3.0, n),
         q=-z * rng.normal(size=n) / n,
-        A=A,
-        l=np.concatenate([arms, np.zeros(n)]),
-        u=np.concatenate([arms, np.full(n, np.inf)]),
+        A=np.vstack([z, 1.0 - z]),
+        l=arms,
+        u=arms,
+        lb=np.zeros(n),
     )
 
 
 def explicit(data):
     """The same program with P given explicitly, which runs ADMM."""
     F, D = data["p_factor"], data["p_diag"]
-    rest = {key: data[key] for key in ("q", "A", "l", "u")}
-    return QuadraticProgram(P=sp.csr_matrix(F.T @ F + np.diag(D)), **rest)
+    rest = {key: data[key] for key in ("q", "A", "l", "u", "lb")}
+    return QuadraticProgram(P=F.T @ F + np.diag(D), **rest)
 
 
 def one_dim_program(lam):
@@ -443,7 +467,7 @@ def one_dim_program(lam):
     fmap = identity_map(1)
     prob = BalanceProblem(site=site, target=TargetSpec.from_moments([1.0]), lam=lam, cate_map=fmap, prognostic_map=fmap)
     qp = build_linear_qp(prob)
-    return dict(p_factor=qp.p_factor, p_diag=qp.p_diag, q=qp.q, A=qp.A, l=qp.l, u=qp.u)
+    return dict(p_factor=qp.p_factor, p_diag=qp.p_diag, q=qp.q, A=qp.A, l=qp.l, u=qp.u, lb=qp.lb)
 
 
 def dual_cases():
@@ -558,7 +582,7 @@ class TestDualPath:
         structure = prob._structure
         assert structure.dual_gram(prob.p_diag) is None  # becomes the program's ridge D0
         assert structure.dual_gram(1e-3 * prob.p_diag) is not None  # builds G0, where T_A starts
-        Mt, inv_d0 = structure.dual[-1], 1.0 / prob.p_diag
+        Mt, inv_d0 = structure.dual, 1.0 / prob.p_diag
         active, direct_forms = np.ones(prob.n, dtype=bool), 0
         for _ in range(40):
             active = active.copy()
@@ -757,7 +781,7 @@ class TestDualPath:
         for steps in (1, 2):
             sol = solve_qp(prob, QpSettings(max_iter=steps))
             assert sol.status == MAX_ITERATIONS and sol.iterations == steps
-            residual = np.abs(prob.p_matvec(sol.x) + prob.q + prob.A.T @ sol.y).max()
+            residual = np.abs(prob.p_matvec(sol.x) + prob.q + stacked(prob)[0].T @ sol.y).max()
             assert np.isfinite(sol.dual_residual)
             assert sol.dual_residual == pytest.approx(residual, rel=1e-6)
 
@@ -808,19 +832,16 @@ def small_kernel_program(lam, n=6, seed=51):
 
 def summed(prob):
     """The same program with P = base + diag(p_diag) given whole, which runs ADMM."""
-    return QuadraticProgram(P=prob.p_dense(), q=prob.q, A=prob.A, l=prob.l, u=prob.u)
+    return QuadraticProgram(P=prob.p_dense(), q=prob.q, A=prob.A, l=prob.l, u=prob.u, lb=prob.lb)
 
 
 def ix_gather_active_set(prob, warm_start=None):
     """The active-set loop with each free block gathered as
     ``P[np.ix_(idx, idx)]`` and its transpose factored: (x, y, steps)."""
-    eq, bound, cols, E = prob._structure.balancing
-    P, d, q, b, n = prob.P, prob.p_diag, prob.q, prob.l[eq], prob.n
+    P, d, q, E, b, n = prob.P, prob.p_diag, prob.q, prob.A, prob.l, prob.n
     free = np.ones(n, dtype=bool)
     if warm_start is not None:
-        s0 = np.empty(n)
-        s0[cols] = -warm_start[1][bound]
-        free = warm_start[0] - s0 > 0.0
+        free = warm_start[0] + warm_start[1][b.size :] > 0.0
     with single_threaded_blas():
         for step in range(1, 51):
             idx = np.flatnonzero(free)
@@ -839,10 +860,7 @@ def ix_gather_active_set(prob, warm_start=None):
             if np.array_equal(next_free, free):
                 break
             free = next_free
-    y = np.empty(prob.m)
-    y[eq] = -mu
-    y[bound] = -np.maximum(sv, 0.0)[cols]
-    return x, y, step
+    return x, -np.concatenate([mu, np.maximum(sv, 0.0)]), step
 
 
 class TestActiveSetPath:
@@ -855,7 +873,8 @@ class TestActiveSetPath:
         if not symmetric:  # P's upper triangle off its lower one by up to the tolerance
             noise = np.triu(np.random.default_rng(seed).uniform(-1.0, 1.0, (prob.n, prob.n)), 1)
             prob = QuadraticProgram(
-                P=prob.P + 0.5 * _SYMMETRY_TOL * noise, p_diag=prob.p_diag, q=prob.q, A=prob.A, l=prob.l, u=prob.u
+                P=prob.P + 0.5 * _SYMMETRY_TOL * noise, p_diag=prob.p_diag, q=prob.q, A=prob.A, l=prob.l, u=prob.u,
+                lb=prob.lb,
             )
             assert not np.array_equal(prob.P, prob.P.T)
         # the solution at a smaller lambda starts with part of the units free
@@ -885,13 +904,13 @@ class TestActiveSetPath:
         prob = small_kernel_program(lam)
         sol = solve_qp(prob)
         assert sol.status == SOLVED and sol.method == "active_set"
-        ref_x, ref_obj = active_set_enumeration(prob.p_dense(), prob.q, prob.A.toarray(), prob.l, prob.u)
+        ref_x, ref_obj = active_set_enumeration(prob.p_dense(), prob.q, *stacked(prob))
         scale = max(abs(ref_obj), float(ref_x @ prob.p_matvec(ref_x)), 1.0)
         np.testing.assert_allclose(sol.x, ref_x, rtol=0.0, atol=1e-12 * np.abs(ref_x).max())
         assert sol.objective == pytest.approx(ref_obj, rel=1e-12, abs=1e-12 * scale)
         assert np.isfinite(sol.duality_gap) and abs(sol.duality_gap) <= 1e-9 * scale
         # the multipliers certify the point: P x + q + A'y = 0, bound rows <= 0
-        assert np.abs(prob.p_matvec(sol.x) + prob.q + prob.A.T @ sol.y).max() <= 1e-12 * scale
+        assert np.abs(prob.p_matvec(sol.x) + prob.q + stacked(prob)[0].T @ sol.y).max() <= 1e-12 * scale
         assert sol.y[2:].max() <= 0.0
 
     def test_admm_solution_warm_starts_the_active_set_path(self):
@@ -910,7 +929,7 @@ class TestActiveSetPath:
         cold = solve_qp(prob)
         x0, y0 = np.zeros(prob.n), np.zeros(prob.m)
         if start == "empty-arm":  # the control arm's units all held at zero
-            treated = prob.A[0].toarray().ravel() > 0
+            treated = prob.A[0] > 0
             x0[treated], y0[2:][~treated] = cold.x[treated], -1.0
         sol = solve_qp(prob, warm_start=(x0, y0))
         assert sol.method == "active_set" and sol.iterations == cold.iterations
@@ -940,25 +959,24 @@ class TestActiveSetPath:
     def test_indefinite_base_raises_nonconvex(self):
         base = simplex_program(np.diag([1.0, 1.0, -1e-3]), np.zeros(3))
         prob = base.with_p_diag(np.ones(3))
-        assert prob._structure.balancing is not None
+        assert prob._structure.balancing
         with pytest.raises(NonConvexError, match="eigenvalue below"):
             solve_qp(prob)
 
     def test_program_without_equality_rows_runs_admm(self, rng):
         M = rng.normal(size=(6, 5))
-        nonneg = dict(q=rng.normal(size=5), A=sp.eye(5), l=np.zeros(5), u=np.full(5, np.inf))
-        prob = QuadraticProgram(P=M.T @ M, p_diag=np.full(5, 0.1), **nonneg)
-        assert prob._structure.balancing is not None
+        prob = QuadraticProgram(P=M.T @ M, p_diag=np.full(5, 0.1), q=rng.normal(size=5), lb=np.zeros(5))
+        assert prob._structure.balancing
         sol = solve_qp(prob, QpSettings(eps_abs=1e-9, eps_rel=0.0))
         assert sol.status == SOLVED and sol.method == "admm"
-        ref_x, _ = active_set_enumeration(prob.p_dense(), nonneg["q"], np.eye(5), nonneg["l"], nonneg["u"])
+        ref_x, _ = active_set_enumeration(prob.p_dense(), prob.q, *stacked(prob))
         np.testing.assert_allclose(sol.x, ref_x, atol=1e-6)
 
     def test_empty_arm_ends_as_admm_primal_infeasible(self):
         prob = small_kernel_program(1.0, n=12)
-        A = prob.A.toarray()
+        A = prob.A.copy()
         A[0] = 0.0  # no unit in the treated arm, whose row still sums to n1 > 0
-        empty = QuadraticProgram(P=prob.P, p_diag=prob.p_diag, q=prob.q, A=sp.csr_matrix(A), l=prob.l, u=prob.u)
-        assert empty._structure.balancing is not None and prob.l[0] > 0
+        empty = QuadraticProgram(P=prob.P, p_diag=prob.p_diag, q=prob.q, A=A, l=prob.l, u=prob.u, lb=prob.lb)
+        assert empty._structure.balancing and prob.l[0] > 0
         sol = solve_qp(empty)
         assert sol.method == "admm" and sol.status == PRIMAL_INFEASIBLE
