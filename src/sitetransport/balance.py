@@ -10,7 +10,7 @@ weights are nonnegative.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -90,9 +90,11 @@ class BalanceProblem:
 
     def with_lam(self, lam: float) -> BalanceProblem:
         """This problem at another lambda, sharing (and building, if need be)
-        its lambda-free program; ``dataclasses.replace`` builds a fresh one."""
-        copy = replace(self, lam=lam)
-        copy.__dict__["_program"] = self._program
+        its lambda-free program; only ``lam`` is checked, the rest was when
+        this problem was made. ``dataclasses.replace`` builds a fresh one."""
+        check_lambda(lam)
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, lam=lam, _program=self._program)
         return copy
 
 
@@ -169,8 +171,8 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
         cmap, pmap = prob.cate_map, prob.prognostic_map
         phi_cate = apply_feature_map(cmap, X)
         phi_prog = phi_cate if pmap is cmap else apply_feature_map(pmap, X)
-        if prob.target.is_sample:
-            t = apply_feature_map(cmap, prob.target.sample).mean(axis=0)
+        if prob.target.is_sample:  # the target's design, mapped once per map: its columns after the intercept
+            t = prob.target.design(cmap)[:, 1:].mean(axis=0)
         else:
             t = map_raw_means(cmap, prob.target.moments)
         B_cate = a_cate[:, None] * phi_cate  # row i: a_cate_i * phi(X_i)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -13,6 +14,7 @@ from .errors import (
     MixedArityError,
     NonBinaryTreatmentError,
 )
+from .features import FeatureMap, regression_design
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,7 @@ class TargetSpec:
     sample: np.ndarray | None = None
     moments: np.ndarray | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _designs: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     def __post_init__(self):
         if (self.sample is None) == (self.moments is None):
@@ -193,6 +196,20 @@ class TargetSpec:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    def design(self, fmap: FeatureMap) -> np.ndarray:
+        """The sample's regression design under the fitted map ``fmap``
+        (:func:`~sitetransport.features.regression_design`, read-only),
+        built on the first use of ``fmap`` and kept while ``fmap`` lives:
+        each run fits its own map, so a target shared by many runs would
+        otherwise keep every run's design."""
+        if not self.is_sample:
+            raise ValueError("a moments target has no design; it needs a unit-level sample")
+        if fmap not in self._designs:
+            design = regression_design(fmap, self.sample)
+            design.setflags(write=False)
+            self._designs[fmap] = design
+        return self._designs[fmap]
 
     @classmethod
     def from_sample(cls, rows: Sequence[Sequence[float]] | np.ndarray) -> "TargetSpec":

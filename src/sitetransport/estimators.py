@@ -8,14 +8,14 @@ arm-stratified nonparametric bootstrap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .balance import kish_ess
 from .data import SiteDataset, TargetSpec
 from .errors import ConstraintViolationError, InsufficientArmError, SiteTransportError
-from .features import FeatureMap, apply_feature_map
+from .features import FeatureMap, regression_design
 from .regression import RegressionFit, fit_least_squares, fit_logistic, rank_tolerance
 
 RATIO_CLIP = (1e-6, 1e6)
@@ -24,8 +24,9 @@ DEFAULT_BOOTSTRAP = 200
 # this squared Cholesky pivot of the unit-diagonal Gram matrix (a column with
 # 1 - R^2 < 1e-6 on the columns before it) the replicate is fitted by QR.
 _GRAM_PIVOT_TOL = 1e-6
-# Bounds one block of gathered bootstrap designs to 8 MB (or one replicate,
-# if that alone is larger), whatever n_boot is.
+# Bounds one block of bootstrap replicates to 8 MB (or one replicate, if
+# that alone is larger), whatever n_boot is: a replicate holds one arm's
+# gathered design rows at a time and its resample counts of every unit.
 _BLOCK_DOUBLES = 1 << 20
 # The per-arm weight sums may miss n1/n0 by this much, relative.
 _SUM_RTOL = 1e-3
@@ -66,12 +67,9 @@ def _sandwich_variance(site: SiteDataset, gamma: np.ndarray, mu1: float, mu0: fl
     return v
 
 
-def weighting_estimate(
-    site: SiteDataset,
-    gamma: np.ndarray,
-    method: str = WEIGHTING,
-) -> TransportEstimate:
-    """Weighted difference in arm means with its sandwich standard error.
+def weighted_arm_means(site: SiteDataset, gamma: np.ndarray) -> tuple[float, float]:
+    """The weighted outcome means (mu1, mu0) of the treated and the control
+    arm, whose difference is the weighting estimate.
 
     Raises :class:`ConstraintViolationError` when the per-arm weight sums miss
     n1/n0 by more than 1e-3 relative.
@@ -86,10 +84,20 @@ def weighting_estimate(
         raise ConstraintViolationError(
             f"weight sums ({s1:.4f}, {s0:.4f}) violate (n1, n0)=({site.n1}, {site.n0})"
         )
-
     y = site.outcomes
-    mu1 = float(np.sum(z * gamma * y)) / site.n1
-    mu0 = float(np.sum((1 - z) * gamma * y)) / site.n0
+    return float(np.sum(z * gamma * y)) / site.n1, float(np.sum((1 - z) * gamma * y)) / site.n0
+
+
+def weighting_estimate(
+    site: SiteDataset,
+    gamma: np.ndarray,
+    method: str = WEIGHTING,
+) -> TransportEstimate:
+    """Weighted difference in arm means (see :func:`weighted_arm_means`) with
+    its sandwich standard error."""
+    mu1, mu0 = weighted_arm_means(site, gamma)
+    gamma = np.asarray(gamma, dtype=float).ravel()
+    treated, control = site.arms
     var = _sandwich_variance(site, gamma, mu1, mu0)
     return TransportEstimate(
         estimate=mu1 - mu0,
@@ -105,11 +113,6 @@ def naive_estimate(site: SiteDataset) -> TransportEstimate:
     """Unadjusted difference in sample means (the weighting estimator at
     all-ones weights)."""
     return weighting_estimate(site, np.ones(site.n), method=NAIVE)
-
-
-def _design(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
-    phi = apply_feature_map(feature_map, np.atleast_2d(X))
-    return np.column_stack([np.ones(phi.shape[0]), phi])
 
 
 def _well_conditioned(gram: np.ndarray) -> np.ndarray:
@@ -168,8 +171,8 @@ def _bootstrap_arm_fits(design, y, idx1, idx0, n_boot: int, seed):
     _replicate_fits) and whether either arm's fit dropped collinear columns.
     """
     rng = np.random.default_rng(seed)
-    n = design.shape[0]
-    block = max(1, _BLOCK_DOUBLES // design.size)
+    n, p = design.shape
+    block = max(1, _BLOCK_DOUBLES // (max(idx1.size, idx0.size) * p + n))
     for start in range(0, n_boot, block):
         draws = [
             (rng.choice(idx1, size=idx1.size), rng.choice(idx0, size=idx0.size))
@@ -201,50 +204,67 @@ class DensityRatio:
 
     Callable on raw covariate rows; values are the logistic odds of target
     membership times the prior ratio n_exp/n_target, clipped to RATIO_CLIP.
+    A call on the very (read-only) array of experimental rows it was fitted
+    on, as a site's covariates are, returns a copy of the values the fit
+    computed there.
     """
 
     fit: RegressionFit
     feature_map: FeatureMap
     prior_ratio: float
     clip_rate: float
+    _fitted: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         arr = np.asarray(X, dtype=float)
+        if self._fitted is not None and arr is self._fitted[0] and not arr.flags.writeable:
+            return self._fitted[1].copy()
         single = arr.ndim == 1
-        design = _design(self.feature_map, np.atleast_2d(arr))
+        design = regression_design(self.feature_map, arr)
         ratio = np.clip(_raw_ratio(self.fit.linear_predictor(design), self.prior_ratio), *RATIO_CLIP)
         return float(ratio[0]) if single else ratio
 
 
 def density_ratio_fit(
     experimental: np.ndarray,
-    target: np.ndarray,
+    target: np.ndarray | TargetSpec,
     feature_map: FeatureMap,
 ) -> DensityRatio:
     """Fit the change of measure by logistic discrimination of the two samples.
 
     Labels target rows 1 and experimental rows 0; the returned function maps
     covariates to odds(target) * (n_exp / n_target), the Bayes-rule estimate of
-    the density ratio. Raises :class:`SeparableDataError` when the samples are
-    separable, which signals an overlap failure.
+    the density ratio. ``target`` is the target's rows or a sample
+    :class:`TargetSpec`, whose design under ``feature_map`` it maps once
+    for all the sites of a run (:meth:`TargetSpec.design`). Raises
+    :class:`SeparableDataError` when the samples are separable, which
+    signals an overlap failure.
     """
+    of_spec = isinstance(target, TargetSpec)
+    if of_spec and not target.is_sample:
+        raise ValueError("density-ratio fitting requires a unit-level target sample, not moments")
     Xe = np.atleast_2d(np.asarray(experimental, dtype=float))
-    Xt = np.atleast_2d(np.asarray(target, dtype=float))
+    Xt = target.sample if of_spec else np.atleast_2d(np.asarray(target, dtype=float))
     if Xe.size == 0 or Xt.size == 0:
         raise ValueError("both samples must be nonempty")
-    design = _design(feature_map, np.vstack([Xe, Xt]))
+    target_design = target.design(feature_map) if of_spec else regression_design(feature_map, Xt)
+    # the design maps row by row, so this is the stacked samples' design bit for bit
+    design = np.vstack([regression_design(feature_map, Xe), target_design])
     labels = np.concatenate([np.zeros(Xe.shape[0]), np.ones(Xt.shape[0])])
     fit = fit_logistic(design, labels)
     prior = Xe.shape[0] / Xt.shape[0]
 
     raw = _raw_ratio(fit.linear_predictor(design[: Xe.shape[0]]), prior)
     clipped = (raw < RATIO_CLIP[0]) | (raw > RATIO_CLIP[1])
-    return DensityRatio(
+    ratio = DensityRatio(
         fit=fit,
         feature_map=feature_map,
         prior_ratio=prior,
         clip_rate=float(np.mean(clipped)),
     )
+    if not Xe.flags.writeable:  # rows that cannot change: keep the values at them
+        object.__setattr__(ratio, "_fitted", (Xe, np.clip(raw, *RATIO_CLIP)))
+    return ratio
 
 
 def _ratio_notes(ratio) -> tuple[str, ...]:
@@ -351,7 +371,7 @@ def _model_estimates(
     if site.n1 < k + 1 or site.n0 < k + 1:
         raise InsufficientArmError(f"arms of size ({site.n1}, {site.n0}) cannot support {k} features")
     idx1, idx0 = site.arms
-    site_design, target_design = _design(feature_map, site.covariates), _design(feature_map, target.sample)
+    site_design, target_design = regression_design(feature_map, site.covariates), target.design(feature_map)
     fit1, fit0 = (fit_least_squares(site_design[idx], site.outcomes[idx]) for idx in (idx1, idx0))
     m1, m0 = fit1.linear_predictor(target_design), fit0.linear_predictor(target_design)
     z, y, pi, n = site.treatment, site.outcomes, site.propensity, site.n
@@ -359,7 +379,7 @@ def _model_estimates(
         r = np.asarray(ratio(site.covariates), dtype=float).ravel()
         m1_site, m0_site = fit1.linear_predictor(site_design), fit0.linear_predictor(site_design)
         dr_estimate = _dr_point(site, r, m1_site, m0_site, float(np.mean(m1)), float(np.mean(m0)))
-    if isinstance(ratio, DensityRatio):
+    if n_boot > 0 and isinstance(ratio, DensityRatio):
         # the refit's rows: the site's, counted per replicate, and the target's, counted once
         stacked = np.vstack([site_design, target_design])
         labels = np.concatenate([np.zeros(n), np.ones(target_design.shape[0])])
@@ -438,5 +458,5 @@ def doubly_robust_estimate(
     any other ``ratio`` fixed.
     """
     if ratio is None and target.is_sample:
-        ratio = density_ratio_fit(site.covariates, target.sample, feature_map)
+        ratio = density_ratio_fit(site.covariates, target, feature_map)
     return _model_estimates(site, target, feature_map, ratio, n_boot, seed)[1]

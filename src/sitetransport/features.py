@@ -120,6 +120,13 @@ def apply_feature_map(spec: FeatureMap, x: np.ndarray | Sequence[float]) -> np.n
     return out[0] if single else out
 
 
+def regression_design(spec: FeatureMap, X: np.ndarray) -> np.ndarray:
+    """The regression design of raw covariate rows: an intercept column, then
+    the fitted map's features."""
+    phi = apply_feature_map(spec, np.atleast_2d(X))
+    return np.column_stack([np.ones(phi.shape[0]), phi])
+
+
 def map_raw_means(spec: FeatureMap, means: np.ndarray) -> np.ndarray:
     """The fitted map applied to means of its raw features (ordered as
     :func:`raw_feature_names`): the kept entries over their scales. The map

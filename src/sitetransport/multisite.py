@@ -129,7 +129,7 @@ def _transport_site(
     ratio_users = [name for name in (IPW, DOUBLY_ROBUST) if name in wanted]
     ratio = None
     if ratio_users:
-        ratio = attempt(ratio_users, lambda: density_ratio_fit(site.covariates, target.sample, fmap))
+        ratio = attempt(ratio_users, lambda: density_ratio_fit(site.covariates, target, fmap))
     if IPW in wanted and ratio is not None:
         estimate(IPW, lambda: ipw_estimate(site, ratio, hajek=config.ipw_hajek))
     # the outcome model and doubly robust share one arm fit and one bootstrap

@@ -85,6 +85,9 @@ DUAL_INFEASIBLE = "dual_infeasible"
 _SYMMETRY_TOL = 1e-10
 _NONCONVEX_TOL = 1e-8
 _EQ_TOL = 1e-12
+# an explicit P is checked for symmetry and finiteness over row blocks of at
+# most this many entries (512 kB), never with a temporary of P's size
+_CHECK_BLOCK_DOUBLES = 1 << 16
 # ADMM's initial step size, proximal term and over-relaxation, and the
 # divergence tolerance of its (and the dual path's) infeasibility tests
 _RHO = 0.1
@@ -114,6 +117,20 @@ def _vector(value, size: int, fill: float, name: str) -> np.ndarray:
     if v.size != size:
         raise DimensionMismatchError(f"{name} has {v.size} entries, expected {size}")
     return v
+
+
+def _asymmetry(P: np.ndarray) -> tuple[float, bool]:
+    """max |P - P'| (NaN when P holds a NaN) and whether P is finite, over
+    row blocks of at most ``_CHECK_BLOCK_DOUBLES`` entries, so that checking
+    a large P makes no temporary of its size."""
+    n = P.shape[0]
+    rows = max(1, _CHECK_BLOCK_DOUBLES // max(n, 1))
+    asymmetry, finite = 0.0, True
+    for i in range(0, n, rows):
+        block = P[i : i + rows] - P[:, i : i + rows].T
+        asymmetry = np.maximum(asymmetry, np.abs(block, out=block).max(initial=0.0))
+        finite = finite and bool(np.isfinite(P[i : i + rows]).all())
+    return float(asymmetry), finite
 
 
 def _diagonal(d, n: int) -> np.ndarray:
@@ -158,7 +175,7 @@ class _Structure:
             return
         tol = _NONCONVEX_TOL * max(float(np.trace(self.P)), 1.0)
         shifted = np.array(self.P, order="F")  # factored in place
-        shifted[np.diag_indices_from(shifted)] += tol
+        shifted.flat[:: shifted.shape[0] + 1] += tol
         info = dpotrf(shifted, lower=1, overwrite_a=1)[1]
         if info:
             raise NonConvexError(
@@ -193,6 +210,15 @@ class _Structure:
         if self.P is not None or not self.balancing:
             return None
         return np.hstack([self.F.T, -self.A.T])
+
+    @cached_property
+    def dual_vectors(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """The dual path's lambda-free vectors: the unit block diag(1_k, 0)
+        of its Hessian, c = (0, b) of its gradient, |q|_inf and |b|_inf."""
+        k, b = self.F.shape[0], self.l
+        unit = np.concatenate([np.ones(k), np.zeros(b.size)])
+        c = np.concatenate([np.zeros(k), b])
+        return unit, c, float(np.abs(self.q).max(initial=0.0)), float(np.abs(b).max(initial=0.0))
 
     def dual_gram(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
         """(G0, r0, c) for a ridge D = c * D0 to a few ulps of each entry,
@@ -283,7 +309,8 @@ class QuadraticProgram:
             P = np.asarray(self.P.toarray() if sp.issparse(self.P) else self.P, dtype=float)
             if P.shape != (n, n):
                 raise DimensionMismatchError(f"P has shape {P.shape}, expected ({n}, {n})")
-            if np.abs(P - P.T).max(initial=0.0) > _SYMMETRY_TOL:
+            asymmetry, p_finite = _asymmetry(P)
+            if asymmetry > _SYMMETRY_TOL:  # False for NaN: a NaN P is reported as not finite below
                 raise ValueError("P is not symmetric")
             object.__setattr__(self, "P", P)
         else:
@@ -292,9 +319,9 @@ class QuadraticProgram:
             if F.shape[1] != n:
                 raise DimensionMismatchError(f"p_factor has {F.shape[1]} columns, expected {n}")
             object.__setattr__(self, "p_factor", F)
+            p_finite = np.isfinite(F).all()
         object.__setattr__(self, "p_diag", _diagonal(self.p_diag, n))
-        base = self.P if self.P is not None else self.p_factor
-        finite = np.isfinite(q).all() and np.isfinite(base).all() and np.isfinite(A).all()
+        finite = np.isfinite(q).all() and p_finite and np.isfinite(A).all()
         if not finite or any(np.isnan(getattr(self, name)).any() for name in bounds):
             raise ValueError("program data must be finite (bounds may be infinite, not NaN)")
         object.__setattr__(self, "_structure", _Structure(self))
@@ -446,7 +473,7 @@ class _DirectKkt(_ReducedKkt):
     def factor(self, rho: np.ndarray) -> None:
         general = (self.A.T * rho[: self.m_a]) @ self.A
         M = self.prob._structure.dense_base + general
-        M[np.diag_indices_from(M)] += self._diag(rho)
+        M.flat[:: M.shape[0] + 1] += self._diag(rho)
         self._chol, info = dpotrf(M, lower=1)
         if info:
             raise NonConvexError(
@@ -469,7 +496,7 @@ class _LowRankKkt(_ReducedKkt):
         self._C = C
         Cd = C / diag
         S = Cd @ C.T
-        S[np.diag_indices_from(S)] += 1.0
+        S.flat[:: S.shape[0] + 1] += 1.0
         self._chol = cho_factor(S, lower=True)[0]
         self._rho = rho
 
@@ -540,7 +567,7 @@ def _all_positive_start(Mt, q, unit, c, gram, r0, ratio) -> tuple[np.ndarray, np
     None when some entry of s* is not negative or the matrix does not
     factor."""
     H = gram / ratio
-    H[np.diag_indices_from(H)] += unit
+    H.flat[:: H.shape[0] + 1] += unit
     chol, info = dpotrf(H, lower=1, overwrite_a=1)
     if info:
         return None
@@ -558,8 +585,7 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     Mt, E, b = structure.dual, prob.A, prob.l
     F, D, q = prob.p_factor, prob.p_diag, prob.q
     k = F.shape[0]
-    unit = np.concatenate([np.ones(k), np.zeros(b.size)])
-    c = np.concatenate([np.zeros(k), b])
+    unit, c, q_norm, b_norm = structure.dual_vectors
     inv_d = 1.0 / D
     gram, r0, ridge_ratio = structure.dual_gram(D) or (None, None, 1.0)
 
@@ -582,8 +608,6 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
     a = np.maximum(-sv, 0.0)  # D x
     x = a * inv_d
 
-    q_norm = float(np.abs(q).max(initial=0.0))
-    b_norm = float(np.abs(b).max(initial=0.0))
     status = MAX_ITERATIONS
     y_prev = None
     iteration = 0
@@ -617,14 +641,14 @@ def _solve_dual(prob, s: QpSettings, warm_start) -> QpSolution:
 
         active = x > 0.0
         H = _row_gram(Mt, active, inv_d) if gram is None else structure.active_gram(active) / ridge_ratio
-        H[np.diag_indices_from(H)] += unit
+        H.flat[:: H.shape[0] + 1] += unit
         chol, info = dpotrf(H, lower=1)
         if info and gram is not None:  # what left A may have cancelled: form T_A again
             H = structure.active_gram(active, direct=True) / ridge_ratio
-            H[np.diag_indices_from(H)] += unit
+            H.flat[:: H.shape[0] + 1] += unit
             chol, info = dpotrf(H, lower=1)
         if info:  # a row of E without active columns: regularize its direction
-            H[np.diag_indices_from(H)] += 1e-12 * max(float(H.max()), 1.0)
+            H.flat[:: H.shape[0] + 1] += 1e-12 * max(float(H.max()), 1.0)
             chol, info = dpotrf(H, lower=1)
         step = dpotrs(chol, -g, lower=1)[0]
         slope = float(g @ step)
@@ -699,7 +723,7 @@ def _solve_active_set(prob, s: QpSettings, warm_start) -> QpSolution | None:
         # one copy of P_FF (a plain copy of P while every unit is free): P_FF
         # is symmetric, so its transpose is P_FF in Fortran order, factored in place
         H = (P.copy() if idx.size == n else P.take(idx, 0).take(idx, 1)).T
-        H[np.diag_indices_from(H)] += d[idx]
+        H.flat[:: H.shape[0] + 1] += d[idx]
         chol, info = dpotrf(H, lower=1, overwrite_a=1)
         if info:
             return None

@@ -19,7 +19,7 @@ import numpy as np
 from .balance import BalanceProblem, check_lambda, solve_along_grid
 from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec
-from .estimators import DOUBLY_ROBUST, IPW, NAIVE, OUTCOME_MODEL, WEIGHTING, weighting_estimate
+from .estimators import DOUBLY_ROBUST, IPW, NAIVE, OUTCOME_MODEL, WEIGHTING, weighted_arm_means
 from .multisite import KNOWN_ESTIMATORS, TransportConfig, _transport_site, run_setup
 from .qp import QpSettings, whole_number
 
@@ -234,7 +234,9 @@ def _rep_errors(config: SimConfig, populations, rep: int, cells) -> np.ndarray:
             prob = BalanceProblem(site=site, target=repl.target, lam=grid[0], **sides)
             for lam, ws in solve_along_grid(prob, grid, config.solver):
                 if ws is not None:  # a solver failure leaves its cell NaN
-                    out[row[WEIGHTING, lam], j] = weighting_estimate(site, ws.gamma).estimate - truth
+                    # the table reads the estimate alone: no standard error or ESS
+                    mu1, mu0 = weighted_arm_means(site, ws.gamma)
+                    out[row[WEIGHTING, lam], j] = mu1 - mu0 - truth
     return out
 
 

@@ -537,18 +537,31 @@ class TestProgramReuse:
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("shared", [True, False], ids=["one-map", "two-maps"])
     def test_linear_sweep_maps_features_a_fixed_number_of_times(self, sweep_inputs, monkeypatch, k, shared):
-        from sitetransport import balance
+        from sitetransport import balance, features
 
         sites, target, fmap = sweep_inputs
         pooled = np.vstack([s.covariates for s in sites] + [target.sample])
         pmap = fmap if shared else fit_feature_map(FeatureMap(interactions=((0, 1),)), pooled)
         mapped = []
         self._counting(monkeypatch, balance, "apply_feature_map", mapped)
+        self._counting(monkeypatch, features, "apply_feature_map", mapped)
         rows = lambda_sweep(sites, target, np.logspace(-3, 1, k), cate_map=fmap, prognostic_map=pmap)
         assert sum(r.n_failed for r in rows) == 0
-        # effect side on the site and on the target; the prognostic side on
-        # the site only when its map is another one
-        assert len(mapped) == (2 if shared else 3) * len(sites)
+        # effect side on each site, and on the target once for the run; the
+        # prognostic side on the site only when its map is another one
+        assert len(mapped) == (1 if shared else 2) * len(sites) + 1
+        assert sum(np.shares_memory(args[1], target.sample) for args in mapped) == 1
+
+    def test_a_target_keeps_no_design_of_a_map_that_is_gone(self, sweep_inputs):
+        # each run fits its own map: the target shared by the runs must not
+        # keep the design of every map it was mapped by
+        sites, target, _ = sweep_inputs
+        pooled = np.vstack([s.covariates for s in sites] + [target.sample])
+        for _ in range(5):
+            fmap = fit_feature_map(FeatureMap(), pooled)
+            rows = lambda_sweep(sites, target, [1e-2, 1.0], cate_map=fmap, prognostic_map=fmap)
+            assert sum(r.n_failed for r in rows) == 0
+        assert len(target._designs) <= 1
 
     def test_one_map_on_both_sides_gives_the_weights_of_an_equal_second_map(self, sweep_inputs):
         from sitetransport.balance import solve_along_grid

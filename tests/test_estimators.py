@@ -187,6 +187,17 @@ class TestDensityRatio:
         assert ratio(np.array([1.0])) == pytest.approx(2.0, rel=0.05)
         assert ratio(np.array([0.0])) == pytest.approx(2.0 / 3.0, rel=0.05)
 
+    @pytest.mark.parametrize("spec", [False, True], ids=["rows", "target-spec"])
+    def test_its_fitted_rows_give_the_values_of_a_fresh_call(self, rng, spec):
+        site = random_site(rng, n=80, d=3)
+        target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(120, 3)))
+        fmap = fit_feature_map(FeatureMap(interactions=((0, 1),)), np.vstack([site.covariates, target.sample]))
+        ratio = density_ratio_fit(site.covariates, target if spec else target.sample, fmap)
+        kept = ratio(site.covariates)
+        assert kept.tobytes() == ratio(site.covariates.copy()).tobytes()
+        kept[:] = 0.0  # a caller's copy: the kept values do not change
+        assert ratio(site.covariates).tobytes() == ratio(site.covariates.copy()).tobytes()
+
     def test_disjoint_supports_raise(self):
         Xe = np.linspace(0, 1, 40)[:, None]
         Xt = np.linspace(5, 6, 40)[:, None]
@@ -439,6 +450,14 @@ class TestLogisticRegression:
         assert fit.converged
         np.testing.assert_allclose(fit.coefficients, [-0.3, 0.8], atol=0.15)
 
+    def test_no_counts_is_a_count_of_one_per_row_bit_for_bit(self, rng):
+        n = 300
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ [0.2, 0.7, -0.4, 0.1]))).astype(float)
+        plain, counted = fit_logistic(X, y), fit_logistic(X, y, counts=np.ones(n))
+        assert plain.coefficients.tobytes() == counted.coefficients.tobytes()
+        assert plain.converged == counted.converged
+
     def test_counts_fit_the_rows_repeated_that_often(self, rng):
         n = 300
         x = rng.normal(size=n)
@@ -592,12 +611,26 @@ class TestBatchedBootstrap:
         site, target = self._site(rng)
         fmap = identity_map(3)
         whole = outcome_model_estimate(site, target, fmap, n_boot=20, seed=4)
-        # three replicates per block: seven blocks, the last one of two
-        monkeypatch.setattr(estimators, "_BLOCK_DOUBLES", 3 * site.n * 4)
+        # a replicate holds one arm's gathered rows (4 columns) and its counts of
+        # every unit; three replicates per block: seven blocks, the last one of two
+        monkeypatch.setattr(estimators, "_BLOCK_DOUBLES", 3 * (max(site.n1, site.n0) * 4 + site.n))
+        blocks = []
+        real = estimators._replicate_fits
+        monkeypatch.setattr(estimators, "_replicate_fits", lambda d, y, rows: blocks.append(len(rows)) or real(d, y, rows))
         blocked = outcome_model_estimate(site, target, fmap, n_boot=20, seed=4)
         se, _ = bootstrap_loop(site, target, fmap, 20, seed=4)
         assert blocked.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
         assert blocked.std_error == pytest.approx(whole.std_error, rel=1e-14, abs=0.0)
+        assert blocks[::2] == [3] * 6 + [2]  # each block fits the treated arm, then the control arm
+
+    def test_twenty_replicates_of_a_large_site_form_one_block(self, rng):
+        from sitetransport.estimators import _bootstrap_arm_fits
+
+        n, p = 2500, 21
+        design = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        idx1, idx0 = np.arange(0, n, 2), np.arange(1, n, 2)
+        blocks = [counts.shape[0] for counts, *_ in _bootstrap_arm_fits(design, rng.normal(size=n), idx1, idx0, 20, 0)]
+        assert blocks == [20]
 
     def test_outcome_model_and_doubly_robust_share_the_arm_fits(self, rng, monkeypatch):
         sites = [random_site(rng, n=60, d=2, site_id=f"s{j}") for j in range(3)]

@@ -144,6 +144,22 @@ class TestTransportAll:
                     assert numbers(got) == numbers(want), name
                     assert got.notes == want.notes, name
 
+    def test_the_target_sample_is_mapped_once_per_run(self, rng, monkeypatch):
+        from sitetransport import balance, features
+
+        sites = [random_site(rng, n=40 + 10 * j, d=3, site_id=f"s{j}") for j in range(3)]
+        target = TargetSpec.from_sample(rng.normal(0.2, 1.0, size=(90, 3)))
+        mapped = []
+        for module in (balance, features):
+            real = module.apply_feature_map
+            monkeypatch.setattr(module, "apply_feature_map", lambda spec, X, real=real: mapped.append(X) or real(spec, X))
+        names = ("weighting", "ipw", "outcome_model", "doubly_robust")
+        report = transport_all(sites, target, TransportConfig(estimators=names, n_boot=4))
+        assert all(set(r.estimates) == set(names) for r in report.results)
+        # the target's rows, alone or stacked with a site's, once in the run
+        on_target = [X for X in mapped if len(X) >= len(target.sample)]
+        assert len(on_target) == 1 and on_target[0] is target.sample
+
     def test_all_sites_failed_raises(self, rng):
         from sitetransport.errors import AllSitesFailedError
 

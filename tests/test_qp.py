@@ -227,6 +227,29 @@ class TestFiniteData:
         with pytest.raises(ValueError):
             solve_qp(simplex_program(P, np.zeros(3)))
 
+    def test_an_explicit_p_is_checked_without_a_temporary_of_its_size(self, rng):
+        import tracemalloc
+
+        n = 1500
+        B = rng.normal(size=(n, 8))
+        P = B @ B.T
+        tracemalloc.start()
+        try:
+            simplex_program(P, np.zeros(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < P.nbytes / 4
+        for i, j, value, message in [
+            (n - 1, 3, P[n - 1, 3] + 1e-6, "P is not symmetric"),  # in the last row block
+            (700, 700, np.nan, "program data must be finite"),
+            (2, 900, np.nan, "program data must be finite"),  # a NaN and an asymmetry
+        ]:
+            bad = P.copy()
+            bad[i, j] = value
+            with pytest.raises(ValueError, match=message):
+                simplex_program(bad, np.zeros(n))
+
     def test_nan_warm_start_raises_value_error(self, rng):
         prob = QuadraticProgram(**lowrank_program(rng))
         x0 = np.ones(prob.n)

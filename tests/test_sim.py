@@ -254,6 +254,26 @@ class TestRunSimulation:
             expected = [r.estimates[name].estimate - rep.truth[r.site_id] for r in report.results]
             assert res.cell_errors[(name, None)][0].tobytes() == np.array(expected).tobytes()
 
+    def test_weighting_cells_are_weighting_estimates(self):
+        # the table reads only the point estimate, which its cells take
+        # without the standard error and ESS of weighting_estimate
+        from sitetransport import BalanceProblem, TransportConfig, weighting_estimate
+        from sitetransport.balance import solve_along_grid
+        from sitetransport.multisite import run_setup
+
+        cfg = small_config(reps=1)
+        res = run_simulation(cfg)
+        rep = generate_rep(cfg, 0)
+        _, sides = run_setup(TransportConfig(estimators=cfg.estimators), rep.sites, rep.target)
+        grid = sorted(cfg.lambda_grid, reverse=True)
+        expected = {lam: [] for lam in grid}
+        for site in rep.sites:
+            prob = BalanceProblem(site=site, target=rep.target, lam=grid[0], **sides)
+            for lam, ws in solve_along_grid(prob, grid, cfg.solver):
+                expected[lam].append(weighting_estimate(site, ws.gamma).estimate - rep.truth[site.site_id])
+        for lam in grid:
+            assert res.cell_errors[("weighting", lam)][0].tobytes() == np.array(expected[lam]).tobytes()
+
     def test_cell_errors_filled_without_an_argument(self):
         cfg = small_config(reps=2)
         res = run_simulation(cfg)
