@@ -47,10 +47,11 @@ sites = validate_dataset(records)
 config = TransportConfig(estimators=("naive", "weighting"), lam=0.002)
 report = transport_all(sites, target=None, config=config)  # None = overall population
 
-naive = report.estimates_for("naive")
-weighted = report.estimates_for("weighting")
+results = [r for r in report.results if "weighting" in r.estimates]  # the sites whose weights solved
+naive = [r.estimates["naive"] for r in results]
+weighted = [r.estimates["weighting"] for r in results]
 print(f"{'site':>8} {'untransported':>14} {'transported':>12} {'ESS(t)':>8}")
-for nv, wt, res in zip(naive, weighted, report.results):
+for nv, wt, res in zip(naive, weighted, results):
     print(
         f"{nv.site_id:>8} {nv.estimate:>+14.3f} {wt.estimate:>+12.3f}"
         f" {res.weights.ess:>8.1f}"

@@ -432,6 +432,8 @@ def _cmd_heterogeneity(args) -> int:
             for name, value in zip(("estimate", "standard error"), effects[site]):
                 if not np.isfinite(value):
                     raise ValueError(f"{path}: the {name} of site {site} is {value}; it must be finite")
+            if (se := effects[site][1]) <= 0:  # n_boot: 0 writes 0.0 for the bootstrapped estimators
+                raise ValueError(f"{path}: the standard error of site {site} is {se}; it must be positive")
     eff = [
         SiteEffectSet(np.array([effects[s][0] for s in paired]), np.array([effects[s][1] for s in paired]))
         for effects, _ in tables

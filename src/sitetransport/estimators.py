@@ -234,25 +234,23 @@ def density_ratio_fit(
 
     Labels target rows 1 and experimental rows 0; the returned function maps
     covariates to odds(target) * (n_exp / n_target), the Bayes-rule estimate of
-    the density ratio. ``target`` is the target's rows or a sample
-    :class:`TargetSpec`, whose design under ``feature_map`` it maps once
-    for all the sites of a run (:meth:`TargetSpec.design`). Raises
-    :class:`SeparableDataError` when the samples are separable, which
+    the density ratio. ``target`` is the target's rows or a :class:`TargetSpec`,
+    whose design under ``feature_map`` it maps once for all the sites of a
+    run; a moments target raises the ValueError of :meth:`TargetSpec.design`.
+    Raises :class:`SeparableDataError` when the samples are separable, which
     signals an overlap failure.
     """
-    of_spec = isinstance(target, TargetSpec)
-    if of_spec and not target.is_sample:
-        raise ValueError("density-ratio fitting requires a unit-level target sample, not moments")
     Xe = np.atleast_2d(np.asarray(experimental, dtype=float))
-    Xt = target.sample if of_spec else np.atleast_2d(np.asarray(target, dtype=float))
-    if Xe.size == 0 or Xt.size == 0:
+    of_spec = isinstance(target, TargetSpec)
+    target_design = target.design(feature_map) if of_spec else regression_design(feature_map, target)
+    m = target_design.shape[0]
+    if Xe.size == 0 or m == 0:
         raise ValueError("both samples must be nonempty")
-    target_design = target.design(feature_map) if of_spec else regression_design(feature_map, Xt)
     # the design maps row by row, so this is the stacked samples' design bit for bit
     design = np.vstack([regression_design(feature_map, Xe), target_design])
-    labels = np.concatenate([np.zeros(Xe.shape[0]), np.ones(Xt.shape[0])])
+    labels = np.concatenate([np.zeros(Xe.shape[0]), np.ones(m)])
     fit = fit_logistic(design, labels)
-    prior = Xe.shape[0] / Xt.shape[0]
+    prior = Xe.shape[0] / m
 
     raw = _raw_ratio(fit.linear_predictor(design[: Xe.shape[0]]), prior)
     clipped = (raw < RATIO_CLIP[0]) | (raw > RATIO_CLIP[1])
@@ -359,12 +357,10 @@ def _model_estimates(
     counted once (keeping ``ratio`` where that refit separates); any other
     ratio is held fixed in every replicate.
 
-    Raises ValueError for a moments target or an ``n_boot`` of 1 or below 0,
-    and :class:`InsufficientArmError` when an arm has no more units than
-    the map has features.
+    Raises ValueError for a moments target (:meth:`TargetSpec.design`) or an
+    ``n_boot`` of 1 or below 0, and :class:`InsufficientArmError` when an arm
+    has no more units than the map has features.
     """
-    if not target.is_sample:
-        raise ValueError("outcome-model and doubly robust estimation require a unit-level target sample")
     if n_boot < 0 or n_boot == 1:  # a standard error needs two replicates; 0 skips it
         raise ValueError(f"n_boot must be 0 (no bootstrap) or at least 2, got {n_boot}")
     k = feature_map.output_dim

@@ -39,7 +39,9 @@ class TransportConfig:
     The same feature-map specification is used for the effect side and the
     prognostic side in linear mode; kernel mode uses the two kernel specs.
     ``n_boot`` and ``seed`` must be whole numbers >= 0 and ``standardize``
-    and ``ipw_hajek`` booleans, or ConfigError names the setting.
+    and ``ipw_hajek`` booleans, or ConfigError names the setting. With
+    ``n_boot`` 0 the outcome model and doubly robust estimates, whose
+    standard errors are bootstrapped, carry a standard error of 0.0.
     """
 
     estimators: tuple[str, ...] = (NAIVE, WEIGHTING)
@@ -89,9 +91,6 @@ class SiteResult:
 @dataclass(frozen=True, eq=False)
 class TransportReport:
     results: tuple[SiteResult, ...]
-
-    def estimates_for(self, method: str) -> list[TransportEstimate]:
-        return [r.estimates[method] for r in self.results if method in r.estimates]
 
 
 def _transport_site(

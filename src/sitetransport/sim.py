@@ -96,10 +96,6 @@ class SitePopulation:
     def n(self) -> int:
         return self.covariates.shape[0]
 
-    @property
-    def propensity(self) -> float:
-        return self.n_treated / self.n
-
 
 def build_populations(config: SimConfig) -> list[SitePopulation]:
     """Draw the per-site base populations; deterministic given config.seed."""
@@ -143,25 +139,22 @@ class SimReplicate:
     truth: dict[str, float]
 
 
-def generate_rep(
-    config: SimConfig,
-    rep_seed: int,
-    populations: list[SitePopulation] | None = None,
-) -> SimReplicate:
-    """One bootstrap replication of every site plus the rep's target and truth.
+def generate_rep(config: SimConfig, rep_seed: int, populations: list[SitePopulation]) -> SimReplicate:
+    """One bootstrap replication of every site of ``populations`` (from
+    :func:`build_populations`) plus the rep's target and truth.
 
     Each site's base population is resampled with replacement, treatment is
-    re-randomized holding the treated count fixed, and potential outcomes get
+    re-randomized holding the treated count fixed (so each site's propensity,
+    its treated fraction, is the population's), and potential outcomes get
     independent noise. The target is the pooled bootstrap sample of the
     designated experiment group, and the per-site truth is the exact average
     of that site's CATE over the target sample.
     """
-    pops = populations if populations is not None else build_populations(config)
     rng = np.random.default_rng([config.seed, 202, int(rep_seed)])
 
     sites = []
     target_rows = []
-    for pop in pops:
+    for pop in populations:
         idx = rng.integers(0, pop.n, size=pop.n)
         X = pop.covariates[idx]
         base = pop.base_outcome[idx]
@@ -174,16 +167,14 @@ def generate_rep(
         )
         y = np.where(z == 1.0, y1, y0)
 
-        sites.append(
-            SiteDataset(site_id=pop.site_id, covariates=X, treatment=z, outcomes=y, propensity=pop.propensity)
-        )
+        sites.append(SiteDataset(site_id=pop.site_id, covariates=X, treatment=z, outcomes=y))
         if pop.experiment == config.target_experiment:
             target_rows.append(X)
 
     target = TargetSpec.from_sample(np.vstack(target_rows))
     truth = {
         pop.site_id: float(np.mean(_site_tau(config, pop.experiment, target.sample)))
-        for pop in pops
+        for pop in populations
     }
     return SimReplicate(sites=sites, target=target, truth=truth)
 

@@ -124,6 +124,27 @@ class TestBuildLinearQp:
                            cate_map=fmap, prognostic_map=fmap)
 
 
+class TestOutsideInputErrors:
+    @pytest.mark.parametrize(
+        "sides, message",
+        [
+            (dict(cate_map=True, prognostic_map=True, cate_kernel=True), "supply feature maps or kernels, not both"),
+            ({}, "supply feature maps (linear mode) or kernels (kernel mode)"),
+            (dict(cate_map=True), "linear mode needs both cate_map and prognostic_map"),
+            (dict(prognostic_kernel=True), "kernel mode needs both cate_kernel and prognostic_kernel"),
+            (dict(cate_map=True, prognostic_map=True), "build_kernel_qp requires a kernel-mode problem"),
+        ],
+        ids=["both-modes", "no-mode", "one-map", "one-kernel", "kernel-qp-of-linear"],
+    )
+    def test_a_mode_mismatch_names_what_is_wrong(self, sides, message):
+        given = {"cate_map": identity_map(1), "prognostic_map": identity_map(1),
+                 "cate_kernel": KernelSpec("linear"), "prognostic_kernel": KernelSpec("linear")}
+        with pytest.raises(ModeMismatchError) as info:
+            build_kernel_qp(BalanceProblem(site=one_dim_site(), target=TargetSpec.from_sample([[1.0]]), lam=0.1,
+                                           **{name: given[name] for name in sides}))
+        assert str(info.value) == message
+
+
 class TestBuildKernelQp:
     def test_linear_kernels_reproduce_linear_program(self, rng):
         site = random_site(rng, n=12, d=2)

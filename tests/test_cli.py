@@ -451,6 +451,28 @@ class TestTransportCommand:
         assert [line for line in err if "note:" in line] == [f"site {site} {note}" for site in ("alpha", "beta")]
         assert all(row["errors"] == "" for row in read_csv(out))
 
+    def test_a_failed_estimator_leaves_empty_cells_that_heterogeneity_drops(self, toy, capsys):
+        # gamma's arms of 3 and 5 units cannot fit the map's 3 features
+        tmp, data, target = toy
+        rng = np.random.default_rng(3)
+        gamma = [f"gamma,{z},{rng.normal()!r},{x[0]!r},{x[1]!r},{x[2]!r}"
+                 for z, x in zip([1, 1, 1, 0, 0, 0, 0, 0], rng.normal(size=(8, 3)).tolist())]
+        data.write_text(data.read_text(encoding="utf-8") + "\n".join(gamma) + "\n", encoding="utf-8")
+        cfg, out = tmp / "cfg.yaml", tmp / "est.csv"
+        cfg.write_text("estimators: [naive, outcome_model]\nn_boot: 20\n", encoding="utf-8")
+        rc = main(["transport", "--data", str(data), "--target", str(target), "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        error = "outcome_model: InsufficientArmError: arms of size (3, 5) cannot support 3 features"
+        assert f"site gamma {error}" in capsys.readouterr().err.splitlines()
+        rows = {row["site_id"]: row for row in read_csv(out)}
+        cells = ("estimate", "std_error", "ess_treated", "ess_control")
+        assert [rows["gamma"][f"outcome_model_{c}"] for c in cells] == ["", "", "", ""]
+        assert rows["gamma"]["errors"] == error and rows["gamma"]["naive_estimate"] != ""
+        assert all(row["errors"] == "" and row["outcome_model_std_error"] != "" for row in (rows["alpha"], rows["beta"]))
+        rc, text, _ = heterogeneity_report(capsys, "--effects", out, "--method", "outcome_model")
+        assert rc == 0
+        assert text.splitlines()[:3] == [f"dropped site gamma: {error}", "[effects]", "  sites:             2"]
+
     def test_deterministic_given_seed(self, toy):
         tmp, data, target = toy
         out1, out2 = tmp / "e1.csv", tmp / "e2.csv"
@@ -583,6 +605,20 @@ class TestHeterogeneityPairing:
         assert record["error"] == "ValueError"
         assert record["message"] == f"{b}: {message}; it must be finite"
 
+    @pytest.mark.parametrize("baseline", [[], ["--baseline", "naive"]], ids=["alone", "against-naive"])
+    def test_a_zero_standard_error_names_its_site_and_exits_1(self, tmp_path, capsys, baseline):
+        # without the bootstrap the outcome model's standard errors are 0.0
+        cfg, out = tmp_path / "cfg.yaml", tmp_path / "est.csv"
+        cfg.write_text("estimators: [naive, weighting, outcome_model]\nn_boot: 0\n", encoding="utf-8")
+        assert main(["transport", "--data", str(DATA_DIR / "golden_data.csv"), "--target",
+                     str(DATA_DIR / "golden_target.csv"), "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc, text, err = heterogeneity_report(capsys, "--effects", out, *baseline, "--method", "outcome_model")
+        assert rc == 1 and text == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record == {"error": "ValueError",
+                          "message": f"{out}: the standard error of site alpha is 0.0; it must be positive"}
+
     @pytest.mark.parametrize(
         "flags",
         [["--method2", "weighting"], ["--baseline", "naive", "--method", "weighting", "--transported", "{eff}"]],
@@ -594,6 +630,42 @@ class TestHeterogeneityPairing:
         assert rc == 2
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
         assert out == ""
+
+
+class TestOutsideInputErrors:
+    @pytest.mark.parametrize(
+        "args, files, error, message",
+        [
+            (["heterogeneity", "--effects", "{eff}"], {"eff": "site_id,estimate,std_error\n"},
+             "SchemaError", "{eff}: no data rows"),
+            (["heterogeneity", "--effects", "{eff}"], {"eff": "site_id,est,se\ns1,0.1,0.2\n"}, "SchemaError",
+             "{eff}: expected columns 'estimate' and 'std_error', or pass --method to select columns of a transport table"),
+            (["heterogeneity", "--effects", "{eff}", "--method", "ipw"], {"eff": "site_id,ipw_estimate\ns1,0.1\n"},
+             "SchemaError", "{eff}: missing required column 'ipw_std_error'"),
+            (["heterogeneity", "--effects", "{eff}"],
+             {"eff": "site_id,estimate,std_error\ns1,0.1,0.2\ns2,0.1,0.2\ns1,0.3,0.2\n"},
+             "SchemaError", "{eff}: site 's1' appears in more than one row"),
+            (["weights", "--data", "{data}", "--site", "gamma", "--out", "{out}"], {},
+             "SchemaError", "site 'gamma' not found in {data}"),
+            (["weights", "--data", "{data}", "--config", "{cfg}", "--out", "{out}"], {"cfg": "- lambda\n- 0.1\n"},
+             "ConfigError", "{cfg}: config must be a mapping"),
+            (["weights", "--data", "{data}", "--config", "{cfg}", "--out", "{out}"], {"cfg": "kernels: {cate: 3}\n"},
+             "ConfigError", "cannot parse kernel spec 3"),
+        ],
+        ids=["no-rows", "no-effect-columns", "no-method-column", "site-twice", "unknown-site", "config-list",
+             "kernel-number"],
+    )
+    def test_a_bad_input_file_names_what_is_wrong(self, toy, capsys, args, files, error, message):
+        tmp, data, _ = toy
+        paths = {"data": str(data), "out": str(tmp / "out.csv")}
+        for name, text in files.items():
+            paths[name] = str(tmp / f"{name}.txt")
+            (tmp / f"{name}.txt").write_text(text, encoding="utf-8")
+        rc = main([arg.format(**paths) for arg in args])
+        assert rc == (2 if error == "ConfigError" else 1)
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": error, "message": message.format(**paths)}
+        assert not (tmp / "out.csv").exists()
 
 
 class TestSimulateCommand:

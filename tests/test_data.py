@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from conftest import assert_sites_identical, site_records
-from sitetransport import SiteDataset, TargetSpec, UnitRecord, validate_dataset
+from sitetransport import SiteDataset, TargetSpec, UnitRecord, identity_map, validate_dataset
 from sitetransport.errors import (
     DegenerateSiteError,
     MixedArityError,
@@ -123,3 +123,36 @@ class TestTargetSpec:
         pooled = TargetSpec.pooled([a, b])
         assert pooled.sample.shape == (4, 2)
         assert (pooled.sample == 9.0).sum() == 4
+
+
+class TestOutsideInputErrors:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda X, z, y: SiteDataset(site_id="a", covariates=X[:, 0], treatment=z, outcomes=y),
+             ValueError, "covariates must be (n, d) with one treatment and outcome per row"),
+            (lambda X, z, y: SiteDataset(site_id="a", covariates=X, treatment=z[:2], outcomes=y),
+             ValueError, "covariates must be (n, d) with one treatment and outcome per row"),
+            (lambda X, z, y: SiteDataset(site_id="a", covariates=X, treatment=z, outcomes=y[:, None]),
+             ValueError, "covariates must be (n, d) with one treatment and outcome per row"),
+            (lambda X, z, y: SiteDataset(row_indices=[0, 1], site_id="a", covariates=X, treatment=z, outcomes=y),
+             ValueError, "row_indices must align with units"),
+            (lambda X, z, y: SiteDataset(units=[]), DegenerateSiteError, "a site must contain at least one unit"),
+            (lambda X, z, y: SiteDataset(units=[rec("a", 1), rec("b", 0)]),
+             ValueError, "units of one SiteDataset must share a site_id, got "),
+            (lambda X, z, y: TargetSpec.from_moments([]), ValueError, "target moments must be nonempty"),
+            (lambda X, z, y: TargetSpec.from_moments([0.5, np.nan]), ValueError, "target moments must be finite"),
+            (lambda X, z, y: TargetSpec.from_moments([np.inf]), ValueError, "target moments must be finite"),
+            (lambda X, z, y: TargetSpec.pooled([]), ValueError, "pooled target requires at least one site"),
+            (lambda X, z, y: TargetSpec.from_moments([0.5]).design(identity_map(1)),
+             ValueError, "a moments target has no design; it needs a unit-level sample"),
+        ],
+        ids=["1-d-covariates", "short-treatment", "2-d-outcomes", "short-row-indices", "no-units", "two-sites",
+             "empty-moments", "nan-moment", "infinite-moment", "pooled-nothing", "design-of-moments"],
+    )
+    def test_a_bad_input_names_what_is_wrong(self, build, error, message):
+        # the two-site message ends in a set, whose order is not fixed
+        X, z, y = np.ones((3, 2)), np.array([1.0, 0.0, 0.0]), np.zeros(3)
+        with pytest.raises(error) as info:
+            build(X, z, y)
+        assert str(info.value).startswith(message)

@@ -28,7 +28,7 @@ from sitetransport.errors import (
     InsufficientArmError,
     SeparableDataError,
 )
-from sitetransport.estimators import _dr_point
+from sitetransport.estimators import _dr_point, weighted_arm_means
 from sitetransport.multisite import run_setup
 from sitetransport.regression import fit_least_squares, fit_logistic
 
@@ -85,6 +85,27 @@ class TestWeightingEstimate:
         y0 = site.outcomes[z == 0]
         expected = np.var(y1, ddof=1) / site.n1 + np.var(y0, ddof=1) / site.n0
         assert est.std_error**2 == pytest.approx(expected, rel=1e-12)
+
+
+class TestOutsideInputErrors:
+    MOMENTS_DESIGN = "a moments target has no design; it needs a unit-level sample"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda site, moments: density_ratio_fit(site.covariates, moments, identity_map(1)), MOMENTS_DESIGN),
+            (lambda site, moments: outcome_model_estimate(site, moments, identity_map(1), n_boot=0), MOMENTS_DESIGN),
+            (lambda site, moments: weighted_arm_means(site, np.ones(site.n - 1)), "gamma has length 7, site has 8 units"),
+            (lambda site, moments: ipw_estimate(site, lambda X: 1.0 - site.treatment, hajek=True),
+             "Hajek normalization undefined: an arm has zero ratio mass"),
+        ],
+        ids=["density-ratio-of-moments", "outcome-model-of-moments", "short-gamma", "hajek-zero-mass"],
+    )
+    def test_a_bad_input_raises_value_error_that_says_why(self, call, message):
+        site = build_site(np.arange(8.0)[:, None], [1, 0] * 4, np.arange(8.0) / 4)
+        with pytest.raises(ValueError) as info:
+            call(site, TargetSpec.from_moments([2.0]))
+        assert str(info.value) == message
 
 
 class TestNaiveEstimate:

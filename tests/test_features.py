@@ -192,6 +192,26 @@ class TestKernels:
         assert np.all(K > 0.0) and np.all(K <= 1.0 + 1e-15)
 
 
+class TestOutsideInputErrors:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: KernelSpec("poly"), ValueError, "unknown kernel kind 'poly'"),
+            (lambda: kernel_matrix(KernelSpec("rbf"), np.ones((2, 2))), ValueError,
+             "RBF bandwidth unresolved; call resolve_bandwidth first"),
+            (lambda: resolve_bandwidth([[1.0, 2.0]]), EmptySampleError, "bandwidth resolution needs at least two points"),
+            (lambda: apply_feature_map(fit_feature_map(FeatureMap(), np.eye(3)), np.ones((2, 2))),
+             DimensionMismatchError, "expected 3 raw covariates, got 2"),
+            (lambda: FeatureMap().output_dim, UnfittedMapError, "feature map has not been fitted"),
+        ],
+        ids=["poly-kernel", "unresolved-rbf", "one-point-bandwidth", "wrong-width", "unfitted-output-dim"],
+    )
+    def test_a_bad_input_names_what_is_wrong(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestResolveBandwidth:
     def test_single_pair(self):
         assert resolve_bandwidth(np.array([[0.0], [2.0]])) == pytest.approx(2.0)

@@ -66,7 +66,7 @@ class TestTransportAll:
         report = transport_all(
             [site_a, site_b], None, TransportConfig(estimators=("naive", "weighting"), lam=0.05)
         )
-        est = report.estimates_for("weighting")
+        est = [res.estimates["weighting"] for res in report.results]
         assert est[0].estimate == pytest.approx(est[1].estimate, abs=1e-6)
 
     def test_linear_cate_shifts_by_site_intercepts(self, rng):

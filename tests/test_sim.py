@@ -91,16 +91,16 @@ class TestGenerateRep:
 
     def test_zero_cate_yields_intercept_truths(self):
         cfg = small_config(cate_coefficients=(0.0,) * 5)
-        rep = generate_rep(cfg, 0)
         pops = build_populations(cfg)
+        rep = generate_rep(cfg, 0, pops)
         for pop in pops:
             expected = cfg.experiment_intercepts[pop.experiment]
             assert rep.truth[pop.site_id] == pytest.approx(expected)
 
     def test_same_experiment_sites_share_truth(self):
         cfg = small_config()
-        rep = generate_rep(cfg, 2)
         pops = build_populations(cfg)
+        rep = generate_rep(cfg, 2, pops)
         by_group = {}
         for pop in pops:
             by_group.setdefault(pop.experiment, []).append(rep.truth[pop.site_id])
@@ -131,7 +131,7 @@ class TestGenerateRep:
             rep = generate_rep(cfg, r, pops)
             for site, pop in zip(rep.sites, pops):
                 assert site.n1 == pop.n_treated
-                assert site.propensity == pop.propensity
+                assert site.propensity == pop.n_treated / pop.n
 
 
 class TestRunSimulation:
@@ -248,7 +248,7 @@ class TestRunSimulation:
         names = ("ipw", "outcome_model", "doubly_robust")
         cfg = small_config(estimators=names, reps=1)
         res = run_simulation(cfg)
-        rep = generate_rep(cfg, 0)
+        rep = generate_rep(cfg, 0, build_populations(cfg))
         report = transport_all(rep.sites, rep.target, TransportConfig(estimators=names, n_boot=0))
         for name in names:
             expected = [r.estimates[name].estimate - rep.truth[r.site_id] for r in report.results]
@@ -263,7 +263,7 @@ class TestRunSimulation:
 
         cfg = small_config(reps=1)
         res = run_simulation(cfg)
-        rep = generate_rep(cfg, 0)
+        rep = generate_rep(cfg, 0, build_populations(cfg))
         _, sides = run_setup(TransportConfig(estimators=cfg.estimators), rep.sites, rep.target)
         grid = sorted(cfg.lambda_grid, reverse=True)
         expected = {lam: [] for lam in grid}
