@@ -35,7 +35,8 @@ class SiteEffectSet:
                 i = int(np.argmax(bad))
                 raise ValueError(f"{name} {i + 1} of {values.size} is {float(values[i])}; it must be finite")
         if not np.all(se > 0):
-            raise ValueError("all standard errors must be strictly positive")
+            i = int(np.argmin(se > 0))
+            raise ValueError(f"standard error {i + 1} of {se.size} is {float(se[i])}; it must be positive")
         object.__setattr__(self, "estimates", est)
         object.__setattr__(self, "std_errors", se)
 

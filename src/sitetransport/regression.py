@@ -72,10 +72,9 @@ def fit_logistic(design: np.ndarray, labels: np.ndarray, counts: np.ndarray | No
 
     Row i counts ``counts[i]`` times (default once), as if repeated that
     often; a row with count 0 is left out, of the separation tests too.
-    Convergence is declared when the mean gradient drops to _LOGISTIC_TOL;
-    without ``counts`` no count enters the arithmetic (a count of 1 would
-    change no bit of it). Raises :class:`SeparableDataError` when the linear
-    predictor diverges, which signals (quasi-)separable classes.
+    Convergence is declared when the mean gradient drops to _LOGISTIC_TOL.
+    Raises :class:`SeparableDataError` when the linear predictor diverges,
+    which signals (quasi-)separable classes.
     """
     X = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(labels, dtype=float).ravel()
@@ -83,26 +82,25 @@ def fit_logistic(design: np.ndarray, labels: np.ndarray, counts: np.ndarray | No
         raise ValueError(f"design has {X.shape[0]} rows but labels have {y.size}")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("labels must be 0/1")
-    c = None if counts is None else np.asarray(counts, dtype=float).ravel()
-    # the separation tests look only at present rows: every row without counts
-    where = {} if c is None else {"where": c > 0}
+    c = np.ones(y.size) if counts is None else np.asarray(counts, dtype=float).ravel()
+    present = c > 0  # the separation tests look only at present rows
 
-    n = float(y.size if c is None else c.sum())
+    n = float(c.sum())
     beta = np.zeros(X.shape[1])
     converged = False
     for _ in range(_LOGISTIC_MAX_ITER):
         eta = X @ beta
-        if np.abs(eta).max(initial=0.0, **where) > _SEPARATION_ETA:
+        if np.abs(eta).max(initial=0.0, where=present) > _SEPARATION_ETA:
             raise SeparableDataError(
                 "logistic regression diverged; the classes are (quasi-)separable"
             )
         prob = sigmoid(eta)
         resid = y - prob
-        grad = X.T @ (resid if c is None else c * resid) / n
+        grad = X.T @ (c * resid) / n
         if np.abs(grad).max(initial=0.0) <= _LOGISTIC_TOL:
             converged = True
             break
-        w = prob * (1.0 - prob) if c is None else c * prob * (1.0 - prob)
+        w = c * prob * (1.0 - prob)
         hess = (X * w[:, None]).T @ X / n
         hess.flat[:: hess.shape[0] + 1] += 1e-12
         try:
@@ -112,7 +110,7 @@ def fit_logistic(design: np.ndarray, labels: np.ndarray, counts: np.ndarray | No
         beta = beta + step
     else:  # the cap: prob is not yet at the last step's beta
         prob = sigmoid(X @ beta)
-    if np.all(np.where(y == 1, prob > 1.0 - 1e-6, prob < 1e-6), **where):
+    if np.all(np.where(y == 1, prob > 1.0 - 1e-6, prob < 1e-6), where=present):
         raise SeparableDataError(
             "logistic regression saturated every fitted probability; "
             "the classes are separable"

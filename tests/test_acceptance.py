@@ -209,6 +209,11 @@ def test_criterion_4_kernel_linear_agreement():
 
 @pytest.mark.slow
 def test_criterion_5_simulation_shape():
+    """The default simulation (seed 0): weighting's bias is least at the
+    smallest lambda, its RMSE least at an interior one, and its top row is
+    naive's. The shape held at 7 of the 8 seeds 0-7 (120 reps each); at seed
+    3 weighting's bias at lambda = 1e-4 (0.109) stays above naive's (0.082),
+    so the bias argmin is lambda = 1e8 and the RMSE argmin 0.3."""
     start = time.time()
     config = SimConfig()  # J=12, reps=120, default grid and estimators
     result = run_simulation(config)

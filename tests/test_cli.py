@@ -194,6 +194,50 @@ class TestWeightsCommand:
         assert rc == 0
         assert len(calls) == 1
 
+    @staticmethod
+    def fail_solves_of(monkeypatch, failing):
+        """Makes the weights command's solve raise SolverFailedError at the sites ``failing``."""
+        from sitetransport import cli
+        from sitetransport.errors import SolverFailedError
+
+        solve_weights = cli.solve_weights
+
+        def solve(prob, *args):
+            if prob.site.site_id in failing:
+                raise SolverFailedError("no solution")
+            return solve_weights(prob, *args)
+
+        monkeypatch.setattr(cli, "solve_weights", solve)
+
+    def test_a_failed_site_is_named_and_left_out(self, tmp_path, monkeypatch, capsys):
+        golden = ["weights", "--data", str(DATA_DIR / "golden_data.csv"),
+                  "--target", str(DATA_DIR / "golden_target.csv")]
+        everyone, out = tmp_path / "all.csv", tmp_path / "w.csv"
+        assert main([*golden, "--out", str(everyone)]) == 0
+        capsys.readouterr()
+        self.fail_solves_of(monkeypatch, {"beta"})
+        assert main([*golden, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert [ln for ln in captured.err.splitlines() if "FAILED" in ln] == [
+            "site beta: FAILED SolverFailedError: no solution"
+        ]
+        assert "site beta:" not in captured.out
+        header, *rows = everyone.read_text(encoding="utf-8").splitlines()
+        written = out.read_text(encoding="utf-8").splitlines()
+        assert written == [header] + [row for row in rows if row.startswith("alpha,")]
+        assert len(rows) == 70 and len(written) == 1 + 35
+
+    def test_no_site_solved_exits_1_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        self.fail_solves_of(monkeypatch, {"alpha", "beta"})
+        out = tmp_path / "w.csv"
+        rc = main(["weights", "--data", str(DATA_DIR / "golden_data.csv"), "--target",
+                   str(DATA_DIR / "golden_target.csv"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[:2] == [f"site {site}: FAILED SolverFailedError: no solution" for site in ("alpha", "beta")]
+        assert json.loads(err[-1]) == {"error": "SiteTransportError", "message": "no site produced weights"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["weights", "sweep"])
     def test_seed_is_not_a_flag_of_a_command_that_draws_nothing(self, tmp_path, command, capsys):
         with pytest.raises(SystemExit) as exc:

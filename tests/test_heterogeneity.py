@@ -91,9 +91,11 @@ class TestEstimateTheta:
             ([0.1, 0.2, -np.inf], [0.1, 0.2, 0.3], "estimate 3 of 3 is -inf"),
             ([0.1, 0.2, 0.3], [0.1, np.inf, 0.3], "standard error 2 of 3 is inf"),
             ([0.1, 0.2, 0.3], [np.nan, 0.2, 0.3], "standard error 1 of 3 is nan"),
+            ([0.1, 0.2, 0.3], [0.1, 0.0, 0.2], "standard error 2 of 3 is 0.0; it must be positive"),
+            ([0.1, 0.2, 0.3], [0.1, 0.2, -0.3], "standard error 3 of 3 is -0.3; it must be positive"),
         ],
     )
-    def test_non_finite_values_rejected(self, estimates, std_errors, message):
+    def test_a_value_that_is_not_usable_is_named(self, estimates, std_errors, message):
         with pytest.raises(ValueError, match=message):
             SiteEffectSet(np.array(estimates), np.array(std_errors))
 
