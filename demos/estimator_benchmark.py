@@ -14,7 +14,6 @@ from sitetransport import SimConfig, run_simulation
 
 config = SimConfig(
     n_sites=8,
-    n_experiments=2,
     experiment_intercepts=(-0.3, 0.25),
     site_size_range=(150, 400),
     reps=15,

@@ -24,7 +24,7 @@ from .errors import (
     SolverFailedError,
 )
 from .features import FeatureMap, KernelSpec, apply_feature_map, kernel_matrix, map_raw_means, resolve_kernels
-from .qp import SOLVED, QpSettings, QpSolution, QuadraticProgram, solve_qp
+from .qp import SOLVED, QpSettings, QpSolution, QuadraticProgram, as_number, solve_qp
 
 # Weight solutions flag sites whose effective sample size drops below this
 # share of the site size.
@@ -36,11 +36,8 @@ _GRAM_BLOCK_DOUBLES = 1 << 20
 
 
 def check_lambda(lam, error: type[Exception] = ValueError) -> float:
-    """``lam`` as a float, or ``error`` naming it unless it is a finite nonnegative number."""
-    try:
-        value = float(lam)
-    except (TypeError, ValueError):
-        value = np.nan  # not a number: rejected below by its own text
+    """``lam`` as a float, or ``error`` naming it unless it is a finite nonnegative number (not a bool)."""
+    value = as_number(lam)
     if not 0.0 <= value < np.inf:
         raise error(f"lambda must be a finite nonnegative number, got {lam!r}")
     return value
@@ -66,7 +63,7 @@ class BalanceProblem:
     prognostic_kernel: KernelSpec | None = None
 
     def __post_init__(self):
-        check_lambda(self.lam)
+        object.__setattr__(self, "lam", check_lambda(self.lam))
         has_maps = self.cate_map is not None or self.prognostic_map is not None
         has_kernels = self.cate_kernel is not None or self.prognostic_kernel is not None
         if has_maps and has_kernels:
@@ -92,9 +89,8 @@ class BalanceProblem:
         """This problem at another lambda, sharing (and building, if need be)
         its lambda-free program; only ``lam`` is checked, the rest was when
         this problem was made. ``dataclasses.replace`` builds a fresh one."""
-        check_lambda(lam)
         copy = object.__new__(type(self))
-        copy.__dict__.update(self.__dict__, lam=lam, _program=self._program)
+        copy.__dict__.update(self.__dict__, lam=check_lambda(lam), _program=self._program)
         return copy
 
 

@@ -166,11 +166,8 @@ def read_target_moments(path: str, names: tuple[str, ...]) -> TargetSpec:
     for label, found in (("missing", missing), ("unknown or repeated", unknown)):
         if found:
             raise SchemaError(f"{path}: {label} moment column(s) {found}; expected {list(names)}")
-    try:
-        means = dict(zip(header, map(float, table[1])))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: non-numeric moment value") from exc
-    return TargetSpec.from_moments([means[name] for name in names])
+    row = dict(zip(header, table[1]))
+    return TargetSpec.from_moments([_parse_float(row, name, path) for name in names])
 
 
 # Every key a config file may hold at its top level, for any subcommand.
@@ -202,6 +199,13 @@ def _section(value, name: str, allowed) -> dict:
     return value
 
 
+def _number(value, name: str) -> float:
+    """A YAML number as a float: a string such as 1.0e8 is parsed, a bool (yes, no) refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _kernel_from_config(value) -> KernelSpec:
     if value is None or value == "linear":
         return KernelSpec("linear")
@@ -211,7 +215,7 @@ def _kernel_from_config(value) -> KernelSpec:
         value = _section(value, "kernel", ("kind", "bandwidth"))
         kind = value.get("kind", "rbf")
         bw = value.get("bandwidth", "median")
-        return KernelSpec(kind, None if bw in (None, "median") else float(bw))
+        return KernelSpec(kind, None if bw in (None, "median") else _number(bw, "bandwidth"))
     raise ConfigError(f"cannot parse kernel spec {value!r}")
 
 
@@ -232,7 +236,7 @@ def _transport_config(cfg: dict, args) -> TransportConfig:
     # (field, where the YAML gives it, under which key, cast)
     sources = (
         ("estimators", cfg, "estimators", tuple),
-        ("lam", cfg, "lambda", float),
+        ("lam", cfg, "lambda", lambda value: _number(value, "lambda")),
         ("mode", cfg, "mode", None),
         ("interactions", features, "interactions", lambda pairs: tuple(tuple(p) for p in pairs)),
         ("standardize", features, "standardize", None),
@@ -402,6 +406,8 @@ def _report_lines(label: str, effects: SiteEffectSet, alpha: float) -> tuple[lis
 
 
 def _cmd_heterogeneity(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     if args.method2 and not args.transported:
         raise ConfigError("--method2 selects columns of the --transported table, which is not given")
     if args.baseline and args.transported:
@@ -461,24 +467,19 @@ def _cmd_heterogeneity(args) -> int:
 
 def _sim_config(cfg: dict, args) -> SimConfig:
     kwargs = dict(_section(cfg.get("sim", {}), "sim", set(SimConfig.__dataclass_fields__) - {"solver"}))
-    # YAML reads unsigned exponents like 1.0e8 as strings; coerce numerics
-    casts = {
-        "site_size_range": float,  # SimConfig checks that each is whole
-        "cate_coefficients": float,
-        "experiment_intercepts": float,
-        "lambda_grid": float,
-        "estimators": str,
-    }
+    # lists of numbers, which SimConfig checks, and of estimator names
+    lists = ("site_size_range", "cate_coefficients", "experiment_intercepts", "lambda_grid", "estimators")
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     elif "seed" not in kwargs:
         kwargs["seed"] = cfg.get("seed", 0)
     try:
         kwargs["solver"] = _solver_from_config(cfg)
-        for key, cast in casts.items():
-            if key in kwargs and kwargs[key] is not None:
+        for key in lists:
+            if kwargs.get(key) is not None:
                 if not isinstance(kwargs[key], list):
                     raise ConfigError(f"sim setting {key!r} must be a list")
+                cast = str if key == "estimators" else lambda v: _number(v, f"a {key} value")
                 kwargs[key] = tuple(cast(v) for v in kwargs[key])
         return SimConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -518,10 +519,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, config, sites, target = _read_inputs(args)
-    if args.lambdas:
-        grid = [v for v in args.lambdas.split(",") if v.strip() != ""]
+    if args.lambdas is not None:
+        source, grid = "--lambdas", [v for v in args.lambdas.split(",") if v.strip() != ""]
     else:
-        grid = cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
+        source, grid = "lambda_grid", cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
+    if not isinstance(grid, (list, tuple)) or not grid:
+        raise ConfigError(f"{source} must list at least one lambda, got {grid!r}")
     grid = [check_lambda(v, ConfigError) for v in grid]
     _, sides = run_setup(replace(config, estimators=("weighting",)), sites, target)
     _print_kernels(config, sides)

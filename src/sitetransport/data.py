@@ -72,7 +72,7 @@ class UnitTable:
 
 @dataclass(frozen=True, init=False, eq=False)
 class SiteDataset:
-    """All units of one site as arrays, plus its (constant) propensity score.
+    """All units of one site as arrays, plus its propensity score.
 
     ``covariates`` (n, d), ``treatment`` (0/1) and ``outcomes`` are copied,
     validated once and read-only. Pass them as keywords with ``site_id``, or
@@ -81,21 +81,20 @@ class SiteDataset:
     holding one. ``row_indices`` (read-only integers, 0..n-1 unless given)
     holds each unit's row in the input table. ``n1`` and ``n0`` count the
     arms, ``arms`` holds their row indices (treated, then control), and
-    ``propensity`` defaults to the treated fraction n1 / (n1 + n0). Like
-    every object that holds arrays, a site compares and hashes by identity.
+    ``propensity`` is the treated share n1 / (n1 + n0) of a completely
+    randomized site. Like every object that holds arrays, a site compares
+    and hashes by identity.
     """
 
     site_id: str
     covariates: np.ndarray = field(repr=False)
     treatment: np.ndarray = field(repr=False)
     outcomes: np.ndarray = field(repr=False)
-    propensity: float = None  # type: ignore[assignment]
     row_indices: np.ndarray = field(repr=False)
 
     def __init__(
         self,
         units: Iterable[UnitRecord] | None = None,
-        propensity: float | None = None,
         row_indices: Sequence[int] | None = None,
         *,
         site_id: str | None = None,
@@ -123,18 +122,14 @@ class SiteDataset:
         n1, n0 = arms[0].size, arms[1].size
         if n1 == 0 or n0 == 0:
             raise DegenerateSiteError(f"site {site_id!r} has n1={n1}, n0={n0}; both arms are required")
-        if propensity is None:
-            propensity = n1 / (n1 + n0)
-        if not 0.0 < propensity < 1.0:
-            raise ValueError(f"propensity must lie in (0, 1), got {propensity}")
         rows = np.arange(z.size) if row_indices is None else np.array(row_indices, dtype=np.intp)
         if rows.shape != z.shape:
             raise ValueError("row_indices must align with units")
         for arr in (X, z, y, rows):
             arr.setflags(write=False)
-        for name, value in zip(self.__dataclass_fields__, (site_id, X, z, y, propensity, rows)):
+        for name, value in zip(self.__dataclass_fields__, (site_id, X, z, y, rows)):
             object.__setattr__(self, name, value)
-        self.__dict__.update(n1=n1, n0=n0, arms=arms)
+        self.__dict__.update(n1=n1, n0=n0, arms=arms, propensity=n1 / (n1 + n0))
 
     @property
     def n(self) -> int:
@@ -249,8 +244,7 @@ class PotentialOutcomeOracle:
 def validate_dataset(records: Iterable[UnitRecord] | UnitTable) -> list[SiteDataset]:
     """Group a unit table (or unit records) by site and validate each site.
 
-    Sites are returned in order of first appearance, each with the treated
-    fraction as its propensity. Raises
+    Sites are returned in order of first appearance. Raises
     :class:`MixedArityError` if covariate lengths differ anywhere in the input
     and :class:`DegenerateSiteError` for any site missing an arm.
     """

@@ -64,7 +64,7 @@ class TransportConfig:
             )
         if self.mode not in ("linear", "kernel"):
             raise ConfigError(f"mode must be 'linear' or 'kernel', got {self.mode!r}")
-        check_lambda(self.lam, ConfigError)
+        object.__setattr__(self, "lam", check_lambda(self.lam, ConfigError))
         for name in ("standardize", "ipw_hajek"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -257,7 +257,7 @@ def display_estimate(site: SiteDataset, gamma: np.ndarray) -> float:
     (1/n) sum gamma_i (z_i - pi) / (pi (1 - pi)) y_i.
 
     Equals the difference-in-weighted-means form exactly when the sum
-    constraints hold and pi = n1/n; used by the decomposition identity.
+    constraints hold; used by the decomposition identity.
     """
     gamma = np.asarray(gamma, dtype=float).ravel()
     w = (site.treatment - site.propensity) / (site.propensity * (1.0 - site.propensity))

@@ -364,8 +364,9 @@ class QpSettings:
     Every path stops when the primal and dual residuals fall below
     ``eps_abs + eps_rel * scale``. ADMM and the dual Newton path give up
     after ``max_iter`` iterations (Newton steps on the dual path); the
-    active-set path hands over to ADMM instead. A tolerance that is not finite
-    and nonnegative, or a ``max_iter`` not a whole number >= 1, raises ValueError.
+    active-set path hands over to ADMM instead. A tolerance that is not a
+    finite nonnegative number, or a ``max_iter`` not a whole number >= 1,
+    raises ValueError; a bool is neither.
     """
 
     eps_abs: float = 1e-6
@@ -374,20 +375,26 @@ class QpSettings:
 
     def __post_init__(self):
         for name in ("eps_abs", "eps_rel"):
-            value = float(getattr(self, name))
+            value = as_number(getattr(self, name))
             if not 0.0 <= value < np.inf:
                 raise ValueError(f"{name} must be a finite nonnegative number, got {getattr(self, name)!r}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "max_iter", whole_number(self.max_iter, "max_iter", 1))
 
 
+def as_number(value) -> float:
+    """``value`` as a float; NaN, for the caller's check to refuse, if it is a bool or not a number."""
+    try:
+        return np.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError):
+        return np.nan
+
+
 def whole_number(value, name: str, low: int | None = None) -> int:
     """``value`` as an int, or ValueError naming ``name`` unless it is a whole
-    number (an integral float such as 3.0 included), of at least ``low`` if given."""
-    try:
-        number = value if isinstance(value, numbers.Integral) else float(value)
-    except (TypeError, ValueError):
-        number = np.nan  # not a number: rejected below by its own text
+    number (an integral float such as 3.0 included, a bool not), of at least
+    ``low`` if given."""
+    number = value if isinstance(value, numbers.Integral) and not isinstance(value, bool) else as_number(value)
     if not (isinstance(number, numbers.Integral) or number.is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if low is not None and number < low:

@@ -21,7 +21,7 @@ from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec
 from .estimators import DOUBLY_ROBUST, IPW, NAIVE, OUTCOME_MODEL, WEIGHTING, weighted_arm_means
 from .multisite import KNOWN_ESTIMATORS, TransportConfig, _transport_site, run_setup
-from .qp import QpSettings, whole_number
+from .qp import QpSettings, as_number, whole_number
 
 
 def _default_cate_coefficients(d: int) -> tuple[float, ...]:
@@ -39,10 +39,10 @@ def _default_cate_coefficients(d: int) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class SimConfig:
     """The simulation's settings. The counts, ``seed`` and the site sizes (2 <= low <= high) must
-    be whole numbers (3.0 is kept as 3) and ``noise_sd`` finite and positive, else ValueError."""
+    be whole numbers (3.0 is kept as 3) and ``noise_sd`` a finite positive number (a bool is
+    neither), else ValueError. Each entry of ``experiment_intercepts`` is one experiment group."""
 
     n_sites: int = 12
-    n_experiments: int = 3
     site_size_range: tuple[int, int] = (150, 600)
     n_covariates: int = 23  # last covariate continuous (log-normal), rest binary
     cate_coefficients: tuple[float, ...] | None = None
@@ -56,18 +56,18 @@ class SimConfig:
     solver: QpSettings = QpSettings()
 
     def __post_init__(self):
-        counts = dict(n_sites=1, n_experiments=1, n_covariates=1, reps=1, target_experiment=0, seed=0)
+        counts = dict(n_sites=1, n_covariates=1, reps=1, target_experiment=0, seed=0)
         for name, low in counts.items():
             object.__setattr__(self, name, whole_number(getattr(self, name), name, low))
         sizes = tuple(whole_number(v, "a site size", 2) for v in self.site_size_range)
         if len(sizes) != 2 or sizes[0] > sizes[1]:
             raise ValueError(f"site_size_range must be two sizes, low <= high, got {sizes}")
         object.__setattr__(self, "site_size_range", sizes)
-        if not 0.0 < self.noise_sd < np.inf:
+        if not 0.0 < as_number(self.noise_sd) < np.inf:
             raise ValueError(f"noise_sd must be a finite positive number, got {self.noise_sd!r}")
-        if len(self.experiment_intercepts) != self.n_experiments:
-            raise ValueError("one intercept per experiment group is required")
-        if not 0 <= self.target_experiment < self.n_experiments:
+        if not self.experiment_intercepts:
+            raise ValueError("experiment_intercepts must be nonempty")
+        if not 0 <= self.target_experiment < len(self.experiment_intercepts):
             raise ValueError("target_experiment out of range")
         if not [check_lambda(v) for v in self.lambda_grid]:
             raise ValueError("lambda_grid must be nonempty")
@@ -106,7 +106,7 @@ def build_populations(config: SimConfig) -> list[SitePopulation]:
     lo, hi = config.site_size_range
     for j in range(config.n_sites):
         n_j = int(rng.integers(lo, hi + 1))
-        group = j * config.n_experiments // config.n_sites
+        group = j * len(config.experiment_intercepts) // config.n_sites
         prevalences = rng.beta(2.0, 2.0, size=d - 1)
         X = np.empty((n_j, d))
         X[:, : d - 1] = (rng.random((n_j, d - 1)) < prevalences).astype(float)
@@ -144,8 +144,7 @@ def generate_rep(config: SimConfig, rep_seed: int, populations: list[SitePopulat
     :func:`build_populations`) plus the rep's target and truth.
 
     Each site's base population is resampled with replacement, treatment is
-    re-randomized holding the treated count fixed (so each site's propensity,
-    its treated fraction, is the population's), and potential outcomes get
+    re-randomized holding the treated count fixed, and potential outcomes get
     independent noise. The target is the pooled bootstrap sample of the
     designated experiment group, and the per-site truth is the exact average
     of that site's CATE over the target sample.

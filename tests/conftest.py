@@ -4,7 +4,7 @@ import pytest
 from sitetransport import SiteDataset, TargetSpec, UnitRecord
 
 
-def build_site(X, z, y, site_id="s1", propensity=None) -> SiteDataset:
+def build_site(X, z, y, site_id="s1") -> SiteDataset:
     units = tuple(
         UnitRecord(
             covariates=tuple(np.atleast_1d(x)),
@@ -14,7 +14,7 @@ def build_site(X, z, y, site_id="s1", propensity=None) -> SiteDataset:
         )
         for x, t, v in zip(np.atleast_2d(X), z, y)
     )
-    return SiteDataset(units=units, propensity=propensity)
+    return SiteDataset(units=units)
 
 
 def site_records(site: SiteDataset) -> list[UnitRecord]:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -225,6 +226,14 @@ class TestBuildKernelQp:
         assert eigs[0] >= -1e-8 * eigs.sum()
 
 
+class TestLambdaValue:
+    def test_a_lambda_is_kept_as_the_float_it_reads_as(self):
+        prob = BalanceProblem(site=one_dim_site(), target=TargetSpec.from_sample([[1.0]]), lam="0.1",
+                              cate_map=identity_map(1), prognostic_map=identity_map(1))
+        assert type(prob.lam) is float and prob.lam == 0.1
+        assert type(prob.with_lam(2).lam) is float and prob.with_lam(2).lam == 2.0
+
+
 class TestSolveWeights:
     def test_constraints_and_positivity(self, rng):
         for _ in range(5):
@@ -395,10 +404,10 @@ class TestLambdaSweep:
         with pytest.raises(ValueError):
             lambda_sweep([one_dim_site()], TargetSpec.from_moments([1.0]), [], cate_map=identity_map(1), prognostic_map=identity_map(1))
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, True, np.False_])
     def test_non_finite_or_negative_grid_value_rejected_by_name(self, bad):
-        # before any solve, not as the QP layer's "program data must be finite"
-        with pytest.raises(ValueError, match=f"lambda must be a finite nonnegative number, got {bad}"):
+        # before any solve, not as the QP layer's "program data must be finite"; a bool is no number
+        with pytest.raises(ValueError, match=re.escape(f"lambda must be a finite nonnegative number, got {bad!r}")):
             lambda_sweep([one_dim_site()], TargetSpec.from_moments([1.0]), [1e-3, bad],
                          cate_map=identity_map(1), prognostic_map=identity_map(1))
 

@@ -676,6 +676,10 @@ class TestHeterogeneityPairing:
         assert out == ""
 
 
+# two sites' effects, for a heterogeneity run that a bad flag stops
+EFFECTS = "site_id,estimate,std_error\ns1,0.1,0.2\ns2,0.3,0.2\n"
+
+
 class TestOutsideInputErrors:
     @pytest.mark.parametrize(
         "args, files, error, message",
@@ -695,9 +699,24 @@ class TestOutsideInputErrors:
              "ConfigError", "{cfg}: config must be a mapping"),
             (["weights", "--data", "{data}", "--config", "{cfg}", "--out", "{out}"], {"cfg": "kernels: {cate: 3}\n"},
              "ConfigError", "cannot parse kernel spec 3"),
+            (["heterogeneity", "--effects", "{eff}", "--alpha", "1.5", "--out", "{out}"], {"eff": EFFECTS},
+             "ConfigError", "--alpha must lie in (0, 1), got 1.5"),
+            (["heterogeneity", "--effects", "{eff}", "--alpha", "0", "--out", "{out}"], {"eff": EFFECTS},
+             "ConfigError", "--alpha must lie in (0, 1), got 0.0"),
+            (["sweep", "--data", "{data}", "--lambdas", ",", "--out", "{out}"], {},
+             "ConfigError", "--lambdas must list at least one lambda, got []"),
+            (["sweep", "--data", "{data}", "--config", "{cfg}", "--out", "{out}"], {"cfg": "lambda_grid: 0.1\n"},
+             "ConfigError", "lambda_grid must list at least one lambda, got 0.1"),
+            (["simulate", "--config", "{cfg}", "--out", "{out}"], {"cfg": "sim: {n_experiments: 2}\n"},
+             "ConfigError", "unknown sim setting(s) ['n_experiments']"),
+            (["weights", "--data", "{data}", "--target-moments", "{m}", "--out", "{out}"], {"m": "x1,x2,x3\n0.1,,0.3\n"},
+             "SchemaError", "{m}: missing value in column 'x2'"),
+            (["weights", "--data", "{data}", "--target-moments", "{m}", "--out", "{out}"],
+             {"m": "x1,x3,x2\n0.1,0.3,abc\n"}, "SchemaError", "{m}: non-numeric value 'abc' in column 'x2'"),
         ],
         ids=["no-rows", "no-effect-columns", "no-method-column", "site-twice", "unknown-site", "config-list",
-             "kernel-number"],
+             "kernel-number", "alpha-above-1", "alpha-0", "empty-lambdas", "scalar-lambda-grid",
+             "experiment-count", "blank-moment", "text-moment"],
     )
     def test_a_bad_input_file_names_what_is_wrong(self, toy, capsys, args, files, error, message):
         tmp, data, _ = toy
@@ -718,7 +737,6 @@ class TestSimulateCommand:
         cfg.write_text(
             "sim:\n"
             "  n_sites: 4\n"
-            "  n_experiments: 2\n"
             "  experiment_intercepts: [-0.2, 0.3]\n"
             "  site_size_range: [50, 90]\n"
             "  n_covariates: 4\n"
@@ -742,7 +760,7 @@ class TestSimulateCommand:
     def test_deterministic_given_seed(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(
-            "sim:\n  n_sites: 2\n  n_experiments: 1\n  experiment_intercepts: [0.2]\n"
+            "sim:\n  n_sites: 2\n  experiment_intercepts: [0.2]\n"
             "  site_size_range: [40, 60]\n  n_covariates: 3\n  reps: 1\n"
             "  lambda_grid: [1.0]\n  estimators: [naive, weighting]\n",
             encoding="utf-8",
@@ -790,7 +808,7 @@ class TestLambdaValues:
 
 
 # a simulation small enough to finish at once where a bad setting slips through
-SMALL_SIM = "n_sites: 2, n_experiments: 1, experiment_intercepts: [0.2], n_covariates: 3, estimators: [naive]"
+SMALL_SIM = "n_sites: 2, experiment_intercepts: [0.2], n_covariates: 3, estimators: [naive]"
 
 
 class TestSettingValues:
@@ -811,11 +829,24 @@ class TestSettingValues:
              "noise_sd must be a finite positive number, got nan"),
             ("simulate", f"sim: {{{SMALL_SIM}, reps: 1}}\nseed: 1.5\n", "seed must be a whole number, got 1.5"),
             ("simulate", f"sim: {{{SMALL_SIM}, reps: 1}}\nsolver: {{max_iter: 0}}\n", "max_iter must be at least 1"),
+            # a bool (YAML's yes or no) is not a number
+            ("transport", "lambda: yes\n", "lambda must be a number, got True"),
+            ("transport", "seed: yes\n", "seed must be a whole number, got True"),
+            ("transport", "n_boot: yes\n", "n_boot must be a whole number, got True"),
+            ("weights", "solver: {max_iter: yes}\n", "max_iter must be a whole number, got True"),
+            ("weights", "solver: {eps_abs: no}\n", "eps_abs must be a finite nonnegative number, got False"),
+            ("weights", "mode: kernel\nkernels: {prognostic: {kind: rbf, bandwidth: yes}}\n",
+             "bandwidth must be a number, got True"),
+            ("simulate", f"sim: {{{SMALL_SIM}, reps: 1}}\nseed: yes\n", "seed must be a whole number, got True"),
+            ("simulate", f"sim: {{{SMALL_SIM}, reps: yes}}\n", "reps must be a whole number, got True"),
+            ("simulate", f"sim: {{{SMALL_SIM}, reps: 1, noise_sd: yes}}\n",
+             "noise_sd must be a finite positive number, got True"),
+            ("simulate", f"sim: {{{SMALL_SIM}, reps: 1, lambda_grid: [yes]}}\n", "a lambda_grid value must be a number, got True"),
         ],
     )
     def test_a_setting_it_cannot_honour_exits_2_and_names_it(self, toy, tmp_path, capsys, command, config, named):
-        # each used to exit 0 with every solve failed or a count truncated,
-        # exit 1 from deep in the run, or end in a TypeError traceback
+        # each used to exit 0 with every solve failed, a count truncated or a
+        # bool run as 1, exit 1 from deep in the run, or end in a TypeError traceback
         tmp, data, target = toy
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(config, encoding="utf-8")

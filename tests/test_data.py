@@ -76,14 +76,11 @@ class TestSiteDataset:
         np.testing.assert_array_equal(site.treatment, [1.0, 0.0])
         np.testing.assert_array_equal(site.outcomes, [2.0, 3.0])
 
-    def test_propensity_override(self):
+    def test_the_propensity_is_the_treated_share_and_not_an_input(self):
         rows = [rec("a", 1), rec("a", 0), rec("a", 0)]
-        site = SiteDataset(units=rows, propensity=0.4)
-        assert site.propensity == 0.4
-
-    def test_propensity_bounds(self):
-        with pytest.raises(ValueError):
-            SiteDataset(units=(rec("a", 1), rec("a", 0)), propensity=1.0)
+        assert SiteDataset(units=rows).propensity == 1 / 3
+        with pytest.raises(TypeError):
+            SiteDataset(units=rows, propensity=0.4)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -45,7 +45,7 @@ def holders():
     ws = solve_weights(prob)
     report = transport_all(sites, target, TransportConfig(estimators=("naive", "weighting")))
     ratio = density_ratio_fit(sites[0].covariates, target.sample, fmap)
-    config = SimConfig(n_sites=4, n_experiments=2, experiment_intercepts=(0.0, 0.3), site_size_range=(40, 60))
+    config = SimConfig(n_sites=4, experiment_intercepts=(0.0, 0.3), site_size_range=(40, 60))
     populations = build_populations(config)
     return {
         "SiteDataset": sites[0],

@@ -149,11 +149,11 @@ def records_and_arrays(rng, n=12, d=3, site_id="s"):
 class TestArraysFirstSiteDataset:
     def test_arrays_and_records_build_equal_sites(self, rng):
         records, X, z, y = records_and_arrays(rng)
-        from_arrays = SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y, propensity=0.4)
-        from_records = SiteDataset(units=records, propensity=0.4)
+        from_arrays = SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y)
+        from_records = SiteDataset(units=records)
         assert_sites_identical(from_records, from_arrays)
         np.testing.assert_array_equal(from_arrays.row_indices, np.arange(len(records)))
-        assert SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y).propensity == 0.5
+        assert from_arrays.propensity == 0.5
         # a site is its arrays: equality and hash are identity
         assert from_arrays != from_records and hash(from_arrays) == object.__hash__(from_arrays)
 

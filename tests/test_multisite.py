@@ -182,10 +182,20 @@ class TestTransportAll:
         with pytest.raises(ConfigError):
             TransportConfig(estimators=("naive", "magic"))
 
-    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.5])
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.5, True, np.True_])
     def test_lambda_must_be_finite_and_nonnegative(self, lam):
-        with pytest.raises(ConfigError, match=f"got {lam}"):
+        with pytest.raises(ConfigError, match=re.escape(f"got {lam!r}")):
             TransportConfig(lam=lam)
+
+    def test_a_lambda_read_as_text_is_kept_as_its_float(self, rng):
+        # the text used to pass the check and end the run in numpy's TypeError
+        site = random_site(rng, n=30, d=2)
+        target = TargetSpec.from_sample(rng.normal(0.3, 1.0, size=(20, 2)))
+        config = TransportConfig(lam="0.1")
+        assert type(config.lam) is float and config.lam == 0.1
+        got = transport_all([site], target, config).results[0].estimates
+        want = transport_all([site], target, TransportConfig(lam=0.1)).results[0].estimates
+        assert {name: est.estimate for name, est in got.items()} == {name: est.estimate for name, est in want.items()}
 
     @pytest.mark.parametrize("n_boot", [1, -1])
     def test_bootstrap_size_without_a_standard_error_rejected(self, n_boot):
@@ -198,6 +208,8 @@ class TestTransportAll:
             (dict(n_boot=2.7), "n_boot must be a whole number, got 2.7"),
             (dict(seed=1.5), "seed must be a whole number, got 1.5"),
             (dict(seed=-1), "seed must be at least 0, got -1"),
+            (dict(seed=True), "seed must be a whole number, got True"),
+            (dict(n_boot=np.True_), "n_boot must be a whole number, got np.True_"),
             (dict(standardize="false"), "standardize must be true or false, got 'false'"),
             (dict(ipw_hajek="false"), "ipw_hajek must be true or false, got 'false'"),
         ],
@@ -398,7 +410,7 @@ class TestDecomposeError:
         X = rng.normal(size=(n, 1))
         z = np.concatenate([np.ones(20), np.zeros(20)])
         y = oracle.m0_vec(X) + z * 0.7 + rng.normal(0, 0.1, n)
-        site = build_site(X, z, y, propensity=0.5)  # n1 = 20 = n * pi
+        site = build_site(X, z, y)  # n1 = 20 = n * pi
         target = TargetSpec.from_sample(rng.normal(size=(25, 1)))
         dec = decompose_error(site, np.ones(n), target, oracle)
         assert dec.cate_term == pytest.approx(0.0, abs=1e-12)

@@ -198,10 +198,15 @@ class TestSettings:
             (dict(max_iter=0), "max_iter must be at least 1, got 0"),
             (dict(max_iter=-5), "max_iter must be at least 1, got -5"),
             (dict(max_iter=2.5), "max_iter must be a whole number, got 2.5"),
+            (dict(eps_abs=True), "eps_abs must be a finite nonnegative number, got True"),
+            (dict(eps_rel=np.False_), "eps_rel must be a finite nonnegative number, got np.False_"),
+            (dict(max_iter=True), "max_iter must be a whole number, got True"),
+            (dict(max_iter=np.True_), "max_iter must be a whole number, got np.True_"),
         ],
     )
     def test_a_setting_it_cannot_honour_is_rejected(self, setting, message):
-        # NaN tolerances or no iterations used to fail every solve, not the settings
+        # NaN tolerances or no iterations used to fail every solve, not the
+        # settings, and a bool (YAML's yes or no) ran as 1 or 0
         with pytest.raises(ValueError, match=re.escape(message)):
             QpSettings(**setting)
 

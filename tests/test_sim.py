@@ -10,7 +10,6 @@ from sitetransport import SimConfig, build_populations, generate_rep, run_simula
 def small_config(**overrides):
     base = dict(
         n_sites=4,
-        n_experiments=2,
         experiment_intercepts=(-0.2, 0.3),
         site_size_range=(60, 120),
         n_covariates=5,
@@ -60,9 +59,15 @@ class TestConfig:
         assert cfg == small_config()
         assert all(type(v) is int for v in (cfg.reps, cfg.n_sites, cfg.seed, *cfg.site_size_range))
 
-    def test_intercept_count_must_match_groups(self):
-        with pytest.raises(ValueError):
-            small_config(experiment_intercepts=(0.1,))
+    def test_one_experiment_group_per_intercept(self):
+        groups = [pop.experiment for pop in build_populations(small_config(experiment_intercepts=(0.1, 0.2, 0.3)))]
+        assert groups == [0, 0, 1, 2]
+        with pytest.raises(ValueError, match="experiment_intercepts must be nonempty"):
+            small_config(experiment_intercepts=())
+        with pytest.raises(ValueError, match="target_experiment out of range"):
+            small_config(target_experiment=2)
+        with pytest.raises(TypeError):
+            small_config(n_experiments=2)
 
     def test_default_cate_coefficients_are_sparse(self):
         cfg = SimConfig()
