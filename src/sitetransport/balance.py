@@ -20,6 +20,7 @@ from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec
 from .errors import (
     AllZeroWeightsError,
+    ConfigError,
     ModeMismatchError,
     SolverFailedError,
 )
@@ -35,11 +36,11 @@ LOW_ESS_SHARE = 0.1
 _GRAM_BLOCK_DOUBLES = 1 << 20
 
 
-def check_lambda(lam, error: type[Exception] = ValueError) -> float:
-    """``lam`` as a float, or ``error`` naming it unless it is a finite nonnegative number (not a bool)."""
+def check_lambda(lam) -> float:
+    """``lam`` as a float, or ConfigError naming it unless it is a finite nonnegative number (not a bool)."""
     value = as_number(lam)
     if not 0.0 <= value < np.inf:
-        raise error(f"lambda must be a finite nonnegative number, got {lam!r}")
+        raise ConfigError(f"lambda must be a finite nonnegative number, got {lam!r}")
     return value
 
 
@@ -378,7 +379,7 @@ def lambda_sweep(
     """
     lambdas = [check_lambda(v) for v in lambdas]
     if not lambdas:
-        raise ValueError("lambda grid must be nonempty")
+        raise ConfigError("lambda grid must be nonempty")
     order = sorted(set(lambdas), reverse=True)
     if cate_kernel is not None and prognostic_kernel is not None and target.is_sample:
         cate_kernel, prognostic_kernel = resolve_run_kernels(sites, target, cate_kernel, prognostic_kernel)

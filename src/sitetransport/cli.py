@@ -199,13 +199,6 @@ def _section(value, name: str, allowed) -> dict:
     return value
 
 
-def _number(value, name: str) -> float:
-    """A YAML number as a float: a string such as 1.0e8 is parsed, a bool (yes, no) refused."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _kernel_from_config(value) -> KernelSpec:
     if value is None or value == "linear":
         return KernelSpec("linear")
@@ -215,7 +208,7 @@ def _kernel_from_config(value) -> KernelSpec:
         value = _section(value, "kernel", ("kind", "bandwidth"))
         kind = value.get("kind", "rbf")
         bw = value.get("bandwidth", "median")
-        return KernelSpec(kind, None if bw in (None, "median") else _number(bw, "bandwidth"))
+        return KernelSpec(kind, None if bw in (None, "median") else bw)
     raise ConfigError(f"cannot parse kernel spec {value!r}")
 
 
@@ -225,37 +218,21 @@ def _solver_from_config(cfg: dict) -> QpSettings:
 
 
 def _transport_config(cfg: dict, args) -> TransportConfig:
-    """The settings that the flags or else the YAML give, cast; the rest
-    keep the defaults of TransportConfig."""
+    """The settings that the flags or else the YAML give, which
+    TransportConfig checks; the rest keep its defaults."""
     features = _section(cfg.get("features", {}), "features", ("standardize", "interactions"))
     kernels = _section(cfg.get("kernels", {}), "kernels", ("cate", "prognostic"))
     if not isinstance(cfg.get("estimators", []), list):
         raise ConfigError("config key 'estimators' must be a list")
+    # each YAML key is its field's name, except lambda (lam)
+    given = {key: cfg[key] for key in ("estimators", "mode", "n_boot", "seed", "ipw_hajek") if key in cfg}
+    given.update(features)
+    if "lambda" in cfg:
+        given["lam"] = cfg["lambda"]
+    given.update((f"{side}_kernel", _kernel_from_config(spec)) for side, spec in kernels.items())
     flags = {name: getattr(args, name, None) for name in ("lam", "mode", "seed")}
-    flags = {name: value for name, value in flags.items() if value is not None}
-    # (field, where the YAML gives it, under which key, cast)
-    sources = (
-        ("estimators", cfg, "estimators", tuple),
-        ("lam", cfg, "lambda", lambda value: _number(value, "lambda")),
-        ("mode", cfg, "mode", None),
-        ("interactions", features, "interactions", lambda pairs: tuple(tuple(p) for p in pairs)),
-        ("standardize", features, "standardize", None),
-        ("cate_kernel", kernels, "cate", _kernel_from_config),
-        ("prognostic_kernel", kernels, "prognostic", _kernel_from_config),
-        ("solver", cfg, "solver", lambda _: _solver_from_config(cfg)),
-        ("n_boot", cfg, "n_boot", None),
-        ("seed", cfg, "seed", None),
-        ("ipw_hajek", cfg, "ipw_hajek", None),
-    )
-    try:
-        given = {}
-        for name, source, key, cast in sources:
-            if name in flags or key in source:
-                value = flags[name] if name in flags else source[key]
-                given[name] = value if cast is None else cast(value)
-        return TransportConfig(**given)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid transport config: {exc}") from exc
+    given.update((name, value) for name, value in flags.items() if value is not None)
+    return TransportConfig(**given, solver=_solver_from_config(cfg))
 
 
 def _read_inputs(args) -> tuple[dict, TransportConfig, list[SiteDataset], TargetSpec]:
@@ -467,23 +444,15 @@ def _cmd_heterogeneity(args) -> int:
 
 def _sim_config(cfg: dict, args) -> SimConfig:
     kwargs = dict(_section(cfg.get("sim", {}), "sim", set(SimConfig.__dataclass_fields__) - {"solver"}))
-    # lists of numbers, which SimConfig checks, and of estimator names
-    lists = ("site_size_range", "cate_coefficients", "experiment_intercepts", "lambda_grid", "estimators")
+    # lists of numbers and of estimator names, whose values SimConfig checks; a null cate_coefficients is the default
+    for key in ("site_size_range", "cate_coefficients", "experiment_intercepts", "lambda_grid", "estimators"):
+        if key in kwargs and not isinstance(kwargs[key], list) and (key, kwargs[key]) != ("cate_coefficients", None):
+            raise ConfigError(f"sim setting {key!r} must be a list")
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     elif "seed" not in kwargs:
         kwargs["seed"] = cfg.get("seed", 0)
-    try:
-        kwargs["solver"] = _solver_from_config(cfg)
-        for key in lists:
-            if kwargs.get(key) is not None:
-                if not isinstance(kwargs[key], list):
-                    raise ConfigError(f"sim setting {key!r} must be a list")
-                cast = str if key == "estimators" else lambda v: _number(v, f"a {key} value")
-                kwargs[key] = tuple(cast(v) for v in kwargs[key])
-        return SimConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sim config: {exc}") from exc
+    return SimConfig(**kwargs, solver=_solver_from_config(cfg))
 
 
 def _cmd_simulate(args) -> int:
@@ -525,7 +494,7 @@ def _cmd_sweep(args) -> int:
         source, grid = "lambda_grid", cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID)
     if not isinstance(grid, (list, tuple)) or not grid:
         raise ConfigError(f"{source} must list at least one lambda, got {grid!r}")
-    grid = [check_lambda(v, ConfigError) for v in grid]
+    grid = [check_lambda(v) for v in grid]  # before the set-up's work and the kernels line
     _, sides = run_setup(replace(config, estimators=("weighting",)), sites, target)
     _print_kernels(config, sides)
     rows = lambda_sweep(sites, target, grid, settings=config.solver, **sides)

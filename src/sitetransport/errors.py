@@ -89,5 +89,6 @@ class SchemaError(SiteTransportError):
     """An input file does not match the expected tabular schema."""
 
 
-class ConfigError(SiteTransportError):
-    """The run configuration is invalid."""
+class ConfigError(SiteTransportError, ValueError):
+    """A setting the run cannot honour, raised by the class or function that
+    holds the setting. It is also a ValueError; the CLI exits 2 on it."""

@@ -10,10 +10,12 @@ from scipy.spatial.distance import cdist, pdist
 
 from .errors import (
     AllPointsIdenticalError,
+    ConfigError,
     DimensionMismatchError,
     EmptySampleError,
     UnfittedMapError,
 )
+from .qp import as_number, whole_number
 
 # Subsample cap for the median-heuristic bandwidth; pairwise distances are
 # quadratic in the sample size.
@@ -28,7 +30,9 @@ class FeatureMap:
     deviations on a pooled sample, drops zero-variance features, and returns a
     fitted copy whose ``kept`` holds the indices of the kept features among
     the raw ones (:func:`raw_feature_names`). Applying an unfitted map raises
-    :class:`UnfittedMapError`. A map compares and hashes by identity.
+    :class:`UnfittedMapError`. Each interaction is a pair of covariate
+    indices, whole numbers >= 0, or ConfigError names the setting. A map
+    compares and hashes by identity.
     """
 
     interactions: tuple[tuple[int, int], ...] = ()
@@ -41,9 +45,11 @@ class FeatureMap:
     dropped: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "interactions", tuple((int(i), int(j)) for i, j in self.interactions)
-        )
+        try:
+            pairs = tuple((whole_number(i, "index", 0), whole_number(j, "index", 0)) for i, j in self.interactions)
+        except (TypeError, ValueError):
+            raise ConfigError(f"interactions must be pairs of whole numbers >= 0, got {self.interactions!r}") from None
+        object.__setattr__(self, "interactions", pairs)
 
     @property
     def fitted(self) -> bool:
@@ -58,7 +64,10 @@ class FeatureMap:
 
 def raw_feature_names(d: int, interactions: Sequence[tuple[int, int]]) -> tuple[str, ...]:
     """Names of a map's features before scaling and dropping: the covariates
-    ``x1..xd``, then each interaction product as ``xi*xj`` (1-based)."""
+    ``x1..xd``, then each interaction product as ``xi*xj`` (1-based).
+    ConfigError names the interactions with an index past the covariates."""
+    if outside := [pair for pair in interactions if max(pair) >= d]:
+        raise ConfigError(f"interaction(s) {outside} out of range for {d} covariates")
     return tuple(f"x{i + 1}" for i in range(d)) + tuple(f"x{i + 1}*x{j + 1}" for i, j in interactions)
 
 
@@ -82,11 +91,8 @@ def fit_feature_map(spec: FeatureMap, pooled: np.ndarray | Sequence[Sequence[flo
     if X.size == 0:
         raise EmptySampleError("cannot fit a feature map on an empty sample")
     d = X.shape[1]
-    for i, j in spec.interactions:
-        if not (0 <= i < d and 0 <= j < d):
-            raise DimensionMismatchError(
-                f"interaction ({i}, {j}) out of range for {d} covariates"
-            )
+    if outside := [pair for pair in spec.interactions if max(pair) >= d]:
+        raise DimensionMismatchError(f"interaction(s) {outside} out of range for {d} covariates")
 
     raw = _raw_features(spec, X)
     sd = raw.std(axis=0)  # population sd
@@ -157,20 +163,23 @@ class KernelSpec:
     ``bandwidth=None`` on an RBF kernel means "resolve by the median
     heuristic": a run resolves it once, on every site's covariates stacked
     with the target sample (:func:`resolve_kernels`), so that all its sites
-    share one bandwidth. A given bandwidth must be a finite positive number.
-    A linear kernel takes no bandwidth.
+    share one bandwidth. A given bandwidth must be a finite positive number
+    (a bool is not one) and is kept as a float. A linear kernel takes no
+    bandwidth. A setting that breaks these rules raises ConfigError.
     """
 
     kind: str = "linear"
     bandwidth: float | None = None
 
     def __post_init__(self):
+        bandwidth = None if self.bandwidth is None else as_number(self.bandwidth)
         if self.kind not in ("linear", "rbf"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.bandwidth is not None and self.kind == "linear":
-            raise ValueError(f"a linear kernel takes no bandwidth, got {self.bandwidth}")
-        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
-            raise ValueError(f"bandwidth must be a finite positive number, got {self.bandwidth}")
+            raise ConfigError(f"unknown kernel kind {self.kind!r}")
+        if bandwidth is not None and self.kind == "linear":
+            raise ConfigError(f"a linear kernel takes no bandwidth, got {self.bandwidth}")
+        if bandwidth is not None and not 0 < bandwidth < np.inf:
+            raise ConfigError(f"bandwidth must be a finite positive number, got {self.bandwidth}")
+        object.__setattr__(self, "bandwidth", bandwidth)
 
     @property
     def resolved(self) -> bool:

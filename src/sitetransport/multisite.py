@@ -3,7 +3,7 @@ estimation-error decomposition used to test the weighting estimator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .estimators import (
     naive_estimate,
     weighting_estimate,
 )
-from .features import FeatureMap, KernelSpec, fit_feature_map
+from .features import FeatureMap, KernelSpec, fit_feature_map, raw_feature_names
 from .qp import QpSettings, whole_number
 
 KNOWN_ESTIMATORS = (NAIVE, WEIGHTING, OUTCOME_MODEL, IPW, DOUBLY_ROBUST)
@@ -38,8 +38,10 @@ class TransportConfig:
 
     The same feature-map specification is used for the effect side and the
     prognostic side in linear mode; kernel mode uses the two kernel specs.
-    ``n_boot`` and ``seed`` must be whole numbers >= 0 and ``standardize``
-    and ``ipw_hajek`` booleans, or ConfigError names the setting. With
+    ``estimators`` must name at least one known estimator, ``interactions``
+    be pairs of whole numbers >= 0 (see :class:`FeatureMap`), ``n_boot``
+    and ``seed`` whole numbers >= 0 and ``standardize`` and ``ipw_hajek``
+    booleans, or ConfigError names the setting. With
     ``n_boot`` 0 the outcome model and doubly robust estimates, whose
     standard errors are bootstrapped, carry a standard error of 0.0.
     """
@@ -57,22 +59,20 @@ class TransportConfig:
     ipw_hajek: bool = False
 
     def __post_init__(self):
-        unknown = [e for e in self.estimators if e not in KNOWN_ESTIMATORS]
-        if unknown:
+        object.__setattr__(self, "estimators", tuple(self.estimators))
+        if not self.estimators or any(e not in KNOWN_ESTIMATORS for e in self.estimators):
             raise ConfigError(
-                f"unknown estimator(s) {unknown}; known: {list(KNOWN_ESTIMATORS)}"
+                f"estimators must be one or more of {list(KNOWN_ESTIMATORS)}, got {list(self.estimators)}"
             )
         if self.mode not in ("linear", "kernel"):
             raise ConfigError(f"mode must be 'linear' or 'kernel', got {self.mode!r}")
-        object.__setattr__(self, "lam", check_lambda(self.lam, ConfigError))
+        object.__setattr__(self, "lam", check_lambda(self.lam))
+        object.__setattr__(self, "interactions", FeatureMap(self.interactions).interactions)
         for name in ("standardize", "ipw_hajek"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        try:
-            object.__setattr__(self, "n_boot", whole_number(self.n_boot, "n_boot"))
-            object.__setattr__(self, "seed", whole_number(self.seed, "seed", 0))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "n_boot", whole_number(self.n_boot, "n_boot"))
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed", 0))
         if self.n_boot < 0 or self.n_boot == 1:
             raise ConfigError(f"n_boot must be 0 (no bootstrap) or at least 2, got {self.n_boot}")
 
@@ -100,7 +100,8 @@ def _transport_site(
     ``fmap`` and the weights on the balancing ``sides`` (see run_setup). An
     estimator's SiteTransportError is recorded under its name, a failed
     density-ratio fit under both IPW and doubly robust, and a failed arm fit
-    under both the outcome model and doubly robust, which share it."""
+    under both the outcome model and doubly robust, which share it. The
+    weighting estimate carries the notes of its weight solve."""
     wanted = config.estimators
     estimates: dict[str, TransportEstimate] = {}
     errors: dict[str, str] = {}
@@ -124,7 +125,7 @@ def _transport_site(
             BalanceProblem(site=site, target=target, lam=config.lam, **sides), settings=config.solver
         ))
         if weights is not None:
-            estimate(WEIGHTING, lambda: weighting_estimate(site, weights.gamma))
+            estimate(WEIGHTING, lambda: replace(weighting_estimate(site, weights.gamma), notes=weights.notes))
     ratio_users = [name for name in (IPW, DOUBLY_ROBUST) if name in wanted]
     ratio = None
     if ratio_users:
@@ -156,7 +157,8 @@ def run_setup(
 
     Raises :class:`ConfigError` if the run needs a unit-level target sample
     (the outcome model, IPW, doubly robust, kernel mode) and ``target`` has
-    moments. If the run uses a feature map (for those estimators, or
+    moments, or if an interaction names an index past the sites'
+    covariates. If the run uses a feature map (for those estimators, or
     linear-mode weights), fits it once on every site's covariates plus the
     target sample, if any; else it is None. Returns ``(fmap, sides)``,
     ``sides`` the :class:`~sitetransport.balance.BalanceProblem`
@@ -169,6 +171,7 @@ def run_setup(
         raise ConfigError(f"estimators {sample_needed} require a unit-level target sample")
     if config.mode == "kernel" and not target.is_sample:
         raise ConfigError("kernel mode requires a unit-level target sample, not moments")
+    raw_feature_names(sites[0].d, config.interactions)  # refuses an interaction past the covariates
     fmap = None
     if sample_needed or (config.mode == "linear" and WEIGHTING in config.estimators):
         pooled = [s.covariates for s in sites] + ([target.sample] if target.is_sample else [])

@@ -75,7 +75,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .blas import single_threaded_blas
-from .errors import DimensionMismatchError, NonConvexError
+from .errors import ConfigError, DimensionMismatchError, NonConvexError
 
 SOLVED = "solved"
 MAX_ITERATIONS = "max_iterations"
@@ -366,7 +366,7 @@ class QpSettings:
     after ``max_iter`` iterations (Newton steps on the dual path); the
     active-set path hands over to ADMM instead. A tolerance that is not a
     finite nonnegative number, or a ``max_iter`` not a whole number >= 1,
-    raises ValueError; a bool is neither.
+    raises ConfigError; a bool is neither.
     """
 
     eps_abs: float = 1e-6
@@ -377,7 +377,7 @@ class QpSettings:
         for name in ("eps_abs", "eps_rel"):
             value = as_number(getattr(self, name))
             if not 0.0 <= value < np.inf:
-                raise ValueError(f"{name} must be a finite nonnegative number, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be a finite nonnegative number, got {getattr(self, name)!r}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "max_iter", whole_number(self.max_iter, "max_iter", 1))
 
@@ -391,14 +391,14 @@ def as_number(value) -> float:
 
 
 def whole_number(value, name: str, low: int | None = None) -> int:
-    """``value`` as an int, or ValueError naming ``name`` unless it is a whole
+    """``value`` as an int, or ConfigError naming ``name`` unless it is a whole
     number (an integral float such as 3.0 included, a bool not), of at least
     ``low`` if given."""
     number = value if isinstance(value, numbers.Integral) and not isinstance(value, bool) else as_number(value)
     if not (isinstance(number, numbers.Integral) or number.is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
     if low is not None and number < low:
-        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+        raise ConfigError(f"{name} must be at least {low}, got {value!r}")
     return int(number)
 
 

@@ -20,7 +20,8 @@ from .balance import BalanceProblem, check_lambda, solve_along_grid
 from .blas import single_threaded_blas
 from .data import SiteDataset, TargetSpec
 from .estimators import DOUBLY_ROBUST, IPW, NAIVE, OUTCOME_MODEL, WEIGHTING, weighted_arm_means
-from .multisite import KNOWN_ESTIMATORS, TransportConfig, _transport_site, run_setup
+from .errors import ConfigError
+from .multisite import TransportConfig, _transport_site, run_setup
 from .qp import QpSettings, as_number, whole_number
 
 
@@ -39,8 +40,10 @@ def _default_cate_coefficients(d: int) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class SimConfig:
     """The simulation's settings. The counts, ``seed`` and the site sizes (2 <= low <= high) must
-    be whole numbers (3.0 is kept as 3) and ``noise_sd`` a finite positive number (a bool is
-    neither), else ValueError. Each entry of ``experiment_intercepts`` is one experiment group."""
+    be whole numbers (3.0 is kept as 3), ``noise_sd`` a finite positive number and the
+    coefficients and intercepts finite numbers (a bool is neither), and ``target_experiment``
+    a group that holds a site, else ConfigError. Each entry of ``experiment_intercepts`` is one
+    experiment group, which holds the sites that :meth:`group` assigns it."""
 
     n_sites: int = 12
     site_size_range: tuple[int, int] = (150, 600)
@@ -61,25 +64,35 @@ class SimConfig:
             object.__setattr__(self, name, whole_number(getattr(self, name), name, low))
         sizes = tuple(whole_number(v, "a site size", 2) for v in self.site_size_range)
         if len(sizes) != 2 or sizes[0] > sizes[1]:
-            raise ValueError(f"site_size_range must be two sizes, low <= high, got {sizes}")
+            raise ConfigError(f"site_size_range must be two sizes, low <= high, got {sizes}")
         object.__setattr__(self, "site_size_range", sizes)
         if not 0.0 < as_number(self.noise_sd) < np.inf:
-            raise ValueError(f"noise_sd must be a finite positive number, got {self.noise_sd!r}")
-        if not self.experiment_intercepts:
-            raise ValueError("experiment_intercepts must be nonempty")
-        if not 0 <= self.target_experiment < len(self.experiment_intercepts):
-            raise ValueError("target_experiment out of range")
-        if not [check_lambda(v) for v in self.lambda_grid]:
-            raise ValueError("lambda_grid must be nonempty")
-        unknown = [e for e in self.estimators if e not in KNOWN_ESTIMATORS]
-        if unknown:
-            raise ValueError(f"unknown estimator(s) {unknown}")
+            raise ConfigError(f"noise_sd must be a finite positive number, got {self.noise_sd!r}")
+        object.__setattr__(self, "noise_sd", as_number(self.noise_sd))
         if self.cate_coefficients is None:
-            object.__setattr__(
-                self, "cate_coefficients", _default_cate_coefficients(self.n_covariates)
+            object.__setattr__(self, "cate_coefficients", _default_cate_coefficients(self.n_covariates))
+        for name in ("cate_coefficients", "experiment_intercepts"):
+            values = tuple(as_number(v) for v in getattr(self, name))
+            if not np.isfinite(values).all():
+                raise ConfigError(f"{name} must be finite numbers, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, values)
+        if len(self.cate_coefficients) != self.n_covariates:
+            raise ConfigError("cate_coefficients length must equal n_covariates")
+        if not self.experiment_intercepts:
+            raise ConfigError("experiment_intercepts must be nonempty")
+        groups = sorted({self.group(j) for j in range(self.n_sites)})
+        if self.target_experiment not in groups:
+            raise ConfigError(
+                f"target_experiment out of range: got {self.target_experiment}, sites in groups {groups}"
             )
-        elif len(self.cate_coefficients) != self.n_covariates:
-            raise ValueError("cate_coefficients length must equal n_covariates")
+        object.__setattr__(self, "lambda_grid", tuple(check_lambda(v) for v in self.lambda_grid))
+        if not self.lambda_grid:
+            raise ConfigError("lambda_grid must be nonempty")
+        object.__setattr__(self, "estimators", TransportConfig(estimators=self.estimators).estimators)
+
+    def group(self, j: int) -> int:
+        """The experiment group of site ``j`` of ``n_sites``: ``j * len(experiment_intercepts) // n_sites``."""
+        return j * len(self.experiment_intercepts) // self.n_sites
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +119,6 @@ def build_populations(config: SimConfig) -> list[SitePopulation]:
     lo, hi = config.site_size_range
     for j in range(config.n_sites):
         n_j = int(rng.integers(lo, hi + 1))
-        group = j * len(config.experiment_intercepts) // config.n_sites
         prevalences = rng.beta(2.0, 2.0, size=d - 1)
         X = np.empty((n_j, d))
         X[:, : d - 1] = (rng.random((n_j, d - 1)) < prevalences).astype(float)
@@ -118,7 +130,7 @@ def build_populations(config: SimConfig) -> list[SitePopulation]:
         pops.append(
             SitePopulation(
                 site_id=f"site{j + 1:02d}",
-                experiment=group,
+                experiment=config.group(j),
                 covariates=X,
                 base_outcome=base,
                 n_treated=n1,
@@ -213,11 +225,12 @@ def _rep_errors(config: SimConfig, populations, rep: int, cells) -> np.ndarray:
     setup = TransportConfig(estimators=config.estimators, n_boot=0)
     fmap, sides = run_setup(setup, repl.sites, repl.target)
     # naive, IPW, outcome model and doubly robust are transport's own per-site path
-    transport = replace(setup, estimators=tuple(e for e in setup.estimators if e != WEIGHTING))
+    others = tuple(e for e in setup.estimators if e != WEIGHTING)
+    transport = replace(setup, estimators=others) if others else None  # None: weighting alone
 
     for j, site in enumerate(repl.sites):
         truth = repl.truth[site.site_id]
-        estimates = _transport_site(site, repl.target, transport, fmap, sides).estimates
+        estimates = _transport_site(site, repl.target, transport, fmap, sides).estimates if transport else {}
         for name, est in estimates.items():  # a failed estimator leaves its cell NaN
             out[row[name, None], j] = est.estimate - truth
         if grid:
@@ -243,7 +256,7 @@ def run_simulation(config: SimConfig, threads: int = 1) -> SimResult:
     and of the machine's core count.
     """
     populations = build_populations(config)
-    grid = sorted(set(float(v) for v in config.lambda_grid))
+    grid = sorted(set(config.lambda_grid))
     # the table's rows: by estimator name, the weighting cells by ascending lambda
     cells = [(name, lam) for name in sorted(set(config.estimators)) for lam in (grid if name == WEIGHTING else [None])]
 

@@ -84,6 +84,19 @@ class TestWeightsCommand:
         assert record["error"] == "ConfigError"
         assert "sample" in record["message"]
 
+    def test_an_interaction_past_the_covariates_exits_2_before_the_moments_are_read(self, toy, tmp_path, capsys):
+        # the moments header is built from the interactions; it used to fail with SchemaError and exit 1
+        tmp, data, _ = toy
+        moments = tmp_path / "moments.csv"
+        moments.write_text("x1,x2,x3\n0.1,0.2,0.3\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("features: {interactions: [[0, 9]]}\n", encoding="utf-8")
+        rc = main(["weights", "--data", str(data), "--target-moments", str(moments),
+                   "--config", str(cfg), "--out", str(tmp / "w.csv")])
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ConfigError", "message": "interaction(s) [(0, 9)] out of range for 3 covariates"}
+
     def test_missing_treatment_column_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("site_id,y,x1\na,1.0,2.0\n", encoding="utf-8")
@@ -404,8 +417,15 @@ class TestTransportCommand:
             ("estimators: naive\n", "'estimators' must be a list"),
             ("n_boot: 1\n", "n_boot must be 0"),
             ("n_boot: -3\n", "n_boot must be 0"),
-            ("features: {interactions: 3}\n", "invalid transport config"),
-            ("lambda: [1]\n", "invalid transport config"),
+            ("features: {interactions: 3}\n", "interactions must be pairs of whole numbers >= 0, got 3"),
+            ("lambda: [1]\n", "lambda must be a finite nonnegative number, got [1]"),
+            # an interaction index is a whole number >= 0: 0.7 used to run as 0 and yes as 1
+            ("features: {interactions: [[0.7, 1]]}\n", "whole numbers >= 0, got [[0.7, 1]]"),
+            ("features: {interactions: [[yes, 1]]}\n", "whole numbers >= 0, got [[True, 1]]"),
+            ("features: {interactions: [[0, 1, 2]]}\n", "whole numbers >= 0, got [[0, 1, 2]]"),
+            ("features: {interactions: [[-1, 0]]}\n", "whole numbers >= 0, got [[-1, 0]]"),
+            ("features: {interactions: [[0, 9]]}\n", "interaction(s) [(0, 9)] out of range for 3 covariates"),
+            ("estimators: []\n", "estimators must be one or more of"),
         ],
     )
     def test_config_shape_errors_are_json(self, toy, tmp_path, capsys, text, message):
@@ -494,6 +514,18 @@ class TestTransportCommand:
         note = "outcome_model note: collinear design columns dropped: treated (4,), control (4,)"
         assert [line for line in err if "note:" in line] == [f"site {site} {note}" for site in ("alpha", "beta")]
         assert all(row["errors"] == "" for row in read_csv(out))
+
+    def test_weighting_rows_carry_the_notes_of_their_weights(self, toy, capsys):
+        # a target far from both sites leaves each a few effective units; the note used to be dropped
+        tmp, data, target = toy
+        write_toy_target(target, mu=2.5)
+        rc = main(["transport", "--data", str(data), "--target", str(target), "--lambda", "1e-6",
+                   "--out", str(tmp / "est.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "site alpha weighting note: low effective sample size: 2.8 of 40 units",
+            "site beta weighting note: low effective sample size: 2.4 of 40 units",
+        ]
 
     def test_a_failed_estimator_leaves_empty_cells_that_heterogeneity_drops(self, toy, capsys):
         # gamma's arms of 3 and 5 units cannot fit the map's 3 features
@@ -787,6 +819,8 @@ class TestLambdaValues:
             ("transport", [], "lambda: .nan\n", "got nan"),
             ("sweep", ["--lambdas", "1e-3,nan"], "", "got 'nan'"),
             ("sweep", ["--lambdas", "1e-3,abc"], "", "got 'abc'"),
+            # refused before the kernel set-up prints its line
+            ("sweep", ["--lambdas", "1e-3,abc"], "mode: kernel\n", "got 'abc'"),
             ("sweep", ["--lambdas", "1e-3,-1"], "", "got '-1'"),
             ("sweep", [], "lambda_grid: [0.1, .nan]\n", "got nan"),
             ("sweep", [], "lambda_grid: [0.1, abc]\n", "got 'abc'"),
@@ -801,10 +835,12 @@ class TestLambdaValues:
         inputs = [] if command == "simulate" else ["--data", str(data), "--target", str(target)]
         rc = main([command, *inputs, *flags, "--config", str(cfg), "--out", str(tmp / "out.csv")])
         assert rc == 2
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        captured = capsys.readouterr()
+        record = json.loads(captured.err.strip().splitlines()[-1])
         assert record["error"] == "ConfigError"
         assert named in record["message"] and "program data" not in record["message"]
         assert not (tmp / "out.csv").exists()
+        assert captured.out == ""
 
 
 # a simulation small enough to finish at once where a bad setting slips through
@@ -830,18 +866,29 @@ class TestSettingValues:
             ("simulate", f"sim: {{{SMALL_SIM}, reps: 1}}\nseed: 1.5\n", "seed must be a whole number, got 1.5"),
             ("simulate", f"sim: {{{SMALL_SIM}, reps: 1}}\nsolver: {{max_iter: 0}}\n", "max_iter must be at least 1"),
             # a bool (YAML's yes or no) is not a number
-            ("transport", "lambda: yes\n", "lambda must be a number, got True"),
+            ("transport", "lambda: yes\n", "lambda must be a finite nonnegative number, got True"),
             ("transport", "seed: yes\n", "seed must be a whole number, got True"),
             ("transport", "n_boot: yes\n", "n_boot must be a whole number, got True"),
             ("weights", "solver: {max_iter: yes}\n", "max_iter must be a whole number, got True"),
             ("weights", "solver: {eps_abs: no}\n", "eps_abs must be a finite nonnegative number, got False"),
             ("weights", "mode: kernel\nkernels: {prognostic: {kind: rbf, bandwidth: yes}}\n",
-             "bandwidth must be a number, got True"),
+             "bandwidth must be a finite positive number, got True"),
             ("simulate", f"sim: {{{SMALL_SIM}, reps: 1}}\nseed: yes\n", "seed must be a whole number, got True"),
             ("simulate", f"sim: {{{SMALL_SIM}, reps: yes}}\n", "reps must be a whole number, got True"),
             ("simulate", f"sim: {{{SMALL_SIM}, reps: 1, noise_sd: yes}}\n",
              "noise_sd must be a finite positive number, got True"),
-            ("simulate", f"sim: {{{SMALL_SIM}, reps: 1, lambda_grid: [yes]}}\n", "a lambda_grid value must be a number, got True"),
+            ("simulate", f"sim: {{{SMALL_SIM}, reps: 1, lambda_grid: [yes]}}\n",
+             "lambda must be a finite nonnegative number, got True"),
+            # a NaN in the data-generating process used to run, an empty estimator list to write a bare header
+            ("simulate", "sim: {n_sites: 2, experiment_intercepts: [.nan], n_covariates: 3, reps: 1}\n",
+             "experiment_intercepts must be finite numbers, got [nan]"),
+            ("simulate", "sim: {n_sites: 2, n_covariates: 3, cate_coefficients: [0.1, .nan, 0.2], reps: 1}\n",
+             "cate_coefficients must be finite numbers, got [0.1, nan, 0.2]"),
+            ("simulate", "sim: {n_sites: 2, experiment_intercepts: [0.2], n_covariates: 3, reps: 1, estimators: []}\n",
+             "estimators must be one or more of"),
+            # two sites over three intercepts fall into groups 0 and 1: group 2 has no site to pool as the target
+            ("simulate", "sim: {n_sites: 2, experiment_intercepts: [0.1, 0.2, 0.3], target_experiment: 2, reps: 1}\n",
+             "target_experiment out of range: got 2, sites in groups [0, 1]"),
         ],
     )
     def test_a_setting_it_cannot_honour_exits_2_and_names_it(self, toy, tmp_path, capsys, command, config, named):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from sitetransport import (
+    FeatureMap,
     KernelSpec,
+    SimConfig,
     QpSettings,
     PotentialOutcomeOracle,
     SiteDataset,
@@ -22,7 +24,7 @@ from sitetransport import (
     resolve_bandwidth,
     validate_dataset,
 )
-from sitetransport.balance import solve_weights
+from sitetransport.balance import check_lambda, solve_weights
 from sitetransport.blas import single_threaded_blas
 from sitetransport.errors import ConfigError
 from sitetransport.estimators import (
@@ -34,6 +36,7 @@ from sitetransport.estimators import (
     weighting_estimate,
 )
 from sitetransport.multisite import KNOWN_ESTIMATORS, run_setup
+from sitetransport.qp import whole_number
 
 from conftest import build_site, random_site
 
@@ -219,6 +222,26 @@ class TestTransportAll:
         # a negative seed in numpy's ValueError, and a quoted "false" ran as true
         with pytest.raises(ConfigError, match=re.escape(message)):
             TransportConfig(**setting)
+
+
+@pytest.mark.parametrize(
+    "hold",
+    [
+        lambda: whole_number(2.5, "reps"),
+        lambda: check_lambda(float("nan")),
+        lambda: QpSettings(max_iter=0),
+        lambda: SimConfig(experiment_intercepts=(float("nan"),)),
+        lambda: TransportConfig(estimators=()),
+        lambda: KernelSpec("rbf", bandwidth=True),
+        lambda: FeatureMap(interactions=((0.7, 1),)),
+    ],
+    ids=["whole_number", "check_lambda", "QpSettings", "SimConfig", "TransportConfig", "KernelSpec", "FeatureMap"],
+)
+def test_a_bad_setting_is_a_config_error_and_a_value_error(hold):
+    # library callers that catch ValueError keep working; the CLI exits 2 on ConfigError
+    with pytest.raises(ConfigError) as info:
+        hold()
+    assert isinstance(info.value, ValueError)
 
 
 KERNEL_RUN = TransportConfig(

@@ -58,6 +58,9 @@ class TestConfig:
         cfg = small_config(reps=3.0, n_sites=4.0, seed=11.0, site_size_range=(60.0, 120.0))
         assert cfg == small_config()
         assert all(type(v) is int for v in (cfg.reps, cfg.n_sites, cfg.seed, *cfg.site_size_range))
+        # numbers read as text are kept as floats: a quoted noise_sd used to end the run in numpy's TypeError
+        text = small_config(noise_sd="0.5", experiment_intercepts=("-0.2", "0.3"), lambda_grid=("1e-4", "1.0", "1e8"))
+        assert text == small_config() and type(text.noise_sd) is float
 
     def test_one_experiment_group_per_intercept(self):
         groups = [pop.experiment for pop in build_populations(small_config(experiment_intercepts=(0.1, 0.2, 0.3)))]
@@ -278,6 +281,10 @@ class TestRunSimulation:
                 expected[lam].append(weighting_estimate(site, ws.gamma).estimate - rep.truth[site.site_id])
         for lam in grid:
             assert res.cell_errors[("weighting", lam)][0].tobytes() == np.array(expected[lam]).tobytes()
+        # a weighting-only run, which has no transport estimator left, scores the same cells
+        alone = run_simulation(small_config(reps=1, estimators=("weighting",)))
+        for lam in grid:
+            assert alone.cell_errors[("weighting", lam)][0].tobytes() == np.array(expected[lam]).tobytes()
 
     def test_cell_errors_filled_without_an_argument(self):
         cfg = small_config(reps=2)
