@@ -21,6 +21,7 @@ from .data import SiteDataset, TargetSpec
 from .errors import (
     AllZeroWeightsError,
     ConfigError,
+    DimensionMismatchError,
     ModeMismatchError,
     SolverFailedError,
 )
@@ -182,7 +183,8 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
     with single_threaded_blas():
         target = prob.target.sample
         # a run passes resolved kernels; a problem on its own resolves on its site and target
-        k_cate, k_prog = resolve_run_kernels([site], prob.target, prob.cate_kernel, prob.prognostic_kernel)
+        pooled = pooled_covariates([site], prob.target)
+        k_cate, k_prog = resolve_kernels((prob.cate_kernel, prob.prognostic_kernel), pooled)
         K_cate = kernel_matrix(k_cate, X)
         K_prog = K_cate if k_prog == k_cate else kernel_matrix(k_prog, X)
         # 2 (K_c o a_c a_c' + K_p o a_p a_p') in place, symmetric bit for bit as the Grams are
@@ -213,13 +215,16 @@ def _gram_blocks(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> Iterator[np.
         yield kernel_matrix(spec, X[i : i + rows], Y)
 
 
-def resolve_run_kernels(
-    sites: Sequence[SiteDataset], target: TargetSpec, cate_kernel: KernelSpec, prognostic_kernel: KernelSpec
-) -> tuple[KernelSpec, KernelSpec]:
-    """The two kernels, each unresolved RBF bandwidth resolved once by the
-    median heuristic on every site's covariates stacked with the target
-    sample, so that all the sites share it."""
-    return resolve_kernels((cate_kernel, prognostic_kernel), [s.covariates for s in sites] + [target.sample])
+def pooled_covariates(sites: Sequence[SiteDataset], target: TargetSpec) -> list[np.ndarray]:
+    """Every site's covariates, then the target sample if there is one: what a
+    run pools for its feature map and its median-heuristic bandwidths.
+    DimensionMismatchError names the first of another width than the first site's."""
+    pooled = [s.covariates for s in sites] + ([target.sample] if target.is_sample else [])
+    names = [f"site {s.site_id!r}" for s in sites] + ["the target sample"]
+    for name, X in zip(names, pooled):
+        if X.shape[1] != pooled[0].shape[1]:
+            raise DimensionMismatchError(f"{name} has {X.shape[1]} covariates but {names[0]} has {pooled[0].shape[1]}")
+    return pooled
 
 
 def build_linear_qp(prob: BalanceProblem) -> QuadraticProgram:
@@ -382,7 +387,8 @@ def lambda_sweep(
         raise ConfigError("lambda grid must be nonempty")
     order = sorted(set(lambdas), reverse=True)
     if cate_kernel is not None and prognostic_kernel is not None and target.is_sample:
-        cate_kernel, prognostic_kernel = resolve_run_kernels(sites, target, cate_kernel, prognostic_kernel)
+        pooled = pooled_covariates(sites, target)
+        cate_kernel, prognostic_kernel = resolve_kernels((cate_kernel, prognostic_kernel), pooled)
 
     # cate imbalance, prognostic imbalance and ESS per (lambda, site); NaN where the solve failed
     cells = np.full((3, len(order), len(sites)), np.nan)

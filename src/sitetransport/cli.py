@@ -1,9 +1,9 @@
 """Command-line interface: data ingestion, configuration, and report emission.
 
 Subcommands: ``weights``, ``transport``, ``heterogeneity``, ``simulate``,
-``sweep``. Inputs and outputs are UTF-8 CSV files with headers; float values
-are written with full round-trip precision. Failures produce a nonzero exit
-code and a JSON error record on stderr.
+``sweep``. Inputs and outputs are UTF-8 CSV files with headers (inputs may start
+with a byte-order mark); floats are written with full round-trip precision.
+Failures produce a nonzero exit code and a JSON error record on stderr.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _read_header(path: str) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         fields = next(csv.reader(fh), None)
     if fields is None:
         raise SchemaError(f"{path}: empty file")
@@ -56,7 +56,7 @@ def _read_header(path: str) -> list[str]:
 
 
 def _read_rows(path: str) -> tuple[list[str], list[dict]]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SchemaError(f"{path}: empty file")
@@ -98,7 +98,7 @@ def _load_columns(path: str, fields: list[str], names: list[str], text: str | No
     index = {name: i for i, name in enumerate(fields)}
     usecols = [index[c] for c in ([text] if text else []) + names]
     dtype = ([("s", object)] if text else []) + [("v", float, (len(names),))]
-    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+    with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt's warning on a file without data rows
         next(csv.reader(fh))
         try:
@@ -156,7 +156,7 @@ def read_target_moments(path: str, names: tuple[str, ...]) -> TargetSpec:
     """Moments file: a header row of feature names and one row of the
     target's means of them. The names are matched, in any order, against
     ``names``: the map's features before scaling and dropping."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         table = [row for row in csv.reader(fh) if row]
     if len(table) != 2 or len(table[0]) != len(table[1]):
         raise SchemaError(f"{path}: a moments file needs a header row and one data row of equal length")
@@ -172,7 +172,7 @@ def read_target_moments(path: str, names: tuple[str, ...]) -> TargetSpec:
 
 # Every key a config file may hold at its top level, for any subcommand.
 _CONFIG_KEYS = (
-    "seed", "mode", "lambda", "estimators", "features", "kernels", "solver", "n_boot", "ipw_hajek",
+    "seed", "lambda", "estimators", "features", "kernels", "solver", "n_boot", "ipw_hajek",
     "lambda_grid", "sim",
 )
 
@@ -221,16 +221,17 @@ def _transport_config(cfg: dict, args) -> TransportConfig:
     """The settings that the flags or else the YAML give, which
     TransportConfig checks; the rest keep its defaults."""
     features = _section(cfg.get("features", {}), "features", ("standardize", "interactions"))
-    kernels = _section(cfg.get("kernels", {}), "kernels", ("cate", "prognostic"))
     if not isinstance(cfg.get("estimators", []), list):
         raise ConfigError("config key 'estimators' must be a list")
     # each YAML key is its field's name, except lambda (lam)
-    given = {key: cfg[key] for key in ("estimators", "mode", "n_boot", "seed", "ipw_hajek") if key in cfg}
+    given = {key: cfg[key] for key in ("estimators", "n_boot", "seed", "ipw_hajek") if key in cfg}
     given.update(features)
     if "lambda" in cfg:
         given["lam"] = cfg["lambda"]
-    given.update((f"{side}_kernel", _kernel_from_config(spec)) for side, spec in kernels.items())
-    flags = {name: getattr(args, name, None) for name in ("lam", "mode", "seed")}
+    if "kernels" in cfg:  # turns kernel mode on; a side that it leaves out is linear
+        kernels = _section(cfg["kernels"], "kernels", ("cate", "prognostic"))
+        given.update((f"{side}_kernel", _kernel_from_config(kernels.get(side))) for side in ("cate", "prognostic"))
+    flags = {name: getattr(args, name, None) for name in ("lam", "seed")}
     given.update((name, value) for name, value in flags.items() if value is not None)
     return TransportConfig(**given, solver=_solver_from_config(cfg))
 
@@ -253,7 +254,7 @@ def _read_inputs(args) -> tuple[dict, TransportConfig, list[SiteDataset], Target
 
 def _print_kernels(config: TransportConfig, sides: dict) -> None:
     """In kernel mode, one line naming the run's resolved kernels."""
-    if config.mode != "kernel":
+    if config.cate_kernel is None:
         return
     parts = []
     for side in ("cate", "prognostic"):
@@ -523,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument(
             "--target-moments", help="feature-means target CSV (linear mode only)"
         )
-        p.add_argument("--mode", choices=["linear", "kernel"])
 
     p = sub.add_parser("weights", help="solve balancing weights for one or all sites")
     add_common(p)

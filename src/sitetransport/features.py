@@ -91,12 +91,9 @@ def fit_feature_map(spec: FeatureMap, pooled: np.ndarray | Sequence[Sequence[flo
     if X.size == 0:
         raise EmptySampleError("cannot fit a feature map on an empty sample")
     d = X.shape[1]
-    if outside := [pair for pair in spec.interactions if max(pair) >= d]:
-        raise DimensionMismatchError(f"interaction(s) {outside} out of range for {d} covariates")
-
+    names = raw_feature_names(d, spec.interactions)
     raw = _raw_features(spec, X)
     sd = raw.std(axis=0)  # population sd
-    names = raw_feature_names(d, spec.interactions)
 
     keep = sd > 0
     dropped = tuple(name for name, k in zip(names, keep) if not k)

@@ -78,22 +78,28 @@ def _profile_solve(effects: SiteEffectSet, level: float) -> float:
     """Largest-p-value inversion: the theta >= 0 with Q(theta) == level.
 
     Q is nonincreasing in theta, so the solution is unique whenever
-    Q(0) > level; otherwise the solution is truncated at zero.
+    Q(0) > level; otherwise the solution is truncated at zero. ValueError
+    names a Q not finite where the bracket needs it or never below the level.
     """
-    if q_statistic(effects, 0.0) <= level:
+    q_lo = q_statistic(effects, 0.0)
+    if q_lo <= level:
         return 0.0
     # imported here: scipy.optimize adds about 0.2 s to the package import
     from scipy.optimize import brentq
 
     lo = 0.0
     hi = float(np.max(effects.std_errors**2))
-    grow = 0
-    while q_statistic(effects, hi) >= level:
-        lo = hi
-        hi *= 4.0
-        grow += 1
-        if grow > _PROFILE_MAX_GROW:
-            raise RuntimeError("Q-profile failed to drop below the target level")
+    q_hi = q_statistic(effects, hi)
+    for _ in range(_PROFILE_MAX_GROW):
+        if not np.isfinite(q_hi) or q_hi < level:
+            break
+        lo, q_lo, hi = hi, q_hi, 4.0 * hi
+        q_hi = q_statistic(effects, hi)
+    if np.isnan(q_lo) or not np.isfinite(q_hi):  # an infinite Q(0) still brackets the root
+        theta, q = (lo, q_lo) if np.isnan(q_lo) else (hi, q_hi)
+        raise ValueError(f"the Q statistic at theta = {theta:.6g} is {q}: the effects are too extreme for it")
+    if q_hi >= level:
+        raise ValueError(f"the Q statistic stays above {level:.6g} up to theta = {hi:.6g}")
     return brentq(
         lambda theta: q_statistic(effects, theta) - level, lo, hi, xtol=_PROFILE_XTOL, rtol=_PROFILE_XTOL
     )

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .balance import BalanceProblem, WeightSolution, check_lambda, resolve_run_kernels, solve_weights
+from .balance import BalanceProblem, WeightSolution, check_lambda, pooled_covariates, solve_weights
 from .blas import single_threaded_blas
 from .data import PotentialOutcomeOracle, SiteDataset, TargetSpec
 from .errors import AllSitesFailedError, ConfigError, SiteTransportError
@@ -25,7 +25,7 @@ from .estimators import (
     naive_estimate,
     weighting_estimate,
 )
-from .features import FeatureMap, KernelSpec, fit_feature_map, raw_feature_names
+from .features import FeatureMap, KernelSpec, fit_feature_map, raw_feature_names, resolve_kernels
 from .qp import QpSettings, whole_number
 
 KNOWN_ESTIMATORS = (NAIVE, WEIGHTING, OUTCOME_MODEL, IPW, DOUBLY_ROBUST)
@@ -36,8 +36,8 @@ DEFAULT_LAMBDA = 0.03
 class TransportConfig:
     """Settings for a multisite transport run.
 
-    The same feature-map specification is used for the effect side and the
-    prognostic side in linear mode; kernel mode uses the two kernel specs.
+    The kernels set the mode: with neither, linear mode balances one feature
+    map on both sides; both are kernel mode; one alone is a ConfigError.
     ``estimators`` must name at least one known estimator, ``interactions``
     be pairs of whole numbers >= 0 (see :class:`FeatureMap`), ``n_boot``
     and ``seed`` whole numbers >= 0 and ``standardize`` and ``ipw_hajek``
@@ -48,11 +48,10 @@ class TransportConfig:
 
     estimators: tuple[str, ...] = (NAIVE, WEIGHTING)
     lam: float = DEFAULT_LAMBDA
-    mode: str = "linear"
     interactions: tuple[tuple[int, int], ...] = ()
     standardize: bool = True
-    cate_kernel: KernelSpec = KernelSpec("linear")
-    prognostic_kernel: KernelSpec = KernelSpec("linear")
+    cate_kernel: KernelSpec | None = None
+    prognostic_kernel: KernelSpec | None = None
     solver: QpSettings = QpSettings()
     n_boot: int = DEFAULT_BOOTSTRAP
     seed: int = 0
@@ -64,8 +63,9 @@ class TransportConfig:
             raise ConfigError(
                 f"estimators must be one or more of {list(KNOWN_ESTIMATORS)}, got {list(self.estimators)}"
             )
-        if self.mode not in ("linear", "kernel"):
-            raise ConfigError(f"mode must be 'linear' or 'kernel', got {self.mode!r}")
+        if (self.cate_kernel is None) != (self.prognostic_kernel is None):
+            missing = "cate_kernel" if self.cate_kernel is None else "prognostic_kernel"
+            raise ConfigError(f"kernel mode needs both kernels; {missing} is not given")
         object.__setattr__(self, "lam", check_lambda(self.lam))
         object.__setattr__(self, "interactions", FeatureMap(self.interactions).interactions)
         for name in ("standardize", "ipw_hajek"):
@@ -158,26 +158,28 @@ def run_setup(
     Raises :class:`ConfigError` if the run needs a unit-level target sample
     (the outcome model, IPW, doubly robust, kernel mode) and ``target`` has
     moments, or if an interaction names an index past the sites'
-    covariates. If the run uses a feature map (for those estimators, or
-    linear-mode weights), fits it once on every site's covariates plus the
-    target sample, if any; else it is None. Returns ``(fmap, sides)``,
-    ``sides`` the :class:`~sitetransport.balance.BalanceProblem`
-    arguments of the weights: the map on both sides in linear mode, the
-    config's kernels in kernel mode, each median-heuristic bandwidth
-    resolved once on the same pooled sample, so that every site shares it.
+    covariates, and :class:`DimensionMismatchError` if a site or the target
+    sample has another number of covariates (:func:`pooled_covariates`).
+    If the run uses a feature map (for those estimators, or linear-mode
+    weights), fits it once on every site's covariates plus the target
+    sample, if any; else it is None. Returns ``(fmap, sides)``, ``sides``
+    the :class:`~sitetransport.balance.BalanceProblem` arguments of the
+    weights: the map on both sides in linear mode, the config's kernels in
+    kernel mode, each median-heuristic bandwidth resolved once on the same
+    pooled sample, so that every site shares it.
     """
     sample_needed = sorted({OUTCOME_MODEL, IPW, DOUBLY_ROBUST} & set(config.estimators))
     if sample_needed and not target.is_sample:
         raise ConfigError(f"estimators {sample_needed} require a unit-level target sample")
-    if config.mode == "kernel" and not target.is_sample:
+    if config.cate_kernel is not None and not target.is_sample:
         raise ConfigError("kernel mode requires a unit-level target sample, not moments")
     raw_feature_names(sites[0].d, config.interactions)  # refuses an interaction past the covariates
+    pooled = pooled_covariates(sites, target)
     fmap = None
-    if sample_needed or (config.mode == "linear" and WEIGHTING in config.estimators):
-        pooled = [s.covariates for s in sites] + ([target.sample] if target.is_sample else [])
+    if sample_needed or (config.cate_kernel is None and WEIGHTING in config.estimators):
         fmap = fit_feature_map(FeatureMap(config.interactions, config.standardize), np.vstack(pooled))
-    if config.mode == "kernel":
-        kernels = resolve_run_kernels(sites, target, config.cate_kernel, config.prognostic_kernel)
+    if config.cate_kernel is not None:
+        kernels = resolve_kernels((config.cate_kernel, config.prognostic_kernel), pooled)
         return fmap, dict(zip(("cate_kernel", "prognostic_kernel"), kernels))
     return fmap, {"cate_map": fmap, "prognostic_map": fmap}
 

@@ -40,14 +40,14 @@ KERNEL_PAIRS = {
 # reference file -> (CLI arguments before the inputs, YAML config)
 CLI_RUNS = {
     **{
-        f"reference_weights_kernel_{pair}.csv": (["weights", "--mode", "kernel", "--lambda", "0.03"], cfg)
+        f"reference_weights_kernel_{pair}.csv": (["weights", "--lambda", "0.03"], cfg)
         for pair, cfg in KERNEL_PAIRS.items()
     },
     **{
-        f"reference_sweep_kernel_{pair}.csv": (["sweep", "--mode", "kernel"], cfg)
+        f"reference_sweep_kernel_{pair}.csv": (["sweep"], cfg)
         for pair, cfg in KERNEL_PAIRS.items()
     },
-    "reference_sweep_linear.csv": (["sweep", "--mode", "linear"], ""),
+    "reference_sweep_linear.csv": (["sweep"], ""),
 }
 SIM_SEEDS = (1, 2, 7)
 SIM_ROWS = "reference_sim_rows.csv"

@@ -69,12 +69,14 @@ class TestWeightsCommand:
         tmp, data, _ = toy
         moments = tmp_path / "moments.csv"
         moments.write_text("x1,x2,x3\n0.1,0.2,0.3\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("kernels: {cate: linear, prognostic: linear}\n", encoding="utf-8")
         rc = main(
             [
                 "weights",
                 "--data", str(data),
                 "--target-moments", str(moments),
-                "--mode", "kernel",
+                "--config", str(cfg),
                 "--out", str(tmp / "w.csv"),
             ]
         )
@@ -115,7 +117,7 @@ class TestWeightsCommand:
             encoding="utf-8",
         )
         rc = main(
-            ["weights", "--data", str(data), "--target", str(target), "--mode", "kernel",
+            ["weights", "--data", str(data), "--target", str(target),
              "--lambda", "0.05", "--config", str(cfg), "--out", str(out)]
         )
         assert rc == 0
@@ -129,10 +131,10 @@ class TestWeightsCommand:
         cfg.write_text("kernels:\n  cate: linear\n  prognostic: rbf\n", encoding="utf-8")
         # linear mode at lambda > 0 runs dual Newton, kernel mode the active
         # set, and linear mode at lambda = 0 ADMM
-        for lam, mode, dual in (("0.1", "linear", True), ("0.1", "kernel", True), ("0", "linear", False)):
+        for lam, config, dual in (("0.1", [], True), ("0.1", ["--config", str(cfg)], True), ("0", [], False)):
             rc = main(
-                ["weights", "--data", str(data), "--target", str(target), "--mode", mode,
-                 "--config", str(cfg), "--lambda", lam, "--out", str(tmp / "w.csv")]
+                ["weights", "--data", str(data), "--target", str(target), *config,
+                 "--lambda", lam, "--out", str(tmp / "w.csv")]
             )
             assert rc == 0
             lines = [ln for ln in capsys.readouterr().out.splitlines() if "solver:" in ln]
@@ -251,13 +253,21 @@ class TestWeightsCommand:
         assert json.loads(err[-1]) == {"error": "SiteTransportError", "message": "no site produced weights"}
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["weights", "sweep"])
-    def test_seed_is_not_a_flag_of_a_command_that_draws_nothing(self, tmp_path, command, capsys):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            # seed, on a command that draws nothing
+            ("weights", "--seed 1"), ("sweep", "--seed 1"),
+            # mode: the config's kernels section is what turns kernel mode on
+            ("weights", "--mode kernel"), ("transport", "--mode kernel"), ("sweep", "--mode kernel"),
+        ],
+    )
+    def test_a_flag_the_command_does_not_take_exits_2(self, tmp_path, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--data", str(DATA_DIR / "golden_data.csv"), "--seed", "1",
+            main([command, "--data", str(DATA_DIR / "golden_data.csv"), *flag.split(),
                   "--out", str(tmp_path / "out.csv")])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_bandwidth_on_a_linear_kernel_is_an_error(self, toy, tmp_path, capsys):
@@ -281,7 +291,7 @@ class TestWeightsCommand:
         cfg.write_text("kernels:\n  prognostic: {kind: rbf, bandwidth: .inf}\n", encoding="utf-8")
         out = tmp_path / "w.csv"
         rc = main(["weights", "--data", str(DATA_DIR / "golden_data.csv"), "--target", str(DATA_DIR / "golden_target.csv"),
-                   "--mode", "kernel", "--config", str(cfg), "--out", str(out)])
+                   "--config", str(cfg), "--out", str(out)])
         assert rc == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ConfigError"
@@ -304,14 +314,14 @@ class TestWeightsCommand:
         tmp, data, target = toy
         cfg = tmp / "cfg.yaml"
         cfg.write_text(f"kernels:\n  {kernels}\n", encoding="utf-8")
-        args = [command, "--data", str(data), "--target", str(target), "--config", str(cfg), "--out", str(tmp / "o.csv")]
-        assert main(args + ["--mode", "kernel"]) == 0
+        args = [command, "--data", str(data), "--target", str(target), "--out", str(tmp / "o.csv")]
+        assert main(args + ["--config", str(cfg)]) == 0
         out = capsys.readouterr().out.splitlines()
         pooled = np.vstack([np.loadtxt(path, delimiter=",", skiprows=1, usecols=cols) for path, cols in
                             ((data, (3, 4, 5)), (target, (0, 1, 2)))])
         assert [ln for ln in out if ln.startswith("kernels:")] == ["kernels: " + line.format(bw=resolve_bandwidth(pooled))]
         assert out[0].startswith("kernels:")
-        assert main(args) == 0  # linear mode names no kernel
+        assert main(args) == 0  # linear mode, with no kernels section, names no kernel
         assert not any(ln.startswith("kernels:") for ln in capsys.readouterr().out.splitlines())
 
 
@@ -447,6 +457,8 @@ class TestTransportCommand:
         [
             ("transport", "estimator: [naive]\n", "unknown top-level setting(s) ['estimator']"),
             ("weights", "lamda: 0.1\n", "unknown top-level setting(s) ['lamda']"),
+            # the kernels section alone sets the mode
+            ("weights", "mode: kernel\n", "unknown top-level setting(s) ['mode']"),
             ("sweep", "features: {standardise: false}\n", "unknown features setting(s) ['standardise']"),
             ("weights", "kernels: {cate: linear, prognosis: rbf}\n", "unknown kernels setting(s) ['prognosis']"),
             ("transport", "kernels:\n  prognostic: {kind: rbf, bandwith: 0.5}\n",
@@ -681,6 +693,28 @@ class TestHeterogeneityPairing:
         assert record["error"] == "ValueError"
         assert record["message"] == f"{b}: {message}; it must be finite"
 
+    @pytest.mark.parametrize(
+        "estimates, std_error, message",
+        [
+            ("1e200,-1e200,1e200", "1", "the Q statistic at theta = 1 is inf: "),
+            ("0.1,0.5,0.9", "1e-170", "the Q statistic at theta = 0 is nan: "),
+            ("1e150,-1e150,0", "1", "the Q statistic stays above 2 up to theta = 2.58225e+120"),
+        ],
+        ids=["squares-overflow", "squares-underflow", "never-below"],
+    )
+    def test_effects_too_extreme_for_the_profile_exit_1_and_name_the_cause(
+        self, tmp_path, capsys, estimates, std_error, message
+    ):
+        # the first and last used to end in a traceback, the second in scipy's
+        # "The function value at x=0.0 is NaN; solver cannot continue."
+        eff = tmp_path / "eff.csv"
+        rows = "".join(f"{estimate},{std_error}\n" for estimate in estimates.split(","))
+        eff.write_text("estimate,std_error\n" + rows, encoding="utf-8")
+        rc, out, err = heterogeneity_report(capsys, "--effects", eff)
+        assert rc == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ValueError" and record["message"].startswith(message), record
+
     @pytest.mark.parametrize("baseline", [[], ["--baseline", "naive"]], ids=["alone", "against-naive"])
     def test_a_zero_standard_error_names_its_site_and_exits_1(self, tmp_path, capsys, baseline):
         # without the bootstrap the outcome model's standard errors are 0.0
@@ -820,7 +854,7 @@ class TestLambdaValues:
             ("sweep", ["--lambdas", "1e-3,nan"], "", "got 'nan'"),
             ("sweep", ["--lambdas", "1e-3,abc"], "", "got 'abc'"),
             # refused before the kernel set-up prints its line
-            ("sweep", ["--lambdas", "1e-3,abc"], "mode: kernel\n", "got 'abc'"),
+            ("sweep", ["--lambdas", "1e-3,abc"], "kernels: {}\n", "got 'abc'"),
             ("sweep", ["--lambdas", "1e-3,-1"], "", "got '-1'"),
             ("sweep", [], "lambda_grid: [0.1, .nan]\n", "got nan"),
             ("sweep", [], "lambda_grid: [0.1, abc]\n", "got 'abc'"),
@@ -871,7 +905,7 @@ class TestSettingValues:
             ("transport", "n_boot: yes\n", "n_boot must be a whole number, got True"),
             ("weights", "solver: {max_iter: yes}\n", "max_iter must be a whole number, got True"),
             ("weights", "solver: {eps_abs: no}\n", "eps_abs must be a finite nonnegative number, got False"),
-            ("weights", "mode: kernel\nkernels: {prognostic: {kind: rbf, bandwidth: yes}}\n",
+            ("weights", "kernels: {prognostic: {kind: rbf, bandwidth: yes}}\n",
              "bandwidth must be a finite positive number, got True"),
             ("simulate", f"sim: {{{SMALL_SIM}, reps: 1}}\nseed: yes\n", "seed must be a whole number, got True"),
             ("simulate", f"sim: {{{SMALL_SIM}, reps: yes}}\n", "reps must be a whole number, got True"),
@@ -940,6 +974,73 @@ class TestDataRoundTrip:
         assert len(again) == len(sites)
         for got, want in zip(again, sites):
             assert_sites_identical(got, want)
+
+
+    @pytest.mark.parametrize("kind", ["data", "target", "moments", "effects"])
+    def test_a_byte_order_mark_is_read_past(self, tmp_path, kind):
+        # Excel's "CSV UTF-8" starts with one; it used to become part of the
+        # first column's name, so "missing required column 'site_id'"
+        from sitetransport.cli import _read_effects, read_target_moments, read_target_sample, read_unit_table
+
+        def unit_table(path):
+            table = read_unit_table(path)
+            return table.site_ids, table.treatment.tolist(), table.outcomes.tolist(), table.covariates.tolist()
+
+        write_golden_moments(tmp_path / "moments.csv")
+        names = ("x1", "x2", "x3")
+        path, read = {
+            "data": (DATA_DIR / "golden_data.csv", unit_table),
+            "target": (DATA_DIR / "golden_target.csv", lambda p: read_target_sample(p).sample.tolist()),
+            "moments": (tmp_path / "moments.csv", lambda p: read_target_moments(p, names).moments.tolist()),
+            "effects": (DATA_DIR / "golden_estimates.csv", lambda p: _read_effects(p, "weighting")),
+        }[kind]
+        marked = tmp_path / f"marked_{kind}.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read(str(marked)) == read(str(path))
+
+
+class TestEveryTopLevelSetting:
+    # key: (command, the config without the key, the key at a value other than its default)
+    CASES = {
+        "seed": ("transport", "estimators: [outcome_model]\nn_boot: 5\n", "seed: 3\n"),
+        "lambda": ("weights", "", "lambda: 0.5\n"),
+        "estimators": ("transport", "", "estimators: [naive]\n"),
+        "features": ("weights", "", "features: {interactions: [[0, 1]]}\n"),
+        "kernels": ("weights", "", "kernels: {cate: rbf, prognostic: rbf}\n"),
+        "solver": ("weights", "lambda: 0\n", "solver: {eps_abs: 1.0e-2, eps_rel: 1.0e-2}\n"),  # ADMM
+        "n_boot": ("transport", "estimators: [outcome_model]\n", "n_boot: 5\n"),
+        "ipw_hajek": ("transport", "estimators: [ipw]\n", "ipw_hajek: true\n"),
+        "lambda_grid": ("sweep", "", "lambda_grid: [0.1, 1.0]\n"),
+        "sim": ("simulate", "", "sim: {reps: 2, n_sites: 4}\n"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(CASES))
+    def test_the_setting_changes_the_output(self, tmp_path, monkeypatch, capsys, key):
+        # a kernels section without a mode setting used to run linear mode and
+        # write the bytes of a run without it
+        from dataclasses import dataclass
+
+        from sitetransport import cli
+        from sitetransport.sim import SimConfig
+
+        assert sorted(self.CASES) == sorted(cli._CONFIG_KEYS)
+
+        @dataclass(frozen=True)
+        class SmallSim(SimConfig):  # the simulation without a sim section, at a size that runs at once
+            n_sites: int = 3
+            reps: int = 2
+
+        monkeypatch.setattr(cli, "SimConfig", SmallSim)
+        command, without, setting = self.CASES[key]
+        inputs = [] if command == "simulate" else ["--data", str(DATA_DIR / "golden_data.csv"),
+                                                   "--target", str(DATA_DIR / "golden_target.csv")]
+        outputs = []
+        for name, text in (("without", without), ("with", without + setting)):
+            cfg, out = tmp_path / f"{name}.yaml", tmp_path / f"{name}.csv"
+            cfg.write_text(text, encoding="utf-8")
+            assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] != outputs[1]
 
 
 class TestGoldenFile:

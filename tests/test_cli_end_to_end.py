@@ -20,16 +20,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sitetransport import BalanceProblem, QpSettings, TransportConfig, solve_weights, validate_dataset
+from sitetransport import (
+    BalanceProblem,
+    KernelSpec,
+    QpSettings,
+    TransportConfig,
+    lambda_sweep,
+    solve_weights,
+    transport_all,
+    validate_dataset,
+)
 from sitetransport.cli import main, read_target_sample, read_unit_table
+from sitetransport.errors import DimensionMismatchError
 from sitetransport.multisite import run_setup
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DATA = str(DATA_DIR / "golden_data.csv")
 GOLDEN = ["--data", GOLDEN_DATA, "--target", str(DATA_DIR / "golden_target.csv")]
 ESTIMATORS = ("naive", "weighting", "ipw", "outcome_model", "doubly_robust")
-LINEAR_RBF = "kernels:\n  cate: linear\n  prognostic: {kind: rbf, bandwidth: median}\n"
-KERNEL_MODE = "mode: kernel\n" + LINEAR_RBF
+KERNEL_MODE = "kernels:\n  cate: linear\n  prognostic: {kind: rbf, bandwidth: median}\n"
 
 
 def read_csv(path):
@@ -131,7 +140,7 @@ def test_kernel_weights_do_not_depend_on_the_order_of_the_sites_or_their_rows(tm
     np.testing.assert_allclose([w_reversed[k] for k in keys], [w[k] for k in keys], rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("config", ["mode: linear\n", KERNEL_MODE], ids=["linear", "kernel"])
+@pytest.mark.parametrize("config", ["", KERNEL_MODE], ids=["linear", "kernel"])
 def test_exact_balance_solves_every_site_and_weights_every_unit(tmp_path, capsys, config):
     printed, out = run(capsys, tmp_path, "weights", ["weights", "--lambda", "0", *GOLDEN], config)
     lines = [line for line in printed.splitlines() if "solver:" in line]
@@ -139,12 +148,44 @@ def test_exact_balance_solves_every_site_and_weights_every_unit(tmp_path, capsys
     assert len(read_csv(out)) == len(read_csv(GOLDEN_DATA))
 
 
-@pytest.mark.parametrize("mode", ["linear", "kernel"])
-def test_a_sweep_through_exact_balance_solves_every_lambda(tmp_path, capsys, mode):
-    args = ["sweep", "--mode", mode, "--lambdas", "0,1e-4,0.03", *GOLDEN]
-    rows = read_csv(run(capsys, tmp_path, "sweep", args, LINEAR_RBF)[1])
+@pytest.mark.parametrize("config", ["", KERNEL_MODE], ids=["linear", "kernel"])
+def test_a_sweep_through_exact_balance_solves_every_lambda(tmp_path, capsys, config):
+    args = ["sweep", "--lambdas", "0,1e-4,0.03", *GOLDEN]
+    rows = read_csv(run(capsys, tmp_path, "sweep", args, config)[1])
     assert [float(row["lambda"]) for row in rows] == [0.0, 1e-4, 0.03], rows
     assert all(int(row["n_failed"]) == 0 for row in rows), rows
+
+
+RBF_RBF = dict(cate_kernel=KernelSpec("rbf"), prognostic_kernel=KernelSpec("rbf"))
+# library runs on the golden sites and a target without x3
+LIBRARY_RUNS = {
+    "transport_all-linear": lambda sites, target: transport_all(sites, target, TransportConfig()),
+    "transport_all-kernel": lambda sites, target: transport_all(sites, target, TransportConfig(**RBF_RBF)),
+    # no estimator reads the target: it used to run
+    "transport_all-naive": lambda sites, target: transport_all(sites, target, TransportConfig(estimators=("naive",))),
+    "lambda_sweep-rbf": lambda sites, target: lambda_sweep(sites, target, [0.1, 1.0], **RBF_RBF),
+    "lambda_sweep-linear-kernels": lambda sites, target: lambda_sweep(
+        sites, target, [0.1, 1.0], cate_kernel=KernelSpec("linear"), prognostic_kernel=KernelSpec("linear")
+    ),
+}
+
+
+@pytest.mark.parametrize("run", ["transport", "weights", "sweep", *LIBRARY_RUNS])
+def test_a_target_of_another_width_is_refused_by_name(tmp_path, capsys, run):
+    # it used to end in numpy's "all the input array dimensions except for
+    # the concatenation axis must match exactly", which names neither input
+    message = "the target sample has 2 covariates but site 'alpha' has 3"
+    target, out = tmp_path / "x1_x2.csv", tmp_path / "out.csv"
+    lines = (DATA_DIR / "golden_target.csv").read_text(encoding="utf-8").splitlines()
+    target.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines), encoding="utf-8")
+    if run in LIBRARY_RUNS:
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+            LIBRARY_RUNS[run](validate_dataset(read_unit_table(GOLDEN_DATA)), read_target_sample(str(target)))
+        return
+    assert main([run, "--data", GOLDEN_DATA, "--target", str(target), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {"error": "DimensionMismatchError", "message": message}
+    assert captured.out == "" and not out.exists()
 
 
 # Runs the commands given as JSON in argv[1] and prints, last, the thread
@@ -208,7 +249,7 @@ def test_a_warm_started_sweep_gives_the_rows_of_fresh_solves(tmp_path, capsys):
     data, target_path = write_trial(tmp_path, "grid", seed=5, n_sites=2, n=800, d=20, site_sd=0.3, m=1200,
                                     target_mu=0.3)
     grid = ",".join(repr(v) for v in np.logspace(-4, 2, 25).tolist())
-    args = ["sweep", "--mode", "linear", "--lambdas", grid, "--data", data, "--target", target_path]
+    args = ["sweep", "--lambdas", grid, "--data", data, "--target", target_path]
     _, out = run(capsys, tmp_path, "sweep", args, "solver: {eps_abs: 1.0e-10, eps_rel: 1.0e-10}\n")
     sites = validate_dataset(read_unit_table(data))
     target = read_target_sample(target_path)

@@ -434,7 +434,7 @@ class TestShiftEquivariance:
         tight = QpSettings(eps_abs=1e-10, eps_rel=1e-10)
         rbf = KernelSpec("rbf")
         config = TransportConfig(
-            estimators=("weighting",), lam=lam, mode="kernel", cate_kernel=rbf, prognostic_kernel=rbf, solver=tight
+            estimators=("weighting",), lam=lam, cate_kernel=rbf, prognostic_kernel=rbf, solver=tight
         )
 
         def weights(sites, target):

@@ -14,6 +14,7 @@ from sitetransport import (
 )
 from sitetransport.errors import (
     AllPointsIdenticalError,
+    ConfigError,
     DimensionMismatchError,
     EmptySampleError,
     UnfittedMapError,
@@ -50,7 +51,7 @@ class TestFitFeatureMap:
             fit_feature_map(FeatureMap(), np.empty((0, 2)))
 
     def test_interaction_index_out_of_range(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError, match=r"interaction\(s\) \[\(0, 5\)\] out of range for 2 covariates"):
             fit_feature_map(FeatureMap(interactions=((0, 5),)), np.ones((3, 2)))
 
 

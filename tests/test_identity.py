@@ -101,7 +101,9 @@ def _values():
         lambda: UnitRecord((1.0, -0.0), 1, 0.5, "a"),
         lambda: KernelSpec("rbf", 0.5),
         lambda: QpSettings(eps_abs=1e-8),
-        lambda: TransportConfig(estimators=("naive",), lam=0.1, prognostic_kernel=KernelSpec("rbf")),
+        lambda: TransportConfig(
+            estimators=("naive",), lam=0.1, cate_kernel=KernelSpec("linear"), prognostic_kernel=KernelSpec("rbf")
+        ),
         lambda: SimConfig(reps=3, seed=4),
         lambda: TransportEstimate(0.2, 0.1, 30.0, 28.0, "weighting", "a", ("note",)),
         lambda: SweepRow(0.03, 0.1, 0.2, 40.0, 0),

@@ -215,6 +215,9 @@ class TestTransportAll:
             (dict(n_boot=np.True_), "n_boot must be a whole number, got np.True_"),
             (dict(standardize="false"), "standardize must be true or false, got 'false'"),
             (dict(ipw_hajek="false"), "ipw_hajek must be true or false, got 'false'"),
+            # both kernels set kernel mode; one alone used to run linear mode
+            (dict(prognostic_kernel=KernelSpec("rbf")), "kernel mode needs both kernels; cate_kernel is not given"),
+            (dict(cate_kernel=KernelSpec("rbf")), "kernel mode needs both kernels; prognostic_kernel is not given"),
         ],
     )
     def test_a_setting_it_cannot_honour_is_rejected_by_name(self, setting, message):
@@ -245,7 +248,7 @@ def test_a_bad_setting_is_a_config_error_and_a_value_error(hold):
 
 
 KERNEL_RUN = TransportConfig(
-    estimators=("naive", "weighting"), mode="kernel", cate_kernel=KernelSpec("rbf"), prognostic_kernel=KernelSpec("rbf")
+    estimators=("naive", "weighting"), cate_kernel=KernelSpec("rbf"), prognostic_kernel=KernelSpec("rbf")
 )
 
 
@@ -406,7 +409,7 @@ class TestInvariance:
         sites, target = self._golden()
         rbf = KernelSpec("rbf")
         config = TransportConfig(
-            estimators=("weighting",), lam=lam, mode="kernel", cate_kernel=rbf, prognostic_kernel=rbf
+            estimators=("weighting",), lam=lam, cate_kernel=rbf, prognostic_kernel=rbf
         )
         shift = np.array([3.0, -7.5, 0.25])
         w = self._weights(config, sites, target)
