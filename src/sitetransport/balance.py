@@ -26,7 +26,7 @@ from .errors import (
     SolverFailedError,
 )
 from .features import FeatureMap, KernelSpec, apply_feature_map, kernel_matrix, map_raw_means, resolve_kernels
-from .qp import SOLVED, QpSettings, QpSolution, QuadraticProgram, as_number, solve_qp
+from .qp import SOLVED, QpSettings, QpSolution, QuadraticProgram, _psd_by_construction, as_number, solve_qp
 
 # Weight solutions flag sites whose effective sample size drops below this
 # share of the site size.
@@ -200,7 +200,8 @@ def _site_program(prob: BalanceProblem) -> _SiteProgram:
             target_block = prob.target.memo(
                 k_cate, lambda: sum(float(K.sum()) for K in _gram_blocks(k_cate, target, target)) / (m * m)
             )
-        base = QuadraticProgram(P=P, q=-2.0 * a_cate * kernel_mean, **constraints)
+        # PSD by the Schur product theorem: no Cholesky certificate (see qp._Structure.certificate)
+        base = _psd_by_construction(QuadraticProgram(P=P, q=-2.0 * a_cate * kernel_mean, **constraints))
         return _SiteProgram(
             a_cate, a_prog, reg, base, K_cate=K_cate, K_prog=K_prog, kernel_mean=kernel_mean,
             target_block=target_block,

@@ -66,12 +66,15 @@ def q_statistic(effects: SiteEffectSet, theta: float) -> float:
     hypothesized between-site variance theta.
 
     The pooled mean is recomputed at each theta with weights 1/(se^2 + theta).
+    Effects too extreme for floating point give inf or nan, without a numpy
+    warning: the profile that needs Q names them.
     """
     if theta < 0:
         raise ValueError(f"theta must be nonnegative, got {theta}")
-    w = 1.0 / (effects.std_errors**2 + theta)
-    mean = float(np.sum(w * effects.estimates) / np.sum(w))
-    return float(np.sum(w * (effects.estimates - mean) ** 2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = 1.0 / (effects.std_errors**2 + theta)
+        mean = float(np.sum(w * effects.estimates) / np.sum(w))
+        return float(np.sum(w * (effects.estimates - mean) ** 2))
 
 
 def _profile_solve(effects: SiteEffectSet, level: float) -> float:
@@ -81,8 +84,10 @@ def _profile_solve(effects: SiteEffectSet, level: float) -> float:
     Q(0) > level; otherwise the solution is truncated at zero. ValueError
     names a Q not finite where the bracket needs it or never below the level.
     """
-    q_lo = q_statistic(effects, 0.0)
-    if q_lo <= level:
+    q_zero = q_statistic(effects, 0.0)
+    if np.isnan(q_zero):  # an infinite Q(0) still brackets the root
+        raise ValueError(f"the Q statistic at theta = 0 is {q_zero}: the effects are too extreme for it")
+    if q_zero <= level:
         return 0.0
     # imported here: scipy.optimize adds about 0.2 s to the package import
     from scipy.optimize import brentq
@@ -93,11 +98,10 @@ def _profile_solve(effects: SiteEffectSet, level: float) -> float:
     for _ in range(_PROFILE_MAX_GROW):
         if not np.isfinite(q_hi) or q_hi < level:
             break
-        lo, q_lo, hi = hi, q_hi, 4.0 * hi
+        lo, hi = hi, 4.0 * hi
         q_hi = q_statistic(effects, hi)
-    if np.isnan(q_lo) or not np.isfinite(q_hi):  # an infinite Q(0) still brackets the root
-        theta, q = (lo, q_lo) if np.isnan(q_lo) else (hi, q_hi)
-        raise ValueError(f"the Q statistic at theta = {theta:.6g} is {q}: the effects are too extreme for it")
+    if not np.isfinite(q_hi):
+        raise ValueError(f"the Q statistic at theta = {hi:.6g} is {q_hi}: the effects are too extreme for it")
     if q_hi >= level:
         raise ValueError(f"the Q statistic stays above {level:.6g} up to theta = {hi:.6g}")
     return brentq(

@@ -32,10 +32,16 @@ balancing program at lambda > 0).
   mode), the program is solved by the primal-dual active-set method, a
   semismooth Newton method on the KKT conditions (Hintermueller, Ito &
   Kunisch 2002). Each step fixes x = 0 off a free set F, solves the
-  equality-constrained program on F by one Cholesky factorization of P_FF,
-  in place in one copy of P's free block (of P while all units are free),
-  and a Schur solve for the multipliers mu of E, sets the bound multipliers
-  s = P x + q - E'mu and takes the next free set {x - s > 0}. It stops when
+  equality-constrained program on F for x and the multipliers mu of E, sets
+  the bound multipliers s = P x + q - E'mu and takes the next free set
+  {x - s > 0}. A solve factors P_GG + D_G once, at its first free set G, in
+  place in one copy of P's free block (of P while all units are free);
+  while later free sets stay inside G, each step holds the units R = G - F
+  that left at zero as extra equality rows [E_G; I_R] of one Schur solve
+  through that factor, so it needs only forward substitutions for R and
+  one back substitution for x. It factors afresh, at F, when a unit
+  outside G enters, when that Schur matrix does not factor, or when
+  holding R would cost more flops than factoring F. It stops when
   the free set repeats, at an exact KKT point, like OSQP's solution polish
   (Stellato et al. 2020). If the free set keeps changing for
   ``_ACTIVE_SET_MAX_STEPS`` steps, a factorization fails or the result
@@ -72,7 +78,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .blas import single_threaded_blas
 from .errors import ConfigError, DimensionMismatchError, NonConvexError
@@ -170,7 +176,20 @@ class _Structure:
     def certificate(self) -> None:
         """Raise NonConvexError when an explicit base has an eigenvalue below
         -tol_b, tol_b = 1e-8 * max(trace base, 1): base + tol_b I then has no
-        Cholesky factorization (Golub & Van Loan, section 4.2). F'F is PSD."""
+        Cholesky factorization (Golub & Van Loan, section 4.2). F'F is PSD.
+
+        So is kernel-mode balancing's base 2(K_c o a_c a_c' + K_p o a_p a_p')
+        (``o`` the entrywise product): linear and RBF Grams are PSD, and by
+        the Schur product theorem (Horn & Johnson, section 7.5) so is their
+        entrywise product with a rank-one a a'. Rounding moves each entry by
+        at most c eps sqrt(P_ii P_jj), with c about d for a linear Gram on d
+        covariates and 745 (d + 2) for an RBF one (its squared distances are
+        sums of d squares, and exp's argument stays below 745 where it does
+        not underflow), so its Frobenius norm, and every eigenvalue's
+        distance below zero, is at most c eps trace P: under tol_b while d
+        is below tens of thousands. ``_psd_by_construction`` records such a
+        base as certified, and it is never factored here; every other
+        explicit base is."""
         if self.P is None:
             return
         tol = _NONCONVEX_TOL * max(float(np.trace(self.P)), 1.0)
@@ -435,6 +454,14 @@ class QpSolution:
     iterations: int
     objective: float
     duality_gap: float = float("nan")
+
+
+def _psd_by_construction(prob: QuadraticProgram) -> QuadraticProgram:
+    """``prob``, its base recorded as certified without a factorization, for
+    a base PSD by construction (see ``_Structure.certificate``); its
+    ``with_p_diag`` copies share the record."""
+    prob._structure.__dict__["certificate"] = None  # the cached property's value once derived
+    return prob
 
 
 def _check_convexity(prob: QuadraticProgram) -> None:
@@ -707,14 +734,65 @@ def _covers_rows(E: np.ndarray, free: np.ndarray) -> bool:
     return bool(free.any() and (E[:, free] != 0.0).any(axis=1).all())
 
 
+class _FreeBlock:
+    """The Cholesky factor L L' = P_GG + diag(d_G) of one free set G, with
+    W = L^-1 [E_G', q_G], for the active-set steps on every free set F
+    inside G (see ``solve``). ``chol`` is None when P_GG + diag(d_G) does
+    not factor."""
+
+    def __init__(self, prob: QuadraticProgram, free: np.ndarray):
+        self.free, self.idx, self.b = free, np.flatnonzero(free), prob.l
+        idx, P = self.idx, prob.P
+        # one copy of P_GG (a plain copy of P while every unit is free): P_GG
+        # is symmetric, so its transpose is P_GG in Fortran order, factored in place
+        H = (P.copy() if idx.size == prob.n else P.take(idx, 0).take(idx, 1)).T
+        H.flat[:: H.shape[0] + 1] += prob.p_diag[idx]
+        chol, info = dpotrf(H, lower=1, overwrite_a=1)
+        self.chol = None if info else chol
+        if self.chol is not None:
+            self.w = dtrtrs(chol, np.column_stack([prob.A[:, idx].T, prob.q[idx]]), lower=1)[0]
+
+    def holds(self, free: np.ndarray) -> bool:
+        """Whether F = ``free`` lies inside G and holding the units R = G - F
+        at zero costs fewer flops than factoring F afresh: r forward
+        substitutions (g^2 r) and the Schur product (g r^2) against one
+        Cholesky factorization ((g - r)^3 / 3), with g = |G| and r = |R|."""
+        if (free & ~self.free).any():
+            return False
+        g, f = self.idx.size, np.count_nonzero(free)
+        r = g - f
+        return g * r * (g + r) <= f**3 / 3
+
+    def solve(self, free: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """(x, mu) of the step on F = ``free`` inside G: the program on G
+        with the equality rows C = [E_G; I_R], C x = (b, 0), through
+        V = L^-1 C', the Schur matrix V'V for the multipliers and one back
+        substitution for x; None when the Schur matrix does not factor."""
+        held = np.flatnonzero(~free[self.idx])  # the units of R, by their place in G
+        units = np.zeros((self.idx.size, held.size))
+        units[held, np.arange(held.size)] = 1.0
+        k, w_q = self.b.size, self.w[:, -1]
+        V = np.hstack([self.w[:, :k], dtrtrs(self.chol, units, lower=1)[0]])
+        schur, info = dpotrf(V.T @ V, lower=1)
+        if info:
+            return None
+        lam = dpotrs(schur, np.concatenate([self.b, np.zeros(held.size)]) + V.T @ w_q, lower=1)[0]
+        x = np.zeros(free.size)
+        x[self.idx] = dtrtrs(self.chol, V @ lam - w_q, lower=1, trans=1)[0]
+        x[self.idx[held]] = 0.0  # held at zero to rounding: exactly zero off F
+        return x, lam[:k]
+
+
 def _solve_active_set(prob, s: QpSettings, warm_start) -> QpSolution | None:
     """The primal-dual active-set path (see the module docstring), or None
     to hand the program to ADMM. A warm start (x0, y0) gives the first free
     set {x0 - s0 > 0} with s0 = -y0 on the bound rows, unless that set
     leaves a row of E without a free column; otherwise every column starts
-    free."""
+    free. A step factors its free set afresh when a unit outside the
+    factored one enters, when holding the units that left costs more
+    flops, or when their Schur matrix does not factor."""
     structure = prob._structure
-    P, d, q, E, b = prob.P, prob.p_diag, prob.q, prob.A, prob.l
+    q, E, b = prob.q, prob.A, prob.l
     if b.size == 0:  # x >= 0 alone: no multipliers for the Schur step to fix
         return None
     n = prob.n
@@ -723,27 +801,17 @@ def _solve_active_set(prob, s: QpSettings, warm_start) -> QpSolution | None:
         warm_free = warm_start[0] + warm_start[1][b.size :] > 0.0
         if _covers_rows(E, warm_free):
             free = warm_free
+    block = None
     for step in range(1, _ACTIVE_SET_MAX_STEPS + 1):
         if not _covers_rows(E, free):  # an arm without free units
             return None
-        idx = np.flatnonzero(free)
-        # one copy of P_FF (a plain copy of P while every unit is free): P_FF
-        # is symmetric, so its transpose is P_FF in Fortran order, factored in place
-        H = (P.copy() if idx.size == n else P.take(idx, 0).take(idx, 1)).T
-        H.flat[:: H.shape[0] + 1] += d[idx]
-        chol, info = dpotrf(H, lower=1, overwrite_a=1)
-        if info:
-            return None
-        E_f = E[:, idx]
-        # x_F = H^-1 (E_F'mu - q_F), and E_F x_F = b fixes mu
-        solved = dpotrs(chol, np.column_stack([E_f.T, q[idx]]), lower=1)[0]
-        h_e, h_q = solved[:, :-1], solved[:, -1]
-        schur, info = dpotrf(E_f @ h_e, lower=1)
-        if info:  # rows of E_F linearly dependent
-            return None
-        mu = dpotrs(schur, b + E_f @ h_q, lower=1)[0]
-        x = np.zeros(n)
-        x[idx] = h_e @ mu - h_q
+        solved = block.solve(free) if block is not None and block.holds(free) else None
+        if solved is None:
+            block = _FreeBlock(prob, free)
+            solved = None if block.chol is None else block.solve(free)
+            if solved is None:  # P_FF not positive definite, or rows of E_F linearly dependent
+                return None
+        x, mu = solved
         px = prob.p_matvec(x)
         sv = px + q - E.T @ mu
         next_free = x - sv > 0.0

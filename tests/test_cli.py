@@ -1,5 +1,8 @@
 import csv
 import json
+import sys
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +621,18 @@ def write_effects(path, sites, estimates):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+@contextmanager
+def warnings_on_stderr():
+    """Warnings written to sys.stderr, each once per place, as an interpreter
+    outside a test run shows a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, category, filename, lineno, file=None, line=None: sys.stderr.write(
+            warnings.formatwarning(message, category, filename, lineno, line)
+        )
+        yield
+
+
 def heterogeneity_report(capsys, *args):
     rc = main(["heterogeneity", *map(str, args)])
     captured = capsys.readouterr()
@@ -694,25 +709,29 @@ class TestHeterogeneityPairing:
         assert record["message"] == f"{b}: {message}; it must be finite"
 
     @pytest.mark.parametrize(
-        "estimates, std_error, message",
+        "estimates, std_errors, message",
         [
-            ("1e200,-1e200,1e200", "1", "the Q statistic at theta = 1 is inf: "),
-            ("0.1,0.5,0.9", "1e-170", "the Q statistic at theta = 0 is nan: "),
-            ("1e150,-1e150,0", "1", "the Q statistic stays above 2 up to theta = 2.58225e+120"),
+            ("1e200,-1e200,1e200", "1,1,1", "the Q statistic at theta = 1 is inf: "),
+            ("0.1,0.5,0.9", "1e-170,1e-170,1e-170", "the Q statistic at theta = 0 is nan: "),
+            ("0,1e5,0", "1e-160,1e-160,1", "the Q statistic at theta = 0 is nan: "),
+            ("1e150,-1e150,0", "1,1,1", "the Q statistic stays above 2 up to theta = 2.58225e+120"),
         ],
-        ids=["squares-overflow", "squares-underflow", "never-below"],
+        ids=["squares-overflow", "squares-underflow", "nan-at-zero-only", "never-below"],
     )
     def test_effects_too_extreme_for_the_profile_exit_1_and_name_the_cause(
-        self, tmp_path, capsys, estimates, std_error, message
+        self, tmp_path, capsys, estimates, std_errors, message
     ):
         # the first and last used to end in a traceback, the second in scipy's
-        # "The function value at x=0.0 is NaN; solver cannot continue."
+        # "The function value at x=0.0 is NaN; solver cannot continue.", the
+        # third in a report with q_at_zero nan
         eff = tmp_path / "eff.csv"
-        rows = "".join(f"{estimate},{std_error}\n" for estimate in estimates.split(","))
+        rows = "".join(f"{e},{se}\n" for e, se in zip(estimates.split(","), std_errors.split(",")))
         eff.write_text("estimate,std_error\n" + rows, encoding="utf-8")
-        rc, out, err = heterogeneity_report(capsys, "--effects", eff)
+        with warnings_on_stderr():
+            rc, out, err = heterogeneity_report(capsys, "--effects", eff)
         assert rc == 1 and out == ""
-        record = json.loads(err.strip().splitlines()[-1])
+        assert len(err.splitlines()) == 1, err  # the JSON error alone
+        record = json.loads(err)
         assert record["error"] == "ValueError" and record["message"].startswith(message), record
 
     @pytest.mark.parametrize("baseline", [[], ["--baseline", "naive"]], ids=["alone", "against-naive"])

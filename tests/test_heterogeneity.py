@@ -84,6 +84,14 @@ class TestEstimateTheta:
         with pytest.raises(ValueError):
             SiteEffectSet(np.array([0.1]), np.array([0.1]))
 
+    def test_a_nan_q_at_zero_is_an_error_not_a_report(self):
+        # the first two squares (1e-320) give infinite weights at theta = 0,
+        # while Q at the first grown theta, 1, is finite
+        eff = SiteEffectSet(np.array([0.0, 1e5, 0.0]), np.array([1e-160, 1e-160, 1.0]))
+        assert np.isnan(q_statistic(eff, 0.0)) and np.isfinite(q_statistic(eff, 1.0))
+        with pytest.raises(ValueError, match="^the Q statistic at theta = 0 is nan: the effects are too extreme"):
+            estimate_theta(eff)
+
     @pytest.mark.parametrize(
         "estimates, std_errors, message",
         [

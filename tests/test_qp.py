@@ -401,6 +401,20 @@ class TestConvexityCheck:
                 with pytest.raises(NonConvexError, match="eigenvalue below"):
                     qp._check_convexity(prob)
 
+    def test_hand_built_explicit_base_derives_its_certificate_once(self, rng, monkeypatch):
+        from sitetransport import qp
+
+        prop, derived = qp._Structure.__dict__["certificate"], []
+        real = prop.func
+        monkeypatch.setattr(prop, "func", lambda structure: derived.append(structure) or real(structure))
+        M = rng.normal(size=(6, 8))
+        prob, warm = simplex_program(M.T @ M, rng.normal(size=8)), None
+        for lam in (1.0, 0.1, 0.01):
+            sol = solve_qp(prob.with_p_diag(np.full(prob.n, lam)), warm_start=warm)
+            assert sol.status == SOLVED and sol.method == "active_set"
+            warm = (sol.x, sol.y)
+        assert derived == [prob._structure]
+
 
 class TestDiagonalTerm:
     """P = base + diag(p_diag) for an explicit base as for a factored one."""
@@ -864,14 +878,17 @@ def summed(prob):
 
 
 def ix_gather_active_set(prob, warm_start=None):
-    """The active-set loop with each free block gathered as
-    ``P[np.ix_(idx, idx)]`` and its transpose factored: (x, y, steps)."""
+    """The active-set loop with each step's free block gathered as
+    ``P[np.ix_(idx, idx)]`` and its transpose factored: (x, y, the free set
+    of each step)."""
     P, d, q, E, b, n = prob.P, prob.p_diag, prob.q, prob.A, prob.l, prob.n
     free = np.ones(n, dtype=bool)
     if warm_start is not None:
         free = warm_start[0] + warm_start[1][b.size :] > 0.0
+    free_sets = []
     with single_threaded_blas():
-        for step in range(1, 51):
+        for _ in range(50):
+            free_sets.append(free)
             idx = np.flatnonzero(free)
             H = P[np.ix_(idx, idx)].T
             H[np.diag_indices_from(H)] += d[idx]
@@ -888,13 +905,56 @@ def ix_gather_active_set(prob, warm_start=None):
             if np.array_equal(next_free, free):
                 break
             free = next_free
-    return x, -np.concatenate([mu, np.maximum(sv, 0.0)]), step
+    return x, -np.concatenate([mu, np.maximum(sv, 0.0)]), free_sets
+
+
+def logged_active_set(monkeypatch, prob, warm_start=None):
+    """``solve_qp(prob, warm_start)`` with the free set of each active-set
+    step and the order of each Cholesky factorization it ran:
+    (solution, free sets, orders)."""
+    from sitetransport import qp
+
+    checked, orders = [], []
+    covers, factor = qp._covers_rows, qp.dpotrf
+
+    def logged_covers(E, free):  # called on each step's free set (and first on a warm start's)
+        checked.append(free.copy())
+        return covers(E, free)
+
+    def logged_factor(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return factor(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qp, "_covers_rows", logged_covers)
+        patch.setattr(qp, "dpotrf", logged_factor)
+        sol = solve_qp(prob, warm_start=warm_start)
+    return sol, checked[-sol.iterations :], orders
+
+
+def assert_iterates_of_the_ix_gather(monkeypatch, prob, warm_start=None):
+    """The solve takes the oracle's steps through the same free sets, and
+    its x and y agree with the oracle's to n kappa eps of their largest
+    entries, kappa the 2-norm condition number of the last free block
+    P_FF + D_F: the forward error of two backward-stable solves of one
+    system. Returns the solve's free sets and factorization orders."""
+    sol, free_sets, orders = logged_active_set(monkeypatch, prob, warm_start)
+    x, y, oracle_sets = ix_gather_active_set(prob, warm_start)
+    assert sol.method == "active_set" and sol.iterations == len(oracle_sets)
+    assert all(np.array_equal(a, b) for a, b in zip(free_sets, oracle_sets))
+    free = oracle_sets[-1]
+    kappa = np.linalg.cond(prob.P[np.ix_(free, free)] + np.diag(prob.p_diag[free]))
+    bound = prob.n * kappa * np.finfo(float).eps
+    np.testing.assert_allclose(sol.x, x, rtol=0.0, atol=bound * np.abs(x).max())
+    np.testing.assert_allclose(sol.y, y, rtol=0.0, atol=bound * np.abs(y).max())
+    assert sol.objective == prob.objective(sol.x)
+    return free_sets, orders
 
 
 class TestActiveSetPath:
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "within-tolerance"])
     @pytest.mark.parametrize("seed", [51, 52, 53])
-    def test_free_blocks_give_the_iterates_of_the_ix_gather(self, symmetric, seed):
+    def test_free_blocks_give_the_iterates_of_the_ix_gather(self, monkeypatch, symmetric, seed):
         from sitetransport.qp import _SYMMETRY_TOL
 
         prob = small_kernel_program(1e-5, n=40, seed=seed)
@@ -909,13 +969,39 @@ class TestActiveSetPath:
         start = solve_qp(prob.with_p_diag(1e-2 * prob.p_diag))
         assert 0 < (start.x + start.y[2:] > 0.0).sum() < prob.n
         for warm in (None, (start.x, start.y)):
-            sol = solve_qp(prob, warm_start=warm)
-            x, y, steps = ix_gather_active_set(prob, warm)
-            # a cold start frees every unit, then factors partly free blocks
-            assert sol.method == "active_set" and sol.iterations == steps > 1
-            np.testing.assert_array_equal(sol.x, x)
-            np.testing.assert_array_equal(sol.y, y)
-            assert sol.objective == prob.objective(x)
+            # a cold start frees every unit, then steps through partly free sets
+            free_sets, _ = assert_iterates_of_the_ix_gather(monkeypatch, prob, warm)
+            assert len(free_sets) > 1
+
+    def test_shrinking_free_set_factors_one_free_block(self, monkeypatch):
+        prob = small_kernel_program(1e-4, n=200, seed=51)
+        free_sets, orders = assert_iterates_of_the_ix_gather(monkeypatch, prob)
+        sizes = [int(free.sum()) for free in free_sets]
+        assert len(sizes) >= 4 and sizes[0] == prob.n
+        assert all(np.array_equal(free & last, free) for last, free in zip(free_sets, free_sets[1:]))
+        # the Schur matrices hold the two arm rows and the units held at zero
+        largest_schur = prob.l.size + prob.n - sizes[-1]
+        assert [order for order in orders if order > largest_schur] == [prob.n]
+        assert len(orders) == len(sizes) + 1
+
+    def test_unit_outside_the_factored_free_set_factors_again(self, monkeypatch):
+        prob = small_kernel_program(1e-4, n=200, seed=54)
+        start = solve_qp(prob.with_p_diag(0.1 * prob.p_diag))
+        free_sets, orders = assert_iterates_of_the_ix_gather(monkeypatch, prob, (start.x, start.y))
+        first, entered = free_sets[0], free_sets[1]
+        assert (entered & ~first).any() and len(free_sets) >= 3
+        # the second step factors its free set afresh; the last holds units of it at zero
+        largest_schur = prob.l.size + int(entered.sum() - free_sets[-1].sum())
+        assert [order for order in orders if order > largest_schur] == [first.sum(), entered.sum()]
+
+    def test_holding_most_of_a_small_block_factors_the_rest_afresh(self, monkeypatch):
+        # the second free set keeps 31 of 40 units: holding 9 at zero
+        # (40 * 9 * 49 flops) costs more than factoring the 31 (31^3 / 3)
+        prob = small_kernel_program(1e-4, n=40, seed=54)
+        free_sets, orders = assert_iterates_of_the_ix_gather(monkeypatch, prob)
+        first, second = free_sets[:2]
+        assert first.all() and second.sum() == 31
+        assert orders[:4] == [40, 2, 31, 2]  # each free block, then its Schur matrix of the two arm rows
 
     def test_one_product_with_p_per_step(self, monkeypatch):
         prob = small_kernel_program(1e-5, n=40, seed=52)
