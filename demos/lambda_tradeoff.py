@@ -11,24 +11,22 @@ import numpy as np
 
 from sitetransport import (
     FeatureMap,
+    SiteDataset,
     TargetSpec,
-    UnitRecord,
     fit_feature_map,
     lambda_sweep,
-    validate_dataset,
 )
 
 rng = np.random.default_rng(11)
 
 d = 6
-records = []
+sites = []
 for j in range(5):
     n = int(rng.integers(150, 350))
     X = rng.normal(rng.normal(0, 0.5, d), 1.0, size=(n, d))
     z = (rng.random(n) < 0.5).astype(int)
     y = X @ rng.normal(0.2, 0.3, d) + 0.4 * z + rng.normal(0, 0.5, n)
-    records += [UnitRecord(tuple(X[i]), int(z[i]), float(y[i]), f"s{j}") for i in range(n)]
-sites = validate_dataset(records)
+    sites.append(SiteDataset(site_id=f"s{j}", covariates=X, treatment=z, outcomes=y))
 
 target = TargetSpec.from_sample(rng.normal(0.4, 1.0, size=(800, d)))
 fmap = fit_feature_map(

@@ -12,13 +12,12 @@ Run:  python demos/multisite_heterogeneity.py
 import numpy as np
 
 from sitetransport import (
+    SiteDataset,
     SiteEffectSet,
     TransportConfig,
-    UnitRecord,
     estimate_theta,
     pseudo_r2,
     transport_all,
-    validate_dataset,
 )
 
 rng = np.random.default_rng(3)
@@ -26,7 +25,7 @@ rng = np.random.default_rng(3)
 # --- ten sites: shared slope, site-specific covariate centers + intercepts ---
 d = 4
 slope = np.array([0.6, -0.3, 0.2, 0.0])
-records = []
+sites = []
 for j in range(10):
     n = int(rng.integers(200, 400))
     center = rng.normal(0.0, 0.6, d)          # compositional differences
@@ -35,11 +34,7 @@ for j in range(10):
     z = (rng.random(n) < 0.5).astype(int)
     y = X @ np.array([0.4, 0.1, -0.2, 0.3]) + z * (X @ slope + context)
     y += rng.normal(0, 0.4, n)
-    records += [
-        UnitRecord(tuple(X[i]), int(z[i]), float(y[i]), f"site{j:02d}") for i in range(n)
-    ]
-
-sites = validate_dataset(records)
+    sites.append(SiteDataset(site_id=f"site{j:02d}", covariates=X, treatment=z, outcomes=y))
 
 # --- transport every site to the pooled population ---------------------------
 # lambda sits at the low end of the trade-off curve: these sites are small,

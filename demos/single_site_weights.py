@@ -13,12 +13,11 @@ import numpy as np
 from sitetransport import (
     BalanceProblem,
     FeatureMap,
+    SiteDataset,
     TargetSpec,
-    UnitRecord,
     fit_feature_map,
     naive_estimate,
     solve_weights,
-    validate_dataset,
     weighting_estimate,
 )
 
@@ -31,11 +30,7 @@ z = (rng.random(n) < 0.5).astype(int)
 cate = 0.5 + 0.4 * X[:, 0]          # effect rises with the first covariate
 y = X @ rng.normal(0.3, 0.2, d) + z * cate + rng.normal(0, 0.5, n)
 
-records = [
-    UnitRecord(covariates=tuple(X[i]), treatment=int(z[i]), outcome=float(y[i]), site_id="demo")
-    for i in range(n)
-]
-(site,) = validate_dataset(records)
+site = SiteDataset(site_id="demo", covariates=X, treatment=z, outcomes=y)
 
 # target population centered half a standard deviation higher
 target = TargetSpec.from_sample(rng.normal(0.5, 1.0, size=(500, d)))

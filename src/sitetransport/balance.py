@@ -381,7 +381,8 @@ def lambda_sweep(
     covariates stacked with the target sample, which all sites share. A
     solver failure leaves its (lambda, site) cell out of the means and is
     counted in ``n_failed`` without aborting the sweep. Rows come back in
-    ascending lambda order.
+    ascending lambda order, one per distinct lambda: a lambda repeated in
+    the grid is solved and reported once.
     """
     lambdas = [check_lambda(v) for v in lambdas]
     if not lambdas:

@@ -21,7 +21,7 @@ import yaml
 
 from .balance import BalanceProblem, check_lambda, lambda_sweep, solve_weights
 from .blas import single_threaded_blas
-from .data import SiteDataset, TargetSpec, UnitRecord, UnitTable, validate_dataset
+from .data import SiteDataset, TargetSpec, UnitTable, _check_unit, validate_dataset
 from .errors import ConfigError, NonBinaryTreatmentError, SchemaError, SiteTransportError
 from .features import KernelSpec, raw_feature_names
 from .heterogeneity import SiteEffectSet, estimate_theta, pseudo_r2
@@ -125,20 +125,15 @@ def read_unit_table(path: str) -> UnitTable:
         if np.isin(values[:, 0], (0.0, 1.0)).all() and np.isfinite(values).all():
             return UnitTable(site_ids, values[:, 2:], treatment=values[:, 0], outcomes=values[:, 1])
     # row by row, to raise at the first bad cell in file order
-    records = []
+    units = []
     for row in _read_rows(path)[1]:
         z = _parse_float(row, "z", path)
         if z not in (0.0, 1.0):
             raise NonBinaryTreatmentError(f"{path}: treatment value {row['z']!r} is not 0/1")
-        records.append(
-            UnitRecord(
-                covariates=tuple(_parse_float(row, c, path) for c in xcols),
-                treatment=int(z),
-                outcome=_parse_float(row, "y", path),
-                site_id=row["site_id"],
-            )
-        )
-    return UnitTable.from_records(records)
+        units.append(([_parse_float(row, c, path) for c in xcols], z, _parse_float(row, "y", path), row["site_id"]))
+        _check_unit(*units[-1])
+    X, z, y, site_ids = zip(*units)
+    return UnitTable(list(site_ids), np.array(X), treatment=np.array(z), outcomes=np.array(y))
 
 
 def read_target_sample(path: str) -> TargetSpec:
@@ -558,7 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="lambda trade-off table (imbalance vs. ESS)")
     add_common(p)
-    p.add_argument("--lambdas", help="comma-separated grid; default log grid 1e-4..1e2")
+    p.add_argument(
+        "--lambdas", help="comma-separated grid, a repeated lambda solved and reported once; default log grid 1e-4..1e2"
+    )
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=_cmd_sweep)
     return parser

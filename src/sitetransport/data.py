@@ -17,12 +17,24 @@ from .errors import (
 from .features import FeatureMap, regression_design
 
 
+def _check_unit(covariates, treatment, outcome, site_id) -> None:
+    """Raise for a unit whose treatment is not 0 or 1, whose outcome is not
+    finite or whose covariates are not all finite, checked in that order."""
+    if treatment not in (0, 1):
+        raise NonBinaryTreatmentError(f"treatment must be 0 or 1, got {treatment!r} in site {site_id!r}")
+    if not math.isfinite(outcome):
+        raise ValueError(f"outcome must be finite, got {outcome!r}")
+    if not all(math.isfinite(v) for v in covariates):
+        raise ValueError(f"covariates must be finite (missing values are rejected) in site {site_id!r}")
+
+
 @dataclass(frozen=True)
 class UnitRecord:
     """One experimental unit: raw covariates, treatment arm, outcome, site label.
 
-    Covariates are stored as a plain tuple so records are hashable, comparable,
-    and safe to share across threads.
+    Covariates are stored as a plain tuple of floats so records are hashable,
+    comparable, and safe to share across threads. A record checks nothing:
+    :class:`SiteDataset` checks the values of the records it is built from.
     """
 
     covariates: tuple[float, ...]
@@ -32,42 +44,25 @@ class UnitRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(float(v) for v in self.covariates))
-        if self.treatment not in (0, 1):
-            raise NonBinaryTreatmentError(
-                f"treatment must be 0 or 1, got {self.treatment!r} in site {self.site_id!r}"
-            )
-        if not math.isfinite(self.outcome):
-            raise ValueError(f"outcome must be finite, got {self.outcome!r}")
-        if not all(math.isfinite(v) for v in self.covariates):
-            raise ValueError(
-                f"covariates must be finite (missing values are rejected) in site {self.site_id!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
 class UnitTable:
     """A whole unit-level table as columns, one row per unit in input order
-    (what :func:`validate_dataset` groups into sites)."""
+    (what :func:`validate_dataset` groups into sites). Covariates are (n, d)
+    and each column has one entry per row, or ValueError names the shapes."""
 
     site_ids: list
     covariates: np.ndarray
     treatment: np.ndarray
     outcomes: np.ndarray
 
-    @classmethod
-    def from_records(cls, records: Iterable[UnitRecord]) -> "UnitTable":
-        records = list(records)
-        if not records:
-            raise ValueError("at least one record is required")
-        arities = {len(r.covariates) for r in records}
-        if len(arities) != 1:
-            raise MixedArityError(f"covariate lengths differ across rows: {sorted(arities)}")
-        return cls(
-            site_ids=[r.site_id for r in records],
-            covariates=np.array([r.covariates for r in records], dtype=float),
-            treatment=np.array([r.treatment for r in records], dtype=float),
-            outcomes=np.array([r.outcome for r in records], dtype=float),
-        )
+    def __post_init__(self):
+        if np.ndim(self.covariates) != 2:
+            raise ValueError(f"covariates must be 2-D (one row per unit), got shape {np.shape(self.covariates)}")
+        lengths = {name: len(getattr(self, name)) for name in self.__dataclass_fields__}
+        if len(set(lengths.values())) != 1:
+            raise ValueError(f"unit table columns differ in length: {lengths}")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -76,14 +71,16 @@ class SiteDataset:
 
     ``covariates`` (n, d), ``treatment`` (0/1) and ``outcomes`` are copied,
     validated once and read-only. Pass them as keywords with ``site_id``, or
-    pass records as ``units``: they are turned into the arrays and not kept.
-    A bad value raises what :class:`UnitRecord` raises for the first unit
-    holding one. ``row_indices`` (read-only integers, 0..n-1 unless given)
-    holds each unit's row in the input table. ``n1`` and ``n0`` count the
-    arms, ``arms`` holds their row indices (treated, then control), and
-    ``propensity`` is the treated share n1 / (n1 + n0) of a completely
-    randomized site. Like every object that holds arrays, a site compares
-    and hashes by identity.
+    pass records of one site as ``units``: they are stacked into the arrays
+    and not kept. The first unit with a treatment not 0/1, a non-finite
+    outcome or a non-finite covariate raises, naming the first of these it
+    breaks. ``row_indices`` (read-only integers, 0..n-1 unless given) holds
+    each unit's row in the input table; given ones must be whole numbers
+    >= 0, or ValueError names the first that is not. ``n1`` and ``n0``
+    count the arms, ``arms`` holds their row indices (treated, then
+    control), and ``propensity`` is the treated share n1 / (n1 + n0) of a
+    completely randomized site. Like every object that holds arrays, a site
+    compares and hashes by identity.
     """
 
     site_id: str
@@ -109,22 +106,30 @@ class SiteDataset:
             site_ids = {u.site_id for u in units}
             if len(site_ids) != 1:
                 raise ValueError(f"units of one SiteDataset must share a site_id, got {site_ids}")
-            site_id, table = site_ids.pop(), UnitTable.from_records(units)
-            covariates, treatment, outcomes = table.covariates, table.treatment, table.outcomes
+            if len(arities := {len(u.covariates) for u in units}) != 1:
+                raise MixedArityError(f"covariate lengths differ across rows: {sorted(arities)}")
+            site_id = site_ids.pop()
+            covariates, treatment, outcomes = zip(*((u.covariates, u.treatment, u.outcome) for u in units))
         X, z, y = (np.array(a, dtype=float) for a in (covariates, treatment, outcomes))
         if X.ndim != 2 or z.shape != (len(X),) or y.shape != z.shape:
             raise ValueError("covariates must be (n, d) with one treatment and outcome per row")
         bad = ~np.isin(z, (0, 1)) | ~np.isfinite(y) | ~np.isfinite(X).all(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
-            UnitRecord(tuple(X[i].tolist()), z[i].item(), y[i].item(), site_id)
+            _check_unit(X[i].tolist(), z[i].item(), y[i].item(), site_id)
         arms = np.flatnonzero(z == 1), np.flatnonzero(z == 0)
         n1, n0 = arms[0].size, arms[1].size
         if n1 == 0 or n0 == 0:
             raise DegenerateSiteError(f"site {site_id!r} has n1={n1}, n0={n0}; both arms are required")
-        rows = np.arange(z.size) if row_indices is None else np.array(row_indices, dtype=np.intp)
+        rows = np.arange(z.size) if row_indices is None else np.asarray(row_indices)
         if rows.shape != z.shape:
             raise ValueError("row_indices must align with units")
+        # a bool, text or object entry is never one
+        whole = rows.dtype.kind in "iuf" and (rows >= 0) & (rows < np.iinfo(np.intp).max) & (np.floor(rows) == rows)
+        if not np.all(whole):
+            i = int(np.argmin(whole))
+            raise ValueError(f"row_indices must be whole numbers >= 0, got {rows[i].item()!r} at position {i}")
+        rows = rows.astype(np.intp)
         for arr in (X, z, y, rows):
             arr.setflags(write=False)
         for name, value in zip(self.__dataclass_fields__, (site_id, X, z, y, rows)):
@@ -241,19 +246,18 @@ class PotentialOutcomeOracle:
         return np.array([self.tau(x) for x in np.atleast_2d(X)], dtype=float)
 
 
-def validate_dataset(records: Iterable[UnitRecord] | UnitTable) -> list[SiteDataset]:
-    """Group a unit table (or unit records) by site and validate each site.
+def validate_dataset(table: UnitTable) -> list[SiteDataset]:
+    """Group a unit table by site and validate each site.
 
     Sites are returned in order of first appearance. Raises
-    :class:`MixedArityError` if covariate lengths differ anywhere in the input
-    and :class:`DegenerateSiteError` for any site missing an arm.
+    :class:`DegenerateSiteError` for any site missing an arm.
     """
-    table = records if isinstance(records, UnitTable) else UnitTable.from_records(records)
-    if not table.site_ids:
-        raise ValueError("at least one record is required")
+    if len(table.site_ids) == 0:
+        raise ValueError("a unit table needs at least one row")
     by_site: dict[str, list[int]] = {}
     for i, site_id in enumerate(table.site_ids):
         by_site.setdefault(site_id, []).append(i)
+    groups = {site_id: np.array(rows, dtype=np.intp) for site_id, rows in by_site.items()}  # indexes faster than a list
     return [
         SiteDataset(
             site_id=site_id,
@@ -262,5 +266,5 @@ def validate_dataset(records: Iterable[UnitRecord] | UnitTable) -> list[SiteData
             outcomes=table.outcomes[idx],
             row_indices=idx,
         )
-        for site_id, idx in by_site.items()
+        for site_id, idx in groups.items()
     ]

@@ -31,8 +31,8 @@ class FeatureMap:
     fitted copy whose ``kept`` holds the indices of the kept features among
     the raw ones (:func:`raw_feature_names`). Applying an unfitted map raises
     :class:`UnfittedMapError`. Each interaction is a pair of covariate
-    indices, whole numbers >= 0, or ConfigError names the setting. A map
-    compares and hashes by identity.
+    indices, whole numbers >= 0, listed once in either order, or ConfigError
+    names the setting. A map compares and hashes by identity.
     """
 
     interactions: tuple[tuple[int, int], ...] = ()
@@ -49,6 +49,8 @@ class FeatureMap:
             pairs = tuple((whole_number(i, "index", 0), whole_number(j, "index", 0)) for i, j in self.interactions)
         except (TypeError, ValueError):
             raise ConfigError(f"interactions must be pairs of whole numbers >= 0, got {self.interactions!r}") from None
+        if repeated := [(i, j) for k, (i, j) in enumerate(pairs) if {(i, j), (j, i)} & set(pairs[:k])]:
+            raise ConfigError(f"interaction(s) {repeated} repeat an earlier pair in either order")
         object.__setattr__(self, "interactions", pairs)
 
     @property

@@ -5,16 +5,7 @@ from sitetransport import SiteDataset, TargetSpec, UnitRecord
 
 
 def build_site(X, z, y, site_id="s1") -> SiteDataset:
-    units = tuple(
-        UnitRecord(
-            covariates=tuple(np.atleast_1d(x)),
-            treatment=int(t),
-            outcome=float(v),
-            site_id=site_id,
-        )
-        for x, t, v in zip(np.atleast_2d(X), z, y)
-    )
-    return SiteDataset(units=units)
+    return SiteDataset(site_id=site_id, covariates=np.atleast_2d(X), treatment=z, outcomes=y)
 
 
 def site_records(site: SiteDataset) -> list[UnitRecord]:

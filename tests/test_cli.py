@@ -438,6 +438,8 @@ class TestTransportCommand:
             ("features: {interactions: [[0, 1, 2]]}\n", "whole numbers >= 0, got [[0, 1, 2]]"),
             ("features: {interactions: [[-1, 0]]}\n", "whole numbers >= 0, got [[-1, 0]]"),
             ("features: {interactions: [[0, 9]]}\n", "interaction(s) [(0, 9)] out of range for 3 covariates"),
+            # x2*x1 repeats x1*x2: the balance used to weigh that product twice
+            ("features: {interactions: [[0, 1], [1, 0]]}\n", "interaction(s) [(1, 0)] repeat an earlier pair"),
             ("estimators: []\n", "estimators must be one or more of"),
         ],
     )
@@ -971,6 +973,15 @@ class TestSweepCommand:
         by_lam = {float(r["lambda"]): r for r in rows}
         assert float(by_lam[1e6]["ess"]) == pytest.approx(40.0, abs=1e-2)
         assert float(by_lam[1e-8]["cate_imbalance"]) < float(by_lam[1e6]["cate_imbalance"])
+
+    def test_a_repeated_lambda_is_solved_and_reported_once(self, toy):
+        tmp, data, target = toy
+        once, twice = tmp / "once.csv", tmp / "twice.csv"
+        for out, grid in ((once, "0.1"), (twice, "0.1,0.1")):
+            args = ["sweep", "--data", str(data), "--target", str(target), "--lambdas", grid, "--out", str(out)]
+            assert main(args) == 0
+        assert len(read_csv(twice)) == 1
+        assert twice.read_bytes() == once.read_bytes()
 
 
 class TestDataRoundTrip:

@@ -54,6 +54,21 @@ class TestFitFeatureMap:
         with pytest.raises(ConfigError, match=r"interaction\(s\) \[\(0, 5\)\] out of range for 2 covariates"):
             fit_feature_map(FeatureMap(interactions=((0, 5),)), np.ones((3, 2)))
 
+    @pytest.mark.parametrize(
+        "pairs, repeated",
+        [
+            ([[0, 1], [1, 0]], [(1, 0)]),
+            ([[0, 1], [0, 1]], [(0, 1)]),
+            ([[2, 2], [0, 1], [2, 2], [1, 0]], [(2, 2), (1, 0)]),
+        ],
+    )
+    def test_an_interaction_listed_twice_in_either_order_is_refused(self, pairs, repeated):
+        # x1*x2 and x2*x1 are one product, which the balance used to weigh twice
+        with pytest.raises(ConfigError) as info:
+            FeatureMap(interactions=pairs)
+        assert str(info.value) == f"interaction(s) {repeated} repeat an earlier pair in either order"
+        assert FeatureMap(interactions=[[0, 1], [1, 1], [0, 0]]).interactions == ((0, 1), (1, 1), (0, 0))
+
 
 class TestApplyFeatureMap:
     def test_interaction_column(self):

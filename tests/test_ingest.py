@@ -4,6 +4,7 @@ import csv
 import math
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,15 @@ def records_and_arrays(rng, n=12, d=3, site_id="s"):
     return records, X, z, y
 
 
+# one bad value put in unit 3, and the error it raises through either route
+BAD_VALUES = [
+    ("treatment", 2, NonBinaryTreatmentError, "treatment must be 0 or 1, got 2.0 in site 's'"),
+    ("outcome", np.inf, ValueError, "outcome must be finite, got inf"),
+    ("covariates", (0.0, np.nan, 1.0), ValueError,
+     "covariates must be finite (missing values are rejected) in site 's'"),
+]
+
+
 class TestArraysFirstSiteDataset:
     def test_arrays_and_records_build_equal_sites(self, rng):
         records, X, z, y = records_and_arrays(rng)
@@ -157,31 +167,23 @@ class TestArraysFirstSiteDataset:
         # a site is its arrays: equality and hash are identity
         assert from_arrays != from_records and hash(from_arrays) == object.__hash__(from_arrays)
 
-    @pytest.mark.parametrize(
-        "build",
-        [lambda records: SiteDataset(units=records), lambda records: validate_dataset(records)[0]],
-        ids=["units", "validate_dataset"],
-    )
-    def test_records_are_not_kept(self, rng, build):
+    def test_records_are_not_kept(self, rng):
         records, X, z, y = records_and_arrays(rng)
         refs = [weakref.ref(r) for r in records]
-        site = build(records)
+        site = SiteDataset(units=records)
         del records
         assert all(ref() is None for ref in refs)
         assert_sites_identical(site, SiteDataset(site_id="s", covariates=X, treatment=z, outcomes=y))
         assert (site.n1, site.n0) == (6, 6)
 
-    @pytest.mark.parametrize("field, value", [("treatment", 2.0), ("outcome", np.inf), ("covariates", (0.0, np.nan, 1.0))])
-    def test_bad_record_raises_what_unit_record_raises(self, rng, field, value):
+    @pytest.mark.parametrize("field, value, error, message", BAD_VALUES, ids=[bad[0] for bad in BAD_VALUES])
+    def test_a_bad_record_names_its_first_bad_value(self, rng, field, value, error, message):
         records, *_ = records_and_arrays(rng)
-        object.__setattr__(records[3], field, value)  # past UnitRecord's own check
-        bad = records[3]
-        with pytest.raises(Exception) as expected:
-            UnitRecord(bad.covariates, bad.treatment, bad.outcome, bad.site_id)
-        with pytest.raises(Exception) as got:
+        records[3] = replace(records[3], **{field: value})
+        with pytest.raises(error) as got:
             SiteDataset(units=records)
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
+        assert type(got.value) is error
+        assert str(got.value) == message
 
     def test_negative_zero_survives_the_records_route(self, rng):
         _, X, z, y = records_and_arrays(rng)
@@ -199,21 +201,24 @@ class TestArraysFirstSiteDataset:
         with pytest.raises(ValueError):
             site.outcomes[0] = 1.0
 
-    @pytest.mark.parametrize(
-        "field, index, value",
-        [("treatment", 3, 2.0), ("outcomes", 2, np.inf), ("covariates", (4, 1), np.nan)],
-    )
-    def test_bad_values_raise_what_unit_record_raises(self, rng, field, index, value):
+    @pytest.mark.parametrize("field, value, error, message", BAD_VALUES, ids=[bad[0] for bad in BAD_VALUES])
+    def test_a_bad_array_value_names_its_first_bad_value(self, rng, field, value, error, message):
         _, X, z, y = records_and_arrays(rng)
         arrays = {"covariates": X, "treatment": z, "outcomes": y}
-        arrays[field][index] = value
-        row = index[0] if isinstance(index, tuple) else index
-        with pytest.raises(Exception) as expected:
-            UnitRecord(tuple(X[row].tolist()), z[row].item(), y[row].item(), "s")
-        with pytest.raises(Exception) as got:
+        arrays["outcomes" if field == "outcome" else field][3] = value
+        with pytest.raises(error) as got:
             SiteDataset(site_id="s", **arrays)
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
+        assert type(got.value) is error
+        assert str(got.value) == message
+
+    def test_a_unit_is_checked_for_treatment_then_outcome_then_covariates(self, rng):
+        records, *_ = records_and_arrays(rng)
+        records[3] = replace(records[3], covariates=(0.0, np.nan, 1.0), outcome=np.inf)
+        with pytest.raises(ValueError, match="outcome must be finite"):
+            SiteDataset(units=records)
+        records[3] = replace(records[3], treatment=-1)
+        with pytest.raises(NonBinaryTreatmentError):
+            SiteDataset(units=records)
 
     def test_validate_dataset_row_indices_match_records_path(self, rng, tmp_path):
         lines = [HEADER]
@@ -226,7 +231,8 @@ class TestArraysFirstSiteDataset:
             UnitRecord(tuple(x), int(t), v, s)
             for s, x, t, v in zip(table.site_ids, table.covariates.tolist(), table.treatment, table.outcomes.tolist())
         ]
-        from_table, from_records = validate_dataset(table), validate_dataset(records)
+        from_table = validate_dataset(table)
         assert len(from_table) == 3
-        for got, want in zip(from_table, from_records, strict=True):
-            assert_sites_identical(got, want)
+        for got in from_table:
+            rows = [i for i, r in enumerate(records) if r.site_id == got.site_id]
+            assert_sites_identical(got, SiteDataset([records[i] for i in rows], rows))
